@@ -82,7 +82,7 @@ from repro.circuits.gates import (
     UnionGate,
     VarGate,
 )
-from repro.errors import CircuitStructureError, NotHomogenizedError
+from repro.errors import CircuitStructureError, InvalidAutomatonError, NotHomogenizedError
 from repro.trees.binary import BinaryNode, BinaryTree
 
 __all__ = [
@@ -110,7 +110,7 @@ _IN_PROD = 2
 class _InternalPlan:
     """Slot-resolved recipe for building every box with a given signature.
 
-    ``entries`` lists, in ``automaton.states`` order, either a sentinel value
+    ``entries`` lists, in canonical state order, either a sentinel value
     (⊤/⊥) or the inputs of the state's ∪-gate as (source, index) pairs with
     the child slots already resolved; ``prod_pairs`` lists the ×-gates to
     create as (left slot, right slot).  Everything that does not depend on
@@ -293,33 +293,77 @@ def _require_homogenized(automaton: BinaryTVA) -> None:
         )
 
 
-def _plan_cache(automaton: BinaryTVA) -> Dict[str, dict]:
-    """The per-automaton box-plan cache (attached lazily; automata are immutable)."""
+def _plan_cache(automaton: BinaryTVA) -> Dict[str, object]:
+    """The per-automaton box-plan cache (attached lazily; automata are immutable).
+
+    Besides the leaf and internal plans it holds the shared sentinel
+    entries (see :func:`_sentinel_entry`) and the states in the order plans
+    number their slots (see :func:`_canonical_states`).
+    """
     cache = getattr(automaton, "_box_plan_cache", None)
     if cache is None:
-        cache = {"leaf": {}, "internal": {}}
+        cache = {
+            "leaf": {},
+            "internal": {},
+            "sentinel": {},
+            "states": _canonical_states(automaton),
+        }
         automaton._box_plan_cache = cache
     return cache
+
+
+def _canonical_states(automaton: BinaryTVA) -> Tuple[object, ...]:
+    """The automaton's states sorted by their canonical encoding.
+
+    Plans give ∪-gates their slots in this order, and slot numbering decides
+    answer order.  The iteration order of ``automaton.states`` (a frozenset)
+    is not fixed: it varies with ``PYTHONHASHSEED`` and with how the set was
+    built, so a shard worker that compiles or unpickles the same query could
+    otherwise enumerate in another order than the process it mirrors.
+    States outside the serializable value universe sort by ``repr``.
+    """
+    from repro.automata.serialize import canonical_key, encode_value
+
+    def key(state: object) -> str:
+        try:
+            return canonical_key(encode_value(state))
+        except InvalidAutomatonError:
+            return repr(state)
+
+    return tuple(sorted(automaton.states, key=key))
+
+
+def _sentinel_entry(table: dict, state: object, value: object) -> Tuple[object, object]:
+    """The ``(state, ⊤)`` or ``(state, ⊥)`` plan entry, one tuple per automaton.
+
+    Most states of a wide automaton's plans are ⊤ or ⊥, and a tuple holding
+    a sentinel stays tracked by the cyclic GC, so a fresh pair per state per
+    plan would make every collection walk hundreds of thousands of them.
+    """
+    key = (state, value)
+    return table.setdefault(key, key)
 
 
 def _leaf_plan(automaton: BinaryTVA, label: object) -> _LeafPlan:
     """The build recipe for a leaf box with the given label (leaf-independent)."""
     zero_states = automaton.zero_states
     one_states = automaton.one_states
+    cache = _plan_cache(automaton)
+    sentinels = cache["sentinel"]
     entries_out: List[Tuple[object, object]] = []
     signature: List[Tuple[object, bool]] = []
     var_sets: List[frozenset] = []
     var_index: Dict[frozenset, int] = {}
     slot_var_masks: List[int] = []
     union_count = 0
-    for state in automaton.states:
+    for state in cache["states"]:
         entries = automaton.initial_by_label_state.get((label, state), [])
         if state in zero_states:
             if any(not vs for vs in entries):
-                entries_out.append((state, TOP))
+                entries_out.append(_sentinel_entry(sentinels, state, TOP))
                 signature.append((state, True))
             else:
-                entries_out.append((state, BOTTOM))
+                entries_out.append(_sentinel_entry(sentinels, state, BOTTOM))
         elif state in one_states:
             indices: List[int] = []
             seen = set()
@@ -338,9 +382,9 @@ def _leaf_plan(automaton: BinaryTVA, label: object) -> _LeafPlan:
                 slot_var_masks.append(sum(1 << i for i in set(indices)))
                 union_count += 1
             else:
-                entries_out.append((state, BOTTOM))
+                entries_out.append(_sentinel_entry(sentinels, state, BOTTOM))
         else:  # unreachable state (possible only if the automaton is not trimmed)
-            entries_out.append((state, BOTTOM))
+            entries_out.append(_sentinel_entry(sentinels, state, BOTTOM))
     return _LeafPlan(
         tuple(entries_out),
         tuple(var_sets),
@@ -376,8 +420,8 @@ def _signature_of(box: Box) -> Tuple[Tuple[object, bool], ...]:
 def _slots_of_signature(sig: Tuple[Tuple[object, bool], ...]) -> Dict[object, int]:
     """State → ∪-gate slot for a child with the given signature.
 
-    Slots are assigned in ``state_gate`` insertion order (= ``automaton.states``
-    order, which the plans preserve) to the present states that are not ⊤, so
+    Slots are assigned in ``state_gate`` insertion order (= the canonical
+    state order, which the plans preserve) to the present states that are not ⊤, so
     the mapping is fully determined by the signature.
     """
     slots: Dict[object, int] = {}
@@ -404,6 +448,8 @@ def _internal_plan(
     """
     zero_states = automaton.zero_states
     one_states = automaton.one_states
+    cache = _plan_cache(automaton)
+    sentinels = cache["sentinel"]
     left_slots = _slots_of_signature(left_sig)
     right_slots = _slots_of_signature(right_sig)
 
@@ -432,16 +478,16 @@ def _internal_plan(
     local_mask = 0
     left_wire: List[int] = [0] * len(left_slots)
     right_wire: List[int] = [0] * len(right_slots)
-    for state in automaton.states:
+    for state in cache["states"]:
         contribs = contributions.get(state, ())
         if state in zero_states:
             is_top = any(top1 and top2 for _q1, top1, _q2, top2 in contribs)
-            entries.append((state, TOP if is_top else BOTTOM))
+            entries.append(_sentinel_entry(sentinels, state, TOP if is_top else BOTTOM))
             if is_top:
                 signature.append((state, True))
             continue
         if state not in one_states:
-            entries.append((state, BOTTOM))
+            entries.append(_sentinel_entry(sentinels, state, BOTTOM))
             continue
         inputs: List[Tuple[int, int]] = []
         seen = set()
@@ -490,7 +536,7 @@ def _internal_plan(
             right_input_masks.append(right_mask)
             slot_prod_masks.append(prod_mask)
         else:
-            entries.append((state, BOTTOM))
+            entries.append(_sentinel_entry(sentinels, state, BOTTOM))
     return _InternalPlan(
         tuple(entries),
         tuple(prod_pairs),
@@ -618,16 +664,25 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         return tuple((values[i], bool(is_top)) for i, is_top in sig)
 
     cache = _plan_cache(automaton)
+    sentinels = cache["sentinel"]
+
+    def decode_entries(entries, pair_inputs):
+        decoded = []
+        for state, value in entries:
+            value = _decode_plan_value(value, pair_inputs)
+            if value.__class__ is tuple:
+                decoded.append((values[state], value))
+            else:
+                decoded.append(_sentinel_entry(sentinels, values[state], value))
+        return tuple(decoded)
+
     installed = 0
     for label_index, data in payload.get("leaf", ()):
         label = values[label_index]
         if label in cache["leaf"]:
             continue
         cache["leaf"][label] = _LeafPlan(
-            tuple(
-                (values[state], _decode_plan_value(value, pair_inputs=False))
-                for state, value in data["entries"]
-            ),
+            decode_entries(data["entries"], pair_inputs=False),
             tuple(values[i] for i in data["var_sets"]),
             data["local_mask"],
             decode_sig(data["signature"]),
@@ -640,10 +695,7 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         if key in cache["internal"]:
             continue
         cache["internal"][key] = _InternalPlan(
-            tuple(
-                (values[state], _decode_plan_value(value, pair_inputs=True))
-                for state, value in data["entries"]
-            ),
+            decode_entries(data["entries"], pair_inputs=True),
             tuple(tuple(pair) for pair in data["prod_pairs"]),
             (tuple(data["wire_masks"][0]), tuple(data["wire_masks"][1])),
             tuple(data["left_input_masks"]),

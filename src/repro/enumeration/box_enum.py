@@ -120,16 +120,16 @@ def indexed_box_enum(
 
         if is_walk:
             # One iteration of the walk over the bidirectional boxes on the
-            # path from ``box`` down to its first interesting box (lines 11-16).
-            bidirectional = fbb_of_mask(index, slot_mask)
-            if bidirectional is None:
+            # path from ``box`` down to its first interesting box (lines 11-16):
+            # it continues while the fbb is a proper ancestor of the fib.
+            bid = fbb_of_mask(index, slot_mask)
+            if bid < 0:
                 continue
             local_first = fib_of_mask(index, slot_mask)
-            if bidirectional is local_first:
+            if bid == local_first or not index.is_ancestor(bid, local_first):
                 continue
-            if not index.is_ancestor(bidirectional, local_first):
-                continue
-            rel_bidirectional = index.relation_to(bidirectional).compose(relation)
+            bidirectional = index.targets[bid] if bid else box
+            rel_bidirectional = index.relations[bid].compose(relation)
             rel_right = wire_relation(bidirectional, "right", backend).compose(rel_bidirectional)
             rel_left = wire_relation(bidirectional, "left", backend).compose(rel_bidirectional)
             # Continue the walk from the left child; enumerate the right
@@ -141,11 +141,13 @@ def indexed_box_enum(
             continue
 
         # ---- first interesting box (lines 4-6)
-        first_interesting = fib_of_mask(index, slot_mask)
-        if first_interesting is box:
-            rel_first = relation
+        ordinal = fib_of_mask(index, slot_mask)
+        if ordinal:
+            first_interesting = index.targets[ordinal]
+            rel_first = index.relations[ordinal].compose(relation)
         else:
-            rel_first = index.relation_to(first_interesting).compose(relation)
+            first_interesting = box
+            rel_first = relation
         # after the subtree of the first interesting box, walk the
         # bidirectional boxes from ``box`` (popped last)
         stack.append((True, box, relation))

@@ -365,7 +365,7 @@ class MaskStackEnumeration:
 
         * every pending box-enumeration step ``(is_walk, box, g, lower)``
           contributes ``lower`` — the walk/descend of Algorithm 3 only ever
-          queries ``box``'s index (fib/fbb/targets/ranks/relations) masked by
+          queries ``box``'s index (fib/fbb/targets/ends/relations) masked by
           the step's live lower slots, and those answers are determined by
           the ∪-wiring reachable from them;
         * a frame with an in-flight activation contributes its interesting
@@ -525,20 +525,20 @@ class MaskStackEnumeration:
                 index = cur_box.index
 
                 if is_walk:
-                    # one iteration of the bidirectional-box walk (Algorithm 3)
-                    if not index.fbb_ranks:
+                    # one iteration of the bidirectional-box walk (Algorithm 3):
+                    # it continues only while the fbb (ordinal ``bid``) is a
+                    # proper ancestor of the fib — preorder ordinal compares
+                    bid = fbb_of_mask(index, lower_mask)
+                    if bid < 0:
                         continue
-                    best = fbb_of_mask(index, lower_mask)
-                    if best is None:
+                    if not bid < fib_of_mask(index, lower_mask) < index.ends[bid]:
                         continue
-                    first = fib_of_mask(index, lower_mask)
-                    if best is first:
-                        continue
-                    best_rank = index.targets[best].rank
-                    prefix = len(best_rank) - 1
-                    if best_rank[:prefix] != index.targets[first].rank[:prefix]:
-                        continue
-                    rel_bid = _compose_masks(index.targets[best].relation.masks_view(), g)
+                    if bid:
+                        best = index.targets[bid]
+                        rel_bid = _compose_masks(index.relations[bid].masks_view(), g)
+                    else:
+                        best = cur_box
+                        rel_bid = g
                     plan = best.wire_plan
                     if plan is not None:
                         wire_left, wire_right = plan.wire_masks
@@ -554,15 +554,17 @@ class MaskStackEnumeration:
                     continue
 
                 # descend to the first interesting box (Algorithm 3, lines 4-10)
-                first = fib_of_mask(index, lower_mask)
-                if first is cur_box:
+                ordinal = fib_of_mask(index, lower_mask)
+                if ordinal:
+                    first = index.targets[ordinal]
+                    rel_first, rf_lower = _compose_masks_lm(
+                        index.relations[ordinal].masks_view(), g
+                    )
+                else:
+                    first = cur_box
                     rel_first = g
                     rf_lower = lower_mask
-                else:
-                    rel_first, rf_lower = _compose_masks_lm(
-                        index.targets[first].relation.masks_view(), g
-                    )
-                if index.fbb_ranks:
+                if index.fbb:
                     steps.append((True, cur_box, g, lower_mask))
                 if first.left_child is not None:
                     plan = first.wire_plan

@@ -9,8 +9,7 @@ For every box ``B`` of the circuit the index stores:
   bidirectional box** ``fbb(Γ)``: the first box whose two subtrees both
   contain gates ∪-reachable from ``Γ``;
 * the ∪-reachability relation ``R(X, B)`` for every *target box* ``X``
-  (every fib/fbb value and the children of ``B``), together with the
-  preorder ranks of the target boxes.
+  (every fib/fbb value and the children of ``B``).
 
 Everything is computed bottom-up, per box, from the children's index entries
 (equations (3)–(5) of the appendix), which is exactly what makes the index
@@ -18,270 +17,191 @@ incrementally maintainable: when an update rebuilds the boxes on a trunk
 (Lemma 7.3), recomputing the index entries of those boxes reuses the
 untouched entries of the reused subtrees.
 
-Preorder ranks are stored as *path tuples* relative to the box owning the
-index ((0,) for the box itself, (1, …) for targets in the left subtree,
-(2, …) for targets in the right subtree); comparing tuples lexicographically
-compares preorder positions without any global numbering — global numberings
-would be invalidated by updates.  Because a rank is the literal box-tree path
-to the target, the lca queries of Definition 6.1 reduce to rank-prefix
-arithmetic: ``X`` is an ancestor of ``Y`` iff ``rank(X)`` minus its trailing
-0 is a prefix of ``rank(Y)``, and the lca of two targets is the box at their
-ranks' longest common prefix.  The index therefore stores no lca table at
-all — the quadratic fixed-point closure the paper's presentation suggests is
-replaced by O(1)-per-pair arithmetic on material the index already carries.
+Ordinals
+--------
+The targets of ``B`` are numbered by **ordinals**: their positions in the
+preorder of ``B``'s subtree, counting targets only, with ordinal 0 being
+``B`` itself.  Comparing two ordinals therefore compares preorder
+positions, and the targets inside the subtree of target ``t`` are exactly
+the ordinals ``t ≤ u < ends[t]`` — so the lca question Algorithm 3 asks
+("is the fbb an ancestor of the fib?") is two integer compares, and the
+index stores no lca table.  Ordinals are local to one entry (a global
+numbering would be invalidated by every update): each box renumbers the
+targets it keeps, so an ordinal never outlives one index lookup.
+Enumeration frames hold boxes and slot masks, never ordinals.
+
+An entry is a handful of flat tables (:class:`BoxIndex`): the target boxes
+and their relations, and the ``ends``, ``fib`` and ``fbb`` ordinal tables,
+which are ``bytes`` while the ordinals fit a byte (int→int ``dict``
+otherwise) — containers the cyclic garbage collector does not track.  The
+owning box is not stored in its own entry (``targets[0]`` is ``None``), so
+a box and its index form no reference cycle that only the collector could
+break.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.gates import AssignmentCircuit, Box
-from repro.enumeration.relations import Relation, iter_bits
+from repro.enumeration.relations import Relation, get_default_backend
 from repro.enumeration.wiring import wire_relation
 from repro.errors import CircuitStructureError, IndexError_
 
 __all__ = [
-    "TargetInfo",
     "BoxIndex",
     "build_box_index",
     "build_index",
-    "fib_of_slots",
-    "fbb_of_slots",
     "fib_of_mask",
     "fbb_of_mask",
 ]
 
-SIDE_SELF = "self"
-SIDE_LEFT = "left"
-SIDE_RIGHT = "right"
-
-
-class TargetInfo:
-    """Index entry for one target box ``X`` of a box ``B``.
-
-    Holds the ∪-reachability relation ``R(X, B)``, which side of ``B`` the
-    target lies on, and its preorder rank (a path tuple, see module docs).
-    """
-
-    __slots__ = ("box", "relation", "side", "rank")
-
-    def __init__(self, box: Box, relation: Relation, side: str, rank: Tuple[int, ...]):
-        self.box = box
-        self.relation = relation
-        self.side = side
-        self.rank = rank
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"TargetInfo(side={self.side}, rank={self.rank}, rel={len(self.relation)})"
+#: an entry's ordinal tables are ``bytes`` while its raw ordinal space (see
+#: build_box_index) fits a byte: values below 255, with 255 marking "no fbb"
+_BYTE_LIMIT = 255
 
 
 class BoxIndex:
-    """The per-box part of the index structure ``I(C)`` of Definition 6.1."""
+    """The per-box part of the index structure ``I(C)`` of Definition 6.1.
 
-    __slots__ = ("box", "fib", "fbb_pair", "targets", "by_rank", "fib_ranks", "fbb_ranks")
+    All fields are indexed by target ordinal ``t`` (see the module docs)
+    except ``fib`` (by ∪-slot) and ``fbb`` (by slot pair):
 
-    def __init__(self, box: Box):
-        self.box = box
-        #: per ∪-gate slot: the first interesting box
-        self.fib: List[Box] = []
-        #: per pair of slots (i ≤ j): the first bidirectional box (missing = None)
-        self.fbb_pair: Dict[Tuple[int, int], Box] = {}
-        #: target box -> TargetInfo (relation, side, rank)
-        self.targets: Dict[Box, TargetInfo] = {}
-        #: rank -> target box (lets lca_of resolve a computed rank to a box)
-        self.by_rank: Dict[Tuple[int, ...], Box] = {}
-        #: per ∪-gate slot: rank of fib[slot] (parallel to fib; avoids a
-        #: targets lookup per slot on the enumeration hot path)
-        self.fib_ranks: List[Tuple[int, ...]] = []
-        #: (i, j) -> (rank, box) for fbb_pair (precomputed rank for min-scans)
-        self.fbb_ranks: Dict[Tuple[int, int], Tuple[Tuple[int, ...], Box]] = {}
+    ``targets[t]``
+        The target box (``targets[0]`` is ``None``: ordinal 0 is the owner).
+    ``relations[t]``
+        The stored relation ``R(targets[t], B)``.
+    ``ends[t]``
+        One past the last ordinal inside the subtree of ``targets[t]``.
+    ``fib[s]``
+        The ordinal of ``fib`` of slot ``s``.
+    ``fbb[fbb_rows[i] + j]``
+        For slots ``i ≤ j``: the ordinal of ``fbb({g_i, g_j})``, or a value
+        ``≥ len(targets)`` when that pair has no bidirectional box.  Empty
+        when no pair of the box has one.
+    """
 
-    # ------------------------------------------------------------------ api
-    def rank_of(self, box: Box) -> Tuple[int, ...]:
-        """Return the preorder rank of a target box."""
-        try:
-            return self.targets[box].rank
-        except KeyError:
-            raise IndexError_("box is not a target of this index entry") from None
+    __slots__ = ("targets", "relations", "ends", "fib", "fbb", "fbb_rows")
 
-    def relation_to(self, box: Box) -> Relation:
-        """Return the stored relation ``R(box, B)``."""
-        try:
-            return self.targets[box].relation
-        except KeyError:
-            raise IndexError_("no stored reachability relation for this target box") from None
+    def __init__(self, targets, relations, ends, fib, fbb, fbb_rows):
+        self.targets: Tuple[Optional[Box], ...] = targets
+        self.relations: Tuple[Relation, ...] = relations
+        self.ends: Sequence[int] = ends
+        self.fib: Sequence[int] = fib
+        self.fbb: Sequence[int] = fbb
+        self.fbb_rows: Tuple[int, ...] = fbb_rows
 
-    def lca_of(self, first: Box, second: Box) -> Box:
-        """Return the least common ancestor of two target boxes.
-
-        Computed from the rank path tuples: the lca sits at the longest
-        common prefix of the two paths.  When that box is itself a target
-        (always the case for the pairs Algorithm 3 queries) it is resolved
-        through ``by_rank``; otherwise the path prefix is walked down the
-        box tree, so the query still answers correctly — though only
-        *targets* carry a stored reachability relation.
-        """
-        try:
-            first_rank = self.targets[first].rank
-            second_rank = self.targets[second].rank
-        except KeyError:
-            raise IndexError_("lca of a non-target pair requested") from None
-        if first_rank == second_rank:
-            return first
-        common = 0
-        for a, b in zip(first_rank, second_rank):
-            if a != b:
-                break
-            common += 1
-        ancestor = self.by_rank.get(first_rank[:common] + (0,))
-        if ancestor is not None:
-            return ancestor
-        # The lca is not a stored target: its path prefix consists of 1/2
-        # steps only (a terminating 0 would have hit by_rank above), so walk
-        # it from the owning box.
-        node = self.box
-        for step in first_rank[:common]:
-            node = node.left_child if step == 1 else node.right_child
-        return node
-
-    def is_ancestor(self, ancestor: Box, descendant: Box) -> bool:
-        """Return True if ``ancestor`` is an ancestor of (or equal to) ``descendant``.
-
-        A pure rank comparison: the ancestor's path (its rank minus the
-        trailing 0) must be a prefix of the descendant's rank.
-        """
-        try:
-            ancestor_rank = self.targets[ancestor].rank
-            descendant_rank = self.targets[descendant].rank
-        except KeyError:
-            raise IndexError_("ancestor query on a non-target pair") from None
-        prefix = len(ancestor_rank) - 1
-        return ancestor_rank[:prefix] == descendant_rank[:prefix]
+    def is_ancestor(self, ancestor: int, descendant: int) -> bool:
+        """True iff target ``ancestor`` is an ancestor of (or is) ``descendant``."""
+        return ancestor <= descendant < self.ends[ancestor]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"BoxIndex(targets={len(self.targets)}, width={len(self.fib)})"
 
 
-# --------------------------------------------------------------------------- set-level helpers
-def fib_of_mask(index: BoxIndex, slot_mask: int) -> Box:
-    """``fib(Γ)`` for a boxed set given as a bitmask over slots (equation (1)).
+#: width -> fbb row offsets (``fbb_rows``), shared by every entry of that width
+_FBB_ROWS: Dict[int, Tuple[int, ...]] = {}
+#: (width, backend) -> the entry every leaf box of that width shares: a leaf
+#: is its own fib for every slot, no pair has a fbb, and it has no targets
+#: besides itself — and an entry never stores its owner
+_LEAF_INDEXES: Dict[Tuple[int, str], BoxIndex] = {}
 
-    Mask-native twin of :func:`fib_of_slots`: iterates the set bits and
-    compares the precomputed ``fib_ranks``, with no set/sort allocation.
+
+def _fbb_rows(width: int) -> Tuple[int, ...]:
+    """Offsets into the row-major upper triangle: pair ``(i, j)`` sits at ``rows[i] + j``."""
+    rows = _FBB_ROWS.get(width)
+    if rows is None:
+        rows = _FBB_ROWS[width] = tuple(i * (2 * width - i - 1) // 2 for i in range(width))
+    return rows
+
+
+# --------------------------------------------------------------------------- lookups
+def fib_of_mask(index: BoxIndex, slot_mask: int) -> int:
+    """Ordinal of ``fib(Γ)`` for a boxed set given as a bitmask over slots.
+
+    The preorder-first of the slots' fibs (equation (1)): a minimum over the
+    set bits, with no allocation.
     """
-    best: Optional[Box] = None
-    best_rank: Optional[Tuple[int, ...]] = None
     fib = index.fib
-    fib_ranks = index.fib_ranks
+    best = -1
     while slot_mask:
         low = slot_mask & -slot_mask
-        slot = low.bit_length() - 1
+        value = fib[low.bit_length() - 1]
+        if not value:
+            return 0
+        if best < 0 or value < best:
+            best = value
         slot_mask ^= low
-        rank = fib_ranks[slot]
-        if best_rank is None or rank < best_rank:
-            best, best_rank = fib[slot], rank
-    if best is None:
+    if best < 0:
         raise IndexError_("fib of an empty boxed set requested")
     return best
 
 
-def fbb_of_mask(index: BoxIndex, slot_mask: int) -> Optional[Box]:
-    """``fbb(Γ)`` for a boxed set given as a bitmask over slots.
-
-    Mask-native twin of :func:`fbb_of_slots`: scans the (i ≤ j) bit pairs of
-    the mask against the precomputed ``fbb_ranks`` table.
-    """
-    best: Optional[Box] = None
-    best_rank: Optional[Tuple[int, ...]] = None
-    fbb_ranks = index.fbb_ranks
-    outer = slot_mask
-    while outer:
-        low_i = outer & -outer
-        i = low_i.bit_length() - 1
-        inner = outer  # pairs (i, j) with j >= i, including the singleton (i, i)
-        outer ^= low_i
-        while inner:
-            low_j = inner & -inner
-            j = low_j.bit_length() - 1
-            inner ^= low_j
-            entry = fbb_ranks.get((i, j))
-            if entry is None:
-                continue
-            rank, candidate = entry
-            if best_rank is None or rank < best_rank:
-                best, best_rank = candidate, rank
-    return best
-
-
-def fib_of_slots(index: BoxIndex, slots: Iterable[int]) -> Box:
-    """``fib(Γ)`` for a boxed set given by its slots (equation (1))."""
-    best: Optional[Box] = None
-    best_rank: Optional[Tuple[int, ...]] = None
-    targets = index.targets
-    fib = index.fib
-    for slot in slots:
-        candidate = fib[slot]
-        rank = targets[candidate].rank
-        if best_rank is None or rank < best_rank:
-            best, best_rank = candidate, rank
-    if best is None:
-        raise IndexError_("fib of an empty boxed set requested")
-    return best
-
-
-def fbb_of_slots(index: BoxIndex, slots: Iterable[int]) -> Optional[Box]:
-    """``fbb(Γ)`` for a boxed set given by its slots.
+def fbb_of_mask(index: BoxIndex, slot_mask: int) -> int:
+    """Ordinal of ``fbb(Γ)`` for a boxed set given as a bitmask over slots, or -1.
 
     Following Definition 6.1 and Observation 6.2, the first bidirectional box
     of a larger set is the preorder-minimum of the stored values for the
     pairs (and singletons) included in the set.
     """
-    slot_list = sorted(set(slots))
-    best: Optional[Box] = None
-    best_rank: Optional[Tuple[int, ...]] = None
-    fbb_pair = index.fbb_pair
-    targets = index.targets
-    for i, a in enumerate(slot_list):
-        for b in slot_list[i:]:
-            candidate = fbb_pair.get((a, b))
-            if candidate is None:
-                continue
-            rank = targets[candidate].rank
-            if best_rank is None or rank < best_rank:
-                best, best_rank = candidate, rank
-    return best
+    fbb = index.fbb
+    if not fbb:
+        return -1
+    rows = index.fbb_rows
+    none = len(index.targets)
+    best = none
+    outer = slot_mask
+    while outer:
+        low_i = outer & -outer
+        base = rows[low_i.bit_length() - 1]
+        inner = outer  # pairs (i, j) with j >= i, including the singleton (i, i)
+        outer ^= low_i
+        while inner:
+            low_j = inner & -inner
+            value = fbb[base + low_j.bit_length() - 1]
+            if value < best:
+                if not value:
+                    return 0
+                best = value
+            inner ^= low_j
+    return best if best < none else -1
 
 
 # --------------------------------------------------------------------------- construction
-def _finalize_ranks(index: BoxIndex) -> None:
-    """Precompute the rank tables read by the mask-native lookups."""
-    targets = index.targets
-    index.fib_ranks = [targets[b].rank for b in index.fib]
-    index.fbb_ranks = {key: (targets[b].rank, b) for key, b in index.fbb_pair.items()}
+def _leaf_index(width: int, relation_backend: Optional[str]) -> BoxIndex:
+    backend = relation_backend or get_default_backend()
+    index = _LEAF_INDEXES.get((width, backend))
+    if index is None:
+        index = BoxIndex(
+            (None,),
+            (Relation.identity(width, backend=backend),),
+            b"\x01",
+            bytes(width),
+            b"",
+            _fbb_rows(width),
+        )
+        _LEAF_INDEXES[(width, backend)] = index
+    return index
 
 
 def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxIndex:
     """Build the index entry of a single box from its children's entries.
 
     For internal boxes, both children must already carry a ``BoxIndex`` (the
-    construction is bottom-up).  The freshly built index is also stored on
-    ``box.index`` for convenience.
-    """
-    index = BoxIndex(box)
-    n = box.n_unions
-    targets = index.targets
-    by_rank = index.by_rank
-    identity = Relation.identity(n, backend=relation_backend)
-    targets[box] = TargetInfo(box, identity, SIDE_SELF, (0,))
-    by_rank[(0,)] = box
+    construction is bottom-up).  The entry is also stored on ``box.index``.
 
+    Every value is first computed in the *raw* ordinal space of the box:
+    0 for the box, then all targets of the left child's entry, then all
+    targets of the right child's — already preorder, since each child's
+    ordinals are.  A pair whose wiring reaches both children has the box as
+    its fbb; a single-side pair asks the child's entry for the fbb of the
+    OR of its slots' wiring, memoized per OR-mask.  The raw values actually
+    used are then renumbered densely, which keeps only the targets this box
+    needs.
+    """
+    n = box.n_unions
     if box.is_leaf_box():
-        # Fast path: every slot of a leaf box has only var-gate inputs, so the
-        # box is its own first interesting box for every slot, no pair has a
-        # bidirectional box, and the only target is the box itself.
-        index.fib = [box] * n
-        _finalize_ranks(index)
-        box.index = index
+        index = box.index = _leaf_index(n, relation_backend)
         return index
 
     left_box = box.left_child
@@ -297,103 +217,133 @@ def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxInde
     local_mask = box.local_mask
     left_inputs = box.left_input_masks
     right_inputs = box.right_input_masks
-
-    left_relation = wire_relation(box, SIDE_LEFT, backend=relation_backend)
-    right_relation = wire_relation(box, SIDE_RIGHT, backend=relation_backend)
-    left_targets = left_index.targets
-    right_targets = right_index.targets
-    left_rank = (1,) + left_targets[left_box].rank
-    right_rank = (2,) + right_targets[right_box].rank
-    targets[left_box] = TargetInfo(left_box, left_relation, SIDE_LEFT, left_rank)
-    by_rank[left_rank] = left_box
-    targets[right_box] = TargetInfo(right_box, right_relation, SIDE_RIGHT, right_rank)
-    by_rank[right_rank] = right_box
-
-    fib = index.fib
-    fbb_pair = index.fbb_pair
-
-    if left_box.is_leaf_box() and right_box.is_leaf_box():
-        # Cherry fast path (both children are leaves) — what the generic code
-        # below computes, specialized: a leaf's fib is itself for every slot
-        # and its fbb table is empty, so the only targets are the box and its
-        # two children, every fib value is one of those, and a pair of slots
-        # has a fbb iff it reaches both children (then the fbb is the box).
-        for slot in range(n):
-            if (local_mask >> slot) & 1:
-                fib.append(box)
-            elif left_inputs[slot]:
-                fib.append(left_box)
-            elif right_inputs[slot]:
-                fib.append(right_box)
-            else:
-                raise CircuitStructureError("∪-gate with no inputs during index construction")
-        for i in range(n):
-            lefts_i = left_inputs[i]
-            rights_i = right_inputs[i]
-            for j in range(i, n):
-                if (lefts_i | left_inputs[j]) and (rights_i | right_inputs[j]):
-                    fbb_pair[(i, j)] = box
-        _finalize_ranks(index)
-        box.index = index
-        return index
-
-    def ensure_target(target: Box, side: str) -> None:
-        if target in targets:
-            return
-        if side == SIDE_LEFT:
-            info = left_targets.get(target)
-            wire = left_relation
-            prefix = 1
-        else:
-            info = right_targets.get(target)
-            wire = right_relation
-            prefix = 2
-        if info is None:
-            raise IndexError_("target box is not indexed in the child entry")
-        rank = (prefix,) + info.rank
-        targets[target] = TargetInfo(target, info.relation.compose(wire), side, rank)
-        by_rank[rank] = target
+    right_base = 1 + len(left_index.targets)
+    n_raw = right_base + len(right_index.targets)
+    byte_tables = n_raw <= _BYTE_LIMIT
+    raw_none = _BYTE_LIMIT if byte_tables else n_raw
 
     # ------------------------------------------------------------------- fib
+    used = 1 | (1 << 1) | (1 << right_base)  # the box and both children
+    fib_raw: List[int] = []
     for slot in range(n):
         if (local_mask >> slot) & 1:
-            fib.append(box)
-            continue
-        if left_inputs[slot]:
-            side = SIDE_LEFT
-            child_index = left_index
-            child_slots = left_inputs[slot]
+            value = 0
+        elif left_inputs[slot]:
+            value = 1 + fib_of_mask(left_index, left_inputs[slot])
         elif right_inputs[slot]:
-            side = SIDE_RIGHT
-            child_index = right_index
-            child_slots = right_inputs[slot]
+            value = right_base + fib_of_mask(right_index, right_inputs[slot])
         else:
             raise CircuitStructureError("∪-gate with no inputs during index construction")
-        best = fib_of_slots(child_index, iter_bits(child_slots))
-        fib.append(best)
-        ensure_target(best, side)
+        used |= 1 << value
+        fib_raw.append(value)
 
     # ------------------------------------------------------------------- fbb
-    for i in range(n):
-        lefts_i = left_inputs[i]
-        rights_i = right_inputs[i]
-        for j in range(i, n):
-            lefts = lefts_i | left_inputs[j]
-            rights = rights_i | right_inputs[j]
-            if lefts and rights:
-                fbb_pair[(i, j)] = box
-            elif lefts:
-                value = fbb_of_slots(left_index, iter_bits(lefts))
-                if value is not None:
-                    fbb_pair[(i, j)] = value
-                    ensure_target(value, SIDE_LEFT)
-            elif rights:
-                value = fbb_of_slots(right_index, iter_bits(rights))
-                if value is not None:
-                    fbb_pair[(i, j)] = value
-                    ensure_target(value, SIDE_RIGHT)
+    # A pair whose wiring reaches both children has the box as its fbb (raw
+    # 0, the fill value).  Only pairs of slots wired to one side at most are
+    # visited: a pair reaching one child asks that child for the fbb of the
+    # OR of their wiring masks, memoized per mask; a pair reaching no child
+    # has no fbb.
+    rows = _fbb_rows(n)
+    fbb_raw = [0] * (n * (n + 1) // 2)
+    left_only = right_only = neither = 0
+    for slot in range(n):
+        if left_inputs[slot]:
+            if not right_inputs[slot]:
+                left_only |= 1 << slot
+        elif right_inputs[slot]:
+            right_only |= 1 << slot
+        else:
+            neither |= 1 << slot
+    for side_only, inputs, child_index, offset in (
+        (left_only, left_inputs, left_index, 1),
+        (right_only, right_inputs, right_index, right_base),
+    ):
+        memo: Dict[int, int] = {}
+        child_has_fbb = bool(child_index.fbb)
+        pending = side_only
+        while pending:
+            low = pending & -pending
+            a = low.bit_length() - 1
+            pending ^= low
+            mask_a = inputs[a]
+            # same-side partners b >= a (a itself included) and every
+            # unwired slot, in either order
+            partners = (side_only & ~(low - 1)) | neither
+            while partners:
+                low_b = partners & -partners
+                b = low_b.bit_length() - 1
+                partners ^= low_b
+                if child_has_fbb:
+                    key = mask_a | inputs[b]
+                    value = memo.get(key)
+                    if value is None:
+                        child = fbb_of_mask(child_index, key)
+                        value = memo[key] = raw_none if child < 0 else offset + child
+                        used |= 1 << value
+                else:
+                    value = raw_none
+                fbb_raw[rows[a] + b if a <= b else rows[b] + a] = value
+    pending = neither
+    while pending:
+        low = pending & -pending
+        a = low.bit_length() - 1
+        pending ^= low
+        partners = neither & ~(low - 1)
+        while partners:
+            low_b = partners & -partners
+            fbb_raw[rows[a] + low_b.bit_length() - 1] = raw_none
+            partners ^= low_b
+    used &= ~(1 << raw_none)
+    has_fbb = bool(fbb_raw) and min(fbb_raw) < raw_none
 
-    _finalize_ranks(index)
+    # ------------------------------------------------- targets, dense ordinals
+    left_relation = wire_relation(box, "left", backend=relation_backend)
+    right_relation = wire_relation(box, "right", backend=relation_backend)
+    targets: List[Optional[Box]] = []
+    relations: List[Relation] = []
+    ends: List[int] = []
+    renumber = bytearray(256) if byte_tables else [0] * (n_raw + 1)
+    bits = used
+    while bits:
+        low = bits & -bits
+        raw = low.bit_length() - 1
+        bits ^= low
+        renumber[raw] = len(targets)
+        if raw == 0:
+            targets.append(None)
+            relations.append(Relation.identity(n, backend=relation_backend))
+            raw_end = n_raw
+        else:
+            if raw < right_base:
+                child_box, child_index, wire, offset = left_box, left_index, left_relation, 1
+            else:
+                child_box, child_index, wire = right_box, right_index, right_relation
+                offset = right_base
+            child = raw - offset
+            if child:
+                targets.append(child_index.targets[child])
+                relations.append(child_index.relations[child].compose(wire))
+            else:
+                targets.append(child_box)
+                relations.append(wire)
+            raw_end = offset + child_index.ends[child]
+        # the dense end counts the used raw ordinals below the raw one
+        ends.append((used & ((1 << raw_end) - 1)).bit_count())
+
+    if byte_tables:
+        renumber[raw_none] = raw_none
+        fib = bytes(fib_raw).translate(renumber)
+        fbb = bytes(fbb_raw).translate(renumber) if has_fbb else b""
+        ends_table = bytes(ends)
+    else:
+        # too many targets for a byte: int→int dicts, which the cyclic GC
+        # does not track either (an ``array`` would be tracked)
+        renumber[raw_none] = len(targets)
+        fib = dict(enumerate([renumber[value] for value in fib_raw]))
+        fbb = dict(enumerate([renumber[value] for value in fbb_raw])) if has_fbb else {}
+        ends_table = dict(enumerate(ends))
+
+    index = BoxIndex(tuple(targets), tuple(relations), ends_table, fib, fbb, rows)
     box.index = index
     return index
 

@@ -65,8 +65,11 @@ class BoxDelta:
     (:meth:`~repro.enumeration.duplicate_free.MaskStackEnumeration.dependency_masks`)
     avoid every changed slot produces a byte-identical remaining stream over
     ``new_box``, because every index query and gate-table read it can still
-    perform is determined by the reachable-slot fingerprints (the index
-    ranks are subtree-local path tuples, never global numberings).
+    perform is determined by the reachable-slot fingerprints.  The index
+    answers those queries with ordinals that are local to one entry (see
+    :mod:`repro.enumeration.index`) and resolved to boxes within the same
+    lookup; an enumeration frame never holds one, so renumbered targets in
+    ``new_box``'s entry cannot shift the remaining stream.
     """
 
     old_serial: int
@@ -221,7 +224,7 @@ def _build_node(
 
     A cache hit skips both the box instantiation *and* the per-box index
     construction of Lemma 6.3 — for a repeated subtree the whole built
-    subtree (boxes, masks, relations, rank tables) is shared.  The content
+    subtree (boxes, masks, relations, ordinal tables) is shared.  The content
     hash of an internal node derives from the children's ``box.content_hash``
     in O(1), so trunk rebuilds keep their logarithmic bound.  Hashes live on
     the immutable boxes rather than the term nodes because term nodes are

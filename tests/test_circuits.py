@@ -3,6 +3,10 @@ structured-DNNF invariants (Definitions 3.1–3.6)."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +23,12 @@ from helpers import (
 )
 from repro.automata.brute_force import binary_satisfying_assignments, binary_state_assignments
 from repro.automata.homogenize import homogenize
-from repro.circuits.build import build_assignment_circuit
+from repro.circuits.build import build_assignment_circuit, export_box_plans, install_box_plans
 from repro.circuits.dnnf import circuit_stats, validate_circuit
 from repro.circuits.gates import BOTTOM, TOP, UnionGate
 from repro.circuits.semantics import captured_set
 from repro.circuits.vtree import iter_vtree_edges, vtree_leaf_labels, vtree_partition_is_valid
+from repro.enumeration.assignment_iter import CircuitEnumerator
 from repro.errors import NotHomogenizedError
 from repro.trees.binary import BinaryTree
 
@@ -181,3 +186,100 @@ class TestBooleanAndEdgeCases:
         # no a-leaves: only the empty assignment is an answer, via a TOP gate
         assert any(g is TOP for g in gates)
         assert all(not captured_set(g) for g in gates if g is not TOP and g is not BOTTOM)
+
+
+class TestBoxPlanPersistence:
+    """Box plans export to the same bytes, share their ⊤/⊥ entries, and
+    number slots independently of the state set's iteration order."""
+
+    #: sha256 of the canonical JSON export below, recorded before the plans
+    #: shared one ``(state, ⊤/⊥)`` entry per automaton
+    PINNED_EXPORT = "e092ad474017e6608854c3ba244685046eb77ab11f26420213218f9f0fbf62d8"
+
+    @staticmethod
+    def _pair_automaton(name=lambda state: state, states=range(5)):
+        # int states hash to themselves, so the export does not depend on
+        # PYTHONHASHSEED; ``name`` renames states 0-4, ``states`` lists the
+        # renamed states in the order the state set is built from
+        from repro.automata.binary_tva import BinaryTVA
+
+        labels = ("a", "b", "c")
+        zero, marked = 0, 4
+        initial = [(label, (), name(zero)) for label in labels]
+        initial += [("c", (), name(marked)), ("a", ("x",), name(1)), ("b", ("y",), name(2))]
+        delta = []
+        for label in labels:
+            for p in range(4):
+                for q in range(4):
+                    if not p & q:
+                        delta.append((label, name(p), name(q), name(p | q)))
+            for q in range(4):
+                delta.append((label, name(marked), name(q), name(q if q else marked)))
+                delta.append((label, name(q), name(marked), name(q if q else marked)))
+        return BinaryTVA(states, ("x", "y"), initial, delta, [name(3)])
+
+    def _export_blob(self, automaton) -> bytes:
+        return json.dumps(
+            export_box_plans(automaton), sort_keys=True, separators=(",", ":")
+        ).encode()
+
+    def test_export_is_byte_identical_and_round_trips(self):
+        automaton = self._pair_automaton()
+        assert automaton.is_homogenized()
+        for seed in range(3):
+            build_assignment_circuit(random_binary_tree(seed, 60, ("a", "b", "c")), automaton)
+        blob = self._export_blob(automaton)
+        assert b'"T"' in blob and b'"B"' in blob
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED_EXPORT
+
+        fresh = self._pair_automaton()
+        assert install_box_plans(fresh, json.loads(blob)) > 0
+        assert self._export_blob(fresh) == blob
+
+    def test_sentinel_entries_are_shared(self):
+        automaton = self._pair_automaton()
+        build_assignment_circuit(random_binary_tree(4, 60, ("a", "b", "c")), automaton)
+        fresh = self._pair_automaton()
+        install_box_plans(fresh, json.loads(self._export_blob(automaton)))
+        for source in (automaton, fresh):
+            cache = source._box_plan_cache
+            plans = list(cache["leaf"].values()) + list(cache["internal"].values())
+            shared = {}
+            for plan in plans:
+                for entry in plan.entries:
+                    if entry[1] is TOP or entry[1] is BOTTOM:
+                        assert shared.setdefault(entry, entry) is entry
+            assert shared
+
+    def test_slot_order_ignores_state_iteration_order(self):
+        # 0, 8, 16, 24 and 32 share hash buckets in a small set, so these two
+        # equal state sets iterate in different orders — as the same query
+        # compiled in another process or under another PYTHONHASHSEED can
+        automata = [
+            self._pair_automaton(lambda state: 8 * state, states)
+            for states in ([0, 8, 16, 24, 32], [32, 24, 16, 8, 0])
+        ]
+        assert list(automata[0].states) != list(automata[1].states)
+        tree = random_binary_tree(5, 60, ("a", "b", "c"))
+        answers = [
+            list(CircuitEnumerator(build_assignment_circuit(tree, automaton)).assignments())
+            for automaton in automata
+        ]
+        assert answers[0] == answers[1] and answers[0]
+        assert self._export_blob(automata[0]) == self._export_blob(automata[1])
+
+    def test_unserializable_states_still_get_a_slot_order(self):
+        # states the catalog codec cannot encode fall back to sorting by repr
+        @dataclasses.dataclass(frozen=True)
+        class Opaque:
+            n: int
+
+        tree = random_binary_tree(6, 40, ("a", "b", "c"))
+        answers = [
+            set(CircuitEnumerator(build_assignment_circuit(tree, automaton)).assignments())
+            for automaton in (
+                self._pair_automaton(),
+                self._pair_automaton(Opaque, [Opaque(n) for n in range(5)]),
+            )
+        ]
+        assert answers[0] == answers[1] and answers[0]

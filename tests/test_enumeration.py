@@ -37,8 +37,8 @@ from repro.circuits.semantics import captured_set
 from repro.enumeration.assignment_iter import CircuitEnumerator
 from repro.enumeration.box_enum import indexed_box_enum, naive_box_enum
 from repro.enumeration.duplicate_free import enumerate_boxed_set
-from repro.enumeration.index import build_index, fbb_of_slots, fib_of_slots
-from repro.enumeration.relations import Relation, get_default_backend, set_default_backend
+from repro.enumeration.index import build_index, fbb_of_mask, fib_of_mask
+from repro.enumeration.relations import Relation, get_default_backend, iter_bits, set_default_backend
 from repro.enumeration.simple import enumerate_with_duplicates
 from repro.trees.binary import BinaryTree
 
@@ -167,59 +167,102 @@ class TestBoxEnumeration:
         for box in circuit.boxes():
             index = box.index
             for slot, gate in enumerate(box.union_gates):
-                fib_box = index.fib[slot]
+                ordinal = index.fib[slot]
+                fib_box = index.targets[ordinal] if ordinal else box
                 # the fib box contains a var- or ×-gate reachable from the gate
                 produced = {id(b) for b, _ in naive_box_enum([gate])}
                 assert id(fib_box) in produced
 
-    def test_lca_of_is_reflexive_and_matches_ancestry(self):
+    def test_ancestry_is_reflexive_and_rooted_at_the_box(self):
         _automaton, _tree, circuit = build_circuit(select_pair_ab, 3, tree_size=8)
         build_index(circuit)
         for box in circuit.boxes():
             index = box.index
-            for target in index.targets:
-                assert index.lca_of(target, target) is target
-                assert index.is_ancestor(target, target)
-                assert index.lca_of(box, target) is box
-                assert index.is_ancestor(box, target)
+            assert index.targets[0] is None  # the owner is never stored
+            assert index.ends[0] == len(index.targets)
+            for ordinal in range(len(index.targets)):
+                assert index.is_ancestor(ordinal, ordinal)
+                assert index.is_ancestor(0, ordinal)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_lca_of_answers_all_target_pairs(self, seed):
-        # The lca of two targets need not be a target itself; lca_of must
-        # still return the correct box (checked against true box ancestry).
+    def test_target_ancestry_matches_box_tree(self, seed):
+        # Ordinals follow the preorder of the box's subtree, and the
+        # subtree-end test answers ancestry exactly as the box tree does.
         _automaton, _tree, circuit = build_circuit(select_pair_ab, seed, tree_size=12)
         build_index(circuit)
         for box in circuit.boxes():
             index = box.index
-            ancestors = {}  # box -> list of (ancestor, depth) via DFS paths
-            stack = [(box, [box])]
+            preorder = {}  # id(box) -> (preorder position, ancestor ids)
+            stack = [(box, ())]
             while stack:
                 current, path = stack.pop()
-                ancestors[id(current)] = list(path)
-                for child in current.children():
-                    stack.append((child, path + [child]))
-            targets = list(index.targets)
-            for i, first in enumerate(targets):
-                for second in targets[i:]:
-                    expected = None
-                    path_first = ancestors[id(first)]
-                    path_second = set(id(b) for b in ancestors[id(second)])
-                    for node in reversed(path_first):
-                        if id(node) in path_second:
-                            expected = node
-                            break
-                    assert index.lca_of(first, second) is expected
+                preorder[id(current)] = (len(preorder), path + (id(current),))
+                for child in reversed(current.children()):
+                    stack.append((child, path + (id(current),)))
+            targets = [box] + list(index.targets[1:])
+            positions = [preorder[id(target)][0] for target in targets]
+            assert positions == sorted(positions)
+            for first, first_box in enumerate(targets):
+                for second, second_box in enumerate(targets):
+                    expected = id(first_box) in preorder[id(second_box)][1]
+                    assert index.is_ancestor(first, second) is expected
 
-    def test_fib_fbb_of_slots_helpers(self):
-        _automaton, _tree, circuit = build_circuit(select_pair_ab, 5, tree_size=8)
+    @staticmethod
+    def _first_below(box, slot_mask, hit):
+        """The preorder-first box below ``box`` where ``hit(box, reached slots)``
+        holds, walking the ∪-wiring down from ``slot_mask`` (None if none)."""
+        stack = [(box, slot_mask)]
+        while stack:
+            current, mask = stack.pop()
+            if not mask:
+                continue
+            if hit(current, mask):
+                return current
+            if current.is_leaf_box():
+                continue
+            lefts = rights = 0
+            for slot in iter_bits(mask):
+                lefts |= current.left_input_masks[slot]
+                rights |= current.right_input_masks[slot]
+            stack.append((current.right_child, rights))
+            stack.append((current.left_child, lefts))
+        return None
+
+    @pytest.mark.parametrize("factory", [select_pair_ab, nondet_witness])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fib_and_fbb_match_a_downward_walk(self, factory, seed):
+        # Definition 6.1 checked directly: fib is the first box holding a
+        # var-/×-gate ∪-reachable from the slots, fbb the first box both of
+        # whose subtrees hold ∪-reachable gates.
+        def interesting(box, mask):
+            return bool(mask & box.local_mask)
+
+        def bidirectional(box, mask):
+            if box.is_leaf_box():
+                return False
+            lefts = rights = 0
+            for slot in iter_bits(mask):
+                lefts |= box.left_input_masks[slot]
+                rights |= box.right_input_masks[slot]
+            return bool(lefts and rights)
+
+        _automaton, _tree, circuit = build_circuit(factory, seed, tree_size=10)
         build_index(circuit)
-        root = circuit.root_box
-        slots = [g.slot for g in root.union_gates]
-        if slots:
-            fib = fib_of_slots(root.index, slots)
-            assert fib is not None
-            # fbb may legitimately be None (no branching below)
-            fbb_of_slots(root.index, slots)
+        for box in circuit.boxes():
+            index = box.index
+            for i in range(box.n_unions):
+                for j in range(i, box.n_unions):
+                    mask = (1 << i) | (1 << j)
+                    fib = fib_of_mask(index, mask)
+                    assert (index.targets[fib] if fib else box) is self._first_below(
+                        box, mask, interesting
+                    )
+                    fbb = fbb_of_mask(index, mask)
+                    expected = self._first_below(box, mask, bidirectional)
+                    if fbb < 0:
+                        assert expected is None
+                    else:
+                        assert (index.targets[fbb] if fbb else box) is expected
 
 
 # --------------------------------------------------------------------------- Algorithm 2

@@ -56,6 +56,7 @@ import multiprocessing
 import os
 import random
 import sys
+import time
 
 import pytest
 
@@ -678,12 +679,21 @@ class TestNetworkDifferential:
                 with RemoteEngine(server.address, stream_chunk_size=1) as remote:
                     doc = remote.add_tree(tree.copy(), query)
                     iterator = iter(doc.stream())
+                    (stream,) = remote._streams.values()
                     collected = []
                     for _ in range(len(oracle)):
                         # Interleaved calls drain pushed chunks into the
                         # stream buffer faster than the consumer pops them —
-                        # the network shape of a slow consumer.
-                        remote.ping()
+                        # the network shape of a slow consumer.  Each pop
+                        # waits (bounded) until the server's pushes fill the
+                        # window, however slowly the server thread runs.
+                        deadline = time.monotonic() + 10.0
+                        while (
+                            not stream.done
+                            and len(stream.chunks) + stream.to_grant < stream.window
+                            and time.monotonic() < deadline
+                        ):
+                            remote.ping()
                         collected.append(next(iterator))
                     assert _ordered_answers(collected) == _ordered_answers(oracle)
                     stats = remote.net_stats()

@@ -218,14 +218,11 @@ class TestEndToEndBackendEquivalence:
         circuit = build_assignment_circuit(tree, automaton)
         CircuitEnumerator(circuit, relation_backend=backend)
         for box_ref, box in zip(circuit_ref.boxes(), circuit.boxes()):
-            ref_rels = {
-                id_rank: info.relation.pairs()
-                for id_rank, info in (
-                    (info.rank, info) for info in box_ref.index.targets.values()
-                )
-            }
-            rels = {info.rank: info.relation.pairs() for info in box.index.targets.values()}
+            # ordinals are preorder positions, so the tables line up
+            ref_rels = [rel.pairs() for rel in box_ref.index.relations]
+            rels = [rel.pairs() for rel in box.index.relations]
             assert ref_rels == rels
+            assert list(box_ref.index.ends) == list(box.index.ends)
 
 
 class TestBackendValidation:
