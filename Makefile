@@ -1,8 +1,9 @@
-# Developer entry points.  `make check` is the gate every change must pass:
-# the tier-1 test suite plus a <30 s perf smoke that (a) compares the default
-# bitset relation backend against the reference pairs backend on a small
-# workload and (b) fails if the bitset delay median regresses beyond 2x the
-# committed benchmarks/results/BENCH_delay_constant.json trajectory.
+# Developer entry points.  `make check` is the gate every change must pass
+# (CI runs exactly it): the tier-1 test suite, the benchmark's own tests and
+# a <30 s perf smoke that (a) compares the default bitset relation backend
+# against the reference pairs backend on a small workload and (b) fails if
+# the bitset delay median regresses beyond 2x the committed
+# benchmarks/results/BENCH_delay_constant.json trajectory.
 
 PYTHON ?= python
 PYPATH := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
@@ -13,7 +14,7 @@ PYPATH := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # @pytest.mark.timeout markers via SIGALRM.
 PYTEST_TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=300 --timeout-method=thread")
 
-.PHONY: check test test-engine-strict lint net-smoke bench-smoke bench
+.PHONY: check test test-engine-strict test-perfbench lint net-smoke bench-smoke bench
 
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q $(PYTEST_TIMEOUT_FLAGS)
@@ -23,6 +24,12 @@ test:
 # (TreeEnumerator / WordEnumerator / DocumentStore).
 test-engine-strict:
 	$(PYPATH) $(PYTHON) -m pytest tests/test_engine.py -q -W error::DeprecationWarning $(PYTEST_TIMEOUT_FLAGS)
+
+# The benchmark's own tests (perfbench/tests): besides the harness arithmetic
+# they run every workload at a tiny size, which drives the engine through
+# src/ end to end with the benchmark's output check on.
+test-perfbench:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Lint (requires ruff; CI installs it — locally skipped when absent, but a
 # real ruff failure propagates).
@@ -46,5 +53,5 @@ bench-smoke:
 bench:
 	$(PYPATH) $(PYTHON) benchmarks/run_all.py
 
-check: test test-engine-strict net-smoke bench-smoke
-	@echo "check OK: tier-1 tests + strict engine tests + net smoke + perf smoke passed"
+check: test test-engine-strict test-perfbench net-smoke bench-smoke
+	@echo "check OK: tier-1 tests + strict engine tests + benchmark tests + net smoke + perf smoke passed"

@@ -62,12 +62,15 @@ the plans computed during preprocessing.
 Above the per-automaton plan cache sits a second, cross-document layer: the
 :class:`BuildCache` (see its section below) hash-conses whole *built*
 subtrees — box plus enumeration index — across the documents of one store,
-keyed by ``(automaton digest, relation backend, subtree content hash)``.
+keyed by ``(automaton digest, relation backend, subtree content hash)``, and
+the index *shapes* of single boxes, keyed by ``(plan, child shapes,
+backend)``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -293,23 +296,41 @@ def _require_homogenized(automaton: BinaryTVA) -> None:
         )
 
 
+#: most internal plans one automaton keeps (least recently used go first).
+#: A wide automaton under steady edits meets new child signatures for as
+#: long as it runs — nondet-6 over the edit-refresh corpus grows ~55 plans
+#: per 100-step cycle from ~1.4k, with no plateau — so the table is capped
+#: well above what one benchmark run reaches (~3.2k after 30 cycles).  Boxes
+#: keep their plan by reference; an evicted plan is only recomputed on its
+#: next use.
+_INTERNAL_PLAN_LIMIT = 8192
+
+
 def _plan_cache(automaton: BinaryTVA) -> Dict[str, object]:
     """The per-automaton box-plan cache (attached lazily; automata are immutable).
 
-    Besides the leaf and internal plans it holds the shared sentinel
-    entries (see :func:`_sentinel_entry`) and the states in the order plans
-    number their slots (see :func:`_canonical_states`).
+    Besides the leaf plans and the internal plans (an LRU of at most
+    :data:`_INTERNAL_PLAN_LIMIT`) it holds the shared sentinel entries (see
+    :func:`_sentinel_entry`) and the states in the order plans number their
+    slots (see :func:`_canonical_states`).
     """
     cache = getattr(automaton, "_box_plan_cache", None)
     if cache is None:
         cache = {
             "leaf": {},
-            "internal": {},
+            "internal": OrderedDict(),
             "sentinel": {},
             "states": _canonical_states(automaton),
         }
         automaton._box_plan_cache = cache
     return cache
+
+
+def _remember_internal_plan(plans: "OrderedDict", key: Tuple, plan: "_InternalPlan") -> None:
+    """Store a new internal plan, evicting the least recently used past the limit."""
+    plans[key] = plan
+    while len(plans) > _INTERNAL_PLAN_LIMIT:
+        plans.popitem(last=False)
 
 
 def _canonical_states(automaton: BinaryTVA) -> Tuple[object, ...]:
@@ -650,9 +671,10 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
     """Install an exported plan payload into the automaton's plan cache.
 
     Existing entries (from plans already compiled in this process) are kept;
-    installed plans fill the remaining keys.  Returns the number of plans
-    installed.  Safe to call on a freshly deserialized automaton — the plan
-    cache is created on demand.
+    installed plans fill the remaining keys, internal ones only up to
+    :data:`_INTERNAL_PLAN_LIMIT`.  Returns the number of plans installed.
+    Safe to call on a freshly deserialized automaton — the plan cache is
+    created on demand.
     """
     from repro.automata.serialize import decode_values
 
@@ -677,6 +699,7 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         return tuple(decoded)
 
     installed = 0
+    internal = cache["internal"]
     for label_index, data in payload.get("leaf", ()):
         label = values[label_index]
         if label in cache["leaf"]:
@@ -690,11 +713,13 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         )
         installed += 1
     for key_payload, data in payload.get("internal", ()):
+        if len(internal) >= _INTERNAL_PLAN_LIMIT:
+            break  # full: keep the plans this process already uses
         label_index, left_sig, right_sig = key_payload
         key = (values[label_index], decode_sig(left_sig), decode_sig(right_sig))
-        if key in cache["internal"]:
+        if key in internal:
             continue
-        cache["internal"][key] = _InternalPlan(
+        internal[key] = _InternalPlan(
             decode_entries(data["entries"], pair_inputs=True),
             tuple(tuple(pair) for pair in data["prod_pairs"]),
             (tuple(data["wire_masks"][0]), tuple(data["wire_masks"][1])),
@@ -715,10 +740,12 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
 # BuildCache below hash-conses whole built subtrees across documents of one
 # store: the maintainer consults it per term node before building, so the
 # second document with a repeated subtree reuses the first one's boxes and
-# index entries outright.  Sharing is safe because boxes, indexes and
-# relations are immutable once built — updates replace trunk boxes instead of
-# mutating them (Lemma 7.3), so an edit to one document never disturbs
-# another document sharing a subtree.
+# index entries outright.  Below whole subtrees, the same cache shares the
+# part of each box's index entry that names no box (its shape, see
+# repro.enumeration.index), which repeats far more often.  Sharing is safe
+# because boxes, indexes, shapes and relations are immutable once built —
+# updates replace trunk boxes instead of mutating them (Lemma 7.3), so an
+# edit to one document never disturbs another document sharing a subtree.
 
 #: default capacity (entries = cached subtree roots) of the per-store cache;
 #: overridable per engine/store via ``build_cache_size=``.
@@ -796,19 +823,46 @@ def automaton_digest(automaton: BinaryTVA) -> bytes:
 
 
 class BuildCache:
-    """Bounded LRU cache of built subtrees, shared across documents.
+    """Bounded LRU caches of built subtrees and index shapes, shared across documents.
 
-    Keys are ``(automaton digest, relation backend, subtree content hash)``;
-    values are the (immutable) root :class:`Box` of the built subtree, index
-    included.  A capacity of 0 (or None) disables the cache entirely —
-    lookups and inserts become no-ops and no content hashing happens.
+    Two tables, one switch:
 
-    The ``hits`` / ``misses`` / ``evictions`` counters surface through
-    ``LocalStore.stats()`` and ``Engine.stats()`` (summed across shards) as
-    ``build_cache_hits`` / ``build_cache_misses`` / ``build_cache_evictions``.
+    * **subtrees** — keys ``(automaton digest, relation backend, subtree
+      content hash)``, values the (immutable) root :class:`Box` of a built
+      subtree, index included; at most ``capacity`` entries.  The
+      ``hits`` / ``misses`` / ``evictions`` counters surface through
+      ``LocalStore.stats()`` and ``Engine.stats()`` (summed across shards)
+      as ``build_cache_hits`` / ``build_cache_misses`` /
+      ``build_cache_evictions``.
+    * **index shapes** — keys ``(box plan, left child's shape, right
+      child's shape, relation backend)``, values the
+      :class:`~repro.enumeration.index.IndexShape` of a box's index entry
+      (everything but its target boxes; see :mod:`repro.enumeration.index`);
+      at most ``4 × capacity`` entries.  New shapes are interned by content
+      through a weak table (it keeps no shape alive that no box and no key
+      uses), so equal shapes are one object and the keys above them meet.
+      Counted as ``index_shape_hits`` / ``index_shape_misses`` /
+      ``index_shape_evictions``.
+
+    A capacity of 0 (or None) disables both — lookups and inserts become
+    no-ops, no content hashing happens, and every box builds its index
+    from scratch.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "evictions", "on_hit_seconds", "_entries")
+    __slots__ = (
+        "capacity",
+        "hits",
+        "misses",
+        "evictions",
+        "on_hit_seconds",
+        "_entries",
+        "shape_capacity",
+        "shape_hits",
+        "shape_misses",
+        "shape_evictions",
+        "_shapes",
+        "_interned",
+    )
 
     def __init__(self, capacity: Optional[int] = DEFAULT_BUILD_CACHE_SIZE):
         self.capacity = int(capacity) if capacity else 0
@@ -822,6 +876,19 @@ class BuildCache:
         #: ``build_cache_hit_seconds`` histogram when metrics are on.
         self.on_hit_seconds = None
         self._entries: "OrderedDict[Tuple, Box]" = OrderedDict()
+        #: keys outnumber cached subtrees: over 30 edit-refresh cycles
+        #: (arrivals included) 2048 / 4096 / 8192 / 16384 keys hit 69 / 80 /
+        #: 87 / 91% of lookups, and the shapes only the table keeps alive
+        #: take 0.3 / 0.9 / 2.4 / 7.8 MB of a ~135 MB peak RSS
+        self.shape_capacity = 4 * self.capacity
+        self.shape_hits = 0
+        self.shape_misses = 0
+        self.shape_evictions = 0
+        self._shapes: "OrderedDict[Tuple, object]" = OrderedDict()
+        #: content hash → the live shape with that content
+        self._interned: "weakref.WeakValueDictionary[int, object]" = (
+            weakref.WeakValueDictionary()
+        )
 
     @property
     def enabled(self) -> bool:
@@ -854,8 +921,38 @@ class BuildCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
+    def get_shape(self, key: Tuple):
+        """Look up the index shape of a box by (plan, child shapes, backend)."""
+        shape = self._shapes.get(key)
+        if shape is None:
+            self.shape_misses += 1
+            return None
+        self._shapes.move_to_end(key)
+        self.shape_hits += 1
+        return shape
+
+    def put_shape(self, key: Tuple, shape):
+        """Intern a newly built shape by content and store it under ``key``.
+
+        Returns the interned shape: an equal one already known, or ``shape``.
+        """
+        if self.shape_capacity <= 0:
+            return shape
+        content = shape.content_hash()
+        known = self._interned.get(content)
+        if known is None or not known.same_content(shape):  # new, or a collision
+            known = self._interned[content] = shape
+        shapes = self._shapes
+        shapes[key] = known
+        if len(shapes) > self.shape_capacity:
+            shapes.popitem(last=False)
+            self.shape_evictions += 1
+        return known
+
     def clear(self) -> None:
         self._entries.clear()
+        self._shapes.clear()
+        self._interned.clear()
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -864,12 +961,18 @@ class BuildCache:
             "build_cache_evictions": self.evictions,
             "build_cache_size": len(self._entries),
             "build_cache_capacity": self.capacity,
+            "index_shape_hits": self.shape_hits,
+            "index_shape_misses": self.shape_misses,
+            "index_shape_evictions": self.shape_evictions,
+            "index_shape_size": len(self._shapes),
+            "index_shape_capacity": self.shape_capacity,
         }
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"BuildCache(size={len(self._entries)}/{self.capacity}, "
-            f"hits={self.hits}, misses={self.misses}, evictions={self.evictions})"
+            f"hits={self.hits}, misses={self.misses}, evictions={self.evictions}, "
+            f"shapes={len(self._shapes)}/{self.shape_capacity})"
         )
 
 
@@ -927,7 +1030,9 @@ def build_internal_box(
     plan = internal_plans.get(key)
     if plan is None:
         plan = _internal_plan(automaton, label, left_sig, right_sig)
-        internal_plans[key] = plan
+        _remember_internal_plan(internal_plans, key, plan)
+    else:
+        internal_plans.move_to_end(key)
 
     # Struct-of-arrays instantiation: every per-slot table (input masks,
     # enum tables, wiring) is shared from the plan, so building the box is a

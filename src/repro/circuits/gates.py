@@ -26,7 +26,7 @@ Design notes
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.assignments import Assignment
 from repro.errors import CircuitStructureError
@@ -247,8 +247,10 @@ class Box:
             self._prod_gates = []
             self._var_gates = []
         self.n_unions: int = 0
-        self.left_input_masks: List[int] = []
-        self.right_input_masks: List[int] = []
+        # Plan-built boxes share their plan's mask tuples (a leaf has no
+        # child wiring at all); hand-built ones fill lists gate by gate.
+        self.left_input_masks: Sequence[int] = () if planned else []
+        self.right_input_masks: Sequence[int] = () if planned else []
         self.local_mask: int = 0
         self._wire_cache: Optional[Dict[Tuple[str, str], object]] = None
         #: the internal box plan that built this box (carries precomputed

@@ -126,10 +126,14 @@ class Engine:
         query) build those subtrees once — boxes and enumeration index
         included.  ``None`` = the library default
         (:data:`repro.circuits.build.DEFAULT_BUILD_CACHE_SIZE`), ``0``
-        disables caching.  Sharded engines give every worker its own cache
-        of this capacity; hit/miss/eviction counters surface through
-        :meth:`stats` as ``build_cache_hits`` / ``build_cache_misses`` /
-        ``build_cache_evictions`` (summed across shards).
+        disables caching.  The same cache shares per-box index shapes
+        (four times as many keys; see :class:`repro.circuits.build.BuildCache`).
+        Sharded engines give every worker its own cache of this capacity;
+        hit/miss/eviction counters surface through :meth:`stats` as
+        ``build_cache_hits`` / ``build_cache_misses`` /
+        ``build_cache_evictions`` and ``index_shape_hits`` /
+        ``index_shape_misses`` / ``index_shape_evictions`` (summed across
+        shards).
     trace:
         ``True`` enables request tracing: every engine call opens a span,
         shard workers parent their protocol spans under it, and

@@ -367,8 +367,9 @@ class LocalStore:
         )
         #: cross-document build cache: subtrees with equal content (per
         #: compiled query) are built once and shared by every document in
-        #: this store.  Pass ``build_cache_size=0`` to disable, or inject a
-        #: prebuilt :class:`BuildCache` to share it across stores.
+        #: this store, and so are equal per-box index shapes.  Pass
+        #: ``build_cache_size=0`` to disable, or inject a prebuilt
+        #: :class:`BuildCache` to share it across stores.
         if build_cache is not None:
             self.build_cache = build_cache
         else:

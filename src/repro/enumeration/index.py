@@ -37,10 +37,33 @@ otherwise) — containers the cyclic garbage collector does not track.  The
 owning box is not stored in its own entry (``targets[0]`` is ``None``), so
 a box and its index form no reference cycle that only the collector could
 break.
+
+Shapes
+------
+Only ``targets`` names boxes.  Everything else — ``relations``, ``ends``,
+``fib``, ``fbb``, ``fbb_rows`` and, per ordinal, the raw ordinal that says
+which child target it resolves to (``sources``) — is the entry's
+:class:`IndexShape`, an immutable value that :class:`BoxIndex` copies its
+five tables from.  A box plan (:mod:`repro.circuits.build`) fixes a box's
+∪-wiring, so a shape is a pure function of (plan, left child's shape, right
+child's shape, relation backend): two boxes built from one plan over
+children of equal shapes get equal shapes, whatever concrete boxes their
+subtrees hold.  A document hits few distinct shapes compared to its boxes.
+
+With a store's :class:`~repro.circuits.build.BuildCache` on,
+:func:`build_box_index` looks the shape up by that key first.  A hit only
+resolves the per-box ``targets`` through ``sources`` from the children's
+targets; a miss runs the construction below and then **interns** the new
+shape by content.  Interning is what makes the table hit: the key names the
+children's shapes, so two equal shapes reached through different keys would
+otherwise stay two objects, and every parent above them would miss again.
+Hand-built boxes (no plan), builds without a store and builds with the cache
+off always run the construction.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.gates import AssignmentCircuit, Box
@@ -50,6 +73,7 @@ from repro.errors import CircuitStructureError, IndexError_
 
 __all__ = [
     "BoxIndex",
+    "IndexShape",
     "build_box_index",
     "build_index",
     "fib_of_mask",
@@ -57,8 +81,88 @@ __all__ = [
 ]
 
 #: an entry's ordinal tables are ``bytes`` while its raw ordinal space (see
-#: build_box_index) fits a byte: values below 255, with 255 marking "no fbb"
+#: _construct) fits a byte: values below 255, with 255 marking "no fbb"
 _BYTE_LIMIT = 255
+
+
+class IndexShape:
+    """The box-free part of an index entry, shared by every entry equal to it.
+
+    ``relations``, ``ends``, ``fib``, ``fbb`` and ``fbb_rows`` are the
+    :class:`BoxIndex` tables of the same names.  ``sources[t - 1]`` is the
+    raw ordinal of target ``t ≥ 1``: 1 + ``c`` for ordinal ``c`` of the left
+    child's entry, ``1 + len(left targets) + c`` for ordinal ``c`` of the
+    right child's (ordinal 0 of a child entry being the child box itself).
+    Shapes compare and hash by identity; :meth:`same_content` and
+    :meth:`content_hash` compare by content, without copying any relation's
+    masks.
+    """
+
+    __slots__ = (
+        "relations", "ends", "fib", "fbb", "fbb_rows", "sources", "_pick", "_hash", "__weakref__"
+    )
+
+    def __init__(self, relations, ends, fib, fbb, fbb_rows, sources):
+        self.relations: Tuple[Relation, ...] = relations
+        self.ends: Sequence[int] = ends
+        self.fib: Sequence[int] = fib
+        self.fbb: Sequence[int] = fbb
+        self.fbb_rows: Tuple[int, ...] = fbb_rows
+        self.sources: Tuple[int, ...] = sources
+        self._pick = None
+        self._hash: Optional[int] = None
+
+    def resolve(self, left_box: Box, right_box: Box) -> Tuple[Optional[Box], ...]:
+        """The ``targets`` of a box with this shape over the given indexed children."""
+        pick = self._pick
+        if pick is None:
+            pick = self._pick = itemgetter(0, *self.sources)
+        return pick(
+            (None, left_box) + left_box.index.targets[1:] + (right_box,) + right_box.index.targets[1:]
+        )
+
+    def content_hash(self) -> int:
+        """A hash of the shape's content, computed once."""
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((
+                _hashable(self.ends),
+                _hashable(self.fib),
+                _hashable(self.fbb),
+                self.sources,
+                tuple(
+                    hash((r.n_lower, r.n_upper, tuple(r.masks_view()))) for r in self.relations
+                ),
+            ))
+        return value
+
+    def same_content(self, other: "IndexShape") -> bool:
+        """True iff both shapes hold equal tables and relations."""
+        return self is other or (
+            self.content_hash() == other.content_hash()
+            and self.sources == other.sources  # hence as many relations
+            and self.fib == other.fib
+            and self.fbb == other.fbb
+            and self.ends == other.ends
+            and all(
+                a is b
+                or (
+                    a.backend == b.backend
+                    and a.n_lower == b.n_lower
+                    and a.n_upper == b.n_upper
+                    and a.masks_view() == b.masks_view()
+                )
+                for a, b in zip(self.relations, other.relations)
+            )
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"IndexShape(targets={len(self.relations)}, width={len(self.fib)})"
+
+
+def _hashable(table):
+    """A byte table as is, an int→int dict table as the tuple of its values."""
+    return table if table.__class__ is bytes else tuple(table.values())
 
 
 class BoxIndex:
@@ -79,17 +183,21 @@ class BoxIndex:
         For slots ``i ≤ j``: the ordinal of ``fbb({g_i, g_j})``, or a value
         ``≥ len(targets)`` when that pair has no bidirectional box.  Empty
         when no pair of the box has one.
+
+    Only ``targets`` is the box's own; the other five fields are read from
+    its (shared) :class:`IndexShape`, kept as ``shape``.
     """
 
-    __slots__ = ("targets", "relations", "ends", "fib", "fbb", "fbb_rows")
+    __slots__ = ("targets", "relations", "ends", "fib", "fbb", "fbb_rows", "shape")
 
-    def __init__(self, targets, relations, ends, fib, fbb, fbb_rows):
-        self.targets: Tuple[Optional[Box], ...] = targets
-        self.relations: Tuple[Relation, ...] = relations
-        self.ends: Sequence[int] = ends
-        self.fib: Sequence[int] = fib
-        self.fbb: Sequence[int] = fbb
-        self.fbb_rows: Tuple[int, ...] = fbb_rows
+    def __init__(self, targets: Tuple[Optional[Box], ...], shape: IndexShape):
+        self.targets = targets
+        self.relations = shape.relations
+        self.ends = shape.ends
+        self.fib = shape.fib
+        self.fbb = shape.fbb
+        self.fbb_rows = shape.fbb_rows
+        self.shape = shape
 
     def is_ancestor(self, ancestor: int, descendant: int) -> bool:
         """True iff target ``ancestor`` is an ancestor of (or is) ``descendant``."""
@@ -172,23 +280,61 @@ def _leaf_index(width: int, relation_backend: Optional[str]) -> BoxIndex:
     backend = relation_backend or get_default_backend()
     index = _LEAF_INDEXES.get((width, backend))
     if index is None:
-        index = BoxIndex(
-            (None,),
+        shape = IndexShape(
             (Relation.identity(width, backend=backend),),
             b"\x01",
             bytes(width),
             b"",
             _fbb_rows(width),
+            (),
         )
-        _LEAF_INDEXES[(width, backend)] = index
+        index = _LEAF_INDEXES[(width, backend)] = BoxIndex((None,), shape)
     return index
 
 
-def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxIndex:
+def build_box_index(
+    box: Box, relation_backend: Optional[str] = None, shapes=None
+) -> BoxIndex:
     """Build the index entry of a single box from its children's entries.
 
     For internal boxes, both children must already carry a ``BoxIndex`` (the
     construction is bottom-up).  The entry is also stored on ``box.index``.
+
+    ``shapes`` is an enabled :class:`~repro.circuits.build.BuildCache` or
+    None.  With one, a plan-built box first looks its shape up by (plan,
+    left shape, right shape, backend), and a newly constructed shape is
+    interned there (see the module docs); the entry is the same either way.
+    """
+    if box.is_leaf_box():
+        index = box.index = _leaf_index(box.n_unions, relation_backend)
+        return index
+
+    left_box = box.left_child
+    right_box = box.right_child
+    left_index: BoxIndex = left_box.index
+    right_index: BoxIndex = right_box.index
+    if left_index is None or right_index is None:
+        raise IndexError_("children must be indexed before their parent (bottom-up order)")
+
+    plan = box.wire_plan
+    shape = key = None
+    if shapes is not None and plan is not None:
+        key = (plan, left_index.shape, right_index.shape, relation_backend or get_default_backend())
+        shape = shapes.get_shape(key)
+    if shape is None:
+        shape, targets = _construct(box, left_index, right_index, relation_backend)
+        if key is not None:
+            shape = shapes.put_shape(key, shape)
+    else:
+        targets = shape.resolve(left_box, right_box)
+    index = box.index = BoxIndex(targets, shape)
+    return index
+
+
+def _construct(
+    box: Box, left_index: BoxIndex, right_index: BoxIndex, relation_backend: Optional[str]
+) -> Tuple[IndexShape, Tuple[Optional[Box], ...]]:
+    """Lemma 6.3 for one internal box: its shape and its targets.
 
     Every value is first computed in the *raw* ordinal space of the box:
     0 for the box, then all targets of the left child's entry, then all
@@ -200,16 +346,8 @@ def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxInde
     needs.
     """
     n = box.n_unions
-    if box.is_leaf_box():
-        index = box.index = _leaf_index(n, relation_backend)
-        return index
-
     left_box = box.left_child
     right_box = box.right_child
-    left_index: BoxIndex = left_box.index
-    right_index: BoxIndex = right_box.index
-    if left_index is None or right_index is None:
-        raise IndexError_("children must be indexed before their parent (bottom-up order)")
 
     # Input wiring, recorded once at circuit-construction time
     # (Box.add_union_gate / the box plans); no isinstance rescan of gate
@@ -302,6 +440,7 @@ def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxInde
     targets: List[Optional[Box]] = []
     relations: List[Relation] = []
     ends: List[int] = []
+    sources: List[int] = []
     renumber = bytearray(256) if byte_tables else [0] * (n_raw + 1)
     bits = used
     while bits:
@@ -314,6 +453,7 @@ def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxInde
             relations.append(Relation.identity(n, backend=relation_backend))
             raw_end = n_raw
         else:
+            sources.append(raw)
             if raw < right_base:
                 child_box, child_index, wire, offset = left_box, left_index, left_relation, 1
             else:
@@ -343,9 +483,8 @@ def build_box_index(box: Box, relation_backend: Optional[str] = None) -> BoxInde
         fbb = dict(enumerate([renumber[value] for value in fbb_raw])) if has_fbb else {}
         ends_table = dict(enumerate(ends))
 
-    index = BoxIndex(tuple(targets), tuple(relations), ends_table, fib, fbb, rows)
-    box.index = index
-    return index
+    shape = IndexShape(tuple(relations), ends_table, fib, fbb, rows, tuple(sources))
+    return shape, tuple(targets)
 
 
 def build_index(circuit: AssignmentCircuit, relation_backend: Optional[str] = None) -> None:

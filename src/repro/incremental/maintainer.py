@@ -138,8 +138,13 @@ def box_changed_mask(old: Box, new: Box, deltas: Dict[int, "BoxDelta"]) -> int:
     new_tables = new.enumeration_tables()
     old_vars, old_var_masks = old_tables[0], old_tables[1]
     new_vars, new_var_masks = new_tables[0], new_tables[1]
-    old_states = _slot_states(old)
-    new_states = _slot_states(new)
+    # equal stamped signatures (usually the very same plan tuple) give
+    # equal slot states: skip the per-slot state comparison
+    old_sig = old.state_sig
+    same_states = old_sig is not None and old_sig == new.state_sig
+    if not same_states:
+        old_states = _slot_states(old)
+        new_states = _slot_states(new)
     if is_leaf:
         left_changed = right_changed = 0
         old_prod_masks = new_prod_masks = None
@@ -156,7 +161,7 @@ def box_changed_mask(old: Box, new: Box, deltas: Dict[int, "BoxDelta"]) -> int:
         if s >= old_n or s >= new_n:
             changed |= bit
             continue
-        if old_states[s] != new_states[s]:
+        if not same_states and old_states[s] != new_states[s]:
             changed |= bit
             continue
         # Gate tables of all-var or all-prod boxes stamp the absent kind as
@@ -228,11 +233,15 @@ def _build_node(
     hash of an internal node derives from the children's ``box.content_hash``
     in O(1), so trunk rebuilds keep their logarithmic bound.  Hashes live on
     the immutable boxes rather than the term nodes because term nodes are
-    mutated in place during rebalancing.
+    mutated in place during rebalancing.  On a miss the same cache serves
+    the box's index shape (see :mod:`repro.enumeration.index`), which
+    repeats far more often than whole subtrees do.
     """
     content = None
     key = None
-    if cache is not None and cache.enabled and use_index:
+    if not (use_index and cache is not None and cache.enabled):
+        cache = None  # both of its tables hold indexed builds only
+    if cache is not None:
         if node.is_leaf():
             content = leaf_content_hash(*node.content_signature())
         else:
@@ -255,7 +264,7 @@ def _build_node(
     box = _build_box_for_node(node, automaton)
     box.content_hash = content
     if use_index:
-        build_box_index(box, relation_backend=relation_backend)
+        build_box_index(box, relation_backend=relation_backend, shapes=cache)
     if key is not None:
         cache.put(key, box)
     return box

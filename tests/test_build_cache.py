@@ -3,6 +3,8 @@
 The cache (:class:`repro.circuits.build.BuildCache`) memoizes whole built
 subtrees — box plus enumeration index — across the documents of one store,
 keyed by ``(automaton digest, relation backend, subtree content hash)``.
+(Its second table, per-box index shapes, is pinned in
+``tests/test_index_shapes.py``.)
 Pinned here:
 
 * content hashing: canonical encoding, None (= uncacheable) propagation,
@@ -115,6 +117,7 @@ class TestBuildCacheUnit:
         cache.put(("k",), object())
         assert len(cache) == 0
         assert cache.stats()["build_cache_capacity"] == 0
+        assert cache.stats()["index_shape_capacity"] == 0
 
 
 # --------------------------------------------------------- cross-document use
@@ -185,12 +188,15 @@ class TestEngineBuildCacheConfig:
             stats = engine.stats()
             assert stats["build_cache_hits"] > 0
             assert stats["build_cache_capacity"] > 0
+            assert stats["index_shape_hits"] > 0
+            assert stats["index_shape_capacity"] == 4 * stats["build_cache_capacity"]
         with Engine(build_cache_size=0) as engine:
             docs = [engine.add_tree(tree.copy(), tree_query()) for _ in range(3)]
             cold = [canonical(d.stream()) for d in docs]
             stats = engine.stats()
             assert stats["build_cache_hits"] == 0
             assert stats["build_cache_misses"] == 0
+            assert stats["index_shape_hits"] == stats["index_shape_misses"] == 0
         assert cold == warm  # byte-identical with and without the cache
 
     def test_sharded_engine_sums_per_worker_caches(self):

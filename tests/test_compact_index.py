@@ -105,4 +105,8 @@ def test_heap_shape_of_a_wide_document():
             index = box.index
             for table in (index.fib, index.fbb, index.ends):
                 assert gc.is_tracked(table) is False
+            if box.is_leaf_box():
+                # plan-built leaves share one empty tuple, not two [] each
+                assert gc.is_tracked(box.left_input_masks) is False
+                assert gc.is_tracked(box.right_input_masks) is False
     assert per_node < TRACKED_PER_NODE_BOUND

@@ -35,7 +35,8 @@ Environment knobs (used by the scheduled extended-fuzz CI job):
 * ``REPRO_FUZZ_SCENARIOS`` — end-to-end scenario count (default 24);
 * ``REPRO_FUZZ_SHARDED_SCENARIOS`` — sharded fork-scenario count (default 4;
   spawn runs a third of it, minimum one, because each spawn worker boots a
-  fresh interpreter);
+  fresh interpreter), also the number of sharded and of cursor schedules
+  the from-scratch leg replays with and without the build cache;
 * ``REPRO_FUZZ_FAULT_SCENARIOS`` — fault-injected replicated scenario count
   (default 3);
 * ``REPRO_FUZZ_SEED`` — base seed offset, rotated by the scheduled job so
@@ -895,3 +896,42 @@ class TestCursorStabilityDifferential:
             event[4] for event in single if event[0] == "edits"
         )
         assert resumes >= 1, "schedule produced no resumed cursors"
+
+
+# ================================================ from-scratch (sharing-free) leg
+class TestFromScratchDifferential:
+    """Shared builds vs builds that share nothing, transcript-exact.
+
+    ``Engine()`` reuses built subtrees and index shapes through its store's
+    build cache, so every other leg shares them on both sides of its
+    comparison.  ``Engine(build_cache_size=0)`` builds every box and every
+    index entry from scratch: replaying the sharded and the cursor schedules
+    on both must give byte-identical transcripts — answers and their order,
+    epochs, rebuild counts, and each cursor's resume or invalidation.
+    ``REPRO_FUZZ_SHARDED_SCENARIOS`` sets the number of schedules of each
+    kind (a few cursor schedules enumerate about a million answers, seconds
+    per replay).
+    """
+
+    _resumes = {"shared": 0, "scratch": 0, "cases": 0}
+
+    @pytest.mark.parametrize("case", range(N_SHARDED))
+    def test_sharded_schedule_matches_from_scratch_build(self, case):
+        _workers, trees, queries, doc_query, ops = _sharded_scenario(FUZZ_SEED + case)
+        shared = _replay_transcript(trees, queries, doc_query, ops)
+        scratch = _replay_transcript(trees, queries, doc_query, ops, build_cache_size=0)
+        assert shared == scratch
+
+    @pytest.mark.parametrize("case", range(N_SHARDED))
+    def test_cursor_schedule_matches_from_scratch_build(self, case):
+        trees, queries, doc_query, ops = _cursor_scenario(FUZZ_SEED + case)
+        shared = _replay_transcript(trees, queries, doc_query, ops)
+        scratch = _replay_transcript(trees, queries, doc_query, ops, build_cache_size=0)
+        assert shared == scratch
+        totals = TestFromScratchDifferential._resumes
+        for side, transcript in (("shared", shared), ("scratch", scratch)):
+            totals[side] += sum(event[4] for event in transcript if event[0] == "edits")
+        totals["cases"] += 1
+        if totals["cases"] == N_SHARDED:
+            # the schedules exercise cursor resumes, on both sides alike
+            assert totals["shared"] == totals["scratch"] > 0, totals
