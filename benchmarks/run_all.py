@@ -37,7 +37,7 @@ from repro.bench.workloads import (
 )
 from repro.core.enumerator import TreeRuntime
 
-BACKENDS = ("pairs", "matrix", "bitset", "numpy")
+BACKENDS = ("pairs", "bitset")
 
 
 @contextlib.contextmanager
@@ -227,7 +227,7 @@ def bench_delay(size: int, max_answers: int):
                 )
 
         def _measure_facade():
-            with Engine(backend="bitset") as engine:
+            with Engine() as engine:
                 doc = engine.add_tree(tree, query_for_name("descendant"))
                 with _gc_paused():
                     facade_medians.append(

@@ -8,8 +8,8 @@ between the paper and the modules.
 The front door is the unified engine API (``from repro import Engine``):
 
 * :class:`repro.Engine` — owns a persistent
-  :class:`~repro.engine.catalog.QueryCatalog`, backend defaults and an
-  optional pool of shard worker processes (``Engine(workers=N)``);
+  :class:`~repro.engine.catalog.QueryCatalog` and an optional pool of shard
+  worker processes (``Engine(workers=N)``);
 * :class:`repro.Query` — one polymorphic compiled-query handle covering
   unranked-tree TVA queries (Theorem 8.1), word variable automata and regex
   document spanners (Theorem 8.5);
@@ -18,11 +18,11 @@ The front door is the unified engine API (``from repro import Engine``):
 * :class:`repro.ResultPage` — the one page type, backed by edit-stable
   cursors.
 
-Every exception derives from :class:`repro.ReproError`.  The historical
-entry points — :class:`~repro.core.enumerator.TreeEnumerator`,
-:class:`~repro.core.enumerator.WordEnumerator`,
-:class:`~repro.serving.DocumentStore` — keep working as deprecated shims
-over the engine.
+Every exception derives from :class:`repro.ReproError`.  Version 2.0
+removed the 1.x deprecated entry points (``TreeEnumerator``,
+``WordEnumerator``, ``repro.serving.DocumentStore``); the per-document
+runtimes behind the engine are :class:`repro.core.TreeRuntime` and
+:class:`repro.core.WordRuntime`.
 """
 
 from repro.assignments import (
@@ -55,7 +55,7 @@ from repro.errors import (
     UnsupportedUpdateError,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # unified engine API (lazily imported)
@@ -108,14 +108,6 @@ def __getattr__(name):
         from repro import net
 
         return getattr(net, name)
-    if name in {"TreeEnumerator", "WordEnumerator"}:
-        from repro.core import enumerator
-
-        return getattr(enumerator, name)
-    if name == "DocumentStore":
-        from repro import serving
-
-        return serving.DocumentStore
     if name == "queries":
         from repro.automata import queries
 

@@ -1,6 +1,6 @@
 """Stable (de)serialization of automata and their content digests.
 
-The serving layer (:mod:`repro.serving`) persists *compiled* queries — the
+The query catalog (:mod:`repro.engine.catalog`) persists *compiled* queries — the
 homogenized :class:`~repro.automata.binary_tva.BinaryTVA` of Lemma 7.4 +
 Lemma 2.1 together with its memoized box plans — so that a fresh process can
 skip translation, homogenization and plan compilation entirely.  This module

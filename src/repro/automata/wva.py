@@ -7,7 +7,7 @@ the variable set ``Y``, the automaton moves from ``q`` to any ``q'`` with
 variable-set automata* used for document spanners [22, 23]: a satisfying
 assignment binds (second-order) variables to word positions.
 
-WVAs are the query language of :class:`repro.core.enumerator.WordEnumerator`
+WVAs are the query language of :class:`repro.core.enumerator.WordRuntime`
 (Theorem 8.5): enumeration of their satisfying assignments on a word with
 linear preprocessing, output-linear delay and logarithmic updates of the
 word.

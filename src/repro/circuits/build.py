@@ -576,8 +576,8 @@ def _internal_plan(
 # concrete box or relation instance (the lazily filled ``wire_rels`` cache is
 # dropped on export and refilled on demand).  That makes the whole per-
 # automaton plan cache exportable as a JSON-compatible payload keyed by
-# content — the circuits half of the persistent compiled queries served by
-# :mod:`repro.serving` (the automata half is
+# content — the circuits half of the persistent compiled queries of
+# :mod:`repro.engine.catalog` (the automata half is
 # :mod:`repro.automata.serialize`).  A fresh process that installs a plan
 # payload builds its first document entirely from cache hits, skipping the
 # δ-product and classification work of every (label, signature) pair the

@@ -2,10 +2,10 @@
 the baselines of Table 1.
 
 The unified public front door is :class:`repro.Engine`;
-:class:`TreeEnumerator` / :class:`WordEnumerator` are deprecated aliases of
-the :class:`TreeRuntime` / :class:`WordRuntime` building blocks."""
+:class:`TreeRuntime` / :class:`WordRuntime` are its per-document building
+blocks."""
 
-from repro.core.enumerator import TreeEnumerator, TreeRuntime, WordEnumerator, WordRuntime
+from repro.core.enumerator import TreeRuntime, WordRuntime
 from repro.core.results import EnumeratorStats, UpdateStats
 from repro.core.baselines import (
     BaselineStrategy,
@@ -16,8 +16,6 @@ from repro.core.baselines import (
 __all__ = [
     "TreeRuntime",
     "WordRuntime",
-    "TreeEnumerator",
-    "WordEnumerator",
     "EnumeratorStats",
     "UpdateStats",
     "BaselineStrategy",

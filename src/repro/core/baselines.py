@@ -118,7 +118,7 @@ class RecomputeTreeEnumerator:
             seconds=time.perf_counter() - start,
         )
 
-    # Convenience mirrors of the TreeEnumerator API.
+    # Convenience mirrors of the TreeRuntime API.
     def relabel(self, node_id: int, label: object) -> UpdateStats:
         return self.apply(Relabel(node_id, label))
 

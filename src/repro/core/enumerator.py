@@ -21,14 +21,14 @@ automaton (for instance compiled from a regex with capture variables by
 supported updates are character insertion, deletion and replacement.
 
 The runtimes are the building blocks of the public :class:`repro.Engine`
-(one maintained document each); the historical public classes
-:class:`TreeEnumerator` / :class:`WordEnumerator` are deprecated aliases
-kept for backward compatibility — they behave identically but emit a
-:class:`DeprecationWarning` pointing at the engine equivalent.
+(one maintained document each).  ``relation_backend=`` selects the relation
+representation (:mod:`repro.enumeration.relations`): ``None`` or
+``"bitset"`` for the runtime, ``"pairs"`` for the paper-shaped oracle that
+the differential tests and the backend benchmarks compare it against.
 
 Materialization boundary
 ------------------------
-On the default ``bitset`` backend the enumeration below these classes is
+On the ``bitset`` backend the enumeration below these classes is
 mask-native end to end (:mod:`repro.enumeration.duplicate_free`): answers
 travel as nested tuples of var-gate assignments and provenance as Γ-position
 bitmasks.  The public :class:`~repro.assignments.Assignment` objects are
@@ -43,7 +43,6 @@ ever built when a caller asks for them through
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.assignments import Assignment, valuation_from_assignment
@@ -64,8 +63,6 @@ from repro.trees.unranked import UnrankedNode, UnrankedTree
 __all__ = [
     "TreeRuntime",
     "WordRuntime",
-    "TreeEnumerator",
-    "WordEnumerator",
     "query_content_key",
     "compiled_automaton_for",
     "seed_compiled_query",
@@ -83,7 +80,7 @@ def query_content_key(query) -> Optional[Tuple]:
     """The in-process content key of a query (``None`` for unknown types).
 
     Two queries with equal content share one compiled automaton through this
-    key; :mod:`repro.serving` uses the stable cross-process digest of
+    key; :mod:`repro.engine.catalog` uses the stable cross-process digest of
     :func:`repro.automata.serialize.query_digest` for the same purpose on
     disk.
     """
@@ -145,11 +142,11 @@ def compiled_automaton_for(query):
 def seed_compiled_query(query, automaton) -> None:
     """Install an externally obtained compiled automaton for a query.
 
-    Used by :class:`repro.serving.QueryCatalog` after loading a persisted
-    compiled query: the automaton is attached to the query object and entered
-    into the content-keyed cache, so every later
-    :class:`TreeEnumerator`/:class:`WordEnumerator` for this query content
-    skips translate + homogenize + plan compilation entirely.
+    Used by :class:`repro.engine.catalog.QueryCatalog` after loading a
+    persisted compiled query: the automaton is attached to the query object
+    and entered into the content-keyed cache, so every later
+    :class:`TreeRuntime`/:class:`WordRuntime` for this query content skips
+    translate + homogenize + plan compilation entirely.
     """
     key = query_content_key(query)
     if key is not None:
@@ -425,39 +422,3 @@ class WordRuntime:
         start = time.perf_counter()
         report = self.term.delete(position_id)
         return self._finish_update(report, start)
-
-
-# --------------------------------------------------------------- legacy shims
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead "
-        "(see the migration table in README.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class TreeEnumerator(TreeRuntime):
-    """Deprecated alias of :class:`TreeRuntime`.
-
-    Use ``repro.Engine().add_tree(tree, query)`` — the returned
-    :class:`repro.engine.Document` exposes the same enumeration
-    (``stream()``), updates (``apply_edits()``) and statistics through the
-    unified engine API.  This shim behaves identically to :class:`TreeRuntime`
-    but emits a :class:`DeprecationWarning` at construction.
-    """
-
-    def __init__(self, *args, **kwargs):
-        _warn_deprecated("repro.core.enumerator.TreeEnumerator", "repro.Engine().add_tree(...)")
-        super().__init__(*args, **kwargs)
-
-
-class WordEnumerator(WordRuntime):
-    """Deprecated alias of :class:`WordRuntime`.
-
-    Use ``repro.Engine().add_word(word, query)``; see :class:`TreeEnumerator`.
-    """
-
-    def __init__(self, *args, **kwargs):
-        _warn_deprecated("repro.core.enumerator.WordEnumerator", "repro.Engine().add_word(...)")
-        super().__init__(*args, **kwargs)

@@ -12,7 +12,7 @@ __all__ = ["EnumeratorStats", "UpdateStats", "assignment_to_tuple"]
 
 @dataclass(frozen=True)
 class EnumeratorStats:
-    """Preprocessing statistics of a :class:`~repro.core.enumerator.TreeEnumerator`.
+    """Preprocessing statistics of a :class:`~repro.core.enumerator.TreeRuntime`.
 
     Attributes
     ----------

@@ -5,7 +5,7 @@ unranked-tree queries, Theorem 8.5 for word queries and document spanners):
 four nouns cover every workload.
 
 * :class:`Engine` owns a :class:`~repro.engine.catalog.QueryCatalog`,
-  backend/config defaults and an optional pool of shard worker processes
+  config defaults and an optional pool of shard worker processes
   (``Engine(workers=N)`` partitions documents across ``N`` processes that
   share one catalog directory).
 * :class:`~repro.engine.query.Query` is one polymorphic compiled-query
@@ -31,10 +31,7 @@ Quickstart::
         page = doc.page(cursor=page)           # resumes — or a precise
                                                # CursorInvalidatedError
 
-All errors derive from :class:`repro.errors.ReproError`.  The historical
-entry points (``TreeEnumerator`` / ``WordEnumerator`` /
-``repro.serving.DocumentStore``) remain as deprecated shims over the same
-machinery.
+All errors derive from :class:`repro.errors.ReproError`.
 """
 
 from repro.engine.catalog import QueryCatalog

@@ -78,8 +78,8 @@ class CompiledQuery:
     def attach(self, query) -> "CompiledQuery":
         """Make ``query`` use this compiled automaton in this process.
 
-        After this, ``TreeEnumerator(tree, query)`` /
-        ``WordEnumerator(word, query)`` skip compilation for any query of
+        After this, ``TreeRuntime(tree, query)`` /
+        ``WordRuntime(word, query)`` skip compilation for any query of
         equal content.
         """
         from repro.core.enumerator import seed_compiled_query

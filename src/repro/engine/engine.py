@@ -6,8 +6,7 @@ One object owns the whole serving pipeline of the paper — translate
 updates — behind four nouns:
 
 * :class:`Engine` — owns a :class:`~repro.engine.catalog.QueryCatalog`,
-  backend/config defaults, and (optionally) a pool of shard worker
-  processes;
+  config defaults, and (optionally) a pool of shard worker processes;
 * :class:`~repro.engine.query.Query` — one polymorphic compiled-query
   handle for unranked-tree TVA queries, word VAs and regex spanners,
   compiled and persisted through one content-addressed path;
@@ -91,9 +90,6 @@ class Engine:
         instead of compiling.  A sharded engine *requires* a shared catalog
         directory; when none is given it creates a private temporary one
         (removed on :meth:`close`).
-    backend:
-        Default relation backend (``"pairs"`` / ``"matrix"`` / ``"bitset"``)
-        for every document; ``None`` = the library default.
     workers:
         ``0`` (default) serves in-process; ``N >= 1`` partitions documents
         across ``N`` worker processes (load-aware placement, routed by
@@ -164,7 +160,6 @@ class Engine:
         self,
         catalog=None,
         *,
-        backend: Optional[str] = None,
         workers: int = 0,
         replicas: int = 1,
         deadline: Optional[float] = None,
@@ -177,10 +172,6 @@ class Engine:
         delay_strict: bool = False,
         slow_op_seconds: Optional[float] = 1.0,
     ):
-        if backend is not None:
-            from repro.enumeration.relations import validate_backend
-
-            validate_backend(backend)
         if page_size < 1:
             raise EngineError("page_size must be >= 1")
         if delay_budget is not None and delay_budget <= 0:
@@ -203,7 +194,6 @@ class Engine:
             raise EngineError(
                 f"build_cache_size must be >= 0 (0 disables), got {build_cache_size}"
             )
-        self.backend = backend
         self.build_cache_size = build_cache_size
         self.page_size = page_size
         self.replicas = replicas
@@ -302,7 +292,6 @@ class Engine:
                 self._pool = ShardPool(
                     workers,
                     self.catalog.root,
-                    relation_backend=backend,
                     start_method=start_method,
                     deadline=deadline,
                     fault_plan=fault_plan,
@@ -316,7 +305,6 @@ class Engine:
             else:
                 self._store = LocalStore(
                     catalog=self.catalog,
-                    relation_backend=backend,
                     build_cache_size=build_cache_size,
                     metrics=self._metrics,
                     events=self._events,
@@ -1413,7 +1401,6 @@ class Engine:
             # accumulators, which survive replica rebuilds.
             merged["cursors_resumed_across_edit_batches"] = self.cursors_resumed_total
             merged["cursors_invalidated"] = self.cursors_invalidated_total
-            merged["relation_backend"] = self.backend
             merged["workers"] = len(self._pool)
             merged["replicas"] = self.replicas
             merged["per_shard"] = per_shard
@@ -1591,6 +1578,5 @@ class Engine:
         else:
             mode = "in-process"
         return (
-            f"Engine({mode}, backend={self.backend!r}, "
-            f"documents={len(self._documents)}, queries={len(self._queries)})"
+            f"Engine({mode}, documents={len(self._documents)}, queries={len(self._queries)})"
         )

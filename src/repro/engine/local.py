@@ -25,10 +25,6 @@ Word edits are specified as tuples (the word maintainer's operations have no
 first-class edit objects): ``("replace", position_id, letter)``,
 ``("insert_after", position_id_or_None, letter)``, ``("delete",
 position_id)``.
-
-The historical public names live in :mod:`repro.serving`:
-``DocumentStore`` is a deprecated shim subclass of :class:`LocalStore`, and
-``ServedDocument`` is an alias of :class:`LocalDocument`.
 """
 
 from __future__ import annotations
@@ -337,7 +333,6 @@ class LocalStore:
     def __init__(
         self,
         catalog: Optional[QueryCatalog] = None,
-        relation_backend: Optional[str] = None,
         build_cache: Optional[BuildCache] = None,
         build_cache_size: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -345,12 +340,7 @@ class LocalStore:
         delay_budget: Optional[float] = None,
         delay_strict: bool = False,
     ):
-        if relation_backend is not None:
-            from repro.enumeration.relations import validate_backend
-
-            validate_backend(relation_backend)
         self.catalog = catalog
-        self.relation_backend = relation_backend
         #: store-side observability: latency histograms/counters and the
         #: operational event ring (see :mod:`repro.obs`).  A sharded engine's
         #: workers each carry their own registry; the parent merges them.
@@ -413,9 +403,7 @@ class LocalStore:
         """Serve an unranked tree under a standing tree query (Theorem 8.1)."""
         entry = self._resolve_query(query, "tree")
         start = perf_counter()
-        enumerator = TreeRuntime(
-            tree, query, relation_backend=self.relation_backend, build_cache=self.build_cache
-        )
+        enumerator = TreeRuntime(tree, query, build_cache=self.build_cache)
         self.metrics.observe("ingest_build_seconds", perf_counter() - start)
         return self._register(enumerator, "tree", entry.digest, doc_id)
 
@@ -423,9 +411,7 @@ class LocalStore:
         """Serve a word under a standing spanner query (Theorem 8.5)."""
         entry = self._resolve_query(query, "word")
         start = perf_counter()
-        enumerator = WordRuntime(
-            word, query, relation_backend=self.relation_backend, build_cache=self.build_cache
-        )
+        enumerator = WordRuntime(word, query, build_cache=self.build_cache)
         self.metrics.observe("ingest_build_seconds", perf_counter() - start)
         return self._register(enumerator, "word", entry.digest, doc_id)
 
@@ -518,7 +504,7 @@ class LocalStore:
     def would_invalidate(self, doc_id, cursor: Cursor, node_or_position_id: int) -> bool:
         """Predict whether an edit at a node *could* hit a cursor.
 
-        Compares the node's prospective trunk (:meth:`ServedDocument.trunk_boxes`)
+        Compares the node's prospective trunk (:meth:`LocalDocument.trunk_boxes`)
         against the cursor's currently referenced boxes by build serial.  This
         is the coarse whole-box projection of the cursor's dependency set, so
         it is an upper bound: an actual edit whose rebuilt boxes are
@@ -548,6 +534,5 @@ class LocalStore:
             "cursors_resumed_across_edit_batches": sum(
                 d.cursors_resumed_total for d in documents
             ),
-            "relation_backend": self.relation_backend,
             **self.build_cache.stats(),
         }

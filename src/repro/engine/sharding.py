@@ -353,7 +353,6 @@ def _send_err(conn, request_id: int, exc: BaseException) -> None:
 def _shard_worker_main(
     conn,
     catalog_root: Optional[str],
-    relation_backend: Optional[str],
     shard_index: int = 0,
     fault_plan=None,
     build_cache_size: Optional[int] = None,
@@ -384,7 +383,6 @@ def _shard_worker_main(
     catalog = QueryCatalog(catalog_root) if catalog_root else None
     store = LocalStore(
         catalog=catalog,
-        relation_backend=relation_backend,
         build_cache_size=build_cache_size,
         delay_budget=delay_budget,
     )
@@ -546,7 +544,6 @@ class ShardPool:
         self,
         workers: int,
         catalog_root: Optional[str],
-        relation_backend: Optional[str] = None,
         start_method: Optional[str] = None,
         deadline: Optional[float] = None,
         fault_plan=None,
@@ -564,7 +561,6 @@ class ShardPool:
         self._context = multiprocessing.get_context(start_method)
         self.start_method = self._context.get_start_method()
         self._catalog_root = catalog_root
-        self._relation_backend = relation_backend
         self._fault_plan = fault_plan
         self._build_cache_size = build_cache_size
         #: parent-side observability (all optional, see :mod:`repro.obs`):
@@ -606,7 +602,6 @@ class ShardPool:
             args=(
                 child_conn,
                 self._catalog_root,
-                self._relation_backend,
                 index,
                 self._fault_plan if generation == 0 else None,
                 self._build_cache_size,

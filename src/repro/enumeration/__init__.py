@@ -1,6 +1,6 @@
 """Enumeration algorithms on assignment circuits (Sections 4-6)."""
 
-from repro.enumeration.relations import Relation, set_default_backend, get_default_backend
+from repro.enumeration.relations import Relation
 from repro.enumeration.simple import enumerate_with_duplicates
 from repro.enumeration.duplicate_free import enumerate_boxed_masks, enumerate_boxed_set
 from repro.enumeration.index import BoxIndex, build_index, build_box_index
@@ -9,8 +9,6 @@ from repro.enumeration.assignment_iter import CircuitEnumerator
 
 __all__ = [
     "Relation",
-    "set_default_backend",
-    "get_default_backend",
     "enumerate_with_duplicates",
     "enumerate_boxed_set",
     "enumerate_boxed_masks",

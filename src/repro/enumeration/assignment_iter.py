@@ -7,7 +7,10 @@ library uses:
 * preprocessing = building the index (:func:`repro.enumeration.index.build_index`),
 * ``assignments()`` enumerates the satisfying assignments of the automaton on
   the tree the circuit was built for: the boxed set of the final states' root
-  gates, plus the empty assignment when a final 0-state gate is ⊤,
+  gates, plus the empty assignment when a final 0-state gate is ⊤.  On the
+  default ``bitset`` backend with the index built this is the mask-native
+  path of :mod:`repro.enumeration.duplicate_free`; the ``pairs`` oracle
+  backend, and enumeration without the index, run its generic path,
 * ``delay_probe()`` is a measurement helper used by the benchmarks: it
   reports the per-answer wall-clock delays.
 
@@ -20,6 +23,7 @@ the paper's update model prescribes.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.assignments import EMPTY_ASSIGNMENT, Assignment
@@ -27,7 +31,7 @@ from repro.circuits.gates import BOTTOM, TOP, AssignmentCircuit, Box, UnionGate
 from repro.enumeration.box_enum import indexed_box_enum, naive_box_enum
 from repro.enumeration.duplicate_free import enumerate_boxed_masks, enumerate_boxed_set
 from repro.enumeration.index import build_index
-from repro.enumeration.relations import get_default_backend, validate_backend
+from repro.enumeration.relations import DEFAULT_BACKEND, validate_backend
 
 __all__ = ["CircuitEnumerator", "root_boxed_set"]
 
@@ -87,30 +91,22 @@ class CircuitEnumerator:
 
         Threading ``relation_backend`` into the initial Γ-relation keeps the
         *entire* enumeration-time composition chain on the requested backend
-        (compose propagates the fastest operand backend, so a default-backend
-        Γ would silently convert the chain).
+        (a composition with a ``bitset`` operand is a ``bitset`` relation,
+        so a default-backend Γ would silently convert the chain).
         """
         procedure = indexed_box_enum if self.use_index else naive_box_enum
-        if self.relation_backend is None:
-            return procedure
-        backend = self.relation_backend
-        return lambda gamma: procedure(gamma, backend=backend)
+        return partial(procedure, backend=self.relation_backend)
 
     def _use_mask_path(self) -> bool:
         """True when enumeration should run the mask-native fast path.
 
         The mask path *is* the bitset composition chain (word-parallel
         Γ-position masks), so it is taken exactly when the indexed procedure
-        would run on the ``bitset`` backend or its packed ``numpy`` variant
-        (whose index relations hand out the same cached mask lists via
-        ``masks_view``); ``pairs``/``matrix`` requests keep the generic
-        relation-based chain so the backend ablation (experiment E10) still
-        measures what it claims to.
+        runs on the ``bitset`` backend; a ``pairs`` request keeps the generic
+        relation-based chain, the oracle the mask path is tested against and
+        that the backend ablation (experiment E10) measures.
         """
-        if not self.use_index:
-            return False
-        backend = self.relation_backend or get_default_backend()
-        return backend in ("bitset", "numpy")
+        return self.use_index and (self.relation_backend or DEFAULT_BACKEND) == "bitset"
 
     def root_boxed_set(self, final_states: Optional[Sequence[object]] = None) -> Tuple[List[UnionGate], bool]:
         """Return the boxed set of final-state root gates and the empty-answer flag.

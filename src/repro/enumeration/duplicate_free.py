@@ -17,8 +17,8 @@ Mask-based provenance (the fast constant-delay path)
 ----------------------------------------------------
 Two implementations coexist:
 
-* The **mask-native path** (:func:`enumerate_boxed_masks`, the default when
-  the ``bitset`` relation backend is in effect and the index is built)
+* The **mask-native path** (:func:`enumerate_boxed_masks`, taken whenever
+  the indexed box enumeration runs on the default ``bitset`` backend)
   represents everything position-wise as Python-int bitmasks, mirroring the
   bitset relation backend:
 
@@ -56,9 +56,10 @@ Two implementations coexist:
 * The **generic path** keeps the paper-shaped recursive formulation over
   :class:`~repro.enumeration.relations.Relation` objects and frozenset
   provenance.  It accepts any ``box_enum`` procedure (including
-  :func:`~repro.enumeration.box_enum.naive_box_enum`) and any relation
-  backend, and serves as the reference the mask-native path is tested
-  against (``tests/test_fuzz_differential.py`` pins the equivalence).
+  :func:`~repro.enumeration.box_enum.naive_box_enum`, or either procedure
+  bound to a backend), is what the ``pairs`` oracle backend runs, and serves
+  as the reference the mask-native path is tested against
+  (``tests/test_fuzz_differential.py`` pins the equivalence).
 
 The ``box_enum`` argument selects the box-enumeration procedure: the naive
 walk of Section 5 or the index-accelerated Algorithm 3; the delay of the
@@ -75,7 +76,7 @@ from repro.assignments import Assignment
 from repro.circuits.gates import Box, ProdGate, UnionGate, VarGate
 from repro.enumeration.box_enum import indexed_box_enum
 from repro.enumeration.index import fbb_of_mask, fib_of_mask
-from repro.enumeration.relations import Relation, get_default_backend, iter_bits
+from repro.enumeration.relations import Relation, iter_bits
 from repro.enumeration.wiring import wire_relation
 from repro.errors import CircuitStructureError, IndexError_
 
@@ -108,19 +109,16 @@ def enumerate_boxed_set(
         Each assignment of ``S(Γ)`` exactly once, together with the subset of
         ``Γ`` capturing it.
 
-    When called with the default (indexed) box enumeration, an already-built
-    index and the ``bitset`` default backend, this dispatches to the
-    mask-native fast path and converts its position masks back to gate sets
-    at this boundary; otherwise the generic relation-based path runs.
+    When called with the default box enumeration (the indexed one, on the
+    default ``bitset`` backend) and an already-built index, this dispatches
+    to the mask-native fast path and converts its position masks back to
+    gate sets at this boundary; otherwise the generic relation-based path
+    runs.
     """
     gamma = list(gamma)
     if not gamma:
         return
-    if (
-        box_enum is indexed_box_enum
-        and gamma[0].box.index is not None
-        and get_default_backend() in ("bitset", "numpy")
-    ):
+    if box_enum is indexed_box_enum and gamma[0].box.index is not None:
         for assignment, prov_mask in enumerate_boxed_masks(gamma):
             yield assignment, frozenset(gamma[p] for p in iter_bits(prov_mask))
         return

@@ -67,7 +67,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.gates import AssignmentCircuit, Box
-from repro.enumeration.relations import Relation, get_default_backend
+from repro.enumeration.relations import DEFAULT_BACKEND, Relation
 from repro.enumeration.wiring import wire_relation
 from repro.errors import CircuitStructureError, IndexError_
 
@@ -277,7 +277,7 @@ def fbb_of_mask(index: BoxIndex, slot_mask: int) -> int:
 
 # --------------------------------------------------------------------------- construction
 def _leaf_index(width: int, relation_backend: Optional[str]) -> BoxIndex:
-    backend = relation_backend or get_default_backend()
+    backend = relation_backend or DEFAULT_BACKEND
     index = _LEAF_INDEXES.get((width, backend))
     if index is None:
         shape = IndexShape(
@@ -319,7 +319,7 @@ def build_box_index(
     plan = box.wire_plan
     shape = key = None
     if shapes is not None and plan is not None:
-        key = (plan, left_index.shape, right_index.shape, relation_backend or get_default_backend())
+        key = (plan, left_index.shape, right_index.shape, relation_backend or DEFAULT_BACKEND)
         shape = shapes.get_shape(key)
     if shape is None:
         shape, targets = _construct(box, left_index, right_index, relation_backend)

@@ -8,68 +8,46 @@ project them to one side, or test them for emptiness; the index of Section 6
 precomputes the relations needed so that all compositions at enumeration time
 involve relations of size at most width².
 
-Three composition backends are provided:
+Two representations are provided:
 
+* ``"bitset"`` — the runtime, and the default (``None`` means ``"bitset"``
+  wherever a backend is accepted): one Python-int bitmask per lower slot
+  (bit ``u`` set iff ``(l, u) ∈ R``).  Composition, projection and emptiness
+  are word-parallel OR/AND loops with **zero per-pair object allocation**:
+  composing through a mid slot is a single ``|=`` of a machine word (or a
+  few words for widths beyond 64), so a composition of ``w×w`` relations is
+  ``O(w·⌈w/64⌉)`` word operations.
 * ``"pairs"`` — the naive join over explicit pair sets, the ``O(w³)`` bound
-  used in the body of the paper.  Every pair is a tuple object; composition
-  builds a dict index of the upper relation and joins through it.  Simple,
-  allocation-heavy, and the reference the other backends are tested against.
-* ``"matrix"`` — Boolean matrix multiplication with numpy, the ``O(w^ω)``
-  refinement discussed after Lemma 6.4 (Theorem 6.5).  Wins asymptotically,
-  but each operation pays numpy call overhead, so it only beats the others
-  once the width is large (tens of states and up).
-* ``"bitset"`` — one Python-int bitmask per lower slot (bit ``u`` set iff
-  ``(l, u) ∈ R``).  Composition, projection, emptiness, ``uppers_of`` and
-  ``restrict_upper`` are word-parallel OR/AND loops with **zero per-pair
-  object allocation**: composing through a mid slot is a single ``|=`` of a
-  machine word (or a few words for widths beyond 64).  At the widths the
-  circuits of Lemma 3.7 produce (width ≤ |Q|, usually well under 64) this is
-  the fastest backend by a wide margin and is therefore the default.
-* ``"numpy"`` — the packed, vectorized variant of ``bitset``: each relation
-  stores a ``(n_lower, ⌈n_upper/64⌉)`` ``uint64`` ndarray of little-endian
-  bit rows.  Emptiness, ``restrict_upper`` and equality stay packed bitwise
-  ops; composition bridges once through Boolean matrices
-  (``unpackbits → matmul → packbits``), so it is one vectorized call instead
-  of a Python loop whose per-row OR cost grows with the Python-big-int width.
-  For very wide automata (hundreds of states, i.e. many machine words per
-  row) this stops paying big-int costs; at small widths plain ``bitset``
-  still wins on constant factors, which is why it remains the default.
+  used in the body of the paper (``O(p·w)`` with ``O(p)`` tuple allocations
+  for ``p`` pairs).  It is the paper-shaped oracle: the differential tests
+  and the benchmark gates compare the bitset runtime against it.
 
-Complexity per composition of ``w×w`` relations with ``p`` pairs:
-``pairs`` is ``O(p·w)`` with ``O(p)`` tuple allocations, ``matrix`` is
-``O(w^ω)`` plus constant numpy overhead, ``bitset`` is ``O(w·⌈w/64⌉)`` word
-operations with no allocation beyond the result masks, ``numpy`` is
-``O(w^ω)`` vectorized with three numpy calls of overhead.
+The ``O(w^ω)`` refinement by Boolean matrix multiplication (the remark after
+Lemma 6.4) is not implemented: at the widths the circuits of Lemma 3.7
+produce, no measurement showed it beating the bitset loop.
 
-The backend is chosen per relation at creation time (and propagated through
-compositions), with a module-level default that the benchmarks switch to
-compare the backends (experiment E10).  Mixed-backend compositions resolve
-to the "fastest" of the two operands' backends
-(bitset > numpy > matrix > pairs).
+The backend is chosen per relation at creation time and propagated through
+compositions; a mixed composition resolves to ``"bitset"``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.errors import BackendError
 
 __all__ = [
     "Relation",
-    "set_default_backend",
-    "get_default_backend",
-    "validate_backend",
+    "DEFAULT_BACKEND",
     "VALID_BACKENDS",
+    "validate_backend",
     "iter_bits",
-    "mask_of",
 ]
 
-_DEFAULT_BACKEND = "bitset"
-_VALID_BACKENDS = ("pairs", "matrix", "bitset", "numpy")
+#: the backend ``None`` stands for, everywhere a backend is accepted
+DEFAULT_BACKEND = "bitset"
 #: the selectable composition backends, in documentation order
-VALID_BACKENDS = _VALID_BACKENDS
+VALID_BACKENDS = ("pairs", "bitset")
 
 #: interned identity relations, keyed by (n, backend) — see Relation.identity.
 _IDENTITY_CACHE: Dict[Tuple[int, str], "Relation"] = {}
@@ -80,37 +58,25 @@ def validate_backend(backend: str) -> str:
 
     The error is a :class:`repro.errors.BackendError` (which is also a
     ``ValueError``, for callers that caught the historical type).  It lists
-    the valid backends and, on a near-miss (``"bitsets"``, ``"matrx"``, ...),
+    the valid backends and, on a near-miss (``"bitsets"``, ``"pair"``, ...),
     suggests the one probably meant.  Called everywhere a backend name enters
-    the library (``relation_backend=`` keyword arguments,
-    :func:`set_default_backend`, :class:`Relation` construction,
-    ``Engine(backend=...)``) so typos fail fast with the same message instead
-    of deep inside a build.
+    the library (``relation_backend=`` keyword arguments, :class:`Relation`
+    construction) so typos fail fast with the same message instead of deep
+    inside a build.
     """
-    if backend in _VALID_BACKENDS:
+    if backend in VALID_BACKENDS:
         return backend
     message = (
         f"unknown relation backend {backend!r}; valid backends are "
-        + ", ".join(repr(b) for b in _VALID_BACKENDS)
+        + ", ".join(repr(b) for b in VALID_BACKENDS)
     )
     if isinstance(backend, str):
         import difflib
 
-        close = difflib.get_close_matches(backend, _VALID_BACKENDS, n=1, cutoff=0.6)
+        close = difflib.get_close_matches(backend, VALID_BACKENDS, n=1, cutoff=0.6)
         if close:
             message += f" (did you mean {close[0]!r}?)"
     raise BackendError(message)
-
-
-def set_default_backend(backend: str) -> None:
-    """Set the default composition backend (one of :data:`VALID_BACKENDS`)."""
-    global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = validate_backend(backend)
-
-
-def get_default_backend() -> str:
-    """Return the current default composition backend."""
-    return _DEFAULT_BACKEND
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -121,84 +87,10 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(bits: Iterable[int]) -> int:
-    """The bitmask with exactly the given bit positions set."""
-    mask = 0
-    for bit in bits:
-        mask |= 1 << bit
-    return mask
-
-
-def _masks_from_matrix(matrix: np.ndarray) -> List[int]:
-    """Per-row bitmasks of a Boolean matrix (row index = lower slot)."""
-    if matrix.size == 0:
-        return [0] * matrix.shape[0]
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _np_words(n_upper: int) -> int:
-    """Number of uint64 words per packed row for ``n_upper`` upper slots."""
-    return (n_upper + 63) >> 6
-
-
-def _np_zero_rows(n_lower: int, n_upper: int) -> np.ndarray:
-    return np.zeros((n_lower, _np_words(n_upper)), dtype=np.uint64)
-
-
-def _np_from_masks(masks: Sequence[int], n_upper: int) -> np.ndarray:
-    """Pack per-lower Python-int bitmasks into a (n_lower, n_words) uint64 array."""
-    n_words = _np_words(n_upper)
-    rows = np.empty((len(masks), n_words), dtype=np.uint64)
-    n_bytes = n_words * 8
-    for i, mask in enumerate(masks):
-        rows[i] = np.frombuffer(int(mask).to_bytes(n_bytes, "little"), dtype=np.uint64)
-    return rows
-
-
-def _masks_from_np(rows: np.ndarray) -> List[int]:
-    """Per-lower Python-int bitmasks of a packed uint64 row array."""
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-
-def _np_pack_bool(matrix: np.ndarray) -> np.ndarray:
-    """Pack a Boolean (n_lower, n_upper) matrix into little-endian uint64 rows."""
-    n_lower, n_upper = matrix.shape
-    n_words = _np_words(n_upper)
-    if n_lower == 0 or n_words == 0:
-        return np.zeros((n_lower, n_words), dtype=np.uint64)
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    if packed.shape[1] != n_words * 8:
-        padded = np.zeros((n_lower, n_words * 8), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        packed = padded
-    return np.ascontiguousarray(packed).view(np.uint64)
-
-
-def _np_unpack_bool(rows: np.ndarray, n_upper: int) -> np.ndarray:
-    """Unpack uint64 rows back into a Boolean (n_lower, n_upper) matrix."""
-    n_lower = rows.shape[0]
-    if n_lower == 0 or n_upper == 0:
-        return np.zeros((n_lower, n_upper), dtype=bool)
-    bits = np.unpackbits(
-        np.ascontiguousarray(rows).view(np.uint8), axis=1, count=n_upper, bitorder="little"
-    )
-    return bits.astype(bool, copy=False)
-
-
 class Relation:
     """A binary relation between ``n_lower`` lower slots and ``n_upper`` upper slots."""
 
-    __slots__ = (
-        "n_lower",
-        "n_upper",
-        "backend",
-        "_pairs",
-        "_matrix",
-        "_masks",
-        "_np",
-        "_canonical",
-    )
+    __slots__ = ("n_lower", "n_upper", "backend", "_pairs", "_masks", "_canonical")
 
     def __init__(
         self,
@@ -209,29 +101,15 @@ class Relation:
     ):
         self.n_lower = n_lower
         self.n_upper = n_upper
-        self.backend = validate_backend(backend) if backend is not None else _DEFAULT_BACKEND
+        self.backend = DEFAULT_BACKEND if backend is None else validate_backend(backend)
         self._pairs: Optional[FrozenSet[Tuple[int, int]]] = None
-        self._matrix: Optional[np.ndarray] = None
         self._masks: Optional[List[int]] = None
-        self._np: Optional[np.ndarray] = None
         self._canonical: Optional[Tuple[int, ...]] = None
-        if self.backend == "matrix":
-            matrix = np.zeros((n_lower, n_upper), dtype=bool)
-            pair_list = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-            if pair_list:
-                arr = np.asarray(pair_list, dtype=np.intp)
-                matrix[arr[:, 0], arr[:, 1]] = True
-            self._matrix = matrix
-        elif self.backend == "bitset":
+        if self.backend == "bitset":
             masks = [0] * n_lower
             for lower, upper in pairs:
                 masks[lower] |= 1 << upper
             self._masks = masks
-        elif self.backend == "numpy":
-            rows = _np_zero_rows(n_lower, n_upper)
-            for lower, upper in pairs:
-                rows[lower, upper >> 6] |= np.uint64(1 << (upper & 63))
-            self._np = rows
         else:
             self._pairs = frozenset(pairs)
 
@@ -244,36 +122,13 @@ class Relation:
         identity per box — shares a single object per (n, backend).
         """
         if backend is None:
-            backend = _DEFAULT_BACKEND
+            backend = DEFAULT_BACKEND
         cached = _IDENTITY_CACHE.get((n, backend))
-        if cached is not None:
-            return cached
-        rel = cls(n, n, (), backend=backend)
-        if rel.backend == "bitset":
-            rel._masks = [1 << i for i in range(n)]
-        elif rel.backend == "matrix":
-            rel._matrix = np.eye(n, dtype=bool)
-        elif rel.backend == "numpy":
-            rel._np = _np_pack_bool(np.eye(n, dtype=bool))
-        else:
-            rel._pairs = frozenset((i, i) for i in range(n))
-        _IDENTITY_CACHE[(n, backend)] = rel
-        return rel
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, backend: Optional[str] = None) -> "Relation":
-        """Build a relation from a Boolean matrix (lower × upper)."""
-        rel = cls(matrix.shape[0], matrix.shape[1], (), backend=backend)
-        if rel.backend == "matrix":
-            rel._matrix = matrix.astype(bool)
-        elif rel.backend == "bitset":
-            rel._masks = _masks_from_matrix(matrix.astype(bool))
-        elif rel.backend == "numpy":
-            rel._np = _np_pack_bool(matrix.astype(bool))
-        else:
-            lowers, uppers = np.nonzero(matrix)
-            rel._pairs = frozenset(zip(lowers.tolist(), uppers.tolist()))
-        return rel
+        if cached is None:
+            cached = _IDENTITY_CACHE[(n, backend)] = cls(
+                n, n, ((i, i) for i in range(n)), backend=backend
+            )
+        return cached
 
     @classmethod
     def from_masks(
@@ -283,14 +138,6 @@ class Relation:
         rel = cls(n_lower, n_upper, (), backend=backend)
         if rel.backend == "bitset":
             rel._masks = list(masks)
-        elif rel.backend == "numpy":
-            rel._np = _np_from_masks(masks, n_upper)
-        elif rel.backend == "matrix":
-            matrix = np.zeros((n_lower, n_upper), dtype=bool)
-            for lower, mask in enumerate(masks):
-                for upper in iter_bits(mask):
-                    matrix[lower, upper] = True
-            rel._matrix = matrix
         else:
             rel._pairs = frozenset(
                 (lower, upper) for lower, mask in enumerate(masks) for upper in iter_bits(mask)
@@ -301,65 +148,22 @@ class Relation:
     def pairs(self) -> FrozenSet[Tuple[int, int]]:
         """Return the relation as a frozenset of (lower, upper) pairs."""
         if self._pairs is None:
-            if self._masks is None and self._matrix is not None:
-                lowers, uppers = np.nonzero(self._matrix)
-                self._pairs = frozenset(zip(lowers.tolist(), uppers.tolist()))
-            else:
-                self._pairs = frozenset(
-                    (lower, upper)
-                    for lower, mask in enumerate(self._masks_ref())
-                    for upper in iter_bits(mask)
-                )
+            self._pairs = frozenset(
+                (lower, upper) for lower, mask in enumerate(self._masks) for upper in iter_bits(mask)
+            )
         return self._pairs
-
-    def matrix(self) -> np.ndarray:
-        """Return the relation as a Boolean matrix (lower × upper)."""
-        if self._matrix is None:
-            if self._np is not None:
-                self._matrix = _np_unpack_bool(self._np, self.n_upper)
-                return self._matrix
-            matrix = np.zeros((self.n_lower, self.n_upper), dtype=bool)
-            if self._masks is not None:
-                for lower, mask in enumerate(self._masks):
-                    for upper in iter_bits(mask):
-                        matrix[lower, upper] = True
-            else:
-                for lower, upper in self._pairs:
-                    matrix[lower, upper] = True
-            self._matrix = matrix
-        return self._matrix
 
     def _masks_ref(self) -> List[int]:
         """The cached per-lower-slot bitmask list (internal: NOT to be mutated).
 
-        Relations are aggressively shared (interned identities and wire
-        relations, plan-level caches), so internal hot paths read this shared
-        list while the public :meth:`masks` hands out a copy.
+        A ``pairs`` relation converts once and caches the mask form.
         """
         if self._masks is None:
-            if self._pairs is not None:
-                masks = [0] * self.n_lower
-                for lower, upper in self._pairs:
-                    masks[lower] |= 1 << upper
-                self._masks = masks
-            elif self._np is not None:
-                self._masks = _masks_from_np(self._np)
-            else:
-                self._masks = _masks_from_matrix(self._matrix)
+            masks = [0] * self.n_lower
+            for lower, upper in self._pairs:
+                masks[lower] |= 1 << upper
+            self._masks = masks
         return self._masks
-
-    def _np_ref(self) -> np.ndarray:
-        """The cached packed uint64 row array (internal: NOT to be mutated)."""
-        if self._np is None:
-            if self._matrix is not None and self._masks is None:
-                self._np = _np_pack_bool(self._matrix)
-            else:
-                self._np = _np_from_masks(self._masks_ref(), self.n_upper)
-        return self._np
-
-    def masks(self) -> List[int]:
-        """Return the relation as per-lower-slot bitmasks of upper slots."""
-        return list(self._masks_ref())
 
     def masks_view(self) -> List[int]:
         """Return the per-lower-slot bitmask list *without copying*.
@@ -369,8 +173,7 @@ class Relation:
         shared (interned identities, plan-level wire relations, stored index
         relations).  This is the accessor the mask-native enumeration of
         Algorithm 2 uses to thread Γ-position masks through compositions with
-        zero per-call allocation; it works for every backend (``pairs`` and
-        ``matrix`` relations convert once and cache the mask form).
+        zero per-call allocation; it works for both backends.
         """
         return self._masks_ref()
 
@@ -378,11 +181,7 @@ class Relation:
         """Return ``True`` if the relation contains no pair."""
         if self._masks is not None:
             return not any(self._masks)
-        if self._pairs is not None:
-            return not self._pairs
-        if self._np is not None:
-            return not self._np.any()
-        return not self._matrix.any()
+        return not self._pairs
 
     def __bool__(self) -> bool:
         return not self.is_empty()
@@ -390,11 +189,7 @@ class Relation:
     def __len__(self) -> int:
         if self._masks is not None:
             return sum(mask.bit_count() for mask in self._masks)
-        if self._pairs is not None:
-            return len(self._pairs)
-        if self._np is not None:
-            return int(np.bitwise_count(self._np).sum())
-        return int(self._matrix.sum())
+        return len(self._pairs)
 
     def _canonical_masks(self) -> Tuple[int, ...]:
         """A cached, backend-independent canonical form (per-lower bitmasks)."""
@@ -414,64 +209,28 @@ class Relation:
     def __hash__(self) -> int:
         return hash((self.n_lower, self.n_upper, self._canonical_masks()))
 
-    def lower_slots(self) -> FrozenSet[int]:
-        """Return ``π₁(R)``: the lower slots related to at least one upper slot."""
-        if self._masks is not None:
-            return frozenset(lower for lower, mask in enumerate(self._masks) if mask)
-        if self.backend == "matrix" and self._matrix is not None:
-            return frozenset(np.nonzero(self._matrix.any(axis=1))[0].tolist())
-        return frozenset(lower for lower, _upper in self.pairs())
-
     def lower_mask(self) -> int:
-        """Return ``π₁(R)`` as a bitmask over lower slots."""
-        if self._masks is not None:
-            mask = 0
-            for lower, row in enumerate(self._masks):
-                if row:
-                    mask |= 1 << lower
-            return mask
-        if self._np is not None:
-            mask = 0
-            for lower in np.nonzero(self._np.any(axis=1))[0].tolist():
+        """Return ``π₁(R)`` — the lower slots related to some upper slot — as a bitmask."""
+        mask = 0
+        for lower, row in enumerate(self._masks_ref()):
+            if row:
                 mask |= 1 << lower
-            return mask
-        return mask_of(self.lower_slots())
-
-    def upper_slots(self) -> FrozenSet[int]:
-        """Return ``π₂(R)``: the upper slots related to at least one lower slot."""
-        if self._masks is not None:
-            combined = 0
-            for mask in self._masks:
-                combined |= mask
-            return frozenset(iter_bits(combined))
-        if self.backend == "matrix" and self._matrix is not None:
-            return frozenset(np.nonzero(self._matrix.any(axis=0))[0].tolist())
-        return frozenset(upper for _lower, upper in self.pairs())
-
-    def uppers_of(self, lower: int) -> FrozenSet[int]:
-        """Return the upper slots related to the given lower slot."""
-        if self._masks is not None:
-            return frozenset(iter_bits(self._masks[lower]))
-        if self.backend == "matrix" and self._matrix is not None:
-            return frozenset(np.nonzero(self._matrix[lower])[0].tolist())
-        return frozenset(u for l, u in self.pairs() if l == lower)
+        return mask
 
     def uppers_by_lower(self) -> Dict[int, FrozenSet[int]]:
-        """Return the relation as a mapping lower slot → set of upper slots."""
-        if self._masks is not None:
+        """Return the relation as a mapping lower slot → set of upper slots.
+
+        A ``pairs`` relation groups its pair set even when it has cached the
+        mask form: the mapping's order is the generic path's answer order.
+        """
+        if self.backend == "bitset":
             return {
                 lower: frozenset(iter_bits(mask))
                 for lower, mask in enumerate(self._masks)
                 if mask
             }
-        if self.backend == "matrix" and self._matrix is not None:
-            lowers, uppers = np.nonzero(self._matrix)
-            grouped: Dict[int, List[int]] = {}
-            for lower, upper in zip(lowers.tolist(), uppers.tolist()):
-                grouped.setdefault(lower, []).append(upper)
-            return {lower: frozenset(ups) for lower, ups in grouped.items()}
         mapping: Dict[int, Set[int]] = {}
-        for lower, upper in self.pairs():
+        for lower, upper in self._pairs:
             mapping.setdefault(lower, set()).add(upper)
         return {lower: frozenset(uppers) for lower, uppers in mapping.items()}
 
@@ -481,8 +240,7 @@ class Relation:
 
         The result relates ``lower`` to ``upper``; this is the operation
         written ``R(B, B') ∘ R`` in Algorithm 3 and in Lemma 6.3.  The result
-        backend is the "fastest" of the operands'
-        (bitset > numpy > matrix > pairs).
+        is a ``bitset`` relation unless both operands are ``pairs``.
         """
         if self.n_upper != upper_relation.n_lower:
             raise ValueError(
@@ -500,17 +258,6 @@ class Relation:
                     mid_mask ^= low
                 out.append(acc)
             return Relation.from_masks(self.n_lower, upper_relation.n_upper, out, backend="bitset")
-        if self.backend == "numpy" or upper_relation.backend == "numpy":
-            # Bridge once through Boolean matrices: unpack → matmul → repack.
-            # Boolean matmul is OR-of-ANDs, exactly relational composition.
-            sel = _np_unpack_bool(self._np_ref(), self.n_upper)
-            ups = _np_unpack_bool(upper_relation._np_ref(), upper_relation.n_upper)
-            result = Relation(self.n_lower, upper_relation.n_upper, (), backend="numpy")
-            result._np = _np_pack_bool(np.matmul(sel, ups))
-            return result
-        if self.backend == "matrix" or upper_relation.backend == "matrix":
-            matrix = np.matmul(self.matrix(), upper_relation.matrix())
-            return Relation.from_matrix(matrix, backend="matrix")
         # Naive join on pair sets: index the upper relation by its lower side.
         by_mid: Dict[int, List[int]] = {}
         for mid, upper in upper_relation.pairs():
@@ -520,37 +267,6 @@ class Relation:
             for upper in by_mid.get(mid, ()):
                 joined.add((lower, upper))
         return Relation(self.n_lower, upper_relation.n_upper, joined, backend="pairs")
-
-    def restrict_upper(self, uppers: Iterable[int]) -> "Relation":
-        """Keep only the pairs whose upper slot is in ``uppers``."""
-        if self.backend == "bitset":
-            keep_mask = mask_of(uppers)
-            return Relation.from_masks(
-                self.n_lower,
-                self.n_upper,
-                [mask & keep_mask for mask in self._masks_ref()],
-                backend="bitset",
-            )
-        if self.backend == "numpy":
-            keep_mask = mask_of(uppers)
-            keep_row = np.frombuffer(
-                keep_mask.to_bytes(_np_words(self.n_upper) * 8, "little"), dtype=np.uint64
-            )
-            result = Relation(self.n_lower, self.n_upper, (), backend="numpy")
-            result._np = self._np_ref() & keep_row
-            return result
-        if self.backend == "matrix":
-            keep_cols = np.zeros(self.n_upper, dtype=bool)
-            for upper in uppers:
-                keep_cols[upper] = True
-            return Relation.from_matrix(self.matrix() & keep_cols, backend="matrix")
-        keep = set(uppers)
-        return Relation(
-            self.n_lower,
-            self.n_upper,
-            (p for p in self.pairs() if p[1] in keep),
-            backend=self.backend,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Relation({self.n_lower}x{self.n_upper}, {len(self)} pairs, {self.backend})"

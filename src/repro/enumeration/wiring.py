@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.circuits.gates import Box
-from repro.enumeration.relations import Relation, get_default_backend
+from repro.enumeration.relations import DEFAULT_BACKEND, Relation
 
 __all__ = ["wire_relation"]
 
@@ -35,7 +35,7 @@ _INTERNED_LIMIT = 1024
 def wire_relation(box: Box, side: str, backend: Optional[str] = None) -> Relation:
     """The wire relation ``R(child, box)`` for the given side, cached per backend."""
     if backend is None:
-        backend = get_default_backend()
+        backend = DEFAULT_BACKEND
     plan = box.wire_plan
     if plan is not None:
         rels = plan.wire_rels.get(backend)

@@ -78,10 +78,9 @@ class RegexSyntaxError(ReproError):
 
 
 class BackendError(ReproError, ValueError):
-    """An unknown relation backend name was given (``relation_backend=`` /
-    :func:`repro.enumeration.relations.set_default_backend` /
-    ``Engine(backend=...)``).  Also a :class:`ValueError` for backward
-    compatibility with callers that caught the historical ``ValueError``."""
+    """An unknown relation backend name was given (``relation_backend=``).
+    Also a :class:`ValueError` for backward compatibility with callers that
+    caught the historical ``ValueError``."""
 
 
 class StaleIteratorError(ReproError):
@@ -139,9 +138,8 @@ class ShardProtocolError(ShardDiedError):
 
 
 class ServingError(EngineError):
-    """A request to the serving layer (:mod:`repro.engine` /
-    :mod:`repro.serving`) is invalid (unknown document id, closed cursor,
-    unsupported edit spec, ...)."""
+    """A request to the serving layer (:mod:`repro.engine`) is invalid
+    (unknown document id, closed cursor, unsupported edit spec, ...)."""
 
 
 class CatalogError(ServingError):

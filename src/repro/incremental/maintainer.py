@@ -35,7 +35,7 @@ from repro.circuits.build import (
 from repro.circuits.gates import AssignmentCircuit, Box
 from repro.enumeration.assignment_iter import CircuitEnumerator
 from repro.enumeration.index import build_box_index
-from repro.enumeration.relations import get_default_backend, validate_backend
+from repro.enumeration.relations import DEFAULT_BACKEND, validate_backend
 from repro.errors import CircuitStructureError
 from repro.forest_algebra.maintenance import MaintainedTerm, UpdateReport
 from repro.forest_algebra.terms import TermNode
@@ -255,7 +255,7 @@ def _build_node(
         if content is not None:
             key = (
                 automaton_digest(automaton),
-                relation_backend or get_default_backend(),
+                relation_backend or DEFAULT_BACKEND,
                 content,
             )
             hit = cache.get(key)

@@ -4,7 +4,7 @@ A :class:`Spanner` wraps a spanner regex compiled to a WVA.  It can
 
 * *materialize* all matches on a (short) document with the brute-force WVA
   oracle — handy for tests and ad-hoc use;
-* build a :class:`~repro.core.enumerator.WordEnumerator` over a document,
+* build a :class:`~repro.core.enumerator.WordRuntime` over a document,
   giving enumeration with output-linear delay and logarithmic updates of the
   text (character insertion / deletion / replacement), which is the use case
   the paper's information-extraction motivation describes.
@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.assignments import Assignment, valuation_from_assignment
 from repro.automata.wva import WVA
-from repro.core.enumerator import WordRuntime, _warn_deprecated
+from repro.core.enumerator import WordRuntime
 from repro.spanners.compile import regex_to_wva
 
 __all__ = ["Spanner"]
@@ -48,11 +48,10 @@ class Spanner:
     def enumerator(self, document: Sequence[str], relation_backend: Optional[str] = None) -> WordRuntime:
         """An update-aware enumerator over the document (Theorem 8.5).
 
-        Deprecated: pass the spanner (or its pattern) to the engine instead —
-        ``Engine().add_word(document, spanner)`` — which serves the same
-        runtime through the unified API.
+        ``Engine().add_word(document, spanner)`` serves the same runtime
+        through the unified API; this builds one directly, on the relation
+        backend of your choice (``"pairs"`` is the reference oracle).
         """
-        _warn_deprecated("Spanner.enumerator", "repro.Engine().add_word(document, spanner)")
         return WordRuntime(list(document), self.wva, relation_backend=relation_backend)
 
     @staticmethod

@@ -1,10 +1,6 @@
-"""pytest configuration: module imports, cross-test isolation, timeouts.
+"""pytest configuration: module imports, timeouts.
 
-The tests package is made importable as plain modules, and the module-level
-default relation backend is snapshotted around every test: several suites
-exercise ``set_default_backend`` (and the enumeration fast path dispatches on
-the default), so a test that fails — or simply forgets to restore — must not
-leak a non-default backend into later tests.
+The tests package is made importable as plain modules.
 
 The fault-tolerance suites mark themselves ``@pytest.mark.timeout(N)``: a
 protocol wait that ignores its deadline must fail the test, not hang the
@@ -22,8 +18,6 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-
-from repro.enumeration.relations import get_default_backend, set_default_backend  # noqa: E402
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
 _HAVE_SIGALRM = hasattr(signal, "SIGALRM")
@@ -56,13 +50,3 @@ def pytest_runtest_call(item):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.fixture(autouse=True)
-def _restore_default_relation_backend():
-    """Snapshot/restore the process-global default relation backend."""
-    original = get_default_backend()
-    try:
-        yield
-    finally:
-        set_default_backend(original)

@@ -1,20 +1,16 @@
 """The unified `repro.engine` API: differential, sharding, catalog, errors.
 
-This module is additionally run with ``-W error::DeprecationWarning`` by
-``make check``, so nothing inside the engine may touch a deprecated shim —
-every intentional use of a legacy entry point below is wrapped in
-``pytest.warns(DeprecationWarning)``.
-
 What is pinned here:
 
-* **Differential equivalence** — for each relation backend, `Engine`
-  answers are byte-identical to the legacy ``TreeEnumerator`` /
-  ``WordEnumerator`` / ``Spanner`` paths, on the initial document and after
-  every edit (tree, word and regex-spanner workloads through the same
-  ``Query`` / ``Document`` / ``ResultPage`` types).
+* **Differential equivalence** — `Engine` answers are byte-identical to the
+  per-document ``TreeRuntime`` / ``WordRuntime`` / ``Spanner.enumerator``
+  paths on each relation backend (the ``bitset`` runtime and the ``pairs``
+  oracle), on the initial document and after every edit (tree, word and
+  regex-spanner workloads through the same ``Query`` / ``Document`` /
+  ``ResultPage`` types).
 * **Sharded equivalence** — ``Engine(workers=N)`` serves byte-identical
   answers, epochs, pages and cursor invalidations to a single-process
-  engine and to the legacy ``DocumentStore``, under interleaved edits and
+  engine and to a bare ``LocalStore``, under interleaved edits and
   cursor paging; workers share one catalog directory and *load* (never
   recompile) the parent's persisted compiled query.
 * **Catalog manifest** — version + per-digest metadata, ``gc(keep=...)``,
@@ -28,6 +24,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -50,14 +47,46 @@ from repro import (
     StaleIteratorError,
 )
 from repro.automata.queries import select_descendant_pairs, select_labeled
-from repro.engine import Document, Query, QueryCatalog, ResultPage
+from repro.core.enumerator import TreeRuntime, WordRuntime
+from repro.engine import Document, LocalStore, Query, QueryCatalog, ResultPage
 from repro.spanners.compile import regex_to_wva
 from repro.trees.edits import Delete, Insert, Relabel
 from repro.trees.generators import random_tree, tree_of_shape
 from repro.trees.unranked import UnrankedTree
 
 LABELS = ("a", "b", "c", "d")
-BACKENDS = ("pairs", "matrix", "bitset")
+BACKENDS = ("pairs", "bitset")
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: run in a child interpreter in which ``import numpy`` fails
+NUMPY_FREE_SCRIPT = """
+import sys
+sys.modules["numpy"] = None
+sys.path.insert(0, sys.argv[1])
+import repro
+from repro import Engine
+from repro.automata.brute_force import unranked_satisfying_assignments
+from repro.automata.queries import select_labeled
+from repro.core.enumerator import TreeRuntime
+from repro.trees.edits import Relabel
+from repro.trees.generators import random_tree
+
+labels = ("a", "b", "c", "d")
+tree = random_tree(30, labels, 3)
+query = select_labeled("a", labels)
+with Engine() as engine:
+    doc = engine.add_tree(tree, query)
+    assert len(list(doc.stream())) == sum(1 for n in tree.nodes() if n.label == "a")
+    leaf = next(n for n in doc.runtime.tree.nodes() if n.is_leaf())
+    doc.apply_edits([Relabel(leaf.node_id, "a")])
+    page = doc.page(page_size=4)
+    assert list(page.answers) == doc.answers()[:4]
+    spans = engine.add_word(list("aabba"), "x{a+}b.*", alphabet="ab")
+    assert spans.query.spans(spans.answers()[0]) == {"x": (0, 2)}
+oracle = TreeRuntime(tree, query, relation_backend="pairs")
+assert set(oracle.assignments()) == unranked_satisfying_assignments(query, tree)
+print("ok", repro.__version__)
+"""
 
 
 def canonical(assignments):
@@ -140,57 +169,71 @@ class TestEngineApi:
             with pytest.raises(StaleIteratorError):
                 list(stream)
 
-    def test_backend_typo_fails_fast_as_backend_error(self):
-        with pytest.raises(BackendError, match="did you mean"):
-            Engine(backend="bitsets")
+    def test_runtime_needs_no_numpy(self):
+        """The package, the engine and the pairs oracle import and run
+        without numpy installed."""
+        result = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE_SCRIPT, SRC_DIR],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.split() == ["ok", repro.__version__]
+
+    @pytest.mark.parametrize("name", ["bitsets", "matrix", "numpy"])
+    def test_backend_typo_fails_fast_as_backend_error(self, name):
+        with pytest.raises(BackendError, match="valid backends are 'pairs', 'bitset'"):
+            WordRuntime(list("ab"), word_query(), relation_backend=name)
         # BackendError is also the historical ValueError
         with pytest.raises(ValueError):
-            Engine(backend="bitsets")
+            WordRuntime(list("ab"), word_query(), relation_backend=name)
+        # the engine serves the bitset runtime only: it takes no backend
+        with pytest.raises(TypeError):
+            Engine(backend=name)
 
 
 # ============================================================== differential
-class TestDifferentialVsLegacy:
-    """Engine answers byte-identical to the legacy paths, per backend."""
+class TestDifferentialVsRuntimes:
+    """Engine answers byte-identical to the per-document runtimes, per backend."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_tree_workload_matches_tree_enumerator(self, backend):
+    def test_tree_workload_matches_tree_runtime(self, backend):
         tree = tree_of_shape("random", 80, LABELS, 11)
         query = select_descendant_pairs(LABELS)
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.TreeEnumerator(tree, query, relation_backend=backend)
-        with Engine(backend=backend) as engine:
+        runtime = TreeRuntime(tree, query, relation_backend=backend)
+        with Engine() as engine:
             doc = engine.add_tree(tree, query)
-            assert canonical(doc.stream()) == canonical(legacy.assignments())
-            leaf = next(n for n in legacy.tree.nodes() if n.is_leaf())
+            assert canonical(doc.stream()) == canonical(runtime.assignments())
+            leaf = next(n for n in runtime.tree.nodes() if n.is_leaf())
             edits = [
                 Relabel(leaf.node_id, "b"),
-                Insert(legacy.tree.root.node_id, "a"),
+                Insert(runtime.tree.root.node_id, "a"),
                 Delete(leaf.node_id),
             ]
             for edit in edits:
-                legacy.apply(edit)
+                runtime.apply(edit)
                 doc.apply_edits([edit])
-                assert canonical(doc.stream()) == canonical(legacy.assignments())
+                assert canonical(doc.stream()) == canonical(runtime.assignments())
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_word_workload_matches_word_enumerator(self, backend):
+    def test_word_workload_matches_word_runtime(self, backend):
         word = list("abaabbaab")
         query = word_query()
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.WordEnumerator(word, query, relation_backend=backend)
-        with Engine(backend=backend) as engine:
+        runtime = WordRuntime(word, query, relation_backend=backend)
+        with Engine() as engine:
             doc = engine.add_word(word, query)
-            assert canonical(doc.stream()) == canonical(legacy.assignments())
-            positions = legacy.position_ids()
-            legacy.replace(positions[1], "a")
+            assert canonical(doc.stream()) == canonical(runtime.assignments())
+            positions = runtime.position_ids()
+            runtime.replace(positions[1], "a")
             doc.apply_edits([("replace", positions[1], "a")])
-            assert canonical(doc.stream()) == canonical(legacy.assignments())
-            legacy.insert_after(positions[0], "a")
+            assert canonical(doc.stream()) == canonical(runtime.assignments())
+            runtime.insert_after(positions[0], "a")
             doc.apply_edits([("insert_after", positions[0], "a")])
-            assert canonical(doc.stream()) == canonical(legacy.assignments())
-            legacy.delete(positions[2])
+            assert canonical(doc.stream()) == canonical(runtime.assignments())
+            runtime.delete(positions[2])
             doc.apply_edits([("delete", positions[2])])
-            assert canonical(doc.stream()) == canonical(legacy.assignments())
+            assert canonical(doc.stream()) == canonical(runtime.assignments())
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_spanner_workload_matches_spanner_path(self, backend):
@@ -200,11 +243,10 @@ class TestDifferentialVsLegacy:
         alphabet = ("a", "b", "=", ";", " ")
         document = list("ab=ba;a=b ab = ba ")
         spanner = Spanner(pattern, alphabet)
-        with pytest.warns(DeprecationWarning):
-            legacy = spanner.enumerator(document, relation_backend=backend)
-        with Engine(backend=backend) as engine:
+        runtime = spanner.enumerator(document, relation_backend=backend)
+        with Engine() as engine:
             doc = engine.add_word(document, pattern, alphabet=alphabet)
-            assert canonical(doc.stream()) == canonical(legacy.assignments())
+            assert canonical(doc.stream()) == canonical(runtime.assignments())
             # the Spanner object itself also compiles to the same query
             assert engine.compile(spanner).digest == doc.query.digest
 
@@ -266,8 +308,8 @@ def _run_traffic(engine_like, docs, edits_by_doc):
     return transcript
 
 
-class _LegacyStoreAdapter:
-    """Drive a legacy DocumentStore document through the Document interface."""
+class _LocalStoreAdapter:
+    """Drive a LocalStore document (cursor API) through the Document interface."""
 
     class _Doc:
         def __init__(self, served):
@@ -318,7 +360,7 @@ def _interleaved_workload(trees):
 
 
 class TestSharding:
-    def test_sharded_equals_single_process_and_legacy_store(self, tmp_path):
+    def test_sharded_equals_single_process_and_local_store(self, tmp_path):
         """The acceptance gate: interleaved edits + cursor pages, byte-equal."""
         trees = [random_tree(60, LABELS, seed) for seed in range(4)]
         query = tree_query()
@@ -330,15 +372,14 @@ class TestSharding:
         with Engine(catalog=tmp_path / "cat2") as single:
             docs = [single.add_tree(t, query, doc_id=i) for i, t in enumerate(trees)]
             single_transcript = _run_traffic(single, docs, edits)
-        with pytest.warns(DeprecationWarning):
-            store = repro.DocumentStore()
-        legacy_docs = [
-            _LegacyStoreAdapter._Doc(store.add_tree(t, query, doc_id=i))
+        store = LocalStore()
+        store_docs = [
+            _LocalStoreAdapter._Doc(store.add_tree(t, query, doc_id=i))
             for i, t in enumerate(trees)
         ]
-        legacy_transcript = _run_traffic(store, legacy_docs, edits)
+        store_transcript = _run_traffic(store, store_docs, edits)
 
-        assert sharded_transcript == single_transcript == legacy_transcript
+        assert sharded_transcript == single_transcript == store_transcript
 
     def test_workers_share_one_catalog_and_do_not_recompile(self, tmp_path):
         catalog_dir = tmp_path / "shared"
@@ -1329,24 +1370,5 @@ class TestUnifiedErrors:
             with pytest.raises(ReproError):
                 engine.document("missing")  # ServingError
         with pytest.raises(ReproError):
-            Engine(backend="nope")  # BackendError
+            TreeRuntime(random_tree(5, LABELS, 0), tree_query(), relation_backend="nope")
 
-
-# =============================================================== deprecation
-class TestDeprecatedShims:
-    def test_legacy_entry_points_warn_and_point_at_the_engine(self):
-        tree = random_tree(15, LABELS, 1)
-        with pytest.warns(DeprecationWarning, match="Engine"):
-            repro.TreeEnumerator(tree, tree_query())
-        with pytest.warns(DeprecationWarning, match="Engine"):
-            repro.WordEnumerator(["a", "b"], word_query())
-        with pytest.warns(DeprecationWarning, match="Engine"):
-            repro.DocumentStore()
-
-    def test_shims_are_the_same_machinery(self):
-        from repro.core.enumerator import TreeRuntime, WordRuntime
-        from repro.engine.local import LocalStore
-
-        assert issubclass(repro.TreeEnumerator, TreeRuntime)
-        assert issubclass(repro.WordEnumerator, WordRuntime)
-        assert issubclass(repro.DocumentStore, LocalStore)

@@ -34,11 +34,12 @@ from repro.automata.homogenize import homogenize
 from repro.circuits.build import build_assignment_circuit
 from repro.circuits.gates import BOTTOM, TOP, UnionGate
 from repro.circuits.semantics import captured_set
+from repro.enumeration import assignment_iter
 from repro.enumeration.assignment_iter import CircuitEnumerator
 from repro.enumeration.box_enum import indexed_box_enum, naive_box_enum
 from repro.enumeration.duplicate_free import enumerate_boxed_set
 from repro.enumeration.index import build_index, fbb_of_mask, fib_of_mask
-from repro.enumeration.relations import Relation, get_default_backend, iter_bits, set_default_backend
+from repro.enumeration.relations import Relation, iter_bits
 from repro.enumeration.simple import enumerate_with_duplicates
 from repro.trees.binary import BinaryTree
 
@@ -61,45 +62,32 @@ class TestRelation:
     def test_identity_and_pairs(self):
         rel = Relation.identity(3)
         assert rel.pairs() == {(0, 0), (1, 1), (2, 2)}
-        assert rel.lower_slots() == {0, 1, 2}
+        assert rel.lower_mask() == 0b111
         assert not rel.is_empty()
 
-    def test_compose_pairs_and_matrix_agree(self):
+    def test_compose_pairs_and_bitset_agree(self):
         first = Relation(3, 2, [(0, 0), (1, 1), (2, 1)], backend="pairs")
         second = Relation(2, 4, [(0, 3), (1, 0), (1, 2)], backend="pairs")
         composed = first.compose(second)
-        first_m = Relation(3, 2, [(0, 0), (1, 1), (2, 1)], backend="matrix")
-        second_m = Relation(2, 4, [(0, 3), (1, 0), (1, 2)], backend="matrix")
-        composed_m = first_m.compose(second_m)
-        assert composed.pairs() == composed_m.pairs()
-        assert composed == composed_m
+        first_b = Relation(3, 2, [(0, 0), (1, 1), (2, 1)], backend="bitset")
+        second_b = Relation(2, 4, [(0, 3), (1, 0), (1, 2)], backend="bitset")
+        composed_b = first_b.compose(second_b)
+        assert composed.pairs() == composed_b.pairs()
+        assert composed == composed_b
 
     def test_compose_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Relation(2, 2).compose(Relation(3, 3))
 
-    def test_uppers_by_lower_and_restrict(self):
+    def test_uppers_by_lower(self):
         rel = Relation(2, 3, [(0, 0), (0, 2), (1, 1)])
         assert rel.uppers_by_lower() == {0: {0, 2}, 1: {1}}
-        assert rel.restrict_upper([0]).pairs() == {(0, 0)}
-        assert rel.uppers_of(0) == {0, 2}
 
-    def test_matrix_roundtrip_and_empty(self):
-        rel = Relation(2, 2, [], backend="matrix")
+    @pytest.mark.parametrize("backend", ["pairs", "bitset"])
+    def test_empty(self, backend):
+        rel = Relation(2, 2, [], backend=backend)
         assert rel.is_empty() and not rel
-        rel2 = Relation.from_matrix(rel.matrix())
-        assert rel2.is_empty()
-
-    def test_default_backend_switch(self):
-        original = get_default_backend()
-        set_default_backend("matrix")
-        try:
-            rel = Relation(1, 1, [(0, 0)])
-            assert rel.backend == "matrix"
-        finally:
-            set_default_backend(original)
-        with pytest.raises(ValueError):
-            set_default_backend("nope")
+        assert rel.lower_mask() == 0
 
 
 # --------------------------------------------------------------------------- Algorithm 1
@@ -325,11 +313,32 @@ class TestCircuitEnumerator:
         assert len(produced) == len(set(produced))
         assert set(produced) == binary_satisfying_assignments(automaton, tree)
 
-    @pytest.mark.parametrize("backend", ["pairs", "matrix", "bitset"])
+    @pytest.mark.parametrize("backend", ["pairs", "bitset"])
     def test_relation_backends_agree(self, backend):
         automaton, tree, circuit = build_circuit(select_pair_ab, 7, tree_size=9)
         enumerator = CircuitEnumerator(circuit, relation_backend=backend)
         assert set(enumerator.assignments()) == binary_satisfying_assignments(automaton, tree)
+
+    @pytest.mark.parametrize("backend", [None, "bitset", "pairs"])
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_mask_path_iff_indexed_and_bitset(self, monkeypatch, use_index, backend):
+        """The mask-native path runs exactly when the indexed procedure runs
+        on the bitset backend (``None`` included); otherwise the generic
+        relation path does, with the same answers."""
+        mask_path = assignment_iter.enumerate_boxed_masks
+        calls = []
+
+        def spy(gates):
+            calls.append(gates)
+            return mask_path(gates)
+
+        monkeypatch.setattr(assignment_iter, "enumerate_boxed_masks", spy)
+        automaton, tree, circuit = build_circuit(select_pair_ab, 5, tree_size=8)
+        enumerator = CircuitEnumerator(circuit, use_index=use_index, relation_backend=backend)
+        produced = list(enumerator.assignments())
+        assert bool(calls) == (use_index and backend != "pairs")
+        assert len(produced) == len(set(produced))
+        assert set(produced) == binary_satisfying_assignments(automaton, tree)
 
     def test_empty_assignment_first(self):
         automaton = homogenize(subset_of_a_leaves())

@@ -7,16 +7,16 @@ two independent sources of truth:
 * the brute-force assignment-set oracle of :mod:`repro.automata.brute_force`,
   which mirrors Definition 3.3 and shares no code with the enumeration
   machinery, and
-* the agreement of the three relation backends (``pairs``, ``matrix``,
-  ``bitset``) with each other, before and after every edit of a random edit
-  sequence (the ``bitset`` backend takes the mask-native fast path, the other
-  two the generic relation-based path, so this is also a fast-vs-reference
+* the agreement of the two relation backends (``pairs``, ``bitset``) with
+  each other, before and after every edit of a random edit sequence (the
+  ``bitset`` backend takes the mask-native fast path, the ``pairs`` oracle
+  the generic relation-based path, so this is also a fast-vs-reference
   differential).
 
 Case accounting: ``TestEndToEndDifferential`` runs ``N_SCENARIOS`` random
 (tree, query, edit-sequence) scenarios with ``N_EDITS`` edits each, checking
-all three backends at every checkpoint — ``N_SCENARIOS × (N_EDITS + 1) × 3``
-randomized backend-checkpoint cases (288 with the defaults, ≥ 200 required).
+both backends at every checkpoint — ``N_SCENARIOS × (N_EDITS + 1) × 2``
+randomized backend-checkpoint cases (192 with the defaults).
 ``TestCircuitLevelDifferential`` adds circuit-level cases comparing the
 mask-native iterator against the generic path, provenance included.
 ``TestShardedDifferential`` pins the pipelined shard protocol (PR 5):
@@ -80,7 +80,7 @@ from repro.enumeration.relations import iter_bits
 from repro.trees.edits import random_edit_sequence
 from repro.trees.generators import random_tree
 
-BACKENDS = ("pairs", "matrix", "bitset", "numpy")
+BACKENDS = ("pairs", "bitset")
 LABELS = ("a", "b", "c")
 
 N_SCENARIOS = int(os.environ.get("REPRO_FUZZ_SCENARIOS", "24"))

@@ -61,7 +61,7 @@ def test_entries_served_from_the_table_equal_a_from_scratch_build():
     for box in served:
         shared = box.index
         try:
-            fresh = build_box_index(box, relation_backend=store.relation_backend)
+            fresh = build_box_index(box)
         finally:
             box.index = shared
         assert fresh is not shared and fresh.shape is not shared.shape

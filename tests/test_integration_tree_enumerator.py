@@ -28,7 +28,7 @@ from repro.core.baselines import (
     RelabelOnlyTreeEnumerator,
     make_enumerator,
 )
-from repro.core.enumerator import TreeEnumerator, TreeRuntime
+from repro.core.enumerator import TreeRuntime
 from repro.errors import StaleIteratorError, UnsupportedUpdateError
 from repro.trees.edits import Delete, Insert, InsertRight, Relabel, random_edit_sequence
 from repro.trees.generators import path_tree, random_tree, star_tree, xml_like_document
@@ -260,14 +260,3 @@ class TestRandomAutomataEndToEnd:
             enumerator.apply(edit)
             assert set(enumerator.assignments()) == unranked_satisfying_assignments(query, reference)
 
-
-class TestDeprecatedTreeEnumerator:
-    def test_tree_enumerator_shim_is_deprecated(self):
-        """The one sanctioned use of the legacy name: it must warn, and be
-        the same machinery as TreeRuntime."""
-        query = select_labeled("a", LABELS)
-        tree = random_tree(10, LABELS, seed=0)
-        with pytest.deprecated_call():
-            shim = TreeEnumerator(tree, query)
-        assert isinstance(shim, TreeRuntime)
-        check_against_oracle(shim, query, tree)

@@ -1,11 +1,17 @@
-"""Cross-backend equivalence of the relation backends (pairs/matrix/bitset).
+"""Cross-backend equivalence of the relation backends (pairs/bitset).
 
-The three backends of :class:`repro.enumeration.relations.Relation` must be
+The two backends of :class:`repro.enumeration.relations.Relation` must be
 observationally identical: same ``pairs()`` under every operation (creation,
-composition chains, restriction, projections), same equality/hash behaviour
-across backends, and — end to end — identical answer sets when driving the
-full enumeration pipeline.  These tests randomize over relations and over
-(automaton, tree) instances and compare every pair of backends.
+composition chains, projections), same equality/hash behaviour across
+backends, and — end to end — identical answer sets when driving the full
+enumeration pipeline.  These tests randomize over relations and over
+(automaton, tree) instances and compare the bitset runtime with the pairs
+oracle, and each of the two with relations modelled as plain Python sets of
+pairs (a third implementation, shared with neither backend).
+
+Backend selection is pinned too: every layer that takes ``relation_backend=``
+rejects a name outside ``VALID_BACKENDS`` with a :class:`BackendError`, and
+``None`` is the ``"bitset"`` runtime everywhere it is keyed on.
 """
 
 from __future__ import annotations
@@ -23,15 +29,20 @@ from helpers import (
 )
 from repro.automata.brute_force import binary_satisfying_assignments
 from repro.automata.homogenize import homogenize
-from repro.circuits.build import build_assignment_circuit
+from repro.automata.queries import select_labeled
+from repro.circuits.build import BuildCache, build_assignment_circuit
+from repro.core.enumerator import TreeRuntime, WordRuntime, compiled_automaton_for
 from repro.enumeration.assignment_iter import CircuitEnumerator
-from repro.enumeration.relations import (
-    Relation,
-    get_default_backend,
-    set_default_backend,
-)
+from repro.enumeration.index import _leaf_index, build_box_index, build_index
+from repro.enumeration.relations import VALID_BACKENDS, Relation, validate_backend
+from repro.errors import BackendError
+from repro.forest_algebra.maintenance import MaintainedTerm
+from repro.incremental.maintainer import IncrementalCircuitMaintainer
+from repro.spanners.spanner import Spanner
+from repro.trees.generators import tree_of_shape
+from repro.trees.unranked import UnrankedTree
 
-BACKENDS = ("pairs", "matrix", "bitset", "numpy")
+BACKENDS = ("pairs", "bitset")
 BACKEND_PAIRS = list(itertools.combinations(BACKENDS, 2))
 
 
@@ -42,6 +53,11 @@ def random_pairs(rng: random.Random, n_lower: int, n_upper: int, density: float)
         for upper in range(n_upper)
         if rng.random() < density
     ]
+
+
+def set_compose(first, second):
+    """The relational join ``{(a, c) | (a, b) ∈ first, (b, c) ∈ second}``."""
+    return {(a, c) for a, b in first for mid, c in second if mid == b}
 
 
 # --------------------------------------------------------------------------- unit equivalence
@@ -56,14 +72,11 @@ class TestRelationBackendEquivalence:
         rel_a = Relation(n_lower, n_upper, pairs, backend=first)
         rel_b = Relation(n_lower, n_upper, pairs, backend=second)
         assert rel_a.pairs() == rel_b.pairs()
-        assert rel_a.lower_slots() == rel_b.lower_slots()
-        assert rel_a.upper_slots() == rel_b.upper_slots()
         assert rel_a.lower_mask() == rel_b.lower_mask()
         assert rel_a.uppers_by_lower() == rel_b.uppers_by_lower()
+        assert rel_a.masks_view() == rel_b.masks_view()
         assert rel_a.is_empty() == rel_b.is_empty()
         assert len(rel_a) == len(rel_b)
-        for lower in range(n_lower):
-            assert rel_a.uppers_of(lower) == rel_b.uppers_of(lower)
         # cross-backend equality and hashing (satellite: cached canonical form)
         assert rel_a == rel_b
         assert hash(rel_a) == hash(rel_b)
@@ -92,7 +105,7 @@ class TestRelationBackendEquivalence:
             assert composed_a.pairs() == composed_b.pairs()
         assert composed_a == composed_b
 
-    @pytest.mark.parametrize("first,second", BACKEND_PAIRS)
+    @pytest.mark.parametrize("first,second", list(itertools.product(BACKENDS, repeat=2)))
     def test_mixed_backend_composition(self, first, second):
         a = Relation(3, 4, [(0, 1), (1, 2), (2, 3)], backend=first)
         b = Relation(4, 2, [(1, 0), (2, 1), (3, 0)], backend=second)
@@ -101,15 +114,8 @@ class TestRelationBackendEquivalence:
             Relation(4, 2, b.pairs(), backend="pairs")
         )
         assert mixed.pairs() == reference.pairs()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_restrict_upper_native(self, backend):
-        rel = Relation(3, 5, [(0, 0), (0, 4), (1, 2), (2, 3)], backend=backend)
-        restricted = rel.restrict_upper([0, 2, 3])
-        assert restricted.backend in BACKENDS
-        assert restricted.pairs() == {(0, 0), (1, 2), (2, 3)}
-        assert restricted.n_lower == 3 and restricted.n_upper == 5
-        assert rel.restrict_upper([]).is_empty()
+        # a composition with a bitset operand is a bitset relation
+        assert mixed.backend == ("pairs" if first == second == "pairs" else "bitset")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_identity_and_from_masks_roundtrip(self, backend):
@@ -117,12 +123,112 @@ class TestRelationBackendEquivalence:
         assert ident.pairs() == {(i, i) for i in range(4)}
         rel = Relation.from_masks(3, 4, [0b1010, 0, 0b0001], backend=backend)
         assert rel.pairs() == {(0, 1), (0, 3), (2, 0)}
-        assert rel.masks() == [0b1010, 0, 0b0001]
+        assert rel.masks_view() == [0b1010, 0, 0b0001]
 
     def test_eq_short_circuits_on_dimensions(self):
         assert Relation(2, 3, [(0, 0)]) != Relation(3, 2, [(0, 0)])
         assert Relation(2, 3, [(0, 0)]) != Relation(2, 4, [(0, 0)])
         assert Relation(2, 3, []) != object()
+
+
+# --------------------------------------------------------------------------- set semantics
+class TestRelationSetSemantics:
+    """Each backend against relations modelled as plain sets of pairs.
+
+    With two backends a cross-backend comparison alone cannot tell which side
+    is wrong; the set model is shared with neither, so the bitset runtime and
+    the pairs oracle are each held to it directly.
+    """
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_observables_match_set_semantics(self, seed, backend):
+        rng = random.Random(2000 + seed)
+        n_lower = rng.randint(1, 9)
+        n_upper = rng.randint(1, 9)
+        pairs = set(random_pairs(rng, n_lower, n_upper, 0.35))
+        rel = Relation(n_lower, n_upper, pairs, backend=backend)
+        uppers = {lower: {u for l, u in pairs if l == lower} for lower, _ in pairs}
+        assert rel.pairs() == pairs
+        assert len(rel) == len(pairs)
+        assert rel.is_empty() == (not pairs) == (not rel)
+        assert rel.lower_mask() == sum(1 << lower for lower in uppers)
+        assert rel.uppers_by_lower() == uppers
+        assert rel.masks_view() == [
+            sum(1 << upper for upper in uppers.get(lower, ())) for lower in range(n_lower)
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_composition_chains_match_set_semantics(self, seed, backend):
+        rng = random.Random(3000 + seed)
+        dims = [rng.randint(1, 7) for _ in range(5)]
+        layers = [set(random_pairs(rng, dims[i], dims[i + 1], 0.4)) for i in range(4)]
+        composed = Relation(dims[0], dims[1], layers[0], backend=backend)
+        expected = layers[0]
+        for i in range(1, 4):
+            composed = composed.compose(Relation(dims[i], dims[i + 1], layers[i], backend=backend))
+            expected = set_compose(expected, layers[i])
+            assert (composed.n_lower, composed.n_upper) == (dims[0], dims[i + 1])
+            assert composed.pairs() == expected
+        assert composed.backend == backend
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_composition_is_associative(self, seed, backend):
+        rng = random.Random(4000 + seed)
+        dims = [rng.randint(1, 8) for _ in range(4)]
+        a, b, c = (
+            Relation(dims[i], dims[i + 1], random_pairs(rng, dims[i], dims[i + 1], 0.3), backend=backend)
+            for i in range(3)
+        )
+        left = a.compose(b).compose(c)
+        right = a.compose(b.compose(c))
+        assert left == right
+        assert left.pairs() == set_compose(set_compose(a.pairs(), b.pairs()), c.pairs())
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_identity_is_neutral_for_composition(self, seed, backend):
+        rng = random.Random(5000 + seed)
+        n_lower = rng.randint(1, 9)
+        n_upper = rng.randint(1, 9)
+        rel = Relation(n_lower, n_upper, random_pairs(rng, n_lower, n_upper, 0.35), backend=backend)
+        through_lower = Relation.identity(n_lower, backend=backend).compose(rel)
+        through_upper = rel.compose(Relation.identity(n_upper, backend=backend))
+        assert through_lower.pairs() == through_upper.pairs() == rel.pairs()
+        assert through_lower == rel == through_upper
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_from_masks_matches_the_pair_constructor(self, seed, backend):
+        rng = random.Random(6000 + seed)
+        n_lower = rng.randint(1, 9)
+        n_upper = rng.randint(1, 9)
+        masks = [rng.getrandbits(n_upper) for _ in range(n_lower)]
+        expected = {
+            (lower, upper)
+            for lower, mask in enumerate(masks)
+            for upper in range(n_upper)
+            if mask >> upper & 1
+        }
+        rel = Relation.from_masks(n_lower, n_upper, masks, backend=backend)
+        by_pairs = Relation(n_lower, n_upper, expected, backend=backend)
+        assert rel.backend == backend
+        assert rel.pairs() == expected
+        assert rel.masks_view() == masks
+        assert rel == by_pairs and hash(rel) == hash(by_pairs)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zero_width_relations(self, backend):
+        no_lower = Relation(0, 3, backend=backend)
+        no_upper = Relation(3, 0, backend=backend)
+        assert no_lower.is_empty() and no_upper.is_empty()
+        assert no_lower.masks_view() == [] and no_upper.masks_view() == [0, 0, 0]
+        assert Relation.identity(0, backend=backend).pairs() == frozenset()
+        through_nothing = no_upper.compose(Relation(0, 2, backend=backend))
+        assert (through_nothing.n_lower, through_nothing.n_upper) == (3, 2)
+        assert through_nothing.is_empty() and through_nothing.lower_mask() == 0
 
 
 # --------------------------------------------------------------------------- end-to-end equivalence
@@ -154,20 +260,9 @@ class TestEndToEndBackendEquivalence:
             produced = _answers(lambda: build_assignment_circuit(tree, automaton), backend)
             assert produced == expected
 
-    def test_default_backend_selection_round_trip(self):
-        original = get_default_backend()
-        try:
-            for backend in BACKENDS:
-                set_default_backend(backend)
-                assert get_default_backend() == backend
-                assert Relation(1, 1, [(0, 0)]).backend == backend
-        finally:
-            set_default_backend(original)
-        with pytest.raises(ValueError):
-            set_default_backend("nope")
-
     def test_default_is_bitset(self):
-        assert get_default_backend() == "bitset"
+        assert Relation(1, 1, [(0, 0)]).backend == "bitset"
+        assert Relation.identity(2).backend == "bitset"
 
     def test_hand_built_boxes_record_wiring_and_index_correctly(self):
         """The non-plan construction path (Box.add_* API) stays equivalent.
@@ -225,35 +320,112 @@ class TestEndToEndBackendEquivalence:
             assert list(box_ref.index.ends) == list(box.index.ends)
 
 
+def _small_tree():
+    return UnrankedTree.from_nested(("a", ["b", ("a", ["b"])]))
+
+
+def _small_circuit():
+    return build_assignment_circuit(random_binary_tree(0, 3), homogenize(select_pair_ab()))
+
+
+#: every layer that takes ``relation_backend=``, called with a backend name
+BACKEND_LAYERS = {
+    "tree-runtime": lambda backend: TreeRuntime(
+        _small_tree(), select_labeled("a", ("a", "b")), relation_backend=backend
+    ),
+    "word-runtime": lambda backend: WordRuntime(
+        list("ab"), Spanner("x{a}b", "ab").wva, relation_backend=backend
+    ),
+    "spanner-enumerator": lambda backend: Spanner("x{a}b", "ab").enumerator(
+        list("ab"), relation_backend=backend
+    ),
+    "circuit-enumerator": lambda backend: CircuitEnumerator(
+        _small_circuit(), relation_backend=backend
+    ),
+    "maintainer": lambda backend: IncrementalCircuitMaintainer(
+        MaintainedTerm(_small_tree()),
+        compiled_automaton_for(select_labeled("a", ("a", "b"))),
+        relation_backend=backend,
+    ),
+    "build-index": lambda backend: build_index(_small_circuit(), relation_backend=backend),
+}
+
+
 class TestBackendValidation:
     """Typos in backend names must fail fast with a helpful message."""
 
-    def test_set_default_backend_lists_backends_and_suggests(self):
-        with pytest.raises(ValueError) as excinfo:
-            set_default_backend("bitsets")
+    @pytest.mark.parametrize("name", ["bitsets", "matrix", "numpy"])
+    def test_unknown_backend_lists_backends_and_suggests(self, name):
+        with pytest.raises(BackendError) as excinfo:
+            validate_backend(name)
         message = str(excinfo.value)
-        for name in ("'pairs'", "'matrix'", "'bitset'"):
-            assert name in message
-        assert "did you mean 'bitset'?" in message
+        listed = message.split("valid backends are ", 1)[1].split(" (did you mean", 1)[0]
+        assert listed == "'pairs', 'bitset'"
+        assert ("did you mean 'bitset'?" in message) == (name == "bitsets")
 
     def test_relation_constructor_validates(self):
-        with pytest.raises(ValueError, match="did you mean 'matrix'"):
-            Relation(2, 2, backend="matrx")
+        with pytest.raises(ValueError, match="did you mean 'pairs'"):
+            Relation(2, 2, backend="pair")
 
-    def test_enumerator_keyword_fails_fast(self):
-        from repro.core.enumerator import TreeRuntime
-        from repro.automata.queries import select_labeled
-        from repro.trees.unranked import UnrankedTree
-
-        tree = UnrankedTree.from_nested(("a", ["b"]))
-        with pytest.raises(ValueError, match="valid backends are"):
-            TreeRuntime(tree, select_labeled("a", ("a", "b")), relation_backend="biset")
+    @pytest.mark.parametrize("name", ["biset", "matrix", "numpy"])
+    @pytest.mark.parametrize("layer", sorted(BACKEND_LAYERS))
+    def test_enumerator_keyword_fails_fast(self, layer, name):
+        with pytest.raises(BackendError, match="valid backends are 'pairs', 'bitset'"):
+            BACKEND_LAYERS[layer](name)
 
     def test_valid_backends_accepted(self):
-        original = get_default_backend()
+        assert VALID_BACKENDS == BACKENDS
+        for backend in BACKENDS:
+            assert validate_backend(backend) == backend
+            assert Relation(1, 1, [(0, 0)], backend=backend).backend == backend
+
+
+class TestNoneMeansBitset:
+    """``relation_backend=None`` is the ``"bitset"`` runtime at every layer."""
+
+    def test_relation_constructors(self):
+        assert Relation.from_masks(2, 2, [0b01, 0b10]).backend == "bitset"
+        assert Relation.identity(3) is Relation.identity(3, backend="bitset")
+        assert Relation.identity(3, backend="pairs") is not Relation.identity(3)
+
+    def test_leaf_indexes_are_shared_with_bitset(self):
+        assert _leaf_index(3, None) is _leaf_index(3, "bitset")
+        assert _leaf_index(3, "pairs") is not _leaf_index(3, None)
+
+    def test_index_relations_are_bitset(self):
+        circuit = _small_circuit()
+        build_index(circuit, relation_backend=None)
+        backends = {rel.backend for box in circuit.boxes() for rel in box.index.relations}
+        assert backends == {"bitset"}
+
+    def test_subtree_cache_keys_meet(self):
+        """A ``None`` build and a ``"bitset"`` build share cached subtrees;
+        a ``"pairs"`` build shares none of them."""
+        tree = tree_of_shape("random", 40, ("a", "b", "c"), 2)
+        query = select_labeled("a", ("a", "b", "c"))
+        cache = BuildCache()
+        TreeRuntime(tree, query, relation_backend=None, build_cache=cache)
+        built = cache.misses
+        assert built > 0 and cache.hits == 0
+        TreeRuntime(tree, query, relation_backend="bitset", build_cache=cache)
+        assert (cache.hits, cache.misses) == (built, built)
+        TreeRuntime(tree, query, relation_backend="pairs", build_cache=cache)
+        assert (cache.hits, cache.misses) == (built, 2 * built)
+
+    def test_index_shape_keys_meet(self):
+        tree = tree_of_shape("random", 40, ("a", "b", "c"), 2)
+        runtime = TreeRuntime(tree, select_labeled("a", ("a", "b", "c")))
+        box = next(
+            box
+            for box in runtime.maintainer.root_box.subtree_boxes()
+            if not box.is_leaf_box() and box.wire_plan is not None
+        )
+        shared = box.index
+        shapes = BuildCache()
         try:
-            for backend in BACKENDS:
-                set_default_backend(backend)
-                assert get_default_backend() == backend
+            first = build_box_index(box, relation_backend=None, shapes=shapes)
+            second = build_box_index(box, relation_backend="bitset", shapes=shapes)
         finally:
-            set_default_backend(original)
+            box.index = shared
+        assert (shapes.shape_hits, shapes.shape_misses) == (1, 1)
+        assert second.shape is first.shape

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.serving` — catalog persistence, stores, cursors.
+"""Tests for the serving layer — catalog persistence, stores, cursors.
 
 The acceptance-critical properties pinned here:
 
@@ -6,7 +6,7 @@ The acceptance-critical properties pinned here:
   process** (a spawned subprocess) and enumerates byte-identical answers to
   an in-process compile;
 * answers from a freshly loaded compiled query equal a from-scratch compile
-  on **all three relation backends** (differential);
+  on **both relation backends** (differential);
 * cursor semantics: pagination is duplicate-free across pages, a cursor
   **resumes** after edits whose trunk is disjoint from the cursor's, and an
   edit hitting the cursor's trunk **deterministically** invalidates it with
@@ -26,9 +26,9 @@ from repro.automata.queries import select_descendant_pairs, select_labeled
 from repro.automata.serialize import query_digest
 from repro.core.enumerator import TreeRuntime, WordRuntime, _COMPILED_QUERIES
 from repro.errors import CatalogError, CursorInvalidatedError, ServingError
+from repro.engine.catalog import QueryCatalog
+from repro.engine.codec import compiled_query_from_json
 from repro.engine.local import LocalStore
-from repro.serving import DocumentStore, QueryCatalog
-from repro.serving.codec import compiled_query_from_json
 from repro.spanners.compile import regex_to_wva
 from repro.trees.edits import Relabel
 from repro.trees.generators import tree_of_shape
@@ -120,7 +120,7 @@ class TestQueryCatalog:
         for digest in catalog.digests():
             catalog.load(digest)  # every listed digest is loadable
 
-    @pytest.mark.parametrize("backend", ["pairs", "matrix", "bitset"])
+    @pytest.mark.parametrize("backend", ["pairs", "bitset"])
     def test_loaded_query_differential_across_backends(self, tmp_path, backend):
         """Loaded compiled query == from-scratch compile, on every backend."""
         query = select_descendant_pairs(LABELS)
@@ -150,7 +150,7 @@ class TestQueryCatalog:
         child_source = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
-from repro.serving import QueryCatalog
+from repro.engine.catalog import QueryCatalog
 from repro.forest_algebra.maintenance import MaintainedTerm
 from repro.incremental.maintainer import IncrementalCircuitMaintainer
 from repro.trees.generators import tree_of_shape
@@ -242,9 +242,14 @@ class TestLocalStore:
         with pytest.raises(ServingError, match="already in use"):
             store.add_tree(tree_of_shape("random", 30, LABELS, 2), query, doc_id="x")
 
-    def test_backend_typo_fails_fast(self):
-        with pytest.raises(ValueError, match="did you mean 'bitset'"):
-            LocalStore(relation_backend="bitsets")
+    @pytest.mark.parametrize("name", ["bitsets", "matrix", "numpy"])
+    def test_backend_typo_fails_fast(self, name):
+        with pytest.raises(ValueError, match="valid backends are 'pairs', 'bitset'"):
+            TreeRuntime(tree_of_shape("random", 10, LABELS, 1), select_labeled("a", LABELS),
+                        relation_backend=name)
+        # the store serves the bitset runtime only: it takes no backend
+        with pytest.raises(TypeError):
+            LocalStore(relation_backend=name)
 
     def test_failed_batch_still_invalidates_cursors(self):
         """An exception mid-batch must not leave cursors serving stale pages:
@@ -469,18 +474,3 @@ class TestCursors:
         assert sorted(map(sorted, got)) == expected
         assert len(got) == len(set(got))
 
-
-# =========================================================================== shims
-class TestDeprecatedStoreShim:
-    def test_document_store_shim_is_deprecated(self):
-        """The one sanctioned use of the legacy store name: it must warn and
-        behave exactly like LocalStore."""
-        with pytest.deprecated_call():
-            store = DocumentStore()
-        assert isinstance(store, LocalStore)
-        doc = store.add_tree(
-            tree_of_shape("random", 30, LABELS, 1), select_labeled("a", LABELS)
-        )
-        assert doc.count() == sum(
-            1 for n in doc.enumerator.tree.nodes() if n.label == "a"
-        )

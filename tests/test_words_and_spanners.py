@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.wva import WVA
-from repro.core.enumerator import WordEnumerator, WordRuntime
+from repro.core.enumerator import WordRuntime
 from repro.errors import InvalidAutomatonError, InvalidEditError, RegexSyntaxError
 from repro.spanners.compile import regex_to_wva
 from repro.spanners.regex import parse_regex
@@ -131,10 +131,7 @@ class TestSpanner:
     def test_enumerator_agrees_with_oracle(self):
         spanner = Spanner(".* x{a+} .*", ("a", "b"))
         document = list("abaab")
-        # Spanner.enumerator is the deprecated entry point (Engine.add_word
-        # is the replacement); this is its one sanctioned, warning-checked use.
-        with pytest.deprecated_call():
-            enumerator = spanner.enumerator(document)
+        enumerator = spanner.enumerator(document)
         expected = spanner.matches(document)
         produced = set(enumerator.assignments_by_index())
         assert produced == expected
@@ -220,11 +217,3 @@ class TestWordRuntime:
         automaton = simple_wva()
         enumerator = WordRuntime(word, automaton)
         assert set(enumerator.assignments_by_index()) == automaton.satisfying_assignments(word)
-
-    def test_word_enumerator_shim_is_deprecated(self):
-        """The one sanctioned use of the legacy name: it must warn, and be
-        the same machinery as WordRuntime."""
-        with pytest.deprecated_call():
-            shim = WordEnumerator(list("aba"), simple_wva())
-        assert isinstance(shim, WordRuntime)
-        assert shim.count() == 2
