@@ -6,6 +6,9 @@
   order itself: each answer is canonicalized as a sorted tuple (so the digest
   does not depend on ``PYTHONHASHSEED``), the sequence is hashed, and the
   values were recorded with the tuple-and-dict index this layout replaced.
+  The word digests pin the order of spanner answers on a word under text
+  edits; they were recorded while words still had a term maintainer of
+  their own, before they became forests of one-node trees.
 * Heap shape.  The index tables are flat integer containers the cyclic GC
   does not track, and a built document stays a few dozen tracked objects per
   tree node.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 
 import pytest
 
@@ -37,6 +41,18 @@ PINNED_ORDER = {
     "nondet-6": (
         "6b5de63c43f944e2b8244592a4078f3b832ba225d68c46fc554c7b6e1bd173cb",
         "81d4d2004225b60b6b18675571b77c6a0dacfce3b087068390ab6a5dc1f6bfca",
+    ),
+}
+
+#: (before the edit script, after it) per spanner on a seeded 400-letter word
+PINNED_WORD_ORDER = {
+    ".*x{a+}b.*": (
+        "e1750eecbe9bdf93851a607b4c1a6cb62f579e5568baa48331d520f68e1af80b",
+        "f3f96b06bf412cdfb1585aba7f4fa87288c7baffeaf7b7d28985b94b70e14254",
+    ),
+    ".*x{ab}.*y{c+}a.*": (
+        "6cec26ae6732d0c6ccf475a6d4110f3bda9907e92cd472083218de26ebdd273e",
+        "d1470ca5cf9459f460978fc977a9f47e3b2e548d06d46599c1848ed6e15590f2",
     ),
 }
 
@@ -69,6 +85,51 @@ def _before_and_after(name: str):
 def test_answer_order_is_pinned(name):
     before, after = _before_and_after(name)
     assert (_order_digest(before), _order_digest(after)) == PINNED_ORDER[name]
+
+
+def _word_before_and_after(pattern: str):
+    """Answers before and after 200 text edits, and the largest rebuild.
+
+    The script mixes replace, insert_after and delete at random positions,
+    inserts at the front once, and appends 30 letters after the last
+    position in a row, which drives the term over its height budget.
+    """
+    rng = random.Random(41)
+    word = [rng.choice("abc") for _ in range(400)]
+    with Engine() as engine:
+        doc = engine.add_word(word, pattern, alphabet="abc")
+        before = doc.answers()
+        ids = list(range(len(word)))  # mirror of the position ids, left to right
+        largest_rebuild = 0
+        for step in range(200):
+            if step == 20:
+                edit = ("insert_after", None, rng.choice("abc"))
+            elif 60 <= step < 90:
+                edit = ("insert_after", ids[-1], rng.choice("abc"))
+            else:
+                op = rng.choice(("replace", "insert_after", "delete"))
+                if op == "replace":
+                    edit = ("replace", rng.choice(ids), rng.choice("abc"))
+                elif op == "insert_after":
+                    edit = ("insert_after", rng.choice([None] + ids), rng.choice("abc"))
+                else:
+                    edit = ("delete", rng.choice(ids))
+            stats = doc.apply_edits([edit]).stats[0]
+            largest_rebuild = max(largest_rebuild, stats.rebuilt_subterm_size)
+            if edit[0] == "insert_after":
+                at = 0 if edit[1] is None else ids.index(edit[1]) + 1
+                ids.insert(at, stats.new_position_id)
+            elif edit[0] == "delete":
+                ids.remove(edit[1])
+        assert ids == doc.runtime.position_ids()
+        return before, doc.answers(), largest_rebuild
+
+
+@pytest.mark.parametrize("pattern", sorted(PINNED_WORD_ORDER))
+def test_word_answer_order_is_pinned(pattern):
+    before, after, largest_rebuild = _word_before_and_after(pattern)
+    assert largest_rebuild > 0  # the appends forced a scapegoat rebuild
+    assert (_order_digest(before), _order_digest(after)) == PINNED_WORD_ORDER[pattern]
 
 
 def test_wide_ordinal_tables_enumerate_identically(monkeypatch):
