@@ -1,6 +1,7 @@
 """Shared configuration for the benchmark suite.
 
-Each benchmark module reproduces one experiment of DESIGN.md §4 (E1–E11): it
+Each benchmark module reproduces one experiment (E1–E11, each named in its
+module docstring with the paper result it checks): it
 sweeps the relevant parameter, prints a table of the measured shape via
 :func:`repro.bench.reporting.record_experiment` (persisted as JSON under
 ``benchmarks/results/``), and registers one representative timing with

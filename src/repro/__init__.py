@@ -2,8 +2,8 @@
 
 A from-scratch Python reproduction of Amarilli, Bourhis, Mengel and Niewerth,
 *Enumeration on Trees with Tractable Combined Complexity and Efficient
-Updates* (PODS 2019).  See README.md for a tour and DESIGN.md for the mapping
-between the paper and the modules.
+Updates* (PODS 2019).  See README.md for a tour; its "Repository layout"
+section maps the paper's results to the modules.
 
 The front door is the unified engine API (``from repro import Engine``):
 

@@ -1,7 +1,7 @@
 """A library of ready-made queries as unranked tree variable automata.
 
 Corollary 8.2 assumes the MSO query is given as a tree automaton (compiling
-arbitrary MSO is nonelementary and out of scope — see DESIGN.md §3).  This
+arbitrary MSO to automata is nonelementary and out of scope here).  This
 module provides hand-built stepwise TVAs for the query shapes used throughout
 the examples, tests and benchmarks:
 

@@ -154,8 +154,9 @@ def translate_unranked_tva(automaton: UnrankedTVA, trim: bool = True) -> BinaryT
 def translate_wva(automaton: WVA, trim: bool = True) -> BinaryTVA:
     """Translate a WVA into a binary TVA on word terms (Corollary 8.4).
 
-    Words are encoded as balanced ⊕HH-terms over one ``("t", a)`` leaf per
-    position (:func:`repro.forest_algebra.encoder.encode_word`), so only the
+    A word is a forest of one-node trees, encoded as a balanced ⊕HH-term
+    over one ``("t", a)`` leaf per position
+    (:func:`repro.forest_algebra.encoder.encode_fragment`), so only the
     forest half of the transition algebra is needed: the translated automaton
     has ``O(|Q|²)`` states and ``O(|Q|³)`` transitions, as in the corollary.
     """

@@ -1,4 +1,4 @@
-"""Measurement helpers used by the benchmarks and EXPERIMENTS.md generation."""
+"""Measurement helpers used by the benchmarks."""
 
 from __future__ import annotations
 

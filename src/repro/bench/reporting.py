@@ -1,9 +1,9 @@
 """Plain-text reporting of benchmark results.
 
 The benchmarks print small tables mirroring the paper's claims (one per
-experiment of DESIGN.md §4) so that a run of ``pytest benchmarks/
---benchmark-only`` leaves a readable record in ``bench_output.txt``, which
-EXPERIMENTS.md then references.
+experiment E1–E11; each ``benchmarks/bench_*.py`` docstring names the result
+it checks) so that a run of ``pytest benchmarks/ --benchmark-only -s``
+prints a readable record next to the JSON it persists.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def record_experiment(
     """Print an experiment table and persist it as JSON next to the benchmarks.
 
     Returns the formatted table (so the caller can also assert on it).  The
-    JSON files under ``benchmarks/results/`` are what EXPERIMENTS.md points
-    at for the exact numbers of the recorded run.
+    JSON files under ``benchmarks/results/`` hold the exact numbers of the
+    recorded run.
     """
     table = format_table(f"[{experiment_id}] {title}", headers, rows)
     print("\n" + table)

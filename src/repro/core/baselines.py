@@ -87,7 +87,7 @@ class RecomputeTreeEnumerator:
         self.query = query
         self.relation_backend = relation_backend
         self.tree = tree.copy()
-        self._inner = TreeRuntime(self.tree, query, relation_backend=relation_backend, copy_tree=True)
+        self._inner = TreeRuntime(self.tree, query, relation_backend=relation_backend)
 
     def assignments(self) -> Iterator[Assignment]:
         """Enumerate answers (same guarantees as the static Theorem 6.5 pipeline)."""
@@ -109,9 +109,7 @@ class RecomputeTreeEnumerator:
         """Apply an edit by rebuilding the whole enumeration structure."""
         start = time.perf_counter()
         edit.apply_to_tree(self.tree)
-        self._inner = TreeRuntime(
-            self.tree, self.query, relation_backend=self.relation_backend, copy_tree=True
-        )
+        self._inner = TreeRuntime(self.tree, self.query, relation_backend=self.relation_backend)
         return UpdateStats(
             trunk_size=self.tree.size(),
             rebuilt_subterm_size=self.tree.size(),
@@ -147,7 +145,7 @@ class RelabelOnlyTreeEnumerator:
         #: if True, structural updates fall back to a full rebuild instead of failing
         self.fallback = fallback
         self.tree = tree.copy()
-        self._inner = TreeRuntime(self.tree, query, relation_backend=relation_backend, copy_tree=True)
+        self._inner = TreeRuntime(self.tree, query, relation_backend=relation_backend)
 
     def assignments(self) -> Iterator[Assignment]:
         return self._inner.assignments()
@@ -176,9 +174,7 @@ class RelabelOnlyTreeEnumerator:
             )
         start = time.perf_counter()
         edit.apply_to_tree(self.tree)
-        self._inner = TreeRuntime(
-            self.tree, self.query, relation_backend=self.relation_backend, copy_tree=True
-        )
+        self._inner = TreeRuntime(self.tree, self.query, relation_backend=self.relation_backend)
         return UpdateStats(
             trunk_size=self.tree.size(),
             rebuilt_subterm_size=self.tree.size(),

@@ -18,7 +18,11 @@ automaton, it
 Theorem 8.5), used for document spanners: the query is a word variable
 automaton (for instance compiled from a regex with capture variables by
 :mod:`repro.spanners`), answers bind variables to word positions, and the
-supported updates are character insertion, deletion and replacement.
+supported updates are character insertion, deletion and replacement.  A
+word is a forest of one-node trees, so it runs on the same
+:class:`~repro.forest_algebra.maintenance.MaintainedTerm` and the same
+runtime body as a tree: the two classes differ only in construction, views
+and how their edit verbs map onto the term.
 
 The runtimes are the building blocks of the public :class:`repro.Engine`
 (one maintained document each).  ``relation_backend=`` selects the relation
@@ -43,7 +47,7 @@ ever built when a caller asks for them through
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.assignments import Assignment, valuation_from_assignment
 from repro.automata.homogenize import homogenize
@@ -52,13 +56,12 @@ from repro.automata.unranked_tva import UnrankedTVA
 from repro.automata.wva import WVA
 from repro.core.results import EnumeratorStats, UpdateStats, assignment_to_tuple
 from repro.circuits.dnnf import circuit_stats
-from repro.enumeration.assignment_iter import CircuitEnumerator
 from repro.errors import InvalidEditError, StaleIteratorError
-from repro.forest_algebra.maintenance import MaintainedTerm
-from repro.forest_algebra.word_maintenance import MaintainedWordTerm
+from repro.forest_algebra.maintenance import MaintainedTerm, UpdateReport
+from repro.forest_algebra.terms import DecodedNode, term_leaves
 from repro.incremental.maintainer import IncrementalCircuitMaintainer
 from repro.trees.edits import Delete, EditOperation, Insert, InsertRight, Relabel
-from repro.trees.unranked import UnrankedNode, UnrankedTree
+from repro.trees.unranked import UnrankedTree
 
 __all__ = [
     "TreeRuntime",
@@ -159,25 +162,21 @@ def seed_compiled_query(query, automaton) -> None:
         pass
 
 
-class TreeRuntime:
-    """Enumerate the answers of an unranked TVA on an unranked tree, under updates."""
+class _Runtime:
+    """One maintained document: balanced term, incremental circuit, enumeration.
 
-    def __init__(
-        self,
-        tree: UnrankedTree,
-        query: UnrankedTVA,
-        relation_backend: Optional[str] = None,
-        copy_tree: bool = True,
-        build_cache=None,
-    ):
-        start = time.perf_counter()
+    The subclasses build the term and map their edit verbs onto it.  The rest
+    is defined here once: the compiled query (:func:`compiled_automaton_for`
+    picks Lemma 7.4 or Theorem 8.5 from the query's type), enumeration with
+    the stale-iterator check, counting, statistics and the update step.
+    """
+
+    def __init__(self, query, term: MaintainedTerm, start: float, relation_backend, build_cache):
         self.query = query
-        #: reference copy of the tree, kept in sync with the index structures
-        self.tree = tree.copy() if copy_tree else tree
-        self.binary_automaton = _binary_automaton_for(query, translate_unranked_tva)
-        self.term = MaintainedTerm(self.tree)
+        self.binary_automaton = compiled_automaton_for(query)
+        self.term = term
         self.maintainer = IncrementalCircuitMaintainer(
-            self.term,
+            term,
             self.binary_automaton,
             relation_backend=relation_backend,
             build_cache=build_cache,
@@ -190,7 +189,7 @@ class TreeRuntime:
         """Preprocessing statistics (sizes, width, wall-clock time)."""
         stats = circuit_stats(self.maintainer.circuit())
         return EnumeratorStats(
-            tree_size=self.tree.size(),
+            tree_size=self.term.size(),
             term_size=self.term.size(),
             term_height=self.term.height(),
             automaton_states=len(self.binary_automaton.states),
@@ -216,7 +215,7 @@ class TreeRuntime:
         def iterate() -> Iterator[Assignment]:
             for assignment in enumerator.assignments():
                 if self._version != version:
-                    raise StaleIteratorError("the tree was updated; restart the enumeration")
+                    raise StaleIteratorError("the document was updated; restart the enumeration")
                 yield assignment
 
         return iterate()
@@ -233,6 +232,55 @@ class TreeRuntime:
         """
         self._version += 1
 
+    def count(self, limit: Optional[int] = None) -> int:
+        """Count the answers by enumerating them (early stop at ``limit``)."""
+        total = 0
+        for _ in self.assignments():
+            total += 1
+            if limit is not None and total >= limit:
+                break
+        return total
+
+    def delay_probe(self, max_answers: Optional[int] = None) -> List[float]:
+        """Wall-clock delays before each answer (for the delay experiments)."""
+        return self.maintainer.enumerator().delay_probe(max_answers=max_answers)
+
+    # ------------------------------------------------------------------ updates
+    def _update(
+        self,
+        report: UpdateReport,
+        start: float,
+        new_node_id: Optional[int] = None,
+        new_position_id: Optional[int] = None,
+    ) -> UpdateStats:
+        """Rebuild the trunk an edit of the term reported (Lemma 7.3)."""
+        trunk = self.maintainer.apply_report(report)
+        self._version += 1
+        return UpdateStats(
+            trunk_size=trunk,
+            rebuilt_subterm_size=report.rebuilt_subterm_size,
+            seconds=time.perf_counter() - start,
+            new_node_id=new_node_id,
+            new_position_id=new_position_id,
+        )
+
+
+class TreeRuntime(_Runtime):
+    """Enumerate the answers of an unranked TVA on an unranked tree, under updates."""
+
+    def __init__(
+        self,
+        tree: UnrankedTree,
+        query: UnrankedTVA,
+        relation_backend: Optional[str] = None,
+        build_cache=None,
+    ):
+        start = time.perf_counter()
+        #: reference copy of the tree, kept in sync with the index structures
+        self.tree = tree.copy()
+        super().__init__(query, MaintainedTerm(self.tree), start, relation_backend, build_cache)
+
+    # ------------------------------------------------------------------ views
     def valuations(self) -> Iterator[Dict[int, FrozenSet[object]]]:
         """Enumerate answers as valuations (node id → set of variables)."""
         for assignment in self.assignments():
@@ -244,15 +292,6 @@ class TreeRuntime:
         for assignment in self.assignments():
             yield assignment_to_tuple(assignment, order)
 
-    def count(self, limit: Optional[int] = None) -> int:
-        """Count the answers by enumerating them (early stop at ``limit``)."""
-        total = 0
-        for _ in self.assignments():
-            total += 1
-            if limit is not None and total >= limit:
-                break
-        return total
-
     def first(self, k: int) -> List[Assignment]:
         """The first ``k`` answers."""
         result: List[Assignment] = []
@@ -262,31 +301,14 @@ class TreeRuntime:
                 break
         return result
 
-    def delay_probe(self, max_answers: Optional[int] = None) -> List[float]:
-        """Wall-clock delays before each answer (for the delay experiments)."""
-        return self.maintainer.enumerator().delay_probe(max_answers=max_answers)
-
     # ------------------------------------------------------------------ updates
-    def _apply_term_update(self, edit: EditOperation, new_node: Optional[UnrankedNode]) -> UpdateStats:
-        start = time.perf_counter()
-        new_id = new_node.node_id if new_node is not None else None
-        if isinstance(edit, (Insert, InsertRight)):
-            report = self.term.apply_edit(edit, new_node_id=new_id)
-        else:
-            report = self.term.apply_edit(edit)
-        trunk = self.maintainer.apply_report(report)
-        self._version += 1
-        return UpdateStats(
-            trunk_size=trunk,
-            rebuilt_subterm_size=report.rebuilt_subterm_size,
-            seconds=time.perf_counter() - start,
-            new_node_id=new_id,
-        )
-
     def apply(self, edit: EditOperation) -> UpdateStats:
         """Apply one edit operation of Definition 7.1 to the tree."""
         new_node = edit.apply_to_tree(self.tree)
-        return self._apply_term_update(edit, new_node if isinstance(edit, (Insert, InsertRight)) else None)
+        start = time.perf_counter()
+        new_id = new_node.node_id if isinstance(edit, (Insert, InsertRight)) else None
+        report = self.term.apply_edit(edit, new_node_id=new_id)
+        return self._update(report, start, new_node_id=new_id)
 
     def relabel(self, node_id: int, label: object) -> UpdateStats:
         """``relabel(n, l)``."""
@@ -305,8 +327,13 @@ class TreeRuntime:
         return self.apply(Delete(node_id))
 
 
-class WordRuntime:
-    """Enumerate the matches of a WVA (document spanner) on a word, under updates."""
+class WordRuntime(_Runtime):
+    """Enumerate the matches of a WVA (document spanner) on a word, under updates.
+
+    The word is maintained as a forest of one-node trees, one per position.
+    Positions keep stable ids across edits: the initial positions are
+    ``0 … n-1`` and every insert takes the next unused id.
+    """
 
     def __init__(
         self,
@@ -318,62 +345,18 @@ class WordRuntime:
         if len(word) == 0:
             raise InvalidEditError("words must be non-empty")
         start = time.perf_counter()
-        self.query = query
-        self.binary_automaton = _binary_automaton_for(query, translate_wva)
-        self.term = MaintainedWordTerm(list(word))
-        self.maintainer = IncrementalCircuitMaintainer(
-            self.term,
-            self.binary_automaton,
-            relation_backend=relation_backend,
-            build_cache=build_cache,
-        )
-        self._preprocessing_seconds = time.perf_counter() - start
-        self._version = 0
+        self._next_id = len(word)
+        term = MaintainedTerm([DecodedNode(position, letter) for position, letter in enumerate(word)])
+        super().__init__(query, term, start, relation_backend, build_cache)
 
     # ------------------------------------------------------------------ views
     def word(self) -> List[object]:
         """The current word (letters left to right)."""
-        return self.term.letters()
+        return [leaf.label for leaf in term_leaves(self.term.root)]
 
     def position_ids(self) -> List[int]:
         """Stable position ids, left to right (answers refer to these)."""
-        return self.term.position_ids()
-
-    def stats(self) -> EnumeratorStats:
-        """Preprocessing statistics."""
-        stats = circuit_stats(self.maintainer.circuit())
-        return EnumeratorStats(
-            tree_size=self.term.size(),
-            term_size=self.term.size(),
-            term_height=self.term.height(),
-            automaton_states=len(self.binary_automaton.states),
-            circuit_width=stats.width,
-            circuit_gates=stats.gate_count(),
-            preprocessing_seconds=self._preprocessing_seconds,
-        )
-
-    # -------------------------------------------------------------- enumeration
-    def assignments(self) -> Iterator[Assignment]:
-        """Enumerate the satisfying assignments (sets of ``(variable, position id)``)."""
-        # Eager version capture — see :meth:`TreeRuntime.assignments`.
-        version = self._version
-        enumerator = self.maintainer.enumerator()
-
-        def iterate() -> Iterator[Assignment]:
-            for assignment in enumerator.assignments():
-                if self._version != version:
-                    raise StaleIteratorError("the word was updated; restart the enumeration")
-                yield assignment
-
-        return iterate()
-
-    def __iter__(self) -> Iterator[Assignment]:
-        return self.assignments()
-
-    def invalidate_iterators(self) -> None:
-        """Make every live :meth:`assignments` iterator raise on its next answer
-        (see :meth:`TreeRuntime.invalidate_iterators`)."""
-        self._version += 1
+        return [leaf.tree_node_id for leaf in term_leaves(self.term.root)]
 
     def assignments_by_index(self) -> Iterator[Assignment]:
         """Answers with positions given as current 0-based indices (not stable ids)."""
@@ -381,44 +364,24 @@ class WordRuntime:
         for assignment in self.assignments():
             yield frozenset((var, index_of[pos_id]) for var, pos_id in assignment)
 
-    def count(self, limit: Optional[int] = None) -> int:
-        """Count the answers by enumerating them."""
-        total = 0
-        for _ in self.assignments():
-            total += 1
-            if limit is not None and total >= limit:
-                break
-        return total
-
-    def delay_probe(self, max_answers: Optional[int] = None) -> List[float]:
-        """Wall-clock delays before each answer."""
-        return self.maintainer.enumerator().delay_probe(max_answers=max_answers)
-
     # ------------------------------------------------------------------ updates
-    def _finish_update(self, report, start: float, new_position_id: Optional[int] = None) -> UpdateStats:
-        trunk = self.maintainer.apply_report(report)
-        self._version += 1
-        return UpdateStats(
-            trunk_size=trunk,
-            rebuilt_subterm_size=report.rebuilt_subterm_size,
-            seconds=time.perf_counter() - start,
-            new_position_id=new_position_id,
-        )
-
     def replace(self, position_id: int, letter: object) -> UpdateStats:
         """Replace the letter at a position."""
         start = time.perf_counter()
-        report = self.term.replace(position_id, letter)
-        return self._finish_update(report, start)
+        return self._update(self.term.relabel(position_id, letter), start)
 
     def insert_after(self, position_id: Optional[int], letter: object) -> UpdateStats:
         """Insert a letter after a position (``None`` = at the front)."""
         start = time.perf_counter()
-        report = self.term.insert_after(position_id, letter)
-        return self._finish_update(report, start, getattr(report, "new_position_id", None))
+        new_id = self._next_id
+        self._next_id += 1  # taken even if the insert fails, so ids never repeat
+        if position_id is None:
+            report = self.term.insert_first_root(new_id, letter)
+        else:
+            report = self.term.insert_right_sibling(position_id, new_id, letter)
+        return self._update(report, start, new_position_id=new_id)
 
     def delete(self, position_id: int) -> UpdateStats:
-        """Delete a position."""
+        """Delete a position (the word keeps at least one letter)."""
         start = time.perf_counter()
-        report = self.term.delete(position_id)
-        return self._finish_update(report, start)
+        return self._update(self.term.delete_leaf(position_id), start)

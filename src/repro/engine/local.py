@@ -7,9 +7,9 @@ served over many **evolving documents**.  Each local document packages:
 
 * the maintained balanced term and incremental circuit of Lemma 7.3 —
   wrapped as the library's :class:`~repro.core.enumerator.TreeRuntime` or
-  :class:`~repro.core.enumerator.WordRuntime` (Theorem 8.1 / 8.5), so
-  every document build and edit goes through the exact code path the tests
-  and benchmarks pin;
+  :class:`~repro.core.enumerator.WordRuntime` (Theorem 8.1 / 8.5), the one
+  the query's kind selects, so every document build and edit goes through
+  the exact code path the tests and benchmarks pin;
 * an **epoch counter** advanced once per applied edit batch;
 * the set of open :class:`~repro.engine.cursor.Cursor`\\ s, which the
   document notifies after each edit batch with the maintainer's
@@ -21,10 +21,10 @@ All documents added for content-equal queries share one compiled automaton —
 and therefore one box-plan cache — whether it came from the catalog or from
 an in-process compile.
 
-Word edits are specified as tuples (the word maintainer's operations have no
-first-class edit objects): ``("replace", position_id, letter)``,
-``("insert_after", position_id_or_None, letter)``, ``("delete",
-position_id)``.
+Word edits are specified as tuples named after the
+:class:`~repro.core.enumerator.WordRuntime` verbs:
+``("replace", position_id, letter)``, ``("insert_after",
+position_id_or_None, letter)``, ``("delete", position_id)``.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.automata.unranked_tva import UnrankedTVA
-from repro.automata.wva import WVA
 from repro.circuits.build import DEFAULT_BUILD_CACHE_SIZE, BuildCache
 from repro.core.enumerator import TreeRuntime, WordRuntime, compiled_automaton_for
 from repro.core.results import UpdateStats
@@ -50,6 +49,11 @@ from repro.trees.edits import EditOperation
 from repro.trees.unranked import UnrankedTree
 
 __all__ = ["LocalStore", "LocalDocument", "BatchUpdateReport"]
+
+#: the runtime a query's kind selects (Theorem 8.1 / Theorem 8.5)
+_RUNTIMES = {"tree": TreeRuntime, "word": WordRuntime}
+#: the word edit tuples: (op, number of fields)
+_WORD_EDITS = (("replace", 3), ("insert_after", 3), ("delete", 2))
 
 
 @dataclass
@@ -298,21 +302,13 @@ class LocalDocument:
                     f"tree documents take EditOperation edits, got {edit!r}"
                 )
             return self.enumerator.apply(edit)
-        if not isinstance(edit, tuple) or not edit:
-            raise ServingError(f"word documents take (op, ...) tuples, got {edit!r}")
-        op = edit[0]
-        if op == "replace":
-            _, position_id, letter = edit
-            return self.enumerator.replace(position_id, letter)
-        if op == "insert_after":
-            _, position_id, letter = edit
-            return self.enumerator.insert_after(position_id, letter)
-        if op == "delete":
-            _, position_id = edit
-            return self.enumerator.delete(position_id)
-        raise ServingError(
-            f"unknown word edit op {op!r}; expected replace/insert_after/delete"
-        )
+        if not (isinstance(edit, tuple) and edit and (edit[0], len(edit)) in _WORD_EDITS):
+            raise ServingError(
+                f"unknown word edit {edit!r}; expected ('replace', position_id, letter), "
+                "('insert_after', position_id or None, letter) or ('delete', position_id)"
+            )
+        op, *args = edit
+        return getattr(self.enumerator, op)(*args)
 
     @staticmethod
     def _describe(edit) -> str:
@@ -376,21 +372,17 @@ class LocalStore:
         self._compiled: Dict[str, CompiledQuery] = {}
 
     # ----------------------------------------------------------------- queries
-    def _resolve_query(self, query, expected_kind: str) -> CompiledQuery:
-        if expected_kind == "tree" and not isinstance(query, UnrankedTVA):
-            raise ServingError("tree documents take UnrankedTVA queries")
-        if expected_kind == "word" and not isinstance(query, WVA):
-            raise ServingError("word documents take WVA queries")
+    def _resolve_query(self, query) -> CompiledQuery:
         if self.catalog is not None:
             entry = self.catalog.get(query)
         else:
             from repro.automata.serialize import query_digest
 
-            digest = query_digest(query)
+            digest = query_digest(query)  # rejects anything but a TVA or a WVA
             entry = self._compiled.get(digest)
             if entry is None:
                 entry = CompiledQuery(
-                    kind=expected_kind,
+                    kind="tree" if isinstance(query, UnrankedTVA) else "word",
                     digest=digest,
                     automaton=compiled_automaton_for(query),
                 )
@@ -399,26 +391,28 @@ class LocalStore:
         return entry
 
     # --------------------------------------------------------------- documents
-    def add_tree(self, tree: UnrankedTree, query: UnrankedTVA, doc_id=None) -> LocalDocument:
-        """Serve an unranked tree under a standing tree query (Theorem 8.1)."""
-        entry = self._resolve_query(query, "tree")
-        start = perf_counter()
-        enumerator = TreeRuntime(tree, query, build_cache=self.build_cache)
-        self.metrics.observe("ingest_build_seconds", perf_counter() - start)
-        return self._register(enumerator, "tree", entry.digest, doc_id)
+    def add_document(self, content, query, doc_id=None) -> LocalDocument:
+        """Serve a tree (Theorem 8.1) or a word (Theorem 8.5) under a standing query.
 
-    def add_word(self, word: Sequence[object], query: WVA, doc_id=None) -> LocalDocument:
-        """Serve a word under a standing spanner query (Theorem 8.5)."""
-        entry = self._resolve_query(query, "word")
+        The query's kind selects the runtime; the content must be of that
+        kind (an :class:`UnrankedTree` for a tree query, a sequence of
+        letters for a word query).
+        """
+        entry = self._resolve_query(query)
+        kind = "tree" if isinstance(content, UnrankedTree) else "word"
+        if kind != entry.kind:
+            raise ServingError(f"cannot serve a {kind} document under a {entry.kind} query")
         start = perf_counter()
-        enumerator = WordRuntime(word, query, build_cache=self.build_cache)
+        enumerator = _RUNTIMES[kind](content, query, build_cache=self.build_cache)
         self.metrics.observe("ingest_build_seconds", perf_counter() - start)
-        return self._register(enumerator, "word", entry.digest, doc_id)
+        return self._register(enumerator, kind, entry.digest, doc_id)
+
+    add_tree = add_word = add_document
 
     def add_documents(
         self, contents, query=None, *, queries=None, doc_ids=None
     ) -> List[LocalDocument]:
-        """Add many documents under standing queries (kind by content type).
+        """Add many documents under standing queries (see :meth:`add_document`).
 
         The single-process face of :meth:`repro.Engine.add_documents`:
         ``contents`` holds trees and/or words, ``query`` (shared) or
@@ -447,10 +441,7 @@ class LocalStore:
                     "add_documents needs a query: pass query= (shared) or queries= (per item)"
                 )
             doc_id = doc_ids[index] if doc_ids is not None else None
-            if isinstance(content, UnrankedTree):
-                documents.append(self.add_tree(content, item_query, doc_id=doc_id))
-            else:
-                documents.append(self.add_word(list(content), item_query, doc_id=doc_id))
+            documents.append(self.add_document(content, item_query, doc_id=doc_id))
         return documents
 
     def _register(self, enumerator, kind: str, digest: str, doc_id) -> LocalDocument:

@@ -101,7 +101,11 @@ class Query:
         """Per-variable half-open ``(start, end)`` spans of a word answer.
 
         Only meaningful for ``kind == "word"`` queries whose captures bind
-        contiguous positions (the spanner case).
+        contiguous positions (the spanner case).  The answer must bind
+        *indices*, as :meth:`~repro.core.enumerator.WordRuntime.assignments_by_index`
+        yields them.  Raw answers bind stable position ids, which equal the
+        indices only until the first insert or delete; map them through
+        ``position_ids()`` first, as ``examples/document_spanner.py`` does.
         """
         if self.kind != "word":
             raise EngineError("spans() is only defined for word (spanner) queries")

@@ -207,12 +207,13 @@ def _handle_add_batch(store, queries_by_digest, items):
     """Add a batch of documents; report how far the batch got on failure.
 
     ``items`` is a list of ``(doc_id, kind, content, query_or_None, digest)``
-    tuples.  The reply names the documents actually added plus — when an item
-    failed — the failing document id and the original exception, so the
-    parent can both register the successes and re-raise precisely.
+    tuples; the store picks the runtime from the query's kind.  The reply
+    names the documents actually added plus — when an item failed — the
+    failing document id and the original exception, so the parent can both
+    register the successes and re-raise precisely.
     """
     added = []
-    for doc_id, kind, content, query, digest in items:
+    for doc_id, _kind, content, query, digest in items:
         try:
             if query is None:
                 query = queries_by_digest.get(digest)
@@ -222,10 +223,7 @@ def _handle_add_batch(store, queries_by_digest, items):
                     )
             else:
                 queries_by_digest[digest] = query
-            if kind == "tree":
-                document = store.add_tree(content, query, doc_id=doc_id)
-            else:
-                document = store.add_word(content, query, doc_id=doc_id)
+            document = store.add_document(content, query, doc_id=doc_id)
         except BaseException as exc:  # noqa: BLE001 — reported, not swallowed
             return {"added": added, "failed_doc_id": doc_id, "error": exc}
         added.append(
@@ -251,17 +249,14 @@ def _handle_restore(store, queries_by_digest, args):
     """
     from repro.errors import ReproError
 
-    doc_id, kind, content, query, digest, edit_batches, next_cursor_id = args
+    doc_id, _kind, content, query, digest, edit_batches, next_cursor_id = args
     if query is None:
         query = queries_by_digest.get(digest)
         if query is None:
             raise EngineError(f"shard has no cached query for digest {digest[:12]}...")
     else:
         queries_by_digest[digest] = query
-    if kind == "tree":
-        document = store.add_tree(content, query, doc_id=doc_id)
-    else:
-        document = store.add_word(content, query, doc_id=doc_id)
+    document = store.add_document(content, query, doc_id=doc_id)
     for batch in edit_batches:
         try:
             document.apply_edits(batch)

@@ -11,7 +11,7 @@ from repro.forest_algebra.terms import (
     validate_term,
     term_leaves,
 )
-from repro.forest_algebra.encoder import encode_tree, encode_fragment, encode_word
+from repro.forest_algebra.encoder import encode_tree, encode_fragment
 from repro.forest_algebra.maintenance import MaintainedTerm, UpdateReport
 from repro.forest_algebra.hollowing import TreeHollowing, hollowing_from_report
 
@@ -27,7 +27,6 @@ __all__ = [
     "term_leaves",
     "encode_tree",
     "encode_fragment",
-    "encode_word",
     "MaintainedTerm",
     "UpdateReport",
     "TreeHollowing",

@@ -28,7 +28,7 @@ the typing of the operations adapts automatically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import TermStructureError
 from repro.forest_algebra.terms import (
@@ -41,7 +41,7 @@ from repro.forest_algebra.terms import (
 )
 from repro.trees.unranked import UnrankedNode, UnrankedTree
 
-__all__ = ["encode_tree", "encode_fragment", "encode_word", "balanced_concat", "balanced_apply"]
+__all__ = ["encode_tree", "encode_fragment", "balanced_concat", "balanced_apply"]
 
 
 # --------------------------------------------------------------------------- balanced combiners
@@ -150,7 +150,8 @@ def encode_fragment(roots: Sequence[DecodedNode]) -> TermNode:
     """Encode a forest (or context) fragment given by its root nodes.
 
     The fragment may contain at most one node flagged ``hole_child``; the
-    result is then a context term, otherwise a forest term.
+    result is then a context term, otherwise a forest term.  A word is the
+    forest of its positions as one-node roots (Corollary 8.4).
     """
     roots = list(roots)
     if not roots:
@@ -181,18 +182,3 @@ def encode_tree(tree: UnrankedTree) -> TermNode:
     bijection with the nodes of ``tree`` (each leaf stores the node id).
     """
     return encode_fragment([_to_decoded(tree.root)])
-
-
-def encode_word(letters: Sequence[object], position_ids: Optional[Sequence[int]] = None) -> TermNode:
-    """Encode a word as a balanced ⊕HH-term over one ``a_t`` leaf per position.
-
-    Words are the degenerate case of forests used by the document-spanner
-    pipeline (Theorem 8.5): every position is a single-node tree and the term
-    is a balanced concatenation of the positions.
-    """
-    if not letters:
-        raise TermStructureError("cannot encode an empty word")
-    if position_ids is None:
-        position_ids = list(range(len(letters)))
-    leaves = [tree_leaf(letter, pos) for letter, pos in zip(letters, position_ids)]
-    return balanced_concat(leaves)

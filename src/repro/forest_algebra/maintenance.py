@@ -1,11 +1,16 @@
 """Maintenance of balanced forest-algebra terms under edits (Section 7).
 
 :class:`MaintainedTerm` keeps a balanced term representation of an unranked
-tree and applies the edit operations of Definition 7.1 to it:
+tree, or of a forest, and applies the edit operations of Definition 7.1 to
+it.  A word is a forest of one-node trees whose term is the balanced ⊕HH
+concatenation of its positions (Corollary 8.4), so the word updates of
+Theorem 8.5 are the same edits on that forest:
 
 * ``relabel``  — change the label of the corresponding term leaf;
 * ``insert`` / ``insertR`` — splice a new ``a_t`` leaf next to the right seam
-  of the term (found by an ``O(height)`` climb from the anchor leaf);
+  of the term (found by an ``O(height)`` climb from the anchor leaf); in a
+  forest, a right sibling of the last root and a new first root wrap the
+  whole term in one ⊕ node;
 * ``delete``  — splice the leaf out (possibly re-typing the path to the hole
   when the deleted node was an only child).
 
@@ -15,8 +20,9 @@ to the root and, if some subterm's height exceeds the budget
 ``REBALANCE_FACTOR · log2(weight) + REBALANCE_SLACK``, the highest such
 subterm is decoded and re-encoded with the balanced encoder.  This replaces
 the worst-case rotation scheme of Niewerth [30] by an amortized scheme with
-the same interface (see DESIGN.md §3); the update-time benchmark (experiment
-E4) checks that the resulting amortized update cost grows logarithmically.
+the same interface; the update-time benchmark
+(``benchmarks/bench_update_logarithmic.py``, experiment E4) checks that the
+resulting amortized update cost grows logarithmically.
 
 Every edit returns an :class:`UpdateReport` listing the *dirty* term nodes —
 new nodes, mutated nodes and all their ancestors — in bottom-up order.  These
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import InvalidEditError, TermStructureError
 from repro.forest_algebra.encoder import encode_fragment, encode_tree
@@ -41,6 +47,7 @@ from repro.forest_algebra.terms import (
     CONCAT_VH,
     LEAF_CONTEXT,
     LEAF_TREE,
+    DecodedNode,
     TermNode,
     concat,
     decode,
@@ -79,15 +86,21 @@ class UpdateReport:
 
 
 class MaintainedTerm:
-    """A balanced forest-algebra term maintained under edits."""
+    """A balanced forest-algebra term maintained under edits.
+
+    Built from an :class:`UnrankedTree`, the term keeps that tree's single
+    root.  Built from a sequence of :class:`DecodedNode` roots, it represents
+    a forest that may also grow new roots at either end.
+    """
 
     #: height budget: a subterm of weight w is rebuilt when its height exceeds
     #: REBALANCE_FACTOR * log2(w + 1) + REBALANCE_SLACK.
     REBALANCE_FACTOR = 3.0
     REBALANCE_SLACK = 8
 
-    def __init__(self, tree: UnrankedTree):
-        self.root: TermNode = encode_tree(tree)
+    def __init__(self, content: Union[UnrankedTree, Sequence[DecodedNode]]):
+        self.is_forest = not isinstance(content, UnrankedTree)
+        self.root: TermNode = encode_fragment(content) if self.is_forest else encode_tree(content)
         self.leaf_of: Dict[int, TermNode] = {
             leaf.tree_node_id: leaf for leaf in term_leaves(self.root)
         }
@@ -121,7 +134,14 @@ class MaintainedTerm:
         try:
             return self.leaf_of[node_id]
         except KeyError:
-            raise InvalidEditError(f"tree node {node_id} is not represented in the term") from None
+            raise InvalidEditError(f"node {node_id} is not represented in the term") from None
+
+    def _new_leaf(self, new_id: int, label: object) -> TermNode:
+        if new_id in self.leaf_of:
+            raise InvalidEditError(f"node id {new_id} already exists in the term")
+        leaf = tree_leaf(label, new_id)
+        self.leaf_of[new_id] = leaf
+        return leaf
 
     # ------------------------------------------------------------ primitive splices
     def _replace(self, old: TermNode, new: TermNode) -> Optional[TermNode]:
@@ -159,11 +179,8 @@ class MaintainedTerm:
 
     def insert_first_child(self, parent_id: int, new_id: int, label: object) -> UpdateReport:
         """``insert(n, l)``: insert a new ``l``-node as first child of ``n``."""
-        if new_id in self.leaf_of:
-            raise InvalidEditError(f"node id {new_id} already exists in the term")
         parent_leaf = self.leaf_for(parent_id)
-        new_leaf = tree_leaf(label, new_id)
-        self.leaf_of[new_id] = new_leaf
+        new_leaf = self._new_leaf(new_id, label)
 
         if parent_leaf.kind == LEAF_TREE:
             # The parent had no children: its leaf becomes a_□ and the new
@@ -194,18 +211,15 @@ class MaintainedTerm:
 
     def insert_right_sibling(self, anchor_id: int, new_id: int, label: object) -> UpdateReport:
         """``insertR(n, l)``: insert a new ``l``-node as right sibling of ``n``."""
-        if new_id in self.leaf_of:
-            raise InvalidEditError(f"node id {new_id} already exists in the term")
-        anchor_leaf = self.leaf_for(anchor_id)
-        new_leaf = tree_leaf(label, new_id)
-
         # Climb while the anchor node is the *last root* of the current
         # subterm; the insertion seam is immediately after that subterm.
-        current = anchor_leaf
+        current = self.leaf_for(anchor_id)
         while True:
             parent = current.parent
             if parent is None:
-                raise InvalidEditError("cannot insert a right sibling of the root")
+                if not self.is_forest:
+                    raise InvalidEditError("cannot insert a right sibling of the root")
+                break  # the anchor is the last root of the forest: wrap the term
             if parent.kind in _CONCAT_KINDS:
                 if parent.right is current:
                     current = parent
@@ -217,15 +231,25 @@ class MaintainedTerm:
                 continue
             break  # current is the forest plugged into a hole: splice here
 
-        self.leaf_of[new_id] = new_leaf
+        new_leaf = self._new_leaf(new_id, label)
         attach_parent = current.parent
         new_concat = concat(current, new_leaf)
-        if attach_parent.left is current or attach_parent.left is new_concat:
+        if attach_parent is None:
+            self.root = new_concat
+        elif attach_parent.left is current:
             attach_parent.left = new_concat
         else:
             attach_parent.right = new_concat
         new_concat.parent = attach_parent
         return self._finalize(modified=[new_leaf, new_concat], refresh_from=attach_parent)
+
+    def insert_first_root(self, new_id: int, label: object) -> UpdateReport:
+        """Insert a new one-node tree before the first root of a forest."""
+        if not self.is_forest:
+            raise InvalidEditError("a tree has exactly one root")
+        new_leaf = self._new_leaf(new_id, label)
+        self.root = concat(new_leaf, self.root)
+        return self._finalize(modified=[new_leaf, self.root], refresh_from=None)
 
     def delete_leaf(self, node_id: int) -> UpdateReport:
         """``delete(n)``: remove the leaf ``n`` from the represented tree."""
@@ -234,7 +258,7 @@ class MaintainedTerm:
             raise InvalidEditError(f"tree node {node_id} has children; only leaves can be deleted")
         parent = leaf.parent
         if parent is None:
-            raise InvalidEditError("cannot delete the last node of the tree")
+            raise InvalidEditError("cannot delete the only node of the term")
         del self.leaf_of[node_id]
 
         if parent.kind in _CONCAT_KINDS:

@@ -60,7 +60,9 @@ class Spanner:
 
         Positions bound to a variable must be contiguous (which is the case
         for captures of contiguous sub-expressions); the span is half-open:
-        ``(first position, last position + 1)``.
+        ``(first position, last position + 1)``.  Positions are indices into
+        the current word, as :meth:`WordRuntime.assignments_by_index` yields
+        them, not the stable position ids of raw answers after an edit.
         """
         result: Dict[object, Tuple[int, int]] = {}
         for variable, positions in valuation_from_assignment_by_var(assignment).items():

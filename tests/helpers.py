@@ -15,6 +15,7 @@ from typing import List, Sequence, Set, Tuple
 from repro.assignments import Assignment
 from repro.automata.binary_tva import BinaryTVA
 from repro.automata.unranked_tva import UnrankedTVA
+from repro.automata.wva import WVA
 from repro.trees.binary import BinaryTree
 
 LABELS = ("a", "b", "c")
@@ -181,6 +182,30 @@ def random_unranked_tva(
     if not final:
         final = [rng.choice(states)]
     return UnrankedTVA(states, variables, initial, delta, final, name=f"random_unranked_{seed}")
+
+
+def random_wva(
+    seed: int,
+    n_states: int = 3,
+    letters: Sequence[str] = LABELS,
+    variables: Sequence[str] = ("x",),
+    density: float = 0.3,
+) -> WVA:
+    """A random (usually nondeterministic) word variable automaton."""
+    rng = random.Random(seed)
+    states = [f"w{i}" for i in range(n_states)]
+    var_sets = [frozenset()] + [frozenset({v}) for v in variables]
+    transitions = [
+        (q, letter, vs, qn)
+        for q in states
+        for letter in letters
+        for vs in var_sets
+        for qn in states
+        if rng.random() < density
+    ]
+    initial = [q for q in states if rng.random() < 0.5] or [rng.choice(states)]
+    final = [q for q in states if rng.random() < 0.5] or [rng.choice(states)]
+    return WVA(states, variables, transitions, initial, final, name=f"random_wva_{seed}")
 
 
 def random_binary_tree_nested(seed: int, n_internal: int, labels: Sequence[str] = LABELS):

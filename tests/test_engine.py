@@ -21,6 +21,7 @@ What is pinned here:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -49,6 +50,7 @@ from repro import (
 from repro.automata.queries import select_descendant_pairs, select_labeled
 from repro.core.enumerator import TreeRuntime, WordRuntime
 from repro.engine import Document, LocalStore, Query, QueryCatalog, ResultPage
+from repro.net import EngineServer, RemoteEngine
 from repro.spanners.compile import regex_to_wva
 from repro.trees.edits import Delete, Insert, Relabel
 from repro.trees.generators import random_tree, tree_of_shape
@@ -1362,6 +1364,27 @@ class TestUnifiedErrors:
         assert issubclass(CatalogVersionError, repro.CatalogError)
         assert issubclass(CursorInvalidatedError, StaleIteratorError)
         assert issubclass(ServingError, EngineError)
+
+    @pytest.mark.parametrize("transport", ["local", "sharded", "tcp"])
+    @pytest.mark.parametrize("edit", [("replace", 0), ("delete", 0, 1), ("insert_after",)])
+    def test_malformed_word_edit_is_one_serving_error(self, transport, edit):
+        """A word edit of the wrong shape fails before it applies, with the
+        same typed error in-process, in a shard worker and over TCP."""
+        with contextlib.ExitStack() as stack:
+            engine = stack.enter_context(Engine(workers=1 if transport == "sharded" else 0))
+            if transport == "tcp":
+                server = EngineServer(engine, idle_timeout=None).start()
+                stack.callback(server.stop)
+                engine = stack.enter_context(RemoteEngine(server.address))
+            doc = engine.add_word(list("abab"), word_query())
+            with pytest.raises(ServingError) as info:
+                doc.apply_edits([edit])
+            assert type(info.value) is ServingError
+            assert str(info.value) == (
+                f"unknown word edit {edit!r}; expected ('replace', position_id, letter), "
+                "('insert_after', position_id or None, letter) or ('delete', position_id)"
+            )
+            assert doc.epoch == 0
 
     def test_one_handler_catches_the_pipeline(self):
         with Engine() as engine:

@@ -3,6 +3,7 @@ under edits (Section 7 / Lemma 7.4)."""
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -11,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidEditError, TermStructureError
-from repro.forest_algebra.encoder import balanced_concat, encode_fragment, encode_tree, encode_word
+from repro.forest_algebra.encoder import balanced_concat, encode_fragment, encode_tree
 from repro.forest_algebra.hollowing import hollowing_from_report
 from repro.forest_algebra.maintenance import MaintainedTerm
 from repro.forest_algebra.terms import (
     APPLY_VH,
     LEAF_CONTEXT,
     LEAF_TREE,
+    DecodedNode,
     apply,
     concat,
     context_leaf,
@@ -157,7 +159,8 @@ class TestEncoder:
         assert term.weight == 1
 
     def test_encode_word(self):
-        term = encode_word(["a", "b", "c", "d"])
+        # a word is a forest of one-node trees (Corollary 8.4)
+        term = encode_fragment([DecodedNode(i, letter) for i, letter in enumerate("abcd")])
         roots, hole = decode(term)
         assert hole is None
         assert [r.label for r in roots] == ["a", "b", "c", "d"]
@@ -165,7 +168,7 @@ class TestEncoder:
 
     def test_encode_word_empty_raises(self):
         with pytest.raises(TermStructureError):
-            encode_word([])
+            encode_fragment([])
 
     def test_balanced_concat_weight_split(self):
         # one huge item and many small ones: the small ones should not pile up
@@ -367,6 +370,89 @@ class TestMaintainedTerm:
         a_id = [n.node_id for n in tree.nodes() if n.label == "a"][0]
         report = maintained.delete_leaf(a_id)
         assert report.removed_leaves == [a_id]
+
+    def test_tree_term_has_one_root(self):
+        maintained = MaintainedTerm(UnrankedTree.from_nested(("r", ["a"])))
+        with pytest.raises(InvalidEditError):
+            maintained.insert_first_root(99, "x")
+
+
+# --------------------------------------------------------------------------- forests
+def _random_forest(rng: random.Random, ids) -> list:
+    """Roots of a random forest: mostly one-node trees, some small trees."""
+    roots = []
+    for _ in range(rng.randint(1, 12)):
+        root = DecodedNode(next(ids), rng.choice(LABELS))
+        nodes = [root]
+        for _ in range(0 if rng.random() < 0.6 else rng.randint(1, 5)):
+            child = DecodedNode(next(ids), rng.choice(LABELS))
+            rng.choice(nodes).children.append(child)
+            nodes.append(child)
+        roots.append(root)
+    return roots
+
+
+class TestMaintainedForest:
+    """A term built from roots maintains a forest: words are the one-node case."""
+
+    @staticmethod
+    def _check(maintained: MaintainedTerm, reference: list) -> None:
+        maintained.validate()
+        assert maintained.height() <= maintained.height_budget(maintained.size())
+        roots, hole = decode(maintained.root)
+        assert hole is None
+        assert [r.to_nested() for r in roots] == [r.to_nested() for r in reference]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_edits_match_reference(self, seed):
+        rng = random.Random(seed)
+        ids = iter(range(10**6))
+        reference = _random_forest(rng, ids)
+        maintained = MaintainedTerm(copy.deepcopy(reference))
+        self._check(maintained, reference)
+
+        def nodes_with_parents():
+            stack = [(root, None) for root in reference]
+            while stack:
+                node, parent = stack.pop()
+                yield node, parent
+                stack.extend((child, node) for child in node.children)
+
+        rebuilt = 0
+        for step in range(250):
+            # long runs of appends after the last root force scapegoat rebuilds
+            op = "append" if step % 50 >= 30 else rng.choice(("relabel", "append", "front", "delete"))
+            label = rng.choice(LABELS)
+            if op == "relabel":
+                node, _ = rng.choice(list(nodes_with_parents()))
+                node.label = label
+                report = maintained.relabel(node.node_id, label)
+            elif op == "append":
+                new = DecodedNode(next(ids), label)
+                report = maintained.insert_right_sibling(reference[-1].node_id, new.node_id, label)
+                reference.append(new)
+            elif op == "front":
+                new = DecodedNode(next(ids), label)
+                report = maintained.insert_first_root(new.node_id, label)
+                reference.insert(0, new)
+            else:
+                if len(reference) == 1 and not reference[0].children:
+                    continue  # a forest keeps at least one node
+                node, parent = rng.choice([(n, p) for n, p in nodes_with_parents() if not n.children])
+                (reference if parent is None else parent.children).remove(node)
+                report = maintained.delete_leaf(node.node_id)
+            rebuilt += report.rebuilt_subterm_size > 0
+            self._check(maintained, reference)
+        assert rebuilt > 0
+
+        # delete down to one root, then the last node cannot go
+        while len(reference) > 1 or reference[0].children:
+            node, parent = next((n, p) for n, p in nodes_with_parents() if not n.children)
+            (reference if parent is None else parent.children).remove(node)
+            maintained.delete_leaf(node.node_id)
+            self._check(maintained, reference)
+        with pytest.raises(InvalidEditError):
+            maintained.delete_leaf(reference[0].node_id)
 
 
 # --------------------------------------------------------------------------- property tests

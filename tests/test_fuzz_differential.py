@@ -14,9 +14,11 @@ two independent sources of truth:
   differential).
 
 Case accounting: ``TestEndToEndDifferential`` runs ``N_SCENARIOS`` random
-(tree, query, edit-sequence) scenarios with ``N_EDITS`` edits each, checking
-both backends at every checkpoint — ``N_SCENARIOS × (N_EDITS + 1) × 2``
-randomized backend-checkpoint cases (192 with the defaults).
+(tree, query, edit-sequence) scenarios and as many (word, WVA, edit-sequence)
+scenarios, with ``N_EDITS`` edits each, checking both backends at every
+checkpoint — ``2 × N_SCENARIOS × (N_EDITS + 1) × 2`` randomized
+backend-checkpoint cases (384 with the defaults; the word leg checks through
+``assignments_by_index()`` against ``WVA.satisfying_assignments``).
 ``TestCircuitLevelDifferential`` adds circuit-level cases comparing the
 mask-native iterator against the generic path, provenance included.
 ``TestShardedDifferential`` pins the pipelined shard protocol (PR 5):
@@ -28,15 +30,21 @@ engine, under both the ``fork`` and ``spawn`` start methods.
 replicated fleet (``workers=3, replicas=2``) with exactly one injected fault
 per scenario — a SIGKILL'd worker or a one-shot worker hang the deadline
 machinery must catch — and requires the transcript to stay byte-identical to
-a fault-free single-process oracle.
+a fault-free single-process oracle.  ``TestWordTransportDifferential``
+replays ``N_SHARDED`` word schedules on each of three transports
+(``Engine(workers=2)``, the replicated fleet with one SIGKILL, TCP) —
+``3 × N_SHARDED`` transcripts (12 with the defaults), each byte-identical
+to ``Engine()``'s.
 
 Environment knobs (used by the scheduled extended-fuzz CI job):
 
-* ``REPRO_FUZZ_SCENARIOS`` — end-to-end scenario count (default 24);
+* ``REPRO_FUZZ_SCENARIOS`` — end-to-end scenario count, per leg: tree and
+  word (default 24);
 * ``REPRO_FUZZ_SHARDED_SCENARIOS`` — sharded fork-scenario count (default 4;
   spawn runs a third of it, minimum one, because each spawn worker boots a
   fresh interpreter), also the number of sharded and of cursor schedules
-  the from-scratch leg replays with and without the build cache;
+  the from-scratch leg replays with and without the build cache, and of
+  word schedules per transport;
 * ``REPRO_FUZZ_FAULT_SCENARIOS`` — fault-injected replicated scenario count
   (default 3);
 * ``REPRO_FUZZ_SEED`` — base seed offset, rotated by the scheduled job so
@@ -61,14 +69,14 @@ import time
 
 import pytest
 
-from helpers import random_binary_tva, random_binary_tree, random_unranked_tva
+from helpers import random_binary_tva, random_binary_tree, random_unranked_tva, random_wva
 from repro.automata.brute_force import (
     binary_satisfying_assignments,
     unranked_satisfying_assignments,
 )
 from repro.automata.homogenize import homogenize
 from repro.circuits.build import build_assignment_circuit
-from repro.core.enumerator import TreeRuntime
+from repro.core.enumerator import TreeRuntime, WordRuntime
 from repro.enumeration.box_enum import naive_box_enum
 from repro.enumeration.duplicate_free import (
     _enumerate_generic,
@@ -111,7 +119,87 @@ def _scenario(case: int):
     return tree, query, edits
 
 
+class _WordReference:
+    """A word with the runtimes' position ids, to draw valid edit scripts from.
+
+    Ids follow :class:`WordRuntime`: ``0 … n-1`` initially, then one fresh id
+    per insert, so a script drawn here is valid on any engine replaying it.
+    """
+
+    #: longest word a script grows, which bounds the answer sets of random
+    #: automata (and so the brute-force oracle's work)
+    MAX_LENGTH = 9
+
+    def __init__(self, word):
+        self.positions = list(enumerate(word))  # (position id, letter)
+        self.next_id = len(word)
+
+    def word(self):
+        return [letter for _id, letter in self.positions]
+
+    def random_edit(self, rng: random.Random) -> tuple:
+        """Draw one ``replace`` / ``insert_after`` / ``delete`` and apply it."""
+        ops = ["replace"]
+        if len(self.positions) < self.MAX_LENGTH:
+            ops.append("insert_after")
+        if len(self.positions) > 1:
+            ops.append("delete")
+        op = rng.choice(ops)
+        letter = rng.choice(LABELS)
+        if op == "insert_after":
+            index = rng.randrange(-1, len(self.positions))  # -1: at the front
+            anchor = None if index < 0 else self.positions[index][0]
+            self.positions.insert(index + 1, (self.next_id, letter))
+            self.next_id += 1
+            return ("insert_after", anchor, letter)
+        index = rng.randrange(len(self.positions))
+        position_id = self.positions[index][0]
+        if op == "replace":
+            self.positions[index] = (position_id, letter)
+            return ("replace", position_id, letter)
+        del self.positions[index]
+        return ("delete", position_id)
+
+
+def _random_wva(rng: random.Random):
+    return random_wva(
+        rng.randrange(10_000),
+        n_states=rng.choice((2, 3)),
+        variables=("x", "y")[: rng.choice((1, 1, 2))],
+        density=rng.uniform(0.35, 0.55),
+    )
+
+
 class TestEndToEndDifferential:
+    @pytest.mark.parametrize("case", range(N_SCENARIOS))
+    def test_word_backends_match_oracle_under_edits(self, case):
+        rng = random.Random(8000 + FUZZ_SEED + case)
+        query = _random_wva(rng)
+        reference = _WordReference([rng.choice(LABELS) for _ in range(rng.randint(3, 8))])
+        runtimes = {
+            backend: WordRuntime(reference.word(), query, relation_backend=backend)
+            for backend in BACKENDS
+        }
+
+        def check(stage):
+            expected = query.satisfying_assignments(reference.word())
+            for backend, runtime in runtimes.items():
+                assert runtime.word() == reference.word(), f"case {case}, {stage}"
+                produced = list(runtime.assignments_by_index())
+                assert len(produced) == len(set(produced)), (
+                    f"case {case}, {stage}: duplicate answers on {backend}"
+                )
+                assert set(produced) == expected, (
+                    f"case {case}, {stage}: {backend} disagrees with the oracle"
+                )
+
+        check("initial")
+        for step in range(N_EDITS):
+            op, *args = edit = reference.random_edit(rng)
+            for runtime in runtimes.values():
+                getattr(runtime, op)(*args)
+            check(f"after edit {step} {edit!r}")
+
     @pytest.mark.parametrize("case", range(N_SCENARIOS))
     def test_backends_match_oracle_under_edits(self, case):
         tree, query, edits = _scenario(case)
@@ -702,6 +790,68 @@ class TestNetworkDifferential:
                     assert remote.credit.window == AdaptiveCredit.MIN_WINDOW
             finally:
                 server.stop()
+
+
+# ======================================================= word differential
+def _word_schedule(case_seed: int):
+    """A word serving schedule for :func:`_replay_ops`.
+
+    Returns ``(words, queries, doc_query, ops)`` shaped like
+    :func:`_sharded_scenario`'s, with ``replace`` / ``insert_after`` /
+    ``delete`` tuples as the edit batches.
+    """
+    rng = random.Random(53000 + case_seed)
+    n_docs = rng.randint(2, 4)
+    queries = [_random_wva(rng) for _ in range(rng.choice((1, 2)))]
+    words = [[rng.choice(LABELS) for _ in range(rng.randint(4, 8))] for _ in range(n_docs)]
+    doc_query = [rng.randrange(len(queries)) for _ in range(n_docs)]
+    references = [_WordReference(word) for word in words]
+    ops = []
+    for _ in range(rng.randint(10, 16)):
+        kind = rng.choice(("edits", "page", "page", "stream", "stream"))
+        doc = rng.randrange(n_docs)
+        if kind == "edits":
+            batch = [references[doc].random_edit(rng) for _ in range(rng.randint(1, 2))]
+            ops.append(("edits", doc, batch))
+        elif kind == "page":
+            ops.append(("page", doc))
+        else:
+            ops.append(("stream", doc, rng.randint(1, 6)))
+    return words, queries, doc_query, ops
+
+
+class TestWordTransportDifferential:
+    """Word documents on every transport, transcript-exact vs ``Engine()``.
+
+    The same replay as the tree legs, on a word schedule: through
+    ``Engine(workers=2)``, through a replicated fleet (``workers=3,
+    replicas=2``) with one worker SIGKILLed mid-schedule, and over TCP to a
+    server fronting ``Engine(workers=2)``.
+    """
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("transport", ["sharded", "replicated-kill", "tcp"])
+    @pytest.mark.parametrize("case", range(N_SHARDED))
+    def test_word_transcript_matches_single_process(self, case, transport):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"fork start method unavailable on {sys.platform}")
+        words, queries, doc_query, ops = _word_schedule(FUZZ_SEED + case)
+        if transport == "sharded":
+            served = _replay_transcript(
+                words, queries, doc_query, ops, workers=2, start_method="fork"
+            )
+        elif transport == "replicated-kill":
+            rng = random.Random(59000 + FUZZ_SEED + case)
+            ops.insert(rng.randrange(len(ops) + 1), ("kill", rng.randrange(3)))
+            served = _replay_transcript(
+                words, queries, doc_query, ops,
+                workers=3, replicas=2, deadline=FAULT_DEADLINE, start_method="fork",
+            )
+        else:
+            served = _replay_transcript_network(
+                words, queries, doc_query, ops, workers=2, start_method="fork"
+            )
+        assert served == _replay_transcript(words, queries, doc_query, ops)
 
 
 # ================================================= cursor-stability differential

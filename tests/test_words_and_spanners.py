@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Engine
 from repro.automata.wva import WVA
 from repro.core.enumerator import WordRuntime
 from repro.errors import InvalidAutomatonError, InvalidEditError, RegexSyntaxError
@@ -127,6 +128,20 @@ class TestSpanner:
         spans = sorted(Spanner.spans(m)["x"] for m in matches)
         assert spans == [(1, 3), (3, 5)]
         assert spanner.variables() == {"x"}
+
+    def test_spans_take_indices_after_an_edit(self):
+        # After an insert, stable position ids are no longer indices: map the
+        # raw answer through position_ids() (or use assignments_by_index()).
+        with Engine() as engine:
+            doc = engine.add_word("ab", "x{a+}b", alphabet="ab")
+            doc.apply_edits([("insert_after", 0, "a")])
+            assert "".join(doc.runtime.word()) == "aab"
+            (raw,) = doc.answers()
+            assert doc.query.spans(raw) == {"x": (0, 3)}  # ids 0 and 2
+            index_of = {pos_id: i for i, pos_id in enumerate(doc.runtime.position_ids())}
+            by_index = frozenset((var, index_of[pos_id]) for var, pos_id in raw)
+            assert doc.query.spans(by_index) == {"x": (0, 2)}
+            assert [Spanner.spans(a) for a in doc.runtime.assignments_by_index()] == [{"x": (0, 2)}]
 
     def test_enumerator_agrees_with_oracle(self):
         spanner = Spanner(".* x{a+} .*", ("a", "b"))
