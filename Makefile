@@ -1,6 +1,7 @@
 # Developer entry points.  `make check` is the gate every change must pass
-# (CI runs exactly it): the tier-1 test suite, the benchmark's own tests, the
-# network serving smoke and a <30 s perf smoke that (a) compares the bitset
+# (CI runs exactly it): the tier-1 test suite, the socket tests in dev mode,
+# the benchmark's own tests, the network serving smoke and a <30 s perf
+# smoke that (a) compares the bitset
 # relation backend (the runtime) against the reference pairs backend on a
 # small workload and (b) fails if the bitset delay median regresses beyond 2x
 # the committed benchmarks/results/BENCH_delay_constant.json trajectory.
@@ -14,10 +15,16 @@ PYPATH := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # @pytest.mark.timeout markers via SIGALRM.
 PYTEST_TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=300 --timeout-method=thread")
 
-.PHONY: check test test-perfbench lint net-smoke bench-smoke bench
+.PHONY: check test test-net-dev test-perfbench lint net-smoke bench-smoke bench
 
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q $(PYTEST_TIMEOUT_FLAGS)
+
+# The socket tests under `python -X dev`, with a leaked socket or an
+# exception raised in a finalizer turned into a failure.  The -W flags must
+# follow `-m pytest`: given to the interpreter, pytest would override them.
+test-net-dev:
+	$(PYPATH) $(PYTHON) -X dev -m pytest tests/test_net.py -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
 # The benchmark's own tests (perfbench/tests): besides the harness arithmetic
 # they run every workload at a tiny size, which drives the engine through
@@ -47,5 +54,5 @@ bench-smoke:
 bench:
 	$(PYPATH) $(PYTHON) benchmarks/run_all.py
 
-check: test test-perfbench net-smoke bench-smoke
-	@echo "check OK: tier-1 tests + benchmark tests + net smoke + perf smoke passed"
+check: test test-net-dev test-perfbench net-smoke bench-smoke
+	@echo "check OK: tier-1 tests + dev-mode socket tests + benchmark tests + net smoke + perf smoke passed"

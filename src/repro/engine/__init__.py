@@ -5,9 +5,10 @@ unranked-tree queries, Theorem 8.5 for word queries and document spanners):
 four nouns cover every workload.
 
 * :class:`Engine` owns a :class:`~repro.engine.catalog.QueryCatalog`,
-  config defaults and an optional pool of shard worker processes
-  (``Engine(workers=N)`` partitions documents across ``N`` processes that
-  share one catalog directory).
+  config defaults and one transport to its documents: an in-process store,
+  a fleet of shard worker processes (``Engine(workers=N)`` partitions
+  documents across ``N`` processes that share one catalog directory), or a
+  socket to a server (:class:`repro.net.RemoteEngine`).
 * :class:`~repro.engine.query.Query` is one polymorphic compiled-query
   handle — tree TVA, word VA or regex spanner — compiled and persisted
   through one content-addressed path.

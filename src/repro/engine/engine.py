@@ -1,12 +1,13 @@
-"""`Engine`: the unified front door over trees, words and spanners.
+"""`Engine`: the one facade over trees, words and spanners, whatever the transport.
 
 One object owns the whole serving pipeline of the paper — translate
 (Lemma 7.4 / Theorem 8.5) → homogenize (Lemma 2.1) → circuit + index
 (Lemma 3.7 / 6.3) → duplicate-free enumeration (Theorem 6.5) → Lemma 7.3
 updates — behind four nouns:
 
-* :class:`Engine` — owns a :class:`~repro.engine.catalog.QueryCatalog`,
-  config defaults, and (optionally) a pool of shard worker processes;
+* :class:`Engine` — compiles queries (through a
+  :class:`~repro.engine.catalog.QueryCatalog` when given one), validates
+  every call, and keeps the document handles and their epochs;
 * :class:`~repro.engine.query.Query` — one polymorphic compiled-query
   handle for unranked-tree TVA queries, word VAs and regex spanners,
   compiled and persisted through one content-addressed path;
@@ -15,62 +16,44 @@ updates — behind four nouns:
 * :class:`~repro.engine.document.ResultPage` — the one page type, backed by
   edit-stable cursors.
 
-``Engine(workers=N)`` shards documents across ``N`` worker processes that
-share the engine's catalog directory (compiled once by the parent, loaded by
-every worker); edits and page fetches are routed by document id and
-:meth:`Engine.stats` merges the per-shard statistics.  The worker protocol
-is pipelined (request-id tagged, see :mod:`repro.engine.sharding`):
-:meth:`Engine.add_documents` ships one document batch per shard with every
-batch in flight at once, so per-document builds overlap across workers, and
-sharded :meth:`~repro.engine.document.Document.stream` consumes result
-chunks the worker pushes under a bounded credit window instead of paying one
-round trip per page.
+Every document op travels through one *transport*, the object that carries
+the op to wherever the document lives, chosen when the engine is built:
 
-``Engine(workers=N, replicas=R)`` additionally makes the fleet fault
-tolerant (PR 6):
+* **in-process** (``Engine()``, :class:`~repro.engine.local.LocalTransport`)
+  calls the op set (:class:`~repro.engine.local.StoreOps`) of a
+  :class:`~repro.engine.local.LocalStore` directly; ``stream()`` returns the
+  runtime's own iterator;
+* **fleet** (``Engine(workers=N, replicas=R)``,
+  :class:`~repro.engine.sharding.FleetTransport`) places each document on
+  ``R`` of ``N`` shard worker processes — each answering the same op set —
+  and owns replication, failover and repair;
+* **socket** (:class:`~repro.net.client.RemoteEngine`, an ``Engine``) holds
+  one connection to an :class:`~repro.net.server.EngineServer`.
 
-* **replicated placement.**  Each document is placed on ``R`` shards,
-  load-aware over the live in-flight/document counters instead of blind
-  round-robin.  Writes (ingest, ``apply_edits``, cursor opens and page
-  fetches — cursor state is deterministic, so mirroring keeps cursor ids
-  and positions in lockstep) go to *every* live replica; plain reads
-  (``stream``, ``count``, ``epoch``) go to the least-loaded live replica.
-* **failover + rebuild.**  When a shard dies (crash, hang past the
-  ``deadline``, or protocol violation — all surface as
-  :class:`~repro.errors.ShardDiedError` subtypes), in-flight reads retry
-  transparently on a surviving replica, a replacement worker is respawned
-  in the background, and every under-replicated document is re-migrated
-  onto it: the engine keeps each document's original content plus its edit
-  log, and the replacement *replays* them, reproducing node/position ids,
-  epochs and enumeration order byte-identically.
-  :class:`~repro.errors.ShardDiedError` reaches the caller only when every
-  replica of a document is gone.
-* **observability.**  :meth:`Engine.stats` reports ``deaths_total``,
-  ``timeouts_total``, ``failovers_total``, ``migrations_total``,
-  ``repairs_pending`` and, per shard, ``generation`` and ``replica_of``.
-
-With ``replicas=1`` (the default) none of this machinery engages: a dead
-shard stays dead and its documents are precisely unreachable, exactly the
-PR-4/5 behavior.
+The facade defines each operation once for all three: argument checks and
+their errors, the document table, tracing spans and the epoch mirror —
+every edit passes through the facade, so the mirror is exact without a
+read per call, and a pushed stream goes stale against it at the same answer
+boundary where the runtime's own iterator would.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import pickle
 import shutil
 import tempfile
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
+from repro.automata.serialize import query_digest
 from repro.engine.catalog import QueryCatalog
 from repro.engine.codec import CompiledQuery
-from repro.engine.document import Document, ResultPage, STREAM_PAGE_SIZE
-from repro.engine.local import BatchUpdateReport, LocalStore
+from repro.engine.document import Document, ResultPage
+from repro.engine.local import BatchUpdateReport, LocalStore, LocalTransport
 from repro.engine.query import Query, normalize_query_source
-from repro.engine.sharding import STREAM_CREDIT, ShardPool
-from repro.errors import EngineError, ServingError, ShardDiedError, StaleIteratorError
+from repro.engine.sharding import FleetTransport, ShardPool
+from repro.errors import EngineError, ServingError, StaleIteratorError
 from repro.obs import EventLog, MetricsRegistry, Tracer, render_prometheus
 from repro.obs.tracing import trace_path_from_env
 from repro.trees.unranked import UnrankedTree
@@ -195,74 +178,15 @@ class Engine:
                 f"build_cache_size must be >= 0 (0 disables), got {build_cache_size}"
             )
         self.build_cache_size = build_cache_size
-        self.page_size = page_size
         self.replicas = replicas
         self.deadline = deadline
-        # Observability (see :mod:`repro.obs`): parent-side tracer, metrics
-        # registry and event ring.  REPRO_TRACE=dir enables tracing from the
-        # environment (headless runs) and auto-dumps on close().
-        if isinstance(trace, Tracer):
-            self._tracer = trace
-        else:
-            self._tracer = Tracer(
-                enabled=bool(trace) or trace_path_from_env() is not None,
-                process="parent",
+        # REPRO_TRACE=dir enables tracing from the environment (headless
+        # runs) and auto-dumps on close().
+        if not isinstance(trace, Tracer):
+            trace = Tracer(
+                enabled=bool(trace) or trace_path_from_env() is not None, process="parent"
             )
-        self._metrics = MetricsRegistry()
-        self._events = EventLog()
-        self._delay_budget = delay_budget
-        # Everything close() touches exists before any step that can raise,
-        # so a failed construction cleans up (and __del__ stays safe).
-        self._closed = False
-        self._pool: Optional[ShardPool] = None
-        self._store: Optional[LocalStore] = None
-        self._owned_catalog_dir: Optional[str] = None
-        self._documents: Dict[object, Document] = {}
-        #: live replica shards of each document, in placement order
-        self._replicas_of: Dict[object, List[int]] = {}
-        #: parent-side epoch mirror: every edit flows through this engine, so
-        #: the mirror is exact without a per-read round trip; sharded streams
-        #: use it for the stale-on-edit check at the answer boundary
-        self._epochs: Dict[object, int] = {}
-        #: (doc_id, cursor_id) → shards holding that cursor.  Cursor state is
-        #: deterministic and page fetches are mirrored, so every holder's
-        #: copy of a cursor stays in lockstep; a replica rebuilt *after* the
-        #: cursor was opened never joins (it only holds cursors opened since
-        #: its restore).
-        self._cursor_holders: Dict[Tuple[object, int], Set[int]] = {}
-        #: per document, the next cursor id the workers will assign (mirrors
-        #: ``LocalDocument._next_cursor_id`` — shipped on restore so rebuilt
-        #: replicas keep assigning the same ids as the survivors)
-        self._next_cursor_ids: Dict[object, int] = {}
-        #: doc_id → (kind, pickled original content, query digest); retained
-        #: only under replication, it is the "move bytes" half of migration
-        self._ingest_blobs: Dict[object, tuple] = {}
-        #: doc_id → every edit batch ever attempted, the "replay" half
-        self._edit_logs: Dict[object, List[list]] = {}
-        #: in-flight restore requests: {shard, generation, doc_id, request_id}
-        self._repairs: List[dict] = []
-        #: documents placed per shard (replica-counted), for load-aware placement
-        self._placed: Dict[int, int] = {}
-        self.failovers_total = 0
-        self.migrations_total = 0
-        #: batches whose shard reply arrived more than twice as late as the
-        #: batch's first reply (arrival-order ingest makes these visible —
-        #: the fast shards were already collected while the straggler built)
-        self.ingest_stragglers_total = 0
-        #: catalog lease naming the digests this engine keeps live, so
-        #: ``catalog.gc()`` without an explicit keep-list never collects them
-        self._lease = None
-        #: monotonic logical cursor counters, accumulated per edit batch at
-        #: the parent.  Shard-side per-document totals reset when a failover
-        #: rebuilds a replica, so summing them across shards undercounts
-        #: (and replication over-counts by ~R); every edit batch flows
-        #: through this engine, so these parent-side sums are exact.
-        self.cursors_resumed_total = 0
-        self.cursors_invalidated_total = 0
-        self._queries: Dict[str, Query] = {}
-        #: per shard, the query digests whose source was already shipped
-        self._queries_sent: Dict[int, set] = {}
-        self._doc_ids = itertools.count()
+        self._open(page_size, trace)
 
         if workers and fault_plan is None:
             from repro.engine.faults import plan_from_env
@@ -274,7 +198,7 @@ class Engine:
             fault_plan = parse_fault_spec(fault_plan)
 
         if isinstance(catalog, QueryCatalog):
-            self.catalog: Optional[QueryCatalog] = catalog
+            self.catalog = catalog
         elif catalog is not None:
             self.catalog = QueryCatalog(os.fspath(catalog))
         elif workers:
@@ -282,9 +206,9 @@ class Engine:
             # temporary one when the caller did not provide any.
             self._owned_catalog_dir = tempfile.mkdtemp(prefix="repro-engine-catalog-")
             self.catalog = QueryCatalog(self._owned_catalog_dir)
-        else:
-            self.catalog = None
         if self.catalog is not None:
+            #: catalog lease naming the digests this engine keeps live, so
+            #: ``catalog.gc()`` without an explicit keep-list never collects them
             self._lease = self.catalog.acquire_lease()
 
         try:
@@ -302,6 +226,9 @@ class Engine:
                     trace=self._tracer.enabled,
                     delay_budget=delay_budget,
                 )
+                self._transport = FleetTransport(
+                    self._pool, replicas, self._tracer, self._metrics, self._events
+                )
             else:
                 self._store = LocalStore(
                     catalog=self.catalog,
@@ -311,24 +238,49 @@ class Engine:
                     delay_budget=delay_budget,
                     delay_strict=delay_strict,
                 )
+                self._transport = LocalTransport(self._store)
         except BaseException:
             self.close()
             raise
 
+    def _open(self, page_size: int, tracer: Tracer) -> None:
+        """The facade state every engine starts from; the constructor then
+        picks the transport.  Everything :meth:`close` touches exists from
+        here on, so a failed construction cleans up (and ``__del__`` stays
+        safe)."""
+        self.page_size = page_size
+        self._tracer = tracer
+        self._metrics = MetricsRegistry()
+        self._events = EventLog()
+        self._closed = False
+        self._transport = None
+        self._pool: Optional[ShardPool] = None  #: the fleet's worker pool
+        self._store: Optional[LocalStore] = None  #: the in-process store
+        self.catalog: Optional[QueryCatalog] = None
+        self._lease = None
+        self._owned_catalog_dir: Optional[str] = None
+        self._documents: Dict[object, Document] = {}
+        #: epoch mirror: every edit flows through this facade, so the mirror
+        #: is exact without a per-read round trip
+        self._epochs: Dict[object, int] = {}
+        self._queries: Dict[str, Query] = {}
+        self._doc_ids = itertools.count()
+
     # ------------------------------------------------------------------ state
     @property
     def workers(self) -> int:
-        """Number of shard worker processes (0 = in-process engine)."""
-        return len(self._pool) if self._pool is not None else 0
+        """Number of shard worker processes (0 = documents not on a fleet)."""
+        return self._transport.workers
 
-    @property
-    def _shard_of(self) -> Dict[object, int]:
-        """doc_id → primary (first-replica) shard, for introspection/tests."""
-        return {
-            doc_id: replicas[0]
-            for doc_id, replicas in self._replicas_of.items()
-            if replicas
-        }
+    # Fleet counters and introspection, read through from the transport
+    # (zero without a fleet; the last four exist only on a fleet).
+    failovers_total = property(lambda self: self._transport.failovers_total)
+    migrations_total = property(lambda self: self._transport.migrations_total)
+    ingest_stragglers_total = property(lambda self: self._transport.ingest_stragglers_total)
+    _replicas_of = property(lambda self: self._transport.replicas_of)
+    _placed = property(lambda self: self._transport.placed)
+    _shard_of = property(lambda self: self._transport.shard_of)
+    _pick_read_replica = property(lambda self: self._transport.pick_read_replica)
 
     def _check_open(self) -> None:
         # getattr, not attribute access: a constructor that raised during
@@ -360,26 +312,11 @@ class Engine:
         if isinstance(source, Query):
             return source
         kind, query_source, pattern = normalize_query_source(source, alphabet)
-        from repro.automata.serialize import query_digest
-
         digest = query_digest(query_source)
         known = self._queries.get(digest)
         if known is not None:
             return known
-        if self.catalog is not None:
-            entry = self.catalog.get(query_source)
-            if digest not in self.catalog:
-                # One content-addressed path for all kinds: compile once,
-                # persist, and every other process (shard workers included)
-                # loads instead of compiling.
-                self.catalog.save(query_source, automaton=entry.automaton)
-        else:
-            from repro.core.enumerator import compiled_automaton_for
-
-            entry = CompiledQuery(
-                kind=kind, digest=digest, automaton=compiled_automaton_for(query_source)
-            )
-            entry.attach(query_source)
+        entry = self._compiled_entry(kind, query_source, digest)
         query = Query(kind=kind, source=query_source, digest=digest, pattern=pattern, entry=entry)
         self._queries[digest] = query
         if self._lease is not None:
@@ -388,32 +325,36 @@ class Engine:
             self._lease.add(digest)
         return query
 
+    def _compiled_entry(self, kind: str, source, digest: str) -> CompiledQuery:
+        """The compiled form of a query new to this engine."""
+        if self.catalog is not None:
+            entry = self.catalog.get(source)
+            if digest not in self.catalog:
+                # One content-addressed path for all kinds: compile once,
+                # persist, and every other process (shard workers included)
+                # loads instead of compiling.
+                self.catalog.save(source, automaton=entry.automaton)
+            return entry
+        from repro.core.enumerator import compiled_automaton_for
+
+        entry = CompiledQuery(kind=kind, digest=digest, automaton=compiled_automaton_for(source))
+        entry.attach(source)
+        return entry
+
     # -------------------------------------------------------------- documents
     def add(self, content, query, doc_id=None, alphabet=None) -> Document:
-        """Add a document of either kind (dispatch on ``content``'s type).
+        """Serve one document under a standing query.
 
-        :class:`~repro.trees.unranked.UnrankedTree` → tree document; any
-        string / sequence of letters → word document.
+        An :class:`~repro.trees.unranked.UnrankedTree` is served under a
+        tree query (Theorem 8.1); a word — any string or sequence of letters
+        — under a word or spanner query (Theorem 8.5).  ``add_tree`` and
+        ``add_word`` are aliases: the content's type decides, and content of
+        the other kind than the query is refused before anything ships.
         """
-        if isinstance(content, UnrankedTree):
-            return self.add_tree(content, query, doc_id=doc_id, alphabet=alphabet)
-        return self.add_word(content, query, doc_id=doc_id, alphabet=alphabet)
-
-    def add_tree(self, tree: UnrankedTree, query, doc_id=None, alphabet=None) -> Document:
-        """Serve an unranked tree under a standing tree query (Theorem 8.1)."""
-        return self._add("tree", tree, query, doc_id, alphabet)
-
-    def add_word(self, word, query, doc_id=None, alphabet=None) -> Document:
-        """Serve a word under a standing word/spanner query (Theorem 8.5)."""
-        return self._add("word", list(word), query, doc_id, alphabet)
-
-    def _add(self, kind: str, content, query, doc_id, alphabet) -> Document:
-        # Single adds ride the batch path (a batch of one), so there is
-        # exactly one ingest protocol to keep correct.
         doc_ids = None if doc_id is None else [doc_id]
-        return self.add_documents(
-            [content], query, doc_ids=doc_ids, alphabet=alphabet, _kind=kind
-        )[0]
+        return self.add_documents([content], query, doc_ids=doc_ids, alphabet=alphabet)[0]
+
+    add_tree = add_word = add
 
     def add_documents(
         self,
@@ -423,7 +364,6 @@ class Engine:
         queries=None,
         doc_ids=None,
         alphabet=None,
-        _kind=None,
     ) -> List[Document]:
         """Add many documents at once — the pipelined ingest path.
 
@@ -431,55 +371,25 @@ class Engine:
         :class:`~repro.trees.unranked.UnrankedTree` or a word); ``query`` is
         the standing query they share, or ``queries`` gives one per document.
         ``doc_ids`` optionally fixes ids (``None`` entries auto-assign).
+        Handles come back in the caller's order.
 
-        On a sharded engine the documents are grouped per shard (load-aware
-        placement over the live shards, ``replicas`` shards per document) and
-        shipped as **one pickled batch per worker, all batches in flight
-        before any reply is collected** — so the per-document builds, the
-        dominant serving cost, overlap across the worker processes instead of
-        paying one synchronous round trip each.  A single-process engine adds
-        the documents in order through the same entry point, so the facade is
-        uniform.
+        On a fleet the documents are grouped per shard (load-aware placement
+        over the live shards, ``replicas`` shards per document) and shipped
+        as **one pickled batch per worker, all batches in flight before any
+        reply is collected** — so the per-document builds, the dominant
+        serving cost, overlap across the worker processes instead of paying
+        one synchronous round trip each.
 
-        If an item fails inside a live worker, the documents the batch had
-        already added stay registered and the item's original exception is
-        re-raised.  If a worker process dies mid-batch, the documents that
-        landed on no other replica are reported in a precise
-        :class:`~repro.errors.ShardDiedError`; documents with at least one
-        surviving replica stay registered (and are re-replicated in the
-        background when ``replicas >= 2``).
+        If an item fails, the documents the batch added stay registered and
+        the item's original exception is re-raised.  If a worker process
+        dies mid-batch, the documents that landed on no other replica are
+        reported in a precise :class:`~repro.errors.ShardDiedError`;
+        documents with at least one surviving replica stay registered (and
+        are re-replicated in the background when ``replicas >= 2``).
         """
         self._check_open()
-        items = self._prepare_ingest(contents, query, queries, doc_ids, alphabet, _kind)
-        span = self._tracer.begin("add_documents", docs=len(items))
-        start = perf_counter()
-        try:
-            if self._pool is None:
-                # The same batch entry point a shard worker's store exposes, so
-                # local and sharded engines share one ingest facade end to end.
-                self._store.add_documents(
-                    [content for _doc_id, _kind, content, _compiled in items],
-                    queries=[compiled.source for _doc_id, _kind, _content, compiled in items],
-                    doc_ids=[doc_id for doc_id, _kind, _content, _compiled in items],
-                )
-                return [
-                    self._register(doc_id, kind, compiled)
-                    for doc_id, kind, _content, compiled in items
-                ]
-            registered: Dict[object, Document] = {}
-            for document in self._ingest_sharded_iter(
-                items, trace_ctx=None if span is None else span.context
-            ):
-                registered[document.doc_id] = document
-            # handles come back in the caller's order, not in completion order
-            return [
-                registered[doc_id]
-                for doc_id, _kind, _content, _compiled in items
-                if doc_id in registered
-            ]
-        finally:
-            self._tracer.finish(span)
-            self._metrics.observe("ingest_batch_seconds", perf_counter() - start)
+        items = self._prepare_ingest(contents, query, queries, doc_ids, alphabet)
+        return [document for _index, document in sorted(self._ingest(items))]
 
     def add_documents_iter(
         self,
@@ -493,45 +403,20 @@ class Engine:
         """:meth:`add_documents`, yielding each handle as its build lands.
 
         Returns an iterator of :class:`Document` handles in **completion
-        order**: on a sharded engine each document is yielded as soon as
-        every shard it was placed on has acknowledged its batch, so the
-        documents on fast shards are usable while a straggler shard is
-        still building.  Batch-level failures (a dead shard's lost
-        documents, a failed item's original exception) are raised at the
-        end, after every surviving document has been yielded — the same
-        error semantics as :meth:`add_documents`.  On a single-process
-        engine the documents are yielded in caller order after the batch
-        builds (there is no per-shard completion to expose).
+        order**: on a fleet each document is yielded as soon as every shard
+        it was placed on has acknowledged its batch, so the documents on
+        fast shards are usable while a straggler shard is still building.
+        Batch-level failures (a dead shard's lost documents, a failed item's
+        original exception) are raised at the end, after every surviving
+        document has been yielded — the same error semantics as
+        :meth:`add_documents`.  Without a fleet the documents are yielded in
+        caller order after the batch builds.
         """
         self._check_open()
-        items = self._prepare_ingest(contents, query, queries, doc_ids, alphabet, None)
+        items = self._prepare_ingest(contents, query, queries, doc_ids, alphabet)
+        return (document for _index, document in self._ingest(items))
 
-        def iterate():
-            span = self._tracer.begin("add_documents", docs=len(items))
-            start = perf_counter()
-            try:
-                if self._pool is None:
-                    self._store.add_documents(
-                        [content for _doc_id, _kind, content, _compiled in items],
-                        queries=[
-                            compiled.source for _doc_id, _kind, _content, compiled in items
-                        ],
-                        doc_ids=[doc_id for doc_id, _kind, _content, _compiled in items],
-                    )
-                    for doc_id, kind, _content, compiled in items:
-                        yield self._register(doc_id, kind, compiled)
-                    return
-                for document in self._ingest_sharded_iter(
-                    items, trace_ctx=None if span is None else span.context
-                ):
-                    yield document
-            finally:
-                self._tracer.finish(span)
-                self._metrics.observe("ingest_batch_seconds", perf_counter() - start)
-
-        return iterate()
-
-    def _prepare_ingest(self, contents, query, queries, doc_ids, alphabet, _kind):
+    def _prepare_ingest(self, contents, query, queries, doc_ids, alphabet):
         """Validate one ingest batch into ``(doc_id, kind, content, compiled)`` rows."""
         contents = list(contents)
         if queries is not None:
@@ -546,7 +431,7 @@ class Engine:
                 raise EngineError(
                     f"doc_ids ({len(doc_ids)}) and contents ({len(contents)}) differ in length"
                 )
-        items = []  # (doc_id, kind, wire_content, compiled)
+        items = []
         claimed = set()
         for index, content in enumerate(contents):
             item_query = queries[index] if queries is not None else query
@@ -560,8 +445,6 @@ class Engine:
             else:
                 kind = "word"
                 content = list(content)
-            if _kind is not None and kind != _kind:
-                kind = _kind  # add_tree/add_word said so; the check below reports
             if compiled.kind != kind:
                 raise EngineError(
                     f"cannot serve a {kind} document under a {compiled.kind} query "
@@ -569,180 +452,34 @@ class Engine:
                 )
             doc_id = doc_ids[index] if doc_ids is not None else None
             if doc_id is None:
-                doc_id = next(self._doc_ids)
-                while doc_id in self._documents or doc_id in claimed:
-                    doc_id = next(self._doc_ids)
+                doc_id = self._auto_doc_id(claimed)
             elif doc_id in self._documents or doc_id in claimed:
                 raise ServingError(f"document id {doc_id!r} already in use")
             claimed.add(doc_id)
             items.append((doc_id, kind, content, compiled))
         return items
 
-    def _register(self, doc_id, kind: str, compiled: Query) -> Document:
-        document = Document(self, doc_id, kind, compiled)
-        self._documents[doc_id] = document
-        self._epochs[doc_id] = 0
-        self._next_cursor_ids[doc_id] = 0
-        return document
+    def _auto_doc_id(self, claimed):
+        doc_id = next(self._doc_ids)
+        while doc_id in self._documents or doc_id in claimed:
+            doc_id = next(self._doc_ids)
+        return doc_id
 
-    def _release_placement(self, shard: int) -> None:
-        """Return one placement slot of a shard (replica lost, removed or
-        never materialized); the counter never goes negative."""
-        self._placed[shard] = max(0, self._placed.get(shard, 0) - 1)
-
-    def _pick_shards(self, count: int) -> List[int]:
-        """Load-aware placement: the ``count`` least-loaded live shards.
-
-        Load is (in-flight requests, documents placed), with the shard index
-        as a deterministic tie-break — so an idle fleet fills round-robin,
-        but a shard bogged down in slow builds (or briefly absent while
-        respawning) stops attracting new documents.  Returns fewer than
-        ``count`` shards when fewer are live (degraded placement); raises
-        only when no shard is live at all.
-        """
-        pool = self._pool
-        live = [shard for shard in range(len(pool)) if pool.is_alive(shard)]
-        if not live:
-            raise EngineError(
-                "every shard worker of this engine is dead; close the engine"
-            )
-        ranked = sorted(
-            live, key=lambda s: (pool.inflight(s), self._placed.get(s, 0), s)
-        )
-        chosen = ranked[: min(count, len(ranked))]
-        for shard in chosen:
-            self._placed[shard] = self._placed.get(shard, 0) + 1
-        return chosen
-
-    def _ingest_sharded_iter(self, items, trace_ctx=None):
-        """Sharded batch ingest, yielding handles in shard-completion order.
-
-        All batches go out before any reply is read (builds overlap), and
-        replies are processed in **arrival order**
-        (:meth:`~repro.engine.sharding.ShardPool.wait_replies`): a document
-        is registered and yielded the moment its last placement shard has
-        acknowledged, so one straggler shard delays only its own documents.
-        Shard deaths and per-item failures keep their PR-5/6 semantics —
-        documents with a surviving replica stay registered, lost ones are
-        reported in a precise :class:`~repro.errors.ShardDiedError`, and a
-        failed item's original exception is re-raised — but only after every
-        surviving document has been yielded.
-        """
-        self._reap_repairs()
-        # Group per shard; ship each query's source to a shard once (later
-        # adds of the same content carry only the digest).
-        placements: Dict[object, List[int]] = {}
-        batches: Dict[int, List] = {}
-        for doc_id, kind, content, compiled in items:
-            shards = self._pick_shards(self.replicas)
-            placements[doc_id] = shards
-            for shard in shards:
-                sent = self._queries_sent.setdefault(shard, set())
-                source = None if compiled.digest in sent else compiled.source
-                sent.add(compiled.digest)
-                batches.setdefault(shard, []).append(
-                    (doc_id, kind, content, source, compiled.digest)
-                )
-        # Issue every batch before collecting any reply: builds overlap
-        # across the worker processes.
-        request_ids: Dict[int, int] = {}
-        died: List[tuple] = []  # (shard, doc_ids, error)
-        item_failure = None  # (shard, doc_id, original exception)
-        for shard, batch in batches.items():
-            try:
-                request_ids[shard] = self._pool.submit(
-                    shard, "add_batch", batch, trace_ctx=trace_ctx
-                )
-            except ShardDiedError as exc:
-                died.append((shard, [entry[0] for entry in batch], exc))
-        #: per document: placement shards that have not acknowledged yet
-        remaining: Dict[object, Set[int]] = {
-            doc_id: set(placements[doc_id]) for doc_id, _k, _c, _q in items
-        }
-        for shard, doc_ids, _exc in died:  # dead at submit: never acknowledges
-            for doc_id in doc_ids:
-                remaining[doc_id].discard(shard)
-        landed: Dict[object, List[int]] = {doc_id: [] for doc_id, _k, _c, _q in items}
-        finalized: Set[object] = set()
-        registered_ids: Set[object] = set()
-        batch_t0 = perf_counter()
-        first_reply: Optional[float] = None
-
-        def finalize_ready():
-            """Register + yield every document whose placements all reported."""
-            for doc_id, kind, content, compiled in items:
-                if doc_id in finalized or remaining[doc_id]:
-                    continue
-                finalized.add(doc_id)
-                shards = [s for s in placements[doc_id] if s in landed[doc_id]]
-                for shard in placements[doc_id]:
-                    if shard not in shards:
-                        self._release_placement(shard)
-                if not shards:
-                    continue
-                self._replicas_of[doc_id] = shards
-                registered_ids.add(doc_id)
-                document = self._register(doc_id, kind, compiled)
-                if self.replicas > 1:
-                    self._ingest_blobs[doc_id] = (kind, pickle.dumps(content), compiled.digest)
-                    self._edit_logs[doc_id] = []
-                yield document
-
-        yield from finalize_ready()  # placements lost entirely at submit time
-        pending = dict(request_ids)
-        while pending:
-            for shard in self._pool.wait_replies(pending):
-                request_id = pending.pop(shard)
-                try:
-                    payload = self._pool.collect(shard, request_id)
-                except ShardDiedError as exc:
-                    died.append((shard, [entry[0] for entry in batches[shard]], exc))
-                    for entry in batches[shard]:
-                        remaining[entry[0]].discard(shard)
-                    continue
-                elapsed = perf_counter() - batch_t0
-                if first_reply is None:
-                    first_reply = elapsed
-                elif elapsed > 2.0 * max(first_reply, 0.010):
-                    # This shard took over twice as long as the batch's first
-                    # reply: with the old lockstep collection its documents
-                    # would have delayed the whole ingest return.
-                    self.ingest_stragglers_total += 1
-                    self._events.emit(
-                        "ingest_straggler",
-                        shard=shard,
-                        elapsed=elapsed,
-                        first_reply=first_reply,
-                    )
-                added = {summary["doc_id"] for summary in payload["added"]}
-                for entry in batches[shard]:
-                    doc_id = entry[0]
-                    if doc_id in added:
-                        landed[doc_id].append(shard)
-                    remaining[doc_id].discard(shard)
-                if payload["error"] is not None and item_failure is None:
-                    item_failure = (shard, payload["failed_doc_id"], payload["error"])
-            yield from finalize_ready()
-        # Failover: respawn dead shards and re-replicate before reporting, so
-        # a partially-lost batch is already being repaired when the caller
-        # handles the error (no-op with replicas=1).
-        for shard in {shard for shard, _ids, _exc in died}:
-            self._after_death(shard)
-        if died:
-            lost = [
-                (shard, [d for d in doc_ids if d not in registered_ids], exc)
-                for shard, doc_ids, exc in died
-            ]
-            lost = [(shard, ids, exc) for shard, ids, exc in lost if ids]
-            if lost:
-                detail = "; ".join(
-                    f"shard {shard} died with document ids {doc_ids!r} in flight"
-                    for shard, doc_ids, _exc in lost
-                )
-                raise ShardDiedError(f"batch ingest failed: {detail}") from lost[0][2]
-        if item_failure is not None:
-            _shard, _doc_id, error = item_failure
-            raise error
+    def _ingest(self, items):
+        """Ship validated rows through the transport; yield ``(index, Document)``
+        as each document lands, then raise the batch's failure, if any."""
+        span = self._tracer.begin("add_documents", docs=len(items))
+        start = perf_counter()
+        try:
+            trace_ctx = None if span is None else span.context
+            for index, doc_id in self._transport.ingest(items, trace_ctx):
+                _requested, kind, _content, compiled = items[index]
+                document = self._documents[doc_id] = Document(self, doc_id, kind, compiled)
+                self._epochs[doc_id] = 0
+                yield index, document
+        finally:
+            self._tracer.finish(span)
+            self._metrics.observe("ingest_batch_seconds", perf_counter() - start)
 
     def document(self, doc_id) -> Document:
         """The handle of a served document."""
@@ -755,45 +492,7 @@ class Engine:
         """Drop a document (its cursors are closed)."""
         self.document(doc_id)  # raises on unknown ids
         self._check_open()
-        if self._pool is not None:
-            self._reap_repairs()
-            targets = self._write_targets(doc_id)
-            submitted, dead_seen = [], []
-            death_error: Optional[BaseException] = None
-            removed = 0
-            for shard in targets:
-                try:
-                    submitted.append((shard, self._pool.submit(shard, "remove", doc_id)))
-                except ShardDiedError as exc:
-                    dead_seen.append(shard)
-                    death_error = exc
-            for shard, request_id in submitted:
-                try:
-                    self._pool.collect(shard, request_id)
-                    removed += 1
-                except ShardDiedError as exc:
-                    dead_seen.append(shard)
-                    death_error = exc
-            if removed == 0 and death_error is not None:
-                # No replica acknowledged: the document is *not* removed
-                # (with replicas=1 this is the PR-5 dead-shard behavior).
-                for shard in set(dead_seen):
-                    self._after_death(shard)
-                raise death_error
-            # Forget the document before handling deaths so it is not
-            # re-migrated onto the respawned worker.
-            replicas = self._replicas_of.pop(doc_id, [])
-            for shard in replicas:
-                self._release_placement(shard)
-            self._ingest_blobs.pop(doc_id, None)
-            self._edit_logs.pop(doc_id, None)
-            self._next_cursor_ids.pop(doc_id, None)
-            for key in [key for key in self._cursor_holders if key[0] == doc_id]:
-                del self._cursor_holders[key]
-            for shard in set(dead_seen):
-                self._after_death(shard)
-        else:
-            self._store.remove(doc_id)
+        self._transport.remove(doc_id)
         del self._documents[doc_id]
         self._epochs.pop(doc_id, None)
 
@@ -806,360 +505,67 @@ class Engine:
     def __contains__(self, doc_id) -> bool:
         return doc_id in self._documents
 
-    # ----------------------------------------------------------- fault repair
-    def _write_targets(self, doc_id) -> List[int]:
-        """The shards a write (edits, cursor open, remove) must reach.
-
-        Replicated writes go to every live replica in lockstep; with
-        ``replicas=1`` the single home shard is returned even when dead, so
-        the pool raises its precise dead-shard error (PR-5 behavior).
-        """
-        replicas = self._replicas_of[doc_id]
-        if self.replicas == 1:
-            return [replicas[0]]
-        targets = [shard for shard in replicas if self._pool.is_alive(shard)]
-        if not targets:
-            raise ShardDiedError(
-                f"every replica of document {doc_id!r} is gone "
-                f"(all shard workers holding it died)"
-            )
-        return targets
-
-    def _pick_read_replica(self, doc_id) -> int:
-        """The least-loaded live replica (reads); the home shard if R=1."""
-        replicas = self._replicas_of[doc_id]
-        if self.replicas == 1:
-            return replicas[0]
-        pool = self._pool
-        live = [shard for shard in replicas if pool.is_alive(shard)]
-        if not live:
-            raise ShardDiedError(
-                f"every replica of document {doc_id!r} is gone "
-                f"(all shard workers holding it died)"
-            )
-        return min(live, key=lambda s: (pool.inflight(s), s))
-
-    def _after_death(self, shard: int) -> None:
-        """Failover bookkeeping once a shard's death has been observed.
-
-        With ``replicas=1`` this is a no-op: the PR-5 contract (a dead
-        shard's documents are precisely unreachable, surviving shards stay
-        usable) is preserved exactly.  With replication: the dead shard is
-        retired from every replica set and cursor-holder set, a replacement
-        worker is respawned at the same index, and every document now below
-        its replication factor is re-migrated onto it in the background —
-        restore requests are pipelined and collected lazily
-        (:meth:`_reap_repairs` / :meth:`await_repairs`), and the pipe's FIFO
-        ordering guarantees any later write or read routed to the new worker
-        observes the fully rebuilt document.
-        """
-        if self.replicas == 1:
-            return
-        pool = self._pool
-        if pool.is_alive(shard):
-            return  # already respawned (a stale observation of an old death)
-        start = perf_counter()
-        span = self._tracer.begin("failover", shard=shard)
-        failover_ctx = None if span is None else span.context
-        for doc_id, replicas in self._replicas_of.items():
-            if shard in replicas:
-                replicas.remove(shard)
-                self._release_placement(shard)
-        for key in list(self._cursor_holders):
-            holders = self._cursor_holders[key]
-            holders.discard(shard)
-            if not holders:
-                del self._cursor_holders[key]
-        dead_generation = pool.generation(shard)
-        self._repairs = [
-            repair
-            for repair in self._repairs
-            if not (repair["shard"] == shard and repair["generation"] == dead_generation)
-        ]
-        pool.respawn(shard)
-        generation = pool.generation(shard)
-        self._queries_sent[shard] = set()
-        sent = self._queries_sent[shard]
-        for doc_id, replicas in self._replicas_of.items():
-            if len(replicas) >= self.replicas or shard in replicas:
-                continue
-            blob = self._ingest_blobs.get(doc_id)
-            if blob is None:
-                continue
-            kind, content_bytes, digest = blob
-            query = self._queries.get(digest)
-            source = None if digest in sent or query is None else query.source
-            sent.add(digest)
-            try:
-                request_id = self._pool.submit(
-                    shard,
-                    "restore",
-                    doc_id,
-                    kind,
-                    pickle.loads(content_bytes),
-                    source,
-                    digest,
-                    list(self._edit_logs.get(doc_id, ())),
-                    self._next_cursor_ids.get(doc_id, 0),
-                    trace_ctx=failover_ctx,
-                )
-            except ShardDiedError:
-                # The replacement died instantly; the next observation of
-                # this death respawns and re-migrates again.
-                break
-            replicas.append(shard)
-            self._placed[shard] = self._placed.get(shard, 0) + 1
-            self.migrations_total += 1
-            self._repairs.append(
-                {
-                    "shard": shard,
-                    "generation": generation,
-                    "doc_id": doc_id,
-                    "request_id": request_id,
-                    "t0": perf_counter(),
-                }
-            )
-        self._tracer.finish(span)
-        self._metrics.observe("failover_seconds", perf_counter() - start)
-
-    def _reap_repairs(self) -> None:
-        """Collect finished background restores without blocking."""
-        if not self._repairs:
-            return
-        pool = self._pool
-        still: List[dict] = []
-        dead_seen: List[int] = []
-        for repair in self._repairs:
-            shard = repair["shard"]
-            if pool.generation(shard) != repair["generation"]:
-                continue  # that worker died; its death handling re-migrated
-            try:
-                if not pool.poll_reply(shard, repair["request_id"]):
-                    still.append(repair)
-                    continue
-                pool.collect(shard, repair["request_id"])
-                if "t0" in repair:
-                    self._metrics.observe("repair_seconds", perf_counter() - repair["t0"])
-            except ShardDiedError:
-                dead_seen.append(shard)
-            except EngineError:
-                # The restore itself failed on a live worker: treat it as a
-                # replica loss (availability shrinks; nothing is corrupted).
-                replicas = self._replicas_of.get(repair["doc_id"])
-                if replicas and shard in replicas:
-                    replicas.remove(shard)
-                    self._release_placement(shard)
-        self._repairs = still
-        for shard in set(dead_seen):
-            self._after_death(shard)
-
     def await_repairs(self) -> None:
         """Block until every background re-migration has been acknowledged.
 
         Deterministic tests and benchmarks call this to pin down "the fleet
         is back at full replication"; regular traffic never needs to — the
-        pipe's FIFO ordering already hides rebuild latency.
+        pipe's FIFO ordering already hides rebuild latency.  A no-op without
+        a fleet.
         """
         self._check_open()
-        if self._pool is None:
-            return
-        while self._repairs:
-            repairs, self._repairs = self._repairs, []
-            dead_seen: List[int] = []
-            for repair in repairs:
-                shard = repair["shard"]
-                if self._pool.generation(shard) != repair["generation"]:
-                    continue
-                try:
-                    self._pool.collect(shard, repair["request_id"])
-                    if "t0" in repair:
-                        self._metrics.observe(
-                            "repair_seconds", perf_counter() - repair["t0"]
-                        )
-                except ShardDiedError:
-                    dead_seen.append(shard)
-                except EngineError:
-                    replicas = self._replicas_of.get(repair["doc_id"])
-                    if replicas and shard in replicas:
-                        replicas.remove(shard)
-                        self._release_placement(shard)
-            for shard in set(dead_seen):
-                self._after_death(shard)
-
-    def _read_request(self, doc_id, op: str, *args):
-        """Route one read to a live replica, failing over on shard death."""
-        attempts = 2 * len(self._pool) + 2
-        last_error: Optional[BaseException] = None
-        for _ in range(attempts):
-            shard = self._pick_read_replica(doc_id)
-            try:
-                return self._pool.request(shard, op, doc_id, *args)
-            except ShardDiedError as exc:
-                if self.replicas == 1:
-                    raise
-                last_error = exc
-                self._after_death(shard)
-                self.failovers_total += 1
-        raise last_error
+        self._transport.await_repairs()
 
     # ---------------------------------------------------------------- traffic
     def apply_edits(self, doc_id, edits) -> BatchUpdateReport:
         """Apply one edit batch to a document (one epoch step), routed by id.
 
-        Replicated documents apply the batch on **every live replica in
-        lockstep** (same edits, same order, deterministic outcome), so
-        epochs, cursor decisions and enumeration state stay byte-identical
-        across replicas; the batch is also appended to the document's edit
-        log so a future restore replays it.
+        Replicated documents apply the batch on every live replica in
+        lockstep, and the batch is logged so a future restore replays it.
         """
         self.document(doc_id)
         self._check_open()
-        if self._pool is None:
-            with self._tracer.span("apply_edits", doc_id=repr(doc_id)):
-                return self._store.document(doc_id).apply_edits(edits)
-        self._reap_repairs()
         edits = list(edits)
-        span = self._tracer.begin("apply_edits", doc_id=repr(doc_id), edits=len(edits))
-        try:
-            return self._apply_edits_sharded(
-                doc_id, edits, None if span is None else span.context
-            )
-        finally:
-            self._tracer.finish(span)
-
-    def _apply_edits_sharded(self, doc_id, edits, trace_ctx) -> BatchUpdateReport:
-        targets = self._write_targets(doc_id)
-        if self.replicas > 1:
-            log = self._edit_logs.get(doc_id)
-            if log is not None:
-                log.append(list(edits))
-        submitted, dead_seen = [], []
-        death_error: Optional[BaseException] = None
-        for shard in targets:
+        with self._tracer.span("apply_edits", doc_id=repr(doc_id), edits=len(edits)):
             try:
-                submitted.append(
-                    (
-                        shard,
-                        self._pool.submit(
-                            shard, "edits", doc_id, edits, trace_ctx=trace_ctx
-                        ),
-                    )
-                )
-            except ShardDiedError as exc:
-                dead_seen.append(shard)
-                death_error = exc
-        reports: List[BatchUpdateReport] = []
-        app_error: Optional[BaseException] = None
-        for shard, request_id in submitted:
-            try:
-                reports.append(self._pool.collect(shard, request_id))
-            except ShardDiedError as exc:
-                dead_seen.append(shard)
-                death_error = exc
-            except BaseException as exc:  # noqa: BLE001 — deterministic app error
-                if app_error is None:
-                    app_error = exc
-        for shard in set(dead_seen):
-            self._after_death(shard)
-        if dead_seen and reports:
-            self.failovers_total += 1  # the edit survived a replica death
-        if app_error is not None:
-            # The batch may have partially applied (the epoch still advances
-            # on a partial batch): resync the mirror so live streams see it.
-            try:
-                self._epochs[doc_id] = self._read_request(doc_id, "epoch")
-            except EngineError:
-                self._epochs.pop(doc_id, None)
-            raise app_error
-        if not reports:
-            self._epochs.pop(doc_id, None)  # state unknowable; streams go stale
-            if death_error is not None:
-                raise death_error
-            raise ShardDiedError(f"every replica of document {doc_id!r} is gone")
-        report = reports[0]
-        if len(reports) > 1:
-            if any(other.epoch != report.epoch for other in reports[1:]):
-                self._events.emit(
-                    "replica_divergence",
-                    doc_id=repr(doc_id),
-                    epochs=[r.epoch for r in reports],
-                )
-                raise EngineError(
-                    f"replica divergence on document {doc_id!r}: edit batch produced "
-                    f"epochs {[r.epoch for r in reports]!r} across replicas"
-                )
-            # A replica rebuilt after some cursors were opened holds only a
-            # subset of them, so its per-batch cursor counters can undercount;
-            # the max across replicas is the true per-batch number.
-            report.cursors_resumed = max(r.cursors_resumed for r in reports)
-            report.cursors_invalidated = max(r.cursors_invalidated for r in reports)
-        # Accumulate the logical per-batch counts parent-side: shard-held
-        # totals reset when a failover rebuilds a replica, so stats() sums
-        # these monotonic counters instead of the shard-side ones.
-        self.cursors_resumed_total += report.cursors_resumed
-        self.cursors_invalidated_total += report.cursors_invalidated
+                report = self._transport.edits(doc_id, edits)
+            except BaseException:
+                # The batch may have partially applied (the epoch still
+                # advances on a partial batch): resync the mirror so live
+                # streams see it.
+                try:
+                    self._epochs[doc_id] = self._transport.epoch(doc_id)
+                except Exception:  # noqa: BLE001 — state unknowable; streams go stale
+                    self._epochs.pop(doc_id, None)
+                raise
         self._epochs[doc_id] = report.epoch
         return report
 
     def _doc_epoch(self, doc_id) -> int:
         self.document(doc_id)
-        if self._pool is not None:
-            epoch = self._epochs.get(doc_id)
-            if epoch is None:  # mirror lost after a failed batch: resync
-                epoch = self._read_request(doc_id, "epoch")
-                self._epochs[doc_id] = epoch
-            return epoch
-        return self._store.document(doc_id).epoch
+        epoch = self._epochs.get(doc_id)
+        if epoch is None:  # mirror lost after a failed batch: resync
+            epoch = self._epochs[doc_id] = self._transport.epoch(doc_id)
+        return epoch
 
     def _count(self, doc_id, limit: Optional[int]) -> int:
         self.document(doc_id)
-        if self._pool is not None:
-            self._reap_repairs()
-            return self._read_request(doc_id, "count", limit)
-        return self._store.document(doc_id).count(limit=limit)
+        return self._transport.count(doc_id, limit)
 
     def _runtime(self, doc_id):
         self.document(doc_id)
-        if self._pool is not None:
-            raise EngineError(
-                f"document {doc_id!r} lives in shard worker {self._shard_of[doc_id]}; "
-                "its runtime is not reachable from the parent process"
-            )
-        return self._store.document(doc_id).enumerator
+        return self._transport.runtime(doc_id)
 
     def _stream(self, doc_id):
+        """A document's answers.  In-process this is the runtime's own
+        iterator; a pushed stream checks, before each answer, that no edit
+        reached the document since the stream was created (the base epoch is
+        captured eagerly, like the runtime iterator's)."""
         self.document(doc_id)
         self._check_open()
-        if self._pool is None:
-            # Zero-overhead facade: the exact per-answer iterator of the
-            # runtime (Theorem 6.5 delay), StaleIteratorError on edits.
-            return self._store.document(doc_id).enumerator.assignments()
-        return self._stream_pushed(doc_id)
-
-    def _stream_pushed(self, doc_id):
-        """Sharded ``stream()``: chunks pushed by the worker under credit.
-
-        The worker iterates the runtime's own per-answer iterator and pushes
-        result chunks ahead of consumption (bounded by the credit window), so
-        a long stream costs one round trip per credit grant instead of one
-        per page.  Stale-on-edit semantics are enforced at the parent against
-        the epoch mirror — every edit flows through this engine — so the
-        stream raises :class:`~repro.errors.StaleIteratorError` at exactly
-        the answer boundary where a single-process stream would.  The base
-        epoch is captured *eagerly* (this is not a generator), matching the
-        runtime iterator: an edit or removal landing between creating the
-        stream and its first answer invalidates it too.
-
-        Replicated documents stream from the least-loaded live replica; if
-        that replica dies mid-stream, the stream transparently reopens on a
-        survivor and skips the answers already yielded — enumeration order
-        is deterministic and identical across replicas, so no in-flight
-        answer is lost, duplicated or reordered by the failover.
-        """
-        self._reap_repairs()
         start_epoch = self._doc_epoch(doc_id)  # resyncs a lost mirror
 
-        def check_fresh():
+        def check():
             if self._epochs.get(doc_id) != start_epoch:
                 raise StaleIteratorError(
                     f"document {doc_id!r} was edited (or removed) while stream() "
@@ -1167,62 +573,7 @@ class Engine:
                     "edit-stable pagination"
                 )
 
-        def iterate():
-            check_fresh()
-            yielded = 0
-            attempts = 2 * len(self._pool) + 2
-            # Explicit begin/finish (not a with-block): a generator suspends
-            # across yields, so the span covers the stream's whole lifetime
-            # and closes in the finally whenever the consumer stops.
-            span = self._tracer.begin("stream", doc_id=repr(doc_id))
-            ctx = None if span is None else span.context
-            try:
-                while True:
-                    shard = self._pick_read_replica(doc_id)
-                    stream = None
-                    try:
-                        stream = self._pool.stream_open(
-                            shard, doc_id, STREAM_PAGE_SIZE, trace_ctx=ctx
-                        )
-                        replay = yielded  # answers already served before this (re)open
-                        skipped = 0
-                        while True:
-                            chunk = self._pool.stream_next_chunk(stream)
-                            if chunk is None:
-                                return
-                            answers, exhausted = chunk
-                            # Staleness is checked only before *yielding an
-                            # answer* — an edit landing after the final answer
-                            # ends the stream with StopIteration, like the
-                            # runtime's own iterator.
-                            for answer in answers:
-                                if skipped < replay:
-                                    skipped += 1  # failover replay: already served
-                                    continue
-                                check_fresh()
-                                yield answer
-                                yielded += 1
-                            if exhausted:
-                                return
-                    except ShardDiedError:
-                        attempts -= 1
-                        if self.replicas == 1 or attempts <= 0:
-                            raise
-                        retry = self._tracer.begin(
-                            "failover_retry", parent=ctx, dead_shard=shard
-                        )
-                        try:
-                            self._after_death(shard)
-                        finally:
-                            self._tracer.finish(retry)
-                        self.failovers_total += 1
-                    finally:
-                        if stream is not None:
-                            self._pool.stream_close(stream)
-            finally:
-                self._tracer.finish(span)
-
-        return iterate()
+        return self._transport.stream(doc_id, check)
 
     def _page(self, doc_id, cursor, page_size: Optional[int]) -> ResultPage:
         self.document(doc_id)
@@ -1244,95 +595,7 @@ class Engine:
         size = self.page_size if page_size is None else page_size
         if size < 1:
             raise EngineError("page_size must be >= 1")
-        if self._pool is not None:
-            return self._page_sharded(doc_id, cursor_id, size)
-        document = self._store.document(doc_id)
-        cursor_obj, page = document.fetch_page(cursor_id, size)
-        return ResultPage(
-            answers=tuple(page.answers),
-            offset=page.offset,
-            exhausted=page.exhausted,
-            cursor_id=cursor_obj.cursor_id,
-            document_id=doc_id,
-            epoch=document.epoch,
-        )
-
-    def _page_sharded(self, doc_id, cursor_id: Optional[int], size: int) -> ResultPage:
-        """One page request, mirrored to every replica that holds the cursor.
-
-        Cursor opens and fetches are **writes** (they advance worker-side
-        cursor state), so they go to all live holders in lockstep; cursor
-        behavior is deterministic, so every holder returns the same page and
-        the first reply is served.  A holder dying mid-fetch costs nothing:
-        the surviving holders advanced identically.
-        """
-        self._reap_repairs()
-        pool = self._pool
-        key = None if cursor_id is None else (doc_id, cursor_id)
-        if cursor_id is None:
-            targets = self._write_targets(doc_id)
-        else:
-            holders = self._cursor_holders.get(key)
-            targets = []
-            if holders:
-                targets = [
-                    shard
-                    for shard in self._replicas_of[doc_id]
-                    if shard in holders and pool.is_alive(shard)
-                ]
-            if not targets:
-                # Unknown / released / orphaned cursor: one replica produces
-                # the precise worker-side error (or dead-shard error).
-                targets = [self._pick_read_replica(doc_id)]
-        submitted, dead_seen = [], []
-        death_error: Optional[BaseException] = None
-        for shard in targets:
-            try:
-                submitted.append(
-                    (shard, pool.submit(shard, "page", doc_id, cursor_id, size))
-                )
-            except ShardDiedError as exc:
-                dead_seen.append(shard)
-                death_error = exc
-        payload = None
-        succeeded: List[int] = []
-        app_error: Optional[BaseException] = None
-        for shard, request_id in submitted:
-            try:
-                reply = pool.collect(shard, request_id)
-            except ShardDiedError as exc:
-                dead_seen.append(shard)
-                death_error = exc
-                continue
-            except BaseException as exc:  # noqa: BLE001 — deterministic app error
-                if app_error is None:
-                    app_error = exc
-                continue
-            succeeded.append(shard)
-            if payload is None:
-                payload = reply
-        for shard in set(dead_seen):
-            self._after_death(shard)
-        if dead_seen and (succeeded or app_error is not None):
-            self.failovers_total += 1  # the answer survived a replica death
-        if payload is None:
-            if app_error is not None:
-                # Deterministic across replicas (invalidation, released id,
-                # ...): the worker-side cursor is released everywhere.
-                if key is not None:
-                    self._cursor_holders.pop(key, None)
-                raise app_error
-            if death_error is not None:
-                raise death_error
-            raise ShardDiedError(f"every replica of document {doc_id!r} is gone")
-        if cursor_id is None:
-            self._next_cursor_ids[doc_id] = self._next_cursor_ids.get(doc_id, 0) + 1
-            if not payload["exhausted"]:
-                self._cursor_holders[(doc_id, payload["cursor_id"])] = set(succeeded)
-        elif payload["exhausted"]:
-            self._cursor_holders.pop(key, None)
-        else:
-            self._cursor_holders[key] = set(succeeded)
+        payload = self._transport.page(doc_id, cursor_id, size)
         return ResultPage(
             answers=tuple(payload["answers"]),
             offset=payload["offset"],
@@ -1344,91 +607,29 @@ class Engine:
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, object]:
-        """A monitoring snapshot; sharded engines merge per-shard stats.
+        """A monitoring snapshot; a fleet merges its per-shard stats.
 
-        Sharded engines additionally report the protocol counters of the
-        pipelined shard pool: ``shards`` (per shard: liveness, respawn
-        ``generation``, ``replica_of`` document ids, in-flight request
-        count, queued replies, open streams, message totals),
-        ``queue_depth`` (total in-flight requests at snapshot time) and
-        ``streaming`` (result chunks received vs round trips paid — with
-        credit-based streaming the round trips stay well under one per
-        chunk).  The failover machinery is observable through
-        ``deaths_total`` / ``timeouts_total`` (from the pool),
-        ``failovers_total`` / ``migrations_total`` / ``repairs_pending``
-        (from the engine) and ``replicas``.  The
+        A fleet additionally reports the protocol counters of the pipelined
+        shard pool: ``shards`` (per shard: liveness, respawn ``generation``,
+        ``replica_of`` document ids, in-flight request count, queued
+        replies, open streams, message totals), ``queue_depth`` (total
+        in-flight requests at snapshot time) and ``streaming`` (result
+        chunks received vs round trips paid — with credit-based streaming
+        the round trips stay well under one per chunk).  The failover
+        machinery is observable through ``deaths_total`` /
+        ``timeouts_total`` (from the pool), ``failovers_total`` /
+        ``migrations_total`` / ``repairs_pending`` and ``replicas``.  The
         ``cursors_resumed_across_edit_batches`` counter measures the cursor
-        resume rate the ROADMAP asks for; on a sharded engine it (and
-        ``cursors_invalidated``) comes from the parent-side monotonic
-        accumulators — one count per logical cursor event — rather than the
-        shard-held totals, which reset whenever a failover rebuilds a
-        replica and double-count under replication.
+        resume rate; on a fleet it (and ``cursors_invalidated``) counts one
+        per logical cursor event, not the shard-held totals, which reset
+        whenever a failover rebuilds a replica and double-count under
+        replication.
         """
         self._check_open()
-        if self._pool is None:
-            merged = self._store.stats()
-            merged["workers"] = 0
-            merged["replicas"] = 1
-            merged["deaths_total"] = 0
-            merged["timeouts_total"] = 0
-            merged["failovers_total"] = 0
-            merged["migrations_total"] = 0
-            merged["repairs_pending"] = 0
-        else:
-            self._reap_repairs()
-            # Pipelined gather (all shards asked before any reply is read);
-            # a dead shard reports None instead of failing the snapshot.
-            per_shard = self._pool.broadcast("stats", skip_dead=True)
-            merged = {}
-            for shard_stats in per_shard:
-                if shard_stats is None:  # dead shard: its numbers are gone
-                    continue
-                for key, value in shard_stats.items():
-                    if not isinstance(value, (int, float)) or isinstance(value, bool):
-                        continue
-                    if key == "compiled_queries":
-                        # Every shard loads the same standing queries; summing
-                        # would multiply the count by the worker count.
-                        merged[key] = max(merged.get(key, 0), value)
-                    else:
-                        merged[key] = merged.get(key, 0) + value
-            if self.replicas > 1:
-                # Summing per-shard document counts would count every
-                # replica; report logical documents instead.
-                merged["documents"] = len(self._documents)
-            # Logical cursor counters (see the docstring): the shard-side
-            # sums computed above are replaced by the parent-side monotonic
-            # accumulators, which survive replica rebuilds.
-            merged["cursors_resumed_across_edit_batches"] = self.cursors_resumed_total
-            merged["cursors_invalidated"] = self.cursors_invalidated_total
-            merged["workers"] = len(self._pool)
-            merged["replicas"] = self.replicas
-            merged["per_shard"] = per_shard
-            shard_counters = self._pool.shard_stats()
-            for index, entry in enumerate(shard_counters):
-                entry["replica_of"] = [
-                    doc_id
-                    for doc_id, replicas in self._replicas_of.items()
-                    if index in replicas
-                ]
-            merged["shards"] = shard_counters
-            merged["queue_depth"] = sum(s["inflight_requests"] for s in shard_counters)
-            merged["streams_open"] = sum(s["streams_open"] for s in shard_counters)
-            merged["streaming"] = {
-                "chunks": sum(s["stream_chunks"] for s in shard_counters),
-                "round_trips": sum(s["stream_round_trips"] for s in shard_counters),
-                "chunk_size": STREAM_PAGE_SIZE,
-                # the *live* adaptive window (starts at STREAM_CREDIT)
-                "credit": self._pool.credit.window,
-                "credit_start": STREAM_CREDIT,
-                "credit_grown": self._pool.credit.grown_total,
-                "credit_shrunk": self._pool.credit.shrunk_total,
-            }
-            merged["deaths_total"] = self._pool.deaths_total
-            merged["timeouts_total"] = self._pool.timeouts_total
-            merged["failovers_total"] = self.failovers_total
-            merged["migrations_total"] = self.migrations_total
-            merged["repairs_pending"] = len(self._repairs)
+        merged = self._transport.stats()
+        merged["workers"] = self.workers
+        merged["failovers_total"] = self.failovers_total
+        merged["migrations_total"] = self.migrations_total
         merged["ingest_stragglers"] = self.ingest_stragglers_total
         merged["queries_compiled"] = len(self._queries)
         merged["catalog_entries"] = len(self.catalog) if self.catalog is not None else 0
@@ -1440,8 +641,8 @@ class Engine:
 
         Returns ``{name: snapshot}`` where a histogram snapshot carries
         ``count`` / ``sum`` / ``p50`` / ``p95`` / ``p99`` / ``max`` plus the
-        raw buckets, and a counter carries ``value``.  On a sharded engine
-        every worker's registry is gathered over the protocol and merged
+        raw buckets, and a counter carries ``value``.  On a fleet every
+        worker's registry is gathered over the protocol and merged
         bucket-wise into the parent's — all histograms share one fixed bound
         table, so the merged result is identical to single-process recording
         (the test suite pins this).  Dead shards contribute nothing.
@@ -1454,17 +655,12 @@ class Engine:
         ``protocol_round_trip_seconds``, ``stream_stall_seconds``,
         ``failover_seconds`` and ``repair_seconds``; counters
         ``delay_violations``, ``failovers_total``, ``migrations_total`` and
-        (sharded) ``shard_deaths_total`` / ``shard_timeouts_total``.
+        (fleet) ``shard_deaths_total`` / ``shard_timeouts_total``.
         """
         self._check_open()
         registry = MetricsRegistry()
         registry.merge_wire(self._metrics.to_wire())
-        if self._pool is not None:
-            self._reap_repairs()
-            for wire in self._pool.broadcast("metrics", skip_dead=True):
-                registry.merge_wire(wire)
-            registry.counters["shard_deaths_total"] = self._pool.deaths_total
-            registry.counters["shard_timeouts_total"] = self._pool.timeouts_total
+        self._transport.merge_metrics(registry)
         registry.counters["failovers_total"] = self.failovers_total
         registry.counters["migrations_total"] = self.migrations_total
         return registry.snapshot()
@@ -1483,17 +679,15 @@ class Engine:
 
         Plain dicts ``{"kind", "ts", ...}``: shard deaths/timeouts/protocol
         violations, slow protocol round trips, fault-plan firings and delay
-        SLO violations.  Sharded engines merge the parent ring with every
-        live worker's (sorted by wall-clock ``ts``); each ring retains the
-        most recent :data:`repro.obs.slo.DEFAULT_EVENT_LOG_SIZE` events.
+        SLO violations.  A fleet merges the parent ring with every live
+        worker's (sorted by wall-clock ``ts``); each ring retains the most
+        recent :data:`repro.obs.slo.DEFAULT_EVENT_LOG_SIZE` events.
         """
         self._check_open()
         events = self._events.snapshot()
-        if self._pool is not None:
-            for shard_events in self._pool.broadcast("events", skip_dead=True):
-                if shard_events:
-                    events.extend(shard_events)
-            events.sort(key=lambda event: event.get("ts", 0.0))
+        for shard_events in self._transport.gather("events"):
+            events.extend(shard_events)
+        events.sort(key=lambda event: event.get("ts", 0.0))
         return events
 
     def dump_trace(self, path: str) -> str:
@@ -1513,14 +707,13 @@ class Engine:
                 "tracing is off; construct the engine with trace=True "
                 "(or set REPRO_TRACE) to record spans"
             )
-        if self._pool is not None:
-            for wire in self._pool.broadcast("trace_drain", skip_dead=True):
-                self._tracer.absorb(wire)
+        for wire in self._transport.gather("trace_drain"):
+            self._tracer.absorb(wire)
         return self._tracer.dump(path)
 
     # ------------------------------------------------------------------ close
     def close(self) -> None:
-        """Shut down workers and release owned resources (idempotent).
+        """Shut down the transport and release owned resources (idempotent).
 
         Safe on an engine whose constructor raised during parameter
         validation (nothing was created, so there is nothing to release).
@@ -1537,24 +730,17 @@ class Engine:
                 except Exception:  # noqa: BLE001 — never block shutdown
                     pass
         self._closed = True
-        lease = getattr(self, "_lease", None)
+        lease, self._lease = self._lease, None
         if lease is not None:
-            self._lease = None
             try:
                 lease.release()
             except Exception:  # noqa: BLE001 — never block shutdown
                 pass
-        if self._pool is not None:
-            self._pool.close()
+        if self._transport is not None:
+            self._transport.close()
         self._store = None
         self._documents.clear()
-        self._replicas_of.clear()
         self._epochs.clear()
-        self._cursor_holders.clear()
-        self._next_cursor_ids.clear()
-        self._ingest_blobs.clear()
-        self._edit_logs.clear()
-        self._repairs.clear()
         if self._owned_catalog_dir is not None:
             shutil.rmtree(self._owned_catalog_dir, ignore_errors=True)
 
@@ -1571,12 +757,7 @@ class Engine:
             pass
 
     def __repr__(self) -> str:  # pragma: no cover
-        if self.workers:
-            mode = f"workers={self.workers}"
-            if self.replicas > 1:
-                mode += f", replicas={self.replicas}"
-        else:
-            mode = "in-process"
         return (
-            f"Engine({mode}, documents={len(self._documents)}, queries={len(self._queries)})"
+            f"{type(self).__name__}(workers={self.workers}, "
+            f"documents={len(self._documents)}, queries={len(self._queries)})"
         )

@@ -25,6 +25,12 @@ Word edits are specified as tuples named after the
 :class:`~repro.core.enumerator.WordRuntime` verbs:
 ``("replace", position_id, letter)``, ``("insert_after",
 position_id_or_None, letter)``, ``("delete", position_id)``.
+
+:class:`StoreOps` is the *op set* over one store: one method per op of the
+shard protocol (``add_batch``, ``edits``, ``page``, ...).  A shard worker
+calls it by op name for every request it receives, and
+:class:`LocalTransport` — how an in-process :class:`repro.Engine` reaches
+its documents — calls it directly, so each op is written once for both.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from repro.automata.unranked_tva import UnrankedTVA
 from repro.circuits.build import DEFAULT_BUILD_CACHE_SIZE, BuildCache
 from repro.core.enumerator import TreeRuntime, WordRuntime, compiled_automaton_for
 from repro.core.results import UpdateStats
-from repro.errors import ServingError
+from repro.errors import EngineError, ServingError
 from repro.engine.catalog import QueryCatalog
 from repro.incremental.maintainer import BoxDelta
 from repro.engine.codec import CompiledQuery
@@ -48,7 +54,14 @@ from repro.obs import DelayMonitor, EventLog, MetricsRegistry
 from repro.trees.edits import EditOperation
 from repro.trees.unranked import UnrankedTree
 
-__all__ = ["LocalStore", "LocalDocument", "BatchUpdateReport"]
+__all__ = [
+    "LocalStore",
+    "LocalDocument",
+    "BatchUpdateReport",
+    "StoreOps",
+    "Transport",
+    "LocalTransport",
+]
 
 #: the runtime a query's kind selects (Theorem 8.1 / Theorem 8.5)
 _RUNTIMES = {"tree": TreeRuntime, "word": WordRuntime}
@@ -527,3 +540,179 @@ class LocalStore:
             ),
             **self.build_cache.stats(),
         }
+
+
+class StoreOps:
+    """The op set: the shard protocol's ops over one :class:`LocalStore`.
+
+    Every public method is one op, named as on the pipe; a shard worker
+    dispatches each request to the method of its name, and the in-process
+    transport calls them directly.  A query travels as its source the first
+    time its digest reaches this store and as the digest alone afterwards.
+    """
+
+    def __init__(self, store: LocalStore):
+        self._store = store
+        self._sources: Dict[str, object] = {}  #: digest → query source
+
+    def _source(self, source, digest: str):
+        if source is None:
+            source = self._sources.get(digest)
+            if source is None:
+                raise EngineError(f"shard has no cached query for digest {digest[:12]}...")
+        else:
+            self._sources[digest] = source
+        return source
+
+    def add_batch(self, items):
+        """Add ``(doc_id, kind, content, source_or_None, digest)`` items in order.
+
+        The store picks the runtime from the query's kind (``kind`` is not
+        read).  The first failure ends the batch; the reply names the
+        documents added so far and, after a failure, the failing id and its
+        original exception, so the caller registers the successes and
+        re-raises precisely.
+        """
+        added = []
+        for doc_id, _kind, content, source, digest in items:
+            try:
+                document = self._store.add_document(
+                    content, self._source(source, digest), doc_id=doc_id
+                )
+            except BaseException as exc:  # noqa: BLE001 — reported, not swallowed
+                return {"added": added, "failed_doc_id": doc_id, "error": exc}
+            added.append(
+                {"doc_id": document.doc_id, "kind": document.kind, "digest": document.digest}
+            )
+        return {"added": added, "failed_doc_id": None, "error": None}
+
+    def edits(self, doc_id, edits) -> BatchUpdateReport:
+        return self._store.document(doc_id).apply_edits(edits)
+
+    def page(self, doc_id, cursor_id: Optional[int], page_size: int) -> Dict[str, object]:
+        document = self._store.document(doc_id)
+        cursor, page = document.fetch_page(cursor_id, page_size)
+        return {
+            "cursor_id": cursor.cursor_id,
+            "answers": tuple(page.answers),
+            "offset": page.offset,
+            "exhausted": page.exhausted,
+            "epoch": document.epoch,
+        }
+
+    def count(self, doc_id, limit: Optional[int]) -> int:
+        return self._store.document(doc_id).count(limit=limit)
+
+    def epoch(self, doc_id) -> int:
+        return self._store.document(doc_id).epoch
+
+    def remove(self, doc_id) -> None:
+        self._store.remove(doc_id)
+
+    def restore(self, doc_id, kind, content, source, digest, edit_batches, next_cursor_id):
+        """Rebuild one document from its original content plus its edit log.
+
+        Failover re-migrates every document a dead shard held onto its
+        respawned replacement.  The rebuild *replays* the recorded edit
+        batches rather than shipping the edited tree: replaying reproduces
+        the incremental forest-algebra term — and therefore node ids,
+        position ids and enumeration order — byte-identically, where a fresh
+        build of the final tree could balance differently.  Batches that
+        failed originally fail identically on replay (including partial
+        application), which keeps the replica in lockstep; their errors were
+        already reported to the caller once.  ``next_cursor_id``
+        re-synchronizes the cursor-id counter so cursors opened *after* the
+        restore get the same ids on every replica.
+        """
+        from repro.errors import ReproError
+
+        document = self._store.add_document(
+            content, self._source(source, digest), doc_id=doc_id
+        )
+        for batch in edit_batches:
+            try:
+                document.apply_edits(batch)
+            except ReproError:
+                pass  # replayed failures re-apply their original partial effects
+        document.sync_cursor_ids(next_cursor_id)
+        return {"doc_id": doc_id, "epoch": document.epoch}
+
+    def ping(self) -> str:
+        return "pong"
+
+    def stats(self) -> Dict[str, object]:
+        return self._store.stats()
+
+    def metrics(self) -> dict:
+        return self._store.metrics.to_wire()
+
+    def events(self) -> List[Dict[str, object]]:
+        return self._store.events.snapshot()
+
+
+class Transport:
+    """What the :class:`repro.Engine` facade needs from a transport: the
+    object that carries its document ops to wherever the documents live.
+
+    ``ingest(items, trace_ctx)`` ships validated ``(doc_id, kind, content,
+    query)`` rows and yields ``(index, doc_id)`` for each document that
+    landed, then raises the batch's failure, if any; ``edits``, ``page``,
+    ``count``, ``epoch`` and ``remove`` take the op set's arguments;
+    ``stream(doc_id, check)`` iterates the current answers, calling
+    ``check()`` (which raises once the facade saw an edit) before each one
+    unless the iterator checks staleness itself; ``runtime``, ``stats``,
+    ``merge_metrics``, ``gather``, ``await_repairs`` and ``close`` serve
+    introspection, monitoring and lifecycle (a
+    :class:`~repro.net.RemoteEngine` reports its server's ``stats``
+    instead).  The defaults below are those of a transport without a fleet
+    of shard workers.
+    """
+
+    workers = 0
+    failovers_total = migrations_total = ingest_stragglers_total = 0
+
+    def merge_metrics(self, registry: MetricsRegistry) -> None:
+        """Fold the workers' metrics into ``registry`` (no workers here)."""
+
+    def gather(self, op: str) -> list:
+        """Every live worker's reply to one monitoring op (no workers here)."""
+        return []
+
+    def await_repairs(self) -> None:
+        """Block until re-replication settles (nothing replicates here)."""
+
+
+class LocalTransport(StoreOps, Transport):
+    """The in-process transport: the facade calls the op set directly."""
+
+    def ingest(self, items, trace_ctx=None):
+        reply = self.add_batch(
+            [
+                (doc_id, kind, content, query.source, query.digest)
+                for doc_id, kind, content, query in items
+            ]
+        )
+        for index, added in enumerate(reply["added"]):
+            yield index, added["doc_id"]
+        if reply["error"] is not None:
+            raise reply["error"]
+
+    def stream(self, doc_id, check):
+        # Zero-overhead: the runtime's own per-answer iterator (Theorem 6.5
+        # delay), which raises StaleIteratorError on edits by itself.
+        return self._store.document(doc_id).enumerator.assignments()
+
+    def runtime(self, doc_id):
+        return self._store.document(doc_id).enumerator
+
+    def stats(self) -> Dict[str, object]:
+        return {
+            **super().stats(),
+            "replicas": 1,
+            "deaths_total": 0,
+            "timeouts_total": 0,
+            "repairs_pending": 0,
+        }
+
+    def close(self) -> None:
+        self._store = None

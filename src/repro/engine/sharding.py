@@ -1,46 +1,47 @@
 """Sharded execution: a pipelined, request-id-tagged worker protocol.
 
-``Engine(workers=N)`` routes every document to one of ``N`` worker
-processes.  Each worker runs a plain single-process
-:class:`~repro.engine.local.LocalStore`; all workers share **one catalog
-directory** (the catalog's atomic temp-file + ``os.replace`` writes make it
-multi-process safe), so a standing query is compiled once — by the parent —
-and every worker *loads* its persisted form instead of compiling.
+``Engine(workers=N)`` routes every document to worker processes.  Each
+worker runs a plain single-process :class:`~repro.engine.local.LocalStore`
+and answers requests through the store's op set
+(:class:`~repro.engine.local.StoreOps`, one method per op name); all
+workers share **one catalog directory** (the catalog's atomic temp-file +
+``os.replace`` writes make it multi-process safe), so a standing query is
+compiled once — by the parent — and every worker *loads* its persisted
+form instead of compiling.
 
-The protocol (PR 5) is pipelined rather than lockstep.  Every message the
-parent sends is a tuple ``(request_id, op, *args)``; every message a worker
-sends back is ``(request_id, status, *payload)``, so replies correlate to
+The protocol is pipelined rather than lockstep.  Every message the parent
+sends is a tuple ``(request_id, op, *args)``; every message a worker sends
+back is ``(request_id, status, *payload)``, so replies correlate to
 requests by id and the parent may have **many requests in flight per
 worker** at once:
 
 * **batched ingest.**  ``("add_batch", items)`` ships one pickled batch of
   documents per worker; :meth:`ShardPool.submit` / :meth:`ShardPool.collect`
-  let the engine issue the batches to *all* shards before collecting *any*
-  reply, so the per-document builds (the dominant serving cost,
-  ``doc_build_median_s``) overlap across worker processes instead of
-  serializing behind one round trip per document.
+  let the fleet issue the batches to *all* shards before collecting *any*
+  reply, so the per-document builds (the dominant serving cost) overlap
+  across worker processes instead of serializing behind one round trip per
+  document.
 * **streaming replies.**  ``("stream_open", doc_id, chunk_size, credit)``
   registers a push stream: the worker sends up to ``credit`` result chunks
   ``(request_id, "chunk", answers, exhausted)`` without waiting for the
   parent, and ``("stream_credit", n)`` replenishes the window as the parent
   consumes — bounded in-flight data, and a round trip per *credit grant*
-  instead of one per page (counted by the ``stream_round_trips`` /
-  ``stream_chunks`` stats).
+  instead of one per page.  :func:`take_chunk` is the consumer half, shared
+  with the network client.
 * **demultiplexing.**  A worker handles messages strictly in arrival order,
   but chunks of concurrent streams and replies of concurrent requests
   interleave on the pipe; the parent buffers whatever it receives under the
   request id it belongs to, so out-of-order collection is safe.
 
-Fault tolerance (PR 6) turns shard death from data loss into a recoverable
-event:
+Shard death is a recoverable event, not data loss:
 
 * **bounded waits.**  Every blocking wait (:meth:`ShardPool.collect`,
-  :meth:`ShardPool.stream_next_chunk`, and :meth:`ShardPool.ping`) honors a
-  configurable ``deadline``: the parent waits on ``Connection.poll`` and, on
-  expiry, kills the hung worker, marks it dead, and raises
-  :class:`~repro.errors.ShardTimeoutError` naming the shard, the op and the
-  elapsed time — a hang is promoted to a death instead of blocking the
-  engine forever.
+  :meth:`ShardPool.wait_replies` and :meth:`ShardPool.stream_next_chunk`)
+  honors a configurable ``deadline``: the parent waits on
+  ``Connection.poll`` and, on expiry, kills the hung worker, marks it dead,
+  and raises :class:`~repro.errors.ShardTimeoutError` naming the shard, the
+  op and the elapsed time — a hang is promoted to a death instead of
+  blocking the engine forever.
 * **strict protocol validation.**  A reply that is not a well-formed
   ``(request_id, status, *payload)`` tuple with a known status is rejected
   on receipt with :class:`~repro.errors.ShardProtocolError` (naming the
@@ -51,9 +52,8 @@ event:
   ``restore`` op rebuilds a document on it from its original content by
   *replaying* the recorded edit batches, which reproduces node/position ids
   and answer order byte-identically (a fresh build of the edited tree could
-  balance the forest-algebra term differently).  The replicated engine
-  (:mod:`repro.engine.engine`) drives both to re-establish the replication
-  factor after a death.
+  balance the forest-algebra term differently).  :class:`FleetTransport`
+  drives both to re-establish the replication factor after a death.
 * **fault injection.**  Workers accept an optional
   :class:`~repro.engine.faults.FaultPlan` that deterministically injects
   crash-before-reply / hang / slow / garbage faults at named protocol
@@ -63,7 +63,7 @@ event:
   healthy worker, and re-arming one-shot rules in a fresh process would
   turn a single injected crash into a crash loop.
 
-Design constraints kept from PR 4:
+Three rules hold throughout:
 
 * **fork/spawn safety.**  The worker entry point
   (:func:`_shard_worker_main`) is a module-level function and receives only
@@ -86,9 +86,12 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import pickle
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
+from repro.engine.document import STREAM_PAGE_SIZE
+from repro.engine.local import BatchUpdateReport, Transport
 from repro.errors import (
     EngineError,
     ShardDiedError,
@@ -96,7 +99,15 @@ from repro.errors import (
     ShardTimeoutError,
 )
 
-__all__ = ["AdaptiveCredit", "ShardPool", "ShardStream", "STREAM_CREDIT"]
+__all__ = [
+    "AdaptiveCredit",
+    "FleetTransport",
+    "ShardPool",
+    "ShardStream",
+    "STREAM_CREDIT",
+    "fresh_answers",
+    "take_chunk",
+]
 
 #: starting credit window: chunks a producer may push ahead of consumption
 #: (per stream).  The *live* window adapts around this value — see
@@ -110,8 +121,8 @@ _VALID_STATUSES = ("ok", "err", "chunk")
 class AdaptiveCredit:
     """Adaptive sizing of the stream credit window for one consumer.
 
-    The PR-5 protocol fixed every stream's window at :data:`STREAM_CREDIT`.
-    That is the wrong size in both directions: a *fast* consumer drains the
+    A window fixed at :data:`STREAM_CREDIT` would be the wrong size in both
+    directions: a *fast* consumer drains the
     buffer and stalls on the pipe (each stall is a wasted round trip the
     recorded ``stream_stall_seconds`` histogram measures), while a *slow*
     consumer — or many streams fanned out at once — keeps the full window
@@ -191,6 +202,107 @@ class AdaptiveCredit:
             self._publish()
 
 
+class ShardStream:
+    """Consumer-side state of one credit-window push stream.
+
+    The same record serves a stream from a shard worker over its pipe
+    (``shard`` is the worker index) and a stream from an
+    :class:`~repro.net.server.EngineServer` over a socket (``shard`` is
+    None); :func:`take_chunk` consumes either.
+    """
+
+    __slots__ = (
+        "shard",
+        "request_id",
+        "chunks",
+        "error",
+        "done",
+        "closed",
+        "to_grant",
+        "window",
+    )
+
+    def __init__(self, shard: Optional[int], request_id: int):
+        self.shard = shard
+        self.request_id = request_id
+        self.chunks: List[tuple] = []  #: received, not yet consumed (answers, exhausted)
+        self.error: Optional[BaseException] = None
+        self.done = False  #: the producer sent the exhausted chunk or an error
+        self.closed = False  #: the consumer abandoned the stream
+        self.to_grant = 0  #: consumed chunks not yet returned as credit
+        #: this stream's outstanding credit tokens: producer-held credit plus
+        #: chunks in flight or buffered plus ``to_grant``.  Grants keep the
+        #: invariant while steering toward the adaptive target window.
+        self.window = STREAM_CREDIT
+
+
+def take_chunk(stream: ShardStream, credit: AdaptiveCredit, receive, grant):
+    """The next ``(answers, exhausted)`` chunk of a push stream.
+
+    Returns ``(chunk, stalled)``: ``chunk`` is None once the stream ended,
+    and ``stalled`` is the seconds the consumer waited for it (None when a
+    chunk was already buffered).  ``receive()`` files one more incoming
+    message, blocking; the stream's error is raised (once, with its original
+    type) when the producer reported one.
+
+    Each call votes on the adaptive window: a full buffer (buffered chunks
+    plus unreturned grants covering the whole outstanding window — the
+    producer is purely waiting on this consumer) votes to shrink it, a wait
+    votes to grow it.  Consumed chunks go back as credit in half-window
+    grants, ``grant(n)``, that top the stream's outstanding tokens up to the
+    *current* target window, so a grown window takes effect mid-stream and
+    a shrunk one simply withholds credit (a shrink costs no round trip).
+    """
+    if stream.chunks:
+        credit.note_buffered(len(stream.chunks) + stream.to_grant, stream.window)
+    stalled_at = None
+    while not stream.chunks:
+        if stream.error is not None:
+            error, stream.error = stream.error, None
+            stream.done = True
+            raise error
+        if stream.done or stream.closed:
+            return None, None
+        if stalled_at is None:
+            stalled_at = time.perf_counter()
+        receive()
+    stalled = None
+    if stalled_at is not None:
+        stalled = time.perf_counter() - stalled_at
+        credit.note_stall()
+    chunk = stream.chunks.pop(0)
+    stream.to_grant += 1
+    target = credit.window
+    if (
+        not chunk[1]
+        and not stream.done
+        and stream.to_grant >= max(1, min(stream.window, target) // 2)
+    ):
+        # Token conservation: grant exactly what tops the stream up to the
+        # target window.
+        tokens = max(0, target - (stream.window - stream.to_grant))
+        stream.window = stream.window - stream.to_grant + tokens
+        stream.to_grant = 0
+        if tokens > 0:
+            grant(tokens)
+    return chunk, stalled
+
+
+def fresh_answers(chunks, check):
+    """The answers of an iterator of answer chunks, ``check()`` before each.
+
+    ``check`` raises :class:`~repro.errors.StaleIteratorError` once the
+    document was edited after the stream began, so a pushed stream goes
+    stale at the answer boundary where the runtime's own iterator would:
+    before an answer is yielded, never after the last one.
+    """
+    check()
+    for answers in chunks:
+        for answer in answers:
+            check()
+            yield answer
+
+
 # ============================================================== worker side
 class _WorkerStream:
     """One push stream inside a worker: an answer iterator plus its credit."""
@@ -201,108 +313,6 @@ class _WorkerStream:
         self.iterator = iterator
         self.chunk_size = chunk_size
         self.credit = 0
-
-
-def _handle_add_batch(store, queries_by_digest, items):
-    """Add a batch of documents; report how far the batch got on failure.
-
-    ``items`` is a list of ``(doc_id, kind, content, query_or_None, digest)``
-    tuples; the store picks the runtime from the query's kind.  The reply
-    names the documents actually added plus — when an item failed — the
-    failing document id and the original exception, so the parent can both
-    register the successes and re-raise precisely.
-    """
-    added = []
-    for doc_id, _kind, content, query, digest in items:
-        try:
-            if query is None:
-                query = queries_by_digest.get(digest)
-                if query is None:
-                    raise EngineError(
-                        f"shard has no cached query for digest {digest[:12]}..."
-                    )
-            else:
-                queries_by_digest[digest] = query
-            document = store.add_document(content, query, doc_id=doc_id)
-        except BaseException as exc:  # noqa: BLE001 — reported, not swallowed
-            return {"added": added, "failed_doc_id": doc_id, "error": exc}
-        added.append(
-            {"doc_id": document.doc_id, "kind": document.kind, "digest": document.digest}
-        )
-    return {"added": added, "failed_doc_id": None, "error": None}
-
-
-def _handle_restore(store, queries_by_digest, args):
-    """Rebuild one document from its original content plus its edit log.
-
-    The engine's failover path re-migrates every document a dead shard held
-    onto its respawned replacement.  The rebuild *replays* the recorded edit
-    batches rather than shipping the edited tree: replaying reproduces the
-    incremental forest-algebra term — and therefore node ids, position ids
-    and enumeration order — byte-identically, where a fresh build of the
-    final tree could balance differently.  Batches that failed originally
-    fail identically on replay (including partial application), which is
-    exactly what keeps the replica's state in lockstep; their errors are
-    swallowed here because they were already reported to the caller once.
-    ``next_cursor_id`` re-synchronizes the cursor-id counter so cursors
-    opened *after* the restore get the same ids on every replica.
-    """
-    from repro.errors import ReproError
-
-    doc_id, _kind, content, query, digest, edit_batches, next_cursor_id = args
-    if query is None:
-        query = queries_by_digest.get(digest)
-        if query is None:
-            raise EngineError(f"shard has no cached query for digest {digest[:12]}...")
-    else:
-        queries_by_digest[digest] = query
-    document = store.add_document(content, query, doc_id=doc_id)
-    for batch in edit_batches:
-        try:
-            document.apply_edits(batch)
-        except ReproError:
-            pass  # replayed failures re-apply their original partial effects
-    document.sync_cursor_ids(next_cursor_id)
-    return {"doc_id": doc_id, "epoch": document.epoch}
-
-
-def _handle_request(store, queries_by_digest, op, args):
-    """Execute one non-stream request against the worker's LocalStore."""
-    if op == "add_batch":
-        return _handle_add_batch(store, queries_by_digest, args[0])
-    if op == "edits":
-        doc_id, edits = args
-        return store.document(doc_id).apply_edits(edits)
-    if op == "page":
-        doc_id, cursor_id, page_size = args
-        document = store.document(doc_id)
-        cursor, page = document.fetch_page(cursor_id, page_size)
-        return {
-            "cursor_id": cursor.cursor_id,
-            "answers": tuple(page.answers),
-            "offset": page.offset,
-            "exhausted": page.exhausted,
-            "epoch": document.epoch,
-        }
-    if op == "count":
-        doc_id, limit = args
-        return store.document(doc_id).count(limit=limit)
-    if op == "epoch":
-        return store.document(args[0]).epoch
-    if op == "remove":
-        store.remove(args[0])
-        return None
-    if op == "restore":
-        return _handle_restore(store, queries_by_digest, args)
-    if op == "ping":
-        return "pong"
-    if op == "stats":
-        return store.stats()
-    if op == "metrics":
-        return store.metrics.to_wire()
-    if op == "events":
-        return store.events.snapshot()
-    raise EngineError(f"unknown shard request {op!r}")
 
 
 def _pump_stream(conn, streams: Dict[int, _WorkerStream], request_id: int, inject) -> None:
@@ -371,7 +381,7 @@ def _shard_worker_main(
     arms the store's per-answer :class:`~repro.obs.DelayMonitor`.
     """
     from repro.engine.faults import FaultPlan
-    from repro.engine.local import LocalStore
+    from repro.engine.local import LocalStore, StoreOps
     from repro.engine.catalog import QueryCatalog
     from repro.obs import Tracer
 
@@ -381,6 +391,7 @@ def _shard_worker_main(
         build_cache_size=build_cache_size,
         delay_budget=delay_budget,
     )
+    ops = StoreOps(store)
     tracer = Tracer(enabled=trace, process=f"shard-{shard_index}")
     if fault_plan is not None:
         # Fault firings are operational events; surface them next to the
@@ -388,7 +399,6 @@ def _shard_worker_main(
         fault_plan.on_fire = lambda shard, op, action: store.events.emit(
             "fault_injected", shard=shard, op=op, action=action
         )
-    queries_by_digest: Dict[str, object] = {}
     streams: Dict[int, _WorkerStream] = {}
     pending_ctx = None  #: trace context pushed for the next real request
 
@@ -446,7 +456,10 @@ def _shard_worker_main(
             with tracer.span(op, parent=pending_ctx):
                 pending_ctx = None
                 try:
-                    reply = (request_id, "ok", _handle_request(store, queries_by_digest, op, message[2:]))
+                    handler = None if op.startswith("_") else getattr(ops, op, None)
+                    if handler is None:
+                        raise EngineError(f"unknown shard request {op!r}")
+                    reply = (request_id, "ok", handler(*message[2:]))
                 except BaseException as exc:  # noqa: BLE001 — every failure travels back
                     _send_err(conn, request_id, exc)
                     continue
@@ -455,34 +468,6 @@ def _shard_worker_main(
 
 
 # ============================================================== parent side
-class ShardStream:
-    """Parent-side handle of one push stream (chunks buffered until read)."""
-
-    __slots__ = (
-        "shard",
-        "request_id",
-        "chunks",
-        "error",
-        "done",
-        "closed",
-        "to_grant",
-        "window",
-    )
-
-    def __init__(self, shard: int, request_id: int):
-        self.shard = shard
-        self.request_id = request_id
-        self.chunks: List[tuple] = []  #: received, not yet consumed (answers, exhausted)
-        self.error: Optional[BaseException] = None
-        self.done = False  #: the worker sent the exhausted chunk or an error
-        self.closed = False  #: the parent abandoned the stream
-        self.to_grant = 0  #: consumed chunks not yet returned as credit
-        #: this stream's outstanding credit tokens: worker-held credit plus
-        #: chunks in the pipe or buffered plus ``to_grant``.  Grants keep the
-        #: invariant while steering toward the adaptive target window.
-        self.window = STREAM_CREDIT
-
-
 class _ShardState:
     """Parent-side bookkeeping of one worker: pipe, process, pending replies."""
 
@@ -831,14 +816,9 @@ class ShardPool:
         state.requests_sent += 1
         return request_id
 
-    def collect(self, shard: int, request_id: int, deadline: Optional[float] = -1.0):
-        """Block until the reply with ``request_id`` arrives; return or raise it.
-
-        ``deadline`` overrides the pool deadline for this wait (``-1.0``, the
-        default, means "use the pool's"; ``None`` means wait forever).
-        """
-        if deadline == -1.0:
-            deadline = self.deadline
+    def collect(self, shard: int, request_id: int):
+        """Block until the reply with ``request_id`` arrives; return or raise it."""
+        deadline = self.deadline
         state = self._shards[shard]
         entry = state.inflight.get(request_id)  # before a death clears it
         op = entry[0] if entry is not None else "?"
@@ -875,9 +855,7 @@ class ShardPool:
                 return True
         return True
 
-    def wait_replies(
-        self, waiting: Dict[int, int], deadline: Optional[float] = -1.0
-    ) -> List[int]:
+    def wait_replies(self, waiting: Dict[int, int]) -> List[int]:
         """Block until at least one of several pending replies is ready.
 
         ``waiting`` maps shard index → request id.  Returns every shard
@@ -892,8 +870,7 @@ class ShardPool:
         the caller's ``collect`` surfaces the precise
         :class:`~repro.errors.ShardTimeoutError`-shaped death.
         """
-        if deadline == -1.0:
-            deadline = self.deadline
+        deadline = self.deadline
         deadline_at = time.monotonic() + deadline if deadline is not None else None
         from multiprocessing.connection import wait as _connection_wait
 
@@ -929,45 +906,25 @@ class ShardPool:
                 except ShardDiedError:
                     pass  # dead counts as ready; collect() reports it precisely
 
-    def ping(self, shard: int, deadline: Optional[float] = -1.0) -> bool:
-        """Health probe: True iff the worker answers a ping within the deadline.
-
-        A worker that is already dead, dies, or times out reads as unhealthy;
-        the timeout path kills the hung process and marks it dead, so a
-        failed ping leaves the shard in the same state a crash would.
-        """
-        try:
-            return self.collect(shard, self.submit(shard, "ping"), deadline=deadline) == "pong"
-        except ShardDiedError:
-            return False
-
-    def broadcast(self, op: str, *args, skip_dead: bool = False) -> List:
+    def broadcast(self, op: str, *args) -> List:
         """The same request to every shard, pipelined, answers in shard order.
 
-        All requests are submitted before any reply is collected.  With
-        ``skip_dead=True`` a dead shard — known dead at submit time, or dying
-        before it replies — contributes ``None`` instead of raising, so a
-        monitoring gather survives partial pool death; otherwise the first
-        dead shard raises :class:`~repro.errors.ShardDiedError`.
+        All requests are submitted before any reply is collected.  A dead
+        shard — known dead at submit time, or dying before it replies —
+        contributes ``None`` instead of raising, so a monitoring gather
+        survives partial pool death.
         """
         request_ids: List[Optional[int]] = []
         for shard in range(len(self)):
             try:
                 request_ids.append(self.submit(shard, op, *args))
             except ShardDiedError:
-                if not skip_dead:
-                    raise
                 request_ids.append(None)
         results: List = []
         for shard, request_id in enumerate(request_ids):
-            if request_id is None:
-                results.append(None)
-                continue
             try:
-                results.append(self.collect(shard, request_id))
+                results.append(None if request_id is None else self.collect(shard, request_id))
             except ShardDiedError:
-                if not skip_dead:
-                    raise
                 results.append(None)
         return results
 
@@ -993,26 +950,16 @@ class ShardPool:
         self._shards[shard] = self._spawn(shard, generation=old.generation + 1)
 
     # -------------------------------------------------------------- streams
-    def stream_open(
-        self,
-        shard: int,
-        doc_id,
-        chunk_size: int,
-        credit: Optional[int] = None,
-        trace_ctx=None,
-    ) -> ShardStream:
+    def stream_open(self, shard: int, doc_id, chunk_size: int, trace_ctx=None) -> ShardStream:
         """Open a push stream over a document's answers on its shard.
 
-        The opening credit defaults to the adaptive controller's grant —
-        the current window divided across the streams already open, so a
-        fan-out of concurrent streams shares the buffered volume instead of
-        multiplying it.  Pass an explicit ``credit`` to pin the window
-        (tests, benchmarks).
+        The opening credit is the adaptive controller's grant — the current
+        window divided across the streams already open, so a fan-out of
+        concurrent streams shares the buffered volume instead of
+        multiplying it.
         """
         state = self._check_shard(shard)
-        if credit is None:
-            open_streams = sum(len(entry.streams) for entry in self._shards)
-            credit = self.credit.initial_credit(open_streams)
+        credit = self.credit.initial_credit(sum(len(entry.streams) for entry in self._shards))
         if trace_ctx is not None:
             self._send(shard, (-1, "trace_push", trace_ctx), "opening a stream")
         request_id = next(self._request_ids)
@@ -1027,63 +974,32 @@ class ShardPool:
         """The next ``(answers, exhausted)`` chunk of a stream (blocking).
 
         Returns ``None`` when the stream ended; raises the stream's error
-        (with its original type) when the worker reported one.  Consuming a
-        chunk replenishes the worker's credit window in half-window grants,
-        steered by the adaptive controller: a grant tops the stream's
-        outstanding tokens up to the *current* target window, so a grown
-        window takes effect mid-stream and a shrunk one simply withholds
-        credit (an effective shrink costs zero round trips).  The wait for
-        each chunk is bounded by the pool deadline.
+        (with its original type) when the worker reported one.  Consuming
+        replenishes the worker's credit under the adaptive window
+        (:func:`take_chunk`); the wait for each chunk is bounded by the pool
+        deadline, and a wait is recorded in ``stream_stall_seconds``.
         """
         state = self._shards[stream.shard]
         deadline_at = time.monotonic() + self.deadline if self.deadline is not None else None
-        stalled_at = None  #: set when the parent genuinely waited on the pipe
-        if stream.chunks:
-            # Buffered chunks plus not-yet-returned grants == the whole
-            # outstanding window ⇒ the producer has nothing left in flight
-            # and is purely waiting on this consumer.
-            self.credit.note_buffered(
-                len(stream.chunks) + stream.to_grant, stream.window
-            )
-        while not stream.chunks:
-            if stream.error is not None:
-                error, stream.error = stream.error, None
-                stream.done = True
-                raise error
-            if stream.done:
-                return None
+
+        def receive():
             if state.dead:
                 raise self._death(stream.shard, "streaming answers", None)
-            if stalled_at is None:
-                stalled_at = time.monotonic()
             self._recv_one(stream.shard, "streaming answers", deadline_at, self.deadline)
-        if stalled_at is not None:
-            self.credit.note_stall()
-            if self.metrics is not None:
-                # Time the consumer spent blocked on the credit window / worker.
-                self.metrics.observe("stream_stall_seconds", time.monotonic() - stalled_at)
-        chunk = stream.chunks.pop(0)
-        stream.to_grant += 1
-        _answers, exhausted = chunk
-        target = self.credit.window
-        if (
-            not exhausted
-            and not stream.done
-            and stream.to_grant >= max(1, min(stream.window, target) // 2)
-        ):
-            # Token conservation: ``stream.window`` tokens are outstanding
-            # (worker credit + chunks in flight/buffered + to_grant).  Grant
-            # exactly what tops the stream up to the target window.
-            grant = max(0, target - (stream.window - stream.to_grant))
-            stream.window = stream.window - stream.to_grant + grant
-            stream.to_grant = 0
-            if grant > 0 and not state.dead:
+
+        def grant(tokens: int):
+            if not state.dead:
                 self._send(
                     stream.shard,
-                    (stream.request_id, "stream_credit", grant),
+                    (stream.request_id, "stream_credit", tokens),
                     "granting stream credit",
                 )
                 state.stream_round_trips += 1
+
+        chunk, stalled = take_chunk(stream, self.credit, receive, grant)
+        if stalled is not None and self.metrics is not None:
+            # Time the consumer spent blocked on the credit window / worker.
+            self.metrics.observe("stream_stall_seconds", stalled)
         return chunk
 
     def stream_close(self, stream: ShardStream) -> None:
@@ -1140,3 +1056,661 @@ class ShardPool:
                 state.process.join(timeout=1.0)
         for state in self._shards:
             state.conn.close()
+
+
+# ==================================================================== fleet
+class FleetTransport(Transport):
+    """The sharded transport: a :class:`ShardPool` plus placement,
+    replication, failover and repair.
+
+    * **placement.**  Each document is placed on ``replicas`` shards,
+      load-aware over the live in-flight/document counters instead of blind
+      round-robin.  Writes (ingest, edits, cursor opens and page fetches —
+      cursor state is deterministic, so mirroring keeps cursor ids and
+      positions in lockstep) go to *every* live replica; plain reads
+      (stream, count, epoch) go to the least-loaded live replica.
+    * **failover + rebuild.**  When a shard dies (crash, hang past the
+      deadline, or protocol violation — all surface as
+      :class:`~repro.errors.ShardDiedError` subtypes), in-flight reads retry
+      transparently on a surviving replica, a replacement worker is
+      respawned in the background, and every under-replicated document is
+      re-migrated onto it: the fleet keeps each document's original content
+      plus its edit log, and the replacement *replays* them, reproducing
+      node/position ids, epochs and enumeration order byte-identically.
+      :class:`~repro.errors.ShardDiedError` reaches the caller only when
+      every replica of a document is gone.
+    * **replicas=1** engages none of this: a dead shard stays dead, its
+      documents are precisely unreachable, and the surviving shards stay
+      usable.
+    """
+
+    def __init__(self, pool: ShardPool, replicas: int, tracer, metrics, events):
+        self.pool = pool
+        self.replicas = replicas
+        self._tracer = tracer
+        self._metrics = metrics
+        self._events = events
+        #: live replica shards of each document, in placement order
+        self.replicas_of: Dict[object, List[int]] = {}
+        #: documents placed per shard (replica-counted), for load-aware placement
+        self.placed: Dict[int, int] = {}
+        #: (doc_id, cursor_id) → shards holding that cursor.  Page fetches
+        #: are mirrored, so every holder's copy stays in lockstep; a replica
+        #: rebuilt *after* the cursor was opened never joins (it only holds
+        #: cursors opened since its restore).
+        self._cursor_holders: Dict[tuple, Set[int]] = {}
+        #: per document, the next cursor id the workers will assign (shipped
+        #: on restore so rebuilt replicas keep assigning the survivors' ids)
+        self._next_cursor_ids: Dict[object, int] = {}
+        #: doc_id → (pickled original content, query); retained only under
+        #: replication, it is the "move bytes" half of migration
+        self._ingest_blobs: Dict[object, tuple] = {}
+        #: doc_id → every edit batch ever attempted, the "replay" half
+        self._edit_logs: Dict[object, List[list]] = {}
+        #: in-flight restore requests: {shard, generation, doc_id, request_id, t0}
+        self._repairs: List[dict] = []
+        #: per shard, the query digests whose source was already shipped
+        self._queries_sent: Dict[int, set] = {}
+        self.failovers_total = 0
+        self.migrations_total = 0
+        #: batches whose shard reply arrived more than twice as late as the
+        #: batch's first reply (the fast shards were already collected
+        #: while the straggler built)
+        self.ingest_stragglers_total = 0
+        #: monotonic logical cursor counters, accumulated per edit batch.
+        #: Shard-side per-document totals reset when a failover rebuilds a
+        #: replica (and replication counts each event ~R times); every edit
+        #: batch passes through here, so these sums are exact.
+        self.cursors_resumed_total = 0
+        self.cursors_invalidated_total = 0
+
+    @property
+    def workers(self) -> int:
+        return len(self.pool)
+
+    @property
+    def shard_of(self) -> Dict[object, int]:
+        """doc_id → primary (first-replica) shard, for introspection."""
+        return {doc_id: replicas[0] for doc_id, replicas in self.replicas_of.items() if replicas}
+
+    # -------------------------------------------------------------- placement
+    def _release_placement(self, shard: int) -> None:
+        """Return one placement slot of a shard (replica lost, removed or
+        never materialized); the counter never goes negative."""
+        self.placed[shard] = max(0, self.placed.get(shard, 0) - 1)
+
+    def _pick_shards(self, count: int) -> List[int]:
+        """Load-aware placement: the ``count`` least-loaded live shards.
+
+        Load is (in-flight requests, documents placed), with the shard index
+        as a deterministic tie-break — so an idle fleet fills round-robin,
+        but a shard bogged down in slow builds (or briefly absent while
+        respawning) stops attracting new documents.  Returns fewer than
+        ``count`` shards when fewer are live (degraded placement); raises
+        only when no shard is live at all.
+        """
+        pool = self.pool
+        live = [shard for shard in range(len(pool)) if pool.is_alive(shard)]
+        if not live:
+            raise EngineError("every shard worker of this engine is dead; close the engine")
+        ranked = sorted(live, key=lambda s: (pool.inflight(s), self.placed.get(s, 0), s))
+        chosen = ranked[: min(count, len(ranked))]
+        for shard in chosen:
+            self.placed[shard] = self.placed.get(shard, 0) + 1
+        return chosen
+
+    def _gone(self, doc_id) -> ShardDiedError:
+        return ShardDiedError(
+            f"every replica of document {doc_id!r} is gone "
+            f"(all shard workers holding it died)"
+        )
+
+    def _write_targets(self, doc_id) -> List[int]:
+        """The shards a write (edits, cursor open, remove) must reach.
+
+        Replicated writes go to every live replica in lockstep; with
+        ``replicas=1`` the single home shard is returned even when dead, so
+        the pool raises its precise dead-shard error.
+        """
+        replicas = self.replicas_of[doc_id]
+        if self.replicas == 1:
+            return [replicas[0]]
+        targets = [shard for shard in replicas if self.pool.is_alive(shard)]
+        if not targets:
+            raise self._gone(doc_id)
+        return targets
+
+    def pick_read_replica(self, doc_id) -> int:
+        """The least-loaded live replica (reads); the home shard if R=1."""
+        replicas = self.replicas_of[doc_id]
+        if self.replicas == 1:
+            return replicas[0]
+        pool = self.pool
+        live = [shard for shard in replicas if pool.is_alive(shard)]
+        if not live:
+            raise self._gone(doc_id)
+        return min(live, key=lambda s: (pool.inflight(s), s))
+
+    # --------------------------------------------------------------- failover
+    def _after_death(self, shard: int) -> None:
+        """Failover bookkeeping once a shard's death has been observed.
+
+        With ``replicas=1`` this is a no-op: a dead shard's documents stay
+        precisely unreachable and the surviving shards stay usable.  With
+        replication the dead shard is retired from every replica set and
+        cursor-holder set, a replacement worker is respawned at the same
+        index, and every document now below its replication factor is
+        re-migrated onto it in the background — restore requests are
+        pipelined and collected lazily (:meth:`_reap_repairs`), and the
+        pipe's FIFO ordering guarantees any later write or read routed to
+        the new worker observes the fully rebuilt document.
+        """
+        pool = self.pool
+        if self.replicas == 1 or pool.is_alive(shard):
+            return  # no replication, or already respawned (a stale observation)
+        start = time.perf_counter()
+        span = self._tracer.begin("failover", shard=shard)
+        failover_ctx = None if span is None else span.context
+        for replicas in self.replicas_of.values():
+            if shard in replicas:
+                replicas.remove(shard)
+                self._release_placement(shard)
+        for key in list(self._cursor_holders):
+            holders = self._cursor_holders[key]
+            holders.discard(shard)
+            if not holders:
+                del self._cursor_holders[key]
+        dead_generation = pool.generation(shard)
+        self._repairs = [
+            repair
+            for repair in self._repairs
+            if not (repair["shard"] == shard and repair["generation"] == dead_generation)
+        ]
+        pool.respawn(shard)
+        generation = pool.generation(shard)
+        sent = self._queries_sent[shard] = set()
+        for doc_id, replicas in self.replicas_of.items():
+            blob = self._ingest_blobs.get(doc_id)
+            if len(replicas) >= self.replicas or shard in replicas or blob is None:
+                continue
+            content_bytes, query = blob
+            source = None if query.digest in sent else query.source
+            sent.add(query.digest)
+            try:
+                request_id = pool.submit(
+                    shard,
+                    "restore",
+                    doc_id,
+                    query.kind,
+                    pickle.loads(content_bytes),
+                    source,
+                    query.digest,
+                    list(self._edit_logs.get(doc_id, ())),
+                    self._next_cursor_ids.get(doc_id, 0),
+                    trace_ctx=failover_ctx,
+                )
+            except ShardDiedError:
+                # The replacement died instantly; the next observation of
+                # this death respawns and re-migrates again.
+                break
+            replicas.append(shard)
+            self.placed[shard] = self.placed.get(shard, 0) + 1
+            self.migrations_total += 1
+            self._repairs.append(
+                {
+                    "shard": shard,
+                    "generation": generation,
+                    "doc_id": doc_id,
+                    "request_id": request_id,
+                    "t0": time.perf_counter(),
+                }
+            )
+        self._tracer.finish(span)
+        self._metrics.observe("failover_seconds", time.perf_counter() - start)
+
+    def _reap_repairs(self, block: bool = False) -> None:
+        """Collect finished background restores; with ``block``, wait for all.
+
+        A restore that failed on a live worker counts as a replica loss
+        (availability shrinks; nothing is corrupted).
+        """
+        while self._repairs:
+            repairs, self._repairs = self._repairs, []
+            dead_seen: List[int] = []
+            for repair in repairs:
+                shard = repair["shard"]
+                if self.pool.generation(shard) != repair["generation"]:
+                    continue  # that worker died; its death handling re-migrated
+                if not block and not self.pool.poll_reply(shard, repair["request_id"]):
+                    self._repairs.append(repair)
+                    continue
+                try:
+                    self.pool.collect(shard, repair["request_id"])
+                    self._metrics.observe("repair_seconds", time.perf_counter() - repair["t0"])
+                except ShardDiedError:
+                    dead_seen.append(shard)
+                except EngineError:
+                    replicas = self.replicas_of.get(repair["doc_id"])
+                    if replicas and shard in replicas:
+                        replicas.remove(shard)
+                        self._release_placement(shard)
+            for shard in set(dead_seen):
+                self._after_death(shard)
+            if not block:
+                return
+
+    def await_repairs(self) -> None:
+        self._reap_repairs(block=True)
+
+    def _read(self, doc_id, op: str, *args):
+        """Route one read to a live replica, failing over on shard death."""
+        attempts = 2 * len(self.pool) + 2
+        last_error: Optional[BaseException] = None
+        for _ in range(attempts):
+            shard = self.pick_read_replica(doc_id)
+            try:
+                return self.pool.request(shard, op, doc_id, *args)
+            except ShardDiedError as exc:
+                if self.replicas == 1:
+                    raise
+                last_error = exc
+                self._after_death(shard)
+                self.failovers_total += 1
+        raise last_error
+
+    def _fan_out(self, targets: List[int], op: str, *args, trace_ctx=None):
+        """One write to every target shard, all submitted before any reply
+        is collected.  Returns ``(replies, app_error, death_error,
+        dead_seen)``; ``replies`` is ``[(shard, payload)]`` and the caller
+        handles the deaths in ``dead_seen``."""
+        submitted, replies, dead_seen = [], [], []
+        app_error = death_error = None
+        for shard in targets:
+            try:
+                submitted.append((shard, self.pool.submit(shard, op, *args, trace_ctx=trace_ctx)))
+            except ShardDiedError as exc:
+                dead_seen.append(shard)
+                death_error = exc
+        for shard, request_id in submitted:
+            try:
+                replies.append((shard, self.pool.collect(shard, request_id)))
+            except ShardDiedError as exc:
+                dead_seen.append(shard)
+                death_error = exc
+            except BaseException as exc:  # noqa: BLE001 — deterministic app error
+                if app_error is None:
+                    app_error = exc
+        return replies, app_error, death_error, dead_seen
+
+    # ---------------------------------------------------------------- ingest
+    def ingest(self, items, trace_ctx=None):
+        """Batch ingest, yielding ``(index, doc_id)`` in shard-completion order.
+
+        One batch per shard goes out before any reply is read (builds
+        overlap), and replies are processed in **arrival order**
+        (:meth:`ShardPool.wait_replies`): a document lands the moment its
+        last placement shard has acknowledged, so one straggler shard
+        delays only its own documents.  Documents with a surviving replica
+        stay registered; documents lost to a dying shard are reported in a
+        precise :class:`~repro.errors.ShardDiedError`, and an item that
+        failed inside a live worker re-raises its original exception — both
+        only after every surviving document has been yielded.
+        """
+        self._reap_repairs()
+        # Group per shard; ship each query's source to a shard once (later
+        # adds of the same content carry only the digest).
+        placements: Dict[object, List[int]] = {}
+        batches: Dict[int, List] = {}
+        for doc_id, kind, content, query in items:
+            shards = self._pick_shards(self.replicas)
+            placements[doc_id] = shards
+            for shard in shards:
+                sent = self._queries_sent.setdefault(shard, set())
+                source = None if query.digest in sent else query.source
+                sent.add(query.digest)
+                batches.setdefault(shard, []).append((doc_id, kind, content, source, query.digest))
+        request_ids: Dict[int, int] = {}
+        died: List[tuple] = []  # (shard, doc_ids, error)
+        item_failure: Optional[BaseException] = None
+        for shard, batch in batches.items():
+            try:
+                request_ids[shard] = self.pool.submit(shard, "add_batch", batch, trace_ctx=trace_ctx)
+            except ShardDiedError as exc:
+                died.append((shard, [entry[0] for entry in batch], exc))
+        #: per document: placement shards that have not acknowledged yet
+        remaining = {doc_id: set(placements[doc_id]) for doc_id, _k, _c, _q in items}
+        for shard, doc_ids, _exc in died:  # dead at submit: never acknowledges
+            for doc_id in doc_ids:
+                remaining[doc_id].discard(shard)
+        landed: Dict[object, List[int]] = {doc_id: [] for doc_id, _k, _c, _q in items}
+        finalized: Set[object] = set()
+        batch_t0 = time.perf_counter()
+        first_reply: Optional[float] = None
+
+        def finalize_ready():
+            """Yield every document whose placements all reported."""
+            for index, (doc_id, _kind, content, query) in enumerate(items):
+                if doc_id in finalized or remaining[doc_id]:
+                    continue
+                finalized.add(doc_id)
+                shards = [s for s in placements[doc_id] if s in landed[doc_id]]
+                for shard in placements[doc_id]:
+                    if shard not in shards:
+                        self._release_placement(shard)
+                if not shards:
+                    continue
+                self.replicas_of[doc_id] = shards
+                self._next_cursor_ids[doc_id] = 0
+                if self.replicas > 1:
+                    self._ingest_blobs[doc_id] = (pickle.dumps(content), query)
+                    self._edit_logs[doc_id] = []
+                yield index, doc_id
+
+        yield from finalize_ready()  # placements lost entirely at submit time
+        pending = dict(request_ids)
+        while pending:
+            for shard in self.pool.wait_replies(pending):
+                request_id = pending.pop(shard)
+                try:
+                    payload = self.pool.collect(shard, request_id)
+                except ShardDiedError as exc:
+                    died.append((shard, [entry[0] for entry in batches[shard]], exc))
+                    for entry in batches[shard]:
+                        remaining[entry[0]].discard(shard)
+                    continue
+                elapsed = time.perf_counter() - batch_t0
+                if first_reply is None:
+                    first_reply = elapsed
+                elif elapsed > 2.0 * max(first_reply, 0.010):
+                    # This shard took over twice as long as the batch's first
+                    # reply: collected in lockstep, its documents would have
+                    # delayed the whole ingest.
+                    self.ingest_stragglers_total += 1
+                    self._events.emit(
+                        "ingest_straggler", shard=shard, elapsed=elapsed, first_reply=first_reply
+                    )
+                added = {summary["doc_id"] for summary in payload["added"]}
+                for entry in batches[shard]:
+                    if entry[0] in added:
+                        landed[entry[0]].append(shard)
+                    remaining[entry[0]].discard(shard)
+                if payload["error"] is not None and item_failure is None:
+                    item_failure = payload["error"]
+            yield from finalize_ready()
+        # Failover: respawn dead shards and re-replicate before reporting, so
+        # a partially-lost batch is already being repaired when the caller
+        # handles the error (no-op with replicas=1).
+        for shard in {shard for shard, _ids, _exc in died}:
+            self._after_death(shard)
+        lost = [
+            (shard, [d for d in doc_ids if d not in self.replicas_of], exc)
+            for shard, doc_ids, exc in died
+        ]
+        lost = [(shard, ids, exc) for shard, ids, exc in lost if ids]
+        if lost:
+            detail = "; ".join(
+                f"shard {shard} died with document ids {doc_ids!r} in flight"
+                for shard, doc_ids, _exc in lost
+            )
+            raise ShardDiedError(f"batch ingest failed: {detail}") from lost[0][2]
+        if item_failure is not None:
+            raise item_failure
+
+    # ------------------------------------------------------------------ ops
+    def edits(self, doc_id, edits) -> BatchUpdateReport:
+        """One edit batch on **every live replica in lockstep** (same edits,
+        same order, deterministic outcome), so epochs, cursor decisions and
+        enumeration state stay byte-identical across replicas; the batch is
+        also logged so a future restore replays it."""
+        self._reap_repairs()
+        targets = self._write_targets(doc_id)
+        log = self._edit_logs.get(doc_id)
+        if log is not None:
+            log.append(list(edits))
+        replies, app_error, death_error, dead_seen = self._fan_out(
+            targets, "edits", doc_id, edits, trace_ctx=self._tracer.current_context()
+        )
+        for shard in set(dead_seen):
+            self._after_death(shard)
+        if dead_seen and replies:
+            self.failovers_total += 1  # the edit survived a replica death
+        if app_error is not None:
+            raise app_error
+        if not replies:
+            raise death_error if death_error is not None else self._gone(doc_id)
+        reports = [report for _shard, report in replies]
+        report = reports[0]
+        if len(reports) > 1:
+            if any(other.epoch != report.epoch for other in reports[1:]):
+                epochs = [r.epoch for r in reports]
+                self._events.emit("replica_divergence", doc_id=repr(doc_id), epochs=epochs)
+                raise EngineError(
+                    f"replica divergence on document {doc_id!r}: edit batch produced "
+                    f"epochs {epochs!r} across replicas"
+                )
+            # A replica rebuilt after some cursors were opened holds only a
+            # subset of them, so its per-batch cursor counters can undercount;
+            # the max across replicas is the true per-batch number.
+            report.cursors_resumed = max(r.cursors_resumed for r in reports)
+            report.cursors_invalidated = max(r.cursors_invalidated for r in reports)
+        self.cursors_resumed_total += report.cursors_resumed
+        self.cursors_invalidated_total += report.cursors_invalidated
+        return report
+
+    def page(self, doc_id, cursor_id: Optional[int], size: int) -> Dict[str, object]:
+        """One page request, mirrored to every replica that holds the cursor.
+
+        Cursor opens and fetches are **writes** (they advance worker-side
+        cursor state), so they go to all live holders in lockstep; cursor
+        behavior is deterministic, so every holder returns the same page and
+        the first reply is served.  A holder dying mid-fetch costs nothing:
+        the surviving holders advanced identically.
+        """
+        self._reap_repairs()
+        key = (doc_id, cursor_id)
+        if cursor_id is None:
+            targets = self._write_targets(doc_id)
+        else:
+            holders = self._cursor_holders.get(key, ())
+            targets = [
+                shard
+                for shard in self.replicas_of[doc_id]
+                if shard in holders and self.pool.is_alive(shard)
+            ]
+            if not targets:
+                # Unknown / released / orphaned cursor: one replica produces
+                # the precise worker-side error (or dead-shard error).
+                targets = [self.pick_read_replica(doc_id)]
+        replies, app_error, death_error, dead_seen = self._fan_out(
+            targets, "page", doc_id, cursor_id, size
+        )
+        for shard in set(dead_seen):
+            self._after_death(shard)
+        if dead_seen and (replies or app_error is not None):
+            self.failovers_total += 1  # the answer survived a replica death
+        if not replies:
+            if app_error is not None:
+                # Deterministic across replicas (invalidation, released id,
+                # ...): the worker-side cursor is released everywhere.
+                self._cursor_holders.pop(key, None)
+                raise app_error
+            raise death_error if death_error is not None else self._gone(doc_id)
+        payload = replies[0][1]
+        if cursor_id is None:
+            self._next_cursor_ids[doc_id] = self._next_cursor_ids.get(doc_id, 0) + 1
+            key = (doc_id, payload["cursor_id"])
+        if payload["exhausted"]:
+            self._cursor_holders.pop(key, None)
+        else:
+            self._cursor_holders[key] = {shard for shard, _payload in replies}
+        return payload
+
+    def count(self, doc_id, limit: Optional[int]) -> int:
+        self._reap_repairs()
+        return self._read(doc_id, "count", limit)
+
+    def epoch(self, doc_id) -> int:
+        return self._read(doc_id, "epoch")
+
+    def remove(self, doc_id) -> None:
+        self._reap_repairs()
+        replies, app_error, death_error, dead_seen = self._fan_out(
+            self._write_targets(doc_id), "remove", doc_id
+        )
+        if app_error is not None or not replies:
+            # A replica refused, or none acknowledged: the document stays.
+            for shard in set(dead_seen):
+                self._after_death(shard)
+            raise app_error if app_error is not None else death_error
+        # Forget the document before handling deaths so it is not
+        # re-migrated onto the respawned worker.
+        for shard in self.replicas_of.pop(doc_id, []):
+            self._release_placement(shard)
+        self._ingest_blobs.pop(doc_id, None)
+        self._edit_logs.pop(doc_id, None)
+        self._next_cursor_ids.pop(doc_id, None)
+        for key in [key for key in self._cursor_holders if key[0] == doc_id]:
+            del self._cursor_holders[key]
+        for shard in set(dead_seen):
+            self._after_death(shard)
+
+    def stream(self, doc_id, check):
+        """Answers pushed by a worker under credit, stale-checked by ``check``.
+
+        The worker iterates the runtime's own per-answer iterator and pushes
+        result chunks ahead of consumption (bounded by the credit window),
+        so a long stream costs one round trip per credit grant instead of
+        one per page.
+        """
+        self._reap_repairs()
+        return fresh_answers(self._chunks(doc_id), check)
+
+    def _chunks(self, doc_id):
+        """Answer chunks of one document, failing over mid-stream.
+
+        Streams read the least-loaded live replica; if it dies mid-stream,
+        the stream reopens on a survivor and skips the answers already
+        handed out — enumeration order is deterministic and identical
+        across replicas, so no answer is lost, repeated or reordered.
+        """
+        served = 0
+        attempts = 2 * len(self.pool) + 2
+        # Explicit begin/finish (not a with-block): a generator suspends
+        # across yields, so the span covers the stream's whole lifetime and
+        # closes in the finally whenever the consumer stops.
+        span = self._tracer.begin("stream", doc_id=repr(doc_id))
+        ctx = None if span is None else span.context
+        try:
+            while True:
+                shard = self.pick_read_replica(doc_id)
+                stream = None
+                try:
+                    stream = self.pool.stream_open(shard, doc_id, STREAM_PAGE_SIZE, trace_ctx=ctx)
+                    skip = served  # answers already handed out before this (re)open
+                    while True:
+                        chunk = self.pool.stream_next_chunk(stream)
+                        if chunk is None:
+                            return
+                        answers, exhausted = chunk
+                        if skip:
+                            answers, skip = answers[skip:], max(0, skip - len(answers))
+                        served += len(answers)
+                        yield answers
+                        if exhausted:
+                            return
+                except ShardDiedError:
+                    attempts -= 1
+                    if self.replicas == 1 or attempts <= 0:
+                        raise
+                    retry = self._tracer.begin("failover_retry", parent=ctx, dead_shard=shard)
+                    try:
+                        self._after_death(shard)
+                    finally:
+                        self._tracer.finish(retry)
+                    self.failovers_total += 1
+                finally:
+                    if stream is not None:
+                        self.pool.stream_close(stream)
+        finally:
+            self._tracer.finish(span)
+
+    def runtime(self, doc_id):
+        raise EngineError(
+            f"document {doc_id!r} lives in shard worker {self.shard_of[doc_id]}; "
+            "its runtime is not reachable from the parent process"
+        )
+
+    # ------------------------------------------------------------ monitoring
+    def stats(self) -> Dict[str, object]:
+        """Per-shard stats merged, plus the pool's protocol counters.
+
+        Numbers are summed across shards, except ``compiled_queries`` (every
+        shard loads the same standing queries), ``documents`` under
+        replication (logical documents, not replicas) and the cursor
+        counters, which come from this transport's monotonic per-batch
+        accumulators: shard-held totals reset whenever a failover rebuilds a
+        replica and double-count under replication.
+        """
+        self._reap_repairs()
+        # Pipelined gather (all shards asked before any reply is read); a
+        # dead shard reports None instead of failing the snapshot.
+        per_shard = self.pool.broadcast("stats")
+        merged: Dict[str, object] = {}
+        for shard_stats in per_shard:
+            for key, value in (shard_stats or {}).items():
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    continue
+                if key == "compiled_queries":
+                    merged[key] = max(merged.get(key, 0), value)
+                else:
+                    merged[key] = merged.get(key, 0) + value
+        if self.replicas > 1:
+            merged["documents"] = len(self.replicas_of)
+        merged["cursors_resumed_across_edit_batches"] = self.cursors_resumed_total
+        merged["cursors_invalidated"] = self.cursors_invalidated_total
+        merged["replicas"] = self.replicas
+        merged["per_shard"] = per_shard
+        shard_counters = self.pool.shard_stats()
+        for index, entry in enumerate(shard_counters):
+            entry["replica_of"] = [
+                doc_id for doc_id, replicas in self.replicas_of.items() if index in replicas
+            ]
+        merged["shards"] = shard_counters
+        merged["queue_depth"] = sum(s["inflight_requests"] for s in shard_counters)
+        merged["streams_open"] = sum(s["streams_open"] for s in shard_counters)
+        merged["streaming"] = {
+            "chunks": sum(s["stream_chunks"] for s in shard_counters),
+            "round_trips": sum(s["stream_round_trips"] for s in shard_counters),
+            "chunk_size": STREAM_PAGE_SIZE,
+            # the *live* adaptive window (starts at STREAM_CREDIT)
+            "credit": self.pool.credit.window,
+            "credit_start": STREAM_CREDIT,
+            "credit_grown": self.pool.credit.grown_total,
+            "credit_shrunk": self.pool.credit.shrunk_total,
+        }
+        merged["deaths_total"] = self.pool.deaths_total
+        merged["timeouts_total"] = self.pool.timeouts_total
+        merged["repairs_pending"] = len(self._repairs)
+        return merged
+
+    def gather(self, op: str) -> list:
+        self._reap_repairs()
+        return [reply for reply in self.pool.broadcast(op) if reply is not None]
+
+    def merge_metrics(self, registry) -> None:
+        for wire in self.gather("metrics"):
+            registry.merge_wire(wire)
+        registry.counters["shard_deaths_total"] = self.pool.deaths_total
+        registry.counters["shard_timeouts_total"] = self.pool.timeouts_total
+
+    def close(self) -> None:
+        self.pool.close()
+        for table in (
+            self.replicas_of,
+            self._cursor_holders,
+            self._next_cursor_ids,
+            self._ingest_blobs,
+            self._edit_logs,
+            self._repairs,
+        ):
+            table.clear()

@@ -1,12 +1,15 @@
 """The network serving tier: serve one engine to many socket clients.
 
 :class:`EngineServer` multiplexes concurrent TCP / unix-socket clients
-onto one :class:`repro.Engine`; :class:`RemoteEngine` is the blocking
-client exposing the local engine surface (same ``Query`` / ``Document`` /
-``ResultPage`` objects, same typed errors, byte-identical answers).  The
-wire speaks length-prefixed frames of the canonical codec — never pickle
-— with a versioned HELLO, credit-window push streaming made adaptive, and
-per-connection limits.  See ``docs/protocol.md`` for the frame format.
+onto one :class:`repro.Engine`.  :class:`RemoteEngine` is the client, and
+it is an ``Engine``: the one facade, whose transport is a socket
+(:class:`~repro.net.client.SocketTransport`) instead of an in-process store
+or a fleet of shard workers — same ``Query`` / ``Document`` /
+``ResultPage`` objects, same argument checks and typed errors,
+byte-identical answers.  The wire speaks length-prefixed frames of the
+canonical codec — never pickle — with a versioned HELLO, credit-window
+push streaming made adaptive, and per-connection limits.  See
+``docs/protocol.md`` for the frame format.
 """
 
 from repro.net.client import RemoteEngine

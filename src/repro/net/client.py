@@ -1,41 +1,33 @@
-"""`RemoteEngine`: the blocking client of an :class:`EngineServer`.
+"""`RemoteEngine`: an :class:`repro.Engine` whose transport is a socket.
 
-A ``RemoteEngine`` connects to a served engine over TCP or a unix socket
-and exposes the same serving surface as a local :class:`repro.Engine` —
-``compile`` / ``add`` / ``add_documents`` / ``document`` handles with
-``stream()`` / ``page()`` / ``count()`` / ``apply_edits()`` / ``remove()``
-— returning the same :class:`~repro.engine.query.Query`,
-:class:`~repro.engine.document.Document`,
-:class:`~repro.engine.document.ResultPage` and
-:class:`~repro.engine.store.BatchUpdateReport` objects, raising the same
-typed errors (:class:`~repro.errors.CursorInvalidatedError` with its
-report, :class:`~repro.errors.StaleIteratorError`,
-:class:`~repro.errors.ShardDiedError`, ...), and yielding byte-identical
-answers.  Code written against a local engine runs unchanged against a
-remote one.
+A ``RemoteEngine`` connects to an :class:`~repro.net.server.EngineServer`
+over TCP or a unix socket.  It *is* an ``Engine``: the facade — argument
+checks and their errors, the document table, the epoch mirror, the
+``Query`` / :class:`~repro.engine.document.Document` /
+:class:`~repro.engine.document.ResultPage` /
+:class:`~repro.engine.local.BatchUpdateReport` objects — is the one every
+engine has, and only the transport differs.  Errors keep their original
+types (:class:`~repro.errors.CursorInvalidatedError` with its report,
+:class:`~repro.errors.StaleIteratorError`,
+:class:`~repro.errors.ShardDiedError`, ...) and answers are byte-identical,
+so code written against a local engine runs unchanged against a remote one.
 
-The client is a single-threaded demultiplexer over one socket, the same
-shape as the shard pool's parent side: requests carry fresh ids, replies
-are routed by id into per-request slots, and stream chunk frames land in
-per-stream buffers so a stream being consumed never blocks an interleaved
-``page()`` on the same connection.
+:class:`SocketTransport` is a single-threaded demultiplexer over one
+socket, the same shape as the shard pool's parent side: requests carry
+fresh ids, replies are routed by id into per-request slots, and stream
+chunk frames land in per-stream buffers so a stream being consumed never
+blocks an interleaved ``page()`` on the same connection.  Streams use the
+pool's credit-window consumer (:func:`~repro.engine.sharding.take_chunk`)
+under the client's own :class:`~repro.engine.sharding.AdaptiveCredit`
+controller.
 
-Streaming reuses the engine's credit-window discipline end to end, with
-the client running its own :class:`~repro.engine.sharding.AdaptiveCredit`
-controller: a consumer that keeps draining the buffer dry (the server is
-the bottleneck) grows the window so more chunks travel per round trip,
-while a slow consumer whose buffer stays full shrinks it toward the
-minimum so the server never racks up unread frames.  Stale-on-edit
-semantics are enforced client-side against an epoch mirror (every edit on
-this connection flows through this client), so a stream goes stale at
-exactly the answer boundary where a local engine's would.
-
-Queries are compiled *locally first* — ``compile`` normalizes the source,
-computes the canonical digest, and ships the canonical payload (never a
-pickle); the server answers with its digest and the client verifies the
-two match, so a codec divergence surfaces as a loud
-:class:`~repro.errors.ProtocolError` instead of silently serving the
-wrong query.
+What stays client-specific: ``compile`` ships the canonical payload (never
+a pickle) and checks the server's digest against its own, so a codec
+divergence surfaces as a loud :class:`~repro.errors.ProtocolError` instead
+of silently serving the wrong query — it never compiles on the client;
+auto ids are assigned by the server, which several clients may share; and
+``stats()`` / ``metrics()`` / ``events()`` are the server engine's, with
+the client's ``net`` counters added.
 """
 
 from __future__ import annotations
@@ -45,17 +37,18 @@ import socket
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.automata.serialize import query_digest, query_payload
-from repro.engine.document import Document, ResultPage, STREAM_PAGE_SIZE
-from repro.engine.query import Query, normalize_query_source
-from repro.engine.sharding import AdaptiveCredit, STREAM_CREDIT
-from repro.errors import (
-    EngineError,
-    ProtocolError,
-    ReproError,
-    ServingError,
-    StaleIteratorError,
+from repro.automata.serialize import query_payload
+from repro.engine.document import STREAM_PAGE_SIZE
+from repro.engine.engine import Engine
+from repro.engine.local import Transport
+from repro.engine.sharding import (
+    STREAM_CREDIT,
+    AdaptiveCredit,
+    ShardStream,
+    fresh_answers,
+    take_chunk,
 )
+from repro.errors import EngineError, ProtocolError
 from repro.net.framing import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -63,96 +56,46 @@ from repro.net.framing import (
     send_frame,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.trees.unranked import UnrankedTree
+from repro.obs.tracing import Tracer, trace_path_from_env
 
-__all__ = ["RemoteEngine"]
-
-
-class _ClientStream:
-    """Client-side state of one push stream (mirror of the pool's)."""
-
-    __slots__ = ("request_id", "chunks", "done", "error", "closed", "to_grant", "window")
-
-    def __init__(self, request_id: int, window: int):
-        self.request_id = request_id
-        self.chunks: List[Tuple[tuple, bool]] = []
-        self.done = False
-        self.error: Optional[BaseException] = None
-        self.closed = False
-        self.to_grant = 0
-        self.window = window
+__all__ = ["RemoteEngine", "SocketTransport"]
 
 
-class RemoteEngine:
-    """Blocking client of one :class:`~repro.net.server.EngineServer`.
+class SocketTransport(Transport):
+    """One connection to an :class:`~repro.net.server.EngineServer`.
 
-    Parameters
-    ----------
-    address:
-        ``(host, port)`` of the server's TCP listener (usually
-        ``server.address``).  Mutually optional with ``unix_path``.
-    unix_path:
-        Path of the server's unix socket (used when ``address`` is None).
-    page_size:
-        Default ``page()`` size; ``None`` inherits the server engine's.
-    stream_chunk_size:
-        Answers per pushed stream chunk; ``None`` inherits the server's.
-    timeout:
-        Socket timeout in seconds for every reply wait (``None`` = block
-        forever); an expiry raises :class:`~repro.errors.ProtocolError`.
+    Connecting sends the versioned HELLO; :attr:`server_info` holds the
+    reply.  ``metrics`` is the client-side registry (``net_*`` histograms
+    and counters, and the adaptive credit window).
     """
 
-    def __init__(
-        self,
-        address: Optional[Tuple[str, int]] = None,
-        *,
-        unix_path: Optional[str] = None,
-        page_size: Optional[int] = None,
-        stream_chunk_size: Optional[int] = None,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        timeout: Optional[float] = None,
-    ):
-        if (address is None) == (unix_path is None):
-            raise EngineError("pass exactly one of address=(host, port) or unix_path=")
+    def __init__(self, address, unix_path, max_frame_bytes: int, timeout: Optional[float]):
         self.max_frame_bytes = max_frame_bytes
         self.timeout = timeout
-        self.workers = 0  # documents live in the server process, not in shards of ours
         if address is not None:
             self._sock = socket.create_connection(tuple(address), timeout=timeout)
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         else:
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             self._sock.settimeout(timeout)
-            self._sock.connect(unix_path)
         self._closed = False
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, Tuple[str, object]] = {}
-        self._streams: Dict[int, _ClientStream] = {}
+        self.streams: Dict[int, ShardStream] = {}
         self._deferred_closes: List[int] = []
-        self._metrics = MetricsRegistry()
-        self.credit = AdaptiveCredit(STREAM_CREDIT, metrics=self._metrics)
-        self._queries: Dict[str, Query] = {}
-        self._documents: Dict[object, Document] = {}
-        self._epochs: Dict[object, int] = {}
+        self.metrics = MetricsRegistry()
+        self.credit = AdaptiveCredit(STREAM_CREDIT, metrics=self.metrics)
         self.stream_chunks_total = 0
         self.stream_round_trips_total = 0
         self.stream_stalls_total = 0
         try:
+            if address is None:
+                self._sock.connect(unix_path)
             self.server_info = self._hello()
         except BaseException:
-            self._sock.close()
-            self._closed = True
+            self.close()
             raise
-        self.page_size = (
-            int(page_size) if page_size is not None else self.server_info["page_size"]
-        )
-        if self.page_size < 1:
-            raise EngineError("page_size must be >= 1")
-        self.stream_chunk_size = (
-            int(stream_chunk_size)
-            if stream_chunk_size is not None
-            else self.server_info.get("chunk_size", STREAM_PAGE_SIZE)
-        )
+        self.chunk_size = self.server_info.get("chunk_size", STREAM_PAGE_SIZE)
 
     def _hello(self) -> Dict[str, object]:
         send_frame(self._sock, [0, "hello", {"protocol": PROTOCOL_VERSION}], self.max_frame_bytes)
@@ -167,11 +110,7 @@ class RemoteEngine:
             raise ProtocolError("malformed HELLO reply from server")
         return reply[2]
 
-    # -------------------------------------------------------------- transport
-    def _check_open(self) -> None:
-        if self._closed:
-            raise EngineError("this engine is closed")
-
+    # -------------------------------------------------------------- framing
     def _send(self, frame_value) -> None:
         # Flush stream closes deferred from generator finalizers first, so
         # they can never interleave inside another frame's bytes.
@@ -208,12 +147,12 @@ class RemoteEngine:
                 and isinstance(frame[3], bool)
             ):
                 raise ProtocolError("malformed stream chunk frame")
-            stream = self._streams.get(request_id)
+            stream = self.streams.get(request_id)
             if stream is None:
                 return  # chunk already in flight when we closed the stream
             stream.chunks.append((frame[2], frame[3]))
             self.stream_chunks_total += 1
-            self._metrics.inc("net_stream_chunks_total")
+            self.metrics.inc("net_stream_chunks_total")
             if frame[3]:
                 stream.done = True
             return
@@ -221,7 +160,7 @@ class RemoteEngine:
             error = frame[2] if len(frame) >= 3 else None
             if not isinstance(error, BaseException):
                 raise ProtocolError("error frame without a decodable exception")
-            stream = self._streams.get(request_id)
+            stream = self.streams.get(request_id)
             if stream is not None:
                 stream.error = error
                 stream.done = True
@@ -233,334 +172,206 @@ class RemoteEngine:
             return
         raise ProtocolError(f"unknown reply status {status!r} from server")
 
-    def _call(self, op: str, *args):
+    def call(self, op: str, *args):
         """One round trip: send ``[rid, op, *args]``, wait for its reply."""
-        self._check_open()
         request_id = next(self._request_ids)
         start = perf_counter()
         self._send([request_id, op, *args])
         while request_id not in self._pending:
             self._recv_one()
         status, payload = self._pending.pop(request_id)
-        self._metrics.observe("net_round_trip_seconds", perf_counter() - start)
+        self.metrics.observe("net_round_trip_seconds", perf_counter() - start)
         if status == "err":
             raise payload
         return payload
 
-    # ---------------------------------------------------------------- queries
-    def compile(self, source, alphabet=None) -> Query:
-        """Compile a query on the server; digests are verified to match.
+    # ------------------------------------------------------------------ ops
+    def ingest(self, items, trace_ctx=None):
+        """One round trip for the whole batch; the server assigns auto ids
+        and names every document it registered, even when an item failed."""
+        reply = self.call(
+            "add_documents",
+            [[doc_id, content, query.digest] for doc_id, _kind, content, query in items],
+        )
+        landed = reply.get("doc_ids") if isinstance(reply, dict) else None
+        if not isinstance(landed, (list, tuple)) or len(landed) != len(items):
+            raise ProtocolError("malformed add_documents reply from server")
+        for index, doc_id in enumerate(landed):
+            if doc_id is not None:
+                yield index, doc_id
+        if reply.get("error") is not None:
+            raise reply["error"]
 
-        The canonical payload travels (never a pickle); the client computes
-        the digest locally and cross-checks the server's answer.
-        """
+    def edits(self, doc_id, edits):
+        return self.call("apply_edits", doc_id, edits)
+
+    def page(self, doc_id, cursor_id: Optional[int], size: int) -> Dict[str, object]:
+        payload = self.call("page", doc_id, cursor_id, size)
+        if not isinstance(payload, dict):
+            raise ProtocolError("malformed page reply from server")
+        return payload
+
+    def count(self, doc_id, limit: Optional[int]) -> int:
+        return self.call("count", doc_id, limit)
+
+    def epoch(self, doc_id) -> int:
+        return self.call("epoch", doc_id)
+
+    def remove(self, doc_id) -> None:
+        self.call("remove", doc_id)
+
+    def runtime(self, doc_id):
+        raise EngineError(
+            f"document {doc_id!r} lives in the server process; "
+            "its runtime is not reachable over the network"
+        )
+
+    def _round_trip(self) -> None:
+        self.stream_round_trips_total += 1
+        self.metrics.inc("net_stream_round_trips_total")
+
+    def stream(self, doc_id, check):
+        """A credit-window push stream, opened now (adaptive, demuxed)."""
+        request_id = next(self._request_ids)
+        window = self.credit.initial_credit(len(self.streams))
+        stream = self.streams[request_id] = ShardStream(None, request_id)
+        stream.window = window
+        self._send([request_id, "stream_open", doc_id, self.chunk_size, window])
+        self._round_trip()
+        return fresh_answers(self._chunks(stream), check)
+
+    def _chunks(self, stream: ShardStream):
+        def grant(tokens: int) -> None:
+            self._send([stream.request_id, "stream_credit", tokens])
+            self._round_trip()
+
+        try:
+            while True:
+                chunk, stalled = take_chunk(stream, self.credit, self._recv_one, grant)
+                if stalled is not None:
+                    self.metrics.observe("net_stream_stall_seconds", stalled)
+                    self.stream_stalls_total += 1
+                if chunk is None:
+                    return
+                yield chunk[0]
+                if chunk[1]:
+                    return
+        finally:
+            if not stream.closed:
+                stream.closed = True
+                self.streams.pop(stream.request_id, None)
+                if not stream.done and not self._closed:
+                    # Deferred: this may run inside a generator finalizer
+                    # triggered at an arbitrary point (even mid-send); the
+                    # close frame goes out with the next regular send.
+                    self._deferred_closes.append(stream.request_id)
+
+    def close(self) -> None:
+        """Close the connection (idempotent); server-side state is dropped
+        by the server's disconnect handling."""
+        if self._closed:
+            return
+        self._closed = True
+        for stream in self.streams.values():
+            stream.closed = True
+            stream.done = True
+        self.streams.clear()
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover
+            pass
+
+
+class RemoteEngine(Engine):
+    """An :class:`~repro.Engine` served by one :class:`~repro.net.server.EngineServer`.
+
+    Parameters
+    ----------
+    address:
+        ``(host, port)`` of the server's TCP listener (usually
+        ``server.address``).  Mutually optional with ``unix_path``.
+    unix_path:
+        Path of the server's unix socket (used when ``address`` is None).
+    page_size:
+        Default ``page()`` size; ``None`` inherits the server engine's.
+    stream_chunk_size:
+        Answers per pushed stream chunk; ``None`` inherits the server's.
+    max_frame_bytes:
+        Per-frame byte ceiling in both directions.
+    timeout:
+        Socket timeout in seconds for every reply wait (``None`` = block
+        forever); an expiry raises :class:`~repro.errors.ProtocolError`.
+    """
+
+    def __init__(
+        self,
+        address: Optional[Tuple[str, int]] = None,
+        *,
+        unix_path: Optional[str] = None,
+        page_size: Optional[int] = None,
+        stream_chunk_size: Optional[int] = None,
+        max_frame_bytes: int = MAX_FRAME_BYTES,
+        timeout: Optional[float] = None,
+    ):
+        if (address is None) == (unix_path is None):
+            raise EngineError("pass exactly one of address=(host, port) or unix_path=")
+        if page_size is not None and page_size < 1:
+            raise EngineError("page_size must be >= 1")
+        # Engine's constructor builds an in-process or fleet transport; a
+        # remote engine starts from the same facade state over a socket.
+        transport = SocketTransport(address, unix_path, max_frame_bytes, timeout)
+        self.server_info = transport.server_info
+        self._open(
+            int(page_size) if page_size is not None else self.server_info["page_size"],
+            Tracer(enabled=trace_path_from_env() is not None, process="client"),
+        )
+        self._transport = transport
+        self.credit = transport.credit
+        self._streams = transport.streams
+        if stream_chunk_size is not None:
+            self.stream_chunk_size = stream_chunk_size
+
+    @property
+    def stream_chunk_size(self) -> int:
+        """Answers per pushed stream chunk, read at each ``stream()``."""
+        return self._transport.chunk_size
+
+    @stream_chunk_size.setter
+    def stream_chunk_size(self, size: int) -> None:
+        self._transport.chunk_size = int(size)
+
+    def _call(self, op: str, *args):
         self._check_open()
-        if isinstance(source, Query):
-            return source
-        kind, query_source, pattern = normalize_query_source(source, alphabet)
-        digest = query_digest(query_source)
-        known = self._queries.get(digest)
-        if known is not None:
-            return known
-        reply = self._call("compile", query_payload(query_source))
+        return self._transport.call(op, *args)
+
+    def _auto_doc_id(self, claimed):
+        return None  # the server assigns it: clients sharing a server never collide
+
+    def _compiled_entry(self, kind: str, source, digest: str) -> None:
+        """Compile on the server, never here: the canonical payload travels
+        (never a pickle), and the server's digest must match the one
+        computed locally."""
+        reply = self._call("compile", query_payload(source))
         if not (isinstance(reply, dict) and reply.get("digest") == digest):
             raise ProtocolError(
                 f"query digest mismatch: client computed {digest[:12]}..., server "
                 f"answered {str(reply.get('digest') if isinstance(reply, dict) else reply)[:12]}... "
                 "(codec divergence between client and server)"
             )
-        query = Query(kind=kind, source=query_source, digest=digest, pattern=pattern, entry=None)
-        self._queries[digest] = query
-        return query
-
-    # -------------------------------------------------------------- documents
-    def add(self, content, query, doc_id=None, alphabet=None) -> Document:
-        if isinstance(content, UnrankedTree):
-            return self.add_tree(content, query, doc_id=doc_id, alphabet=alphabet)
-        return self.add_word(content, query, doc_id=doc_id, alphabet=alphabet)
-
-    def add_tree(self, tree: UnrankedTree, query, doc_id=None, alphabet=None) -> Document:
-        return self._add("tree", tree, query, doc_id, alphabet)
-
-    def add_word(self, word, query, doc_id=None, alphabet=None) -> Document:
-        return self._add("word", list(word), query, doc_id, alphabet)
-
-    def _add(self, kind: str, content, query, doc_id, alphabet) -> Document:
-        doc_ids = None if doc_id is None else [doc_id]
-        return self.add_documents(
-            [content], query, doc_ids=doc_ids, alphabet=alphabet, _kind=kind
-        )[0]
-
-    def add_documents(
-        self,
-        contents,
-        query=None,
-        *,
-        queries=None,
-        doc_ids=None,
-        alphabet=None,
-        _kind=None,
-    ) -> List[Document]:
-        """Add many documents in one round trip (the server batches them)."""
-        self._check_open()
-        contents = list(contents)
-        if queries is not None:
-            queries = list(queries)
-            if len(queries) != len(contents):
-                raise EngineError(
-                    f"queries ({len(queries)}) and contents ({len(contents)}) differ in length"
-                )
-        if doc_ids is not None:
-            doc_ids = list(doc_ids)
-            if len(doc_ids) != len(contents):
-                raise EngineError(
-                    f"doc_ids ({len(doc_ids)}) and contents ({len(contents)}) differ in length"
-                )
-        rows = []  # (requested_doc_id, kind, content, compiled)
-        claimed = set()
-        for index, content in enumerate(contents):
-            item_query = queries[index] if queries is not None else query
-            if item_query is None:
-                raise EngineError(
-                    "add_documents needs a query: pass query= (shared) or queries= (per item)"
-                )
-            compiled = self.compile(item_query, alphabet=alphabet)
-            if isinstance(content, UnrankedTree):
-                kind = "tree"
-            else:
-                kind = "word"
-                content = list(content)
-            if _kind is not None and kind != _kind:
-                kind = _kind
-            if compiled.kind != kind:
-                raise EngineError(
-                    f"cannot serve a {kind} document under a {compiled.kind} query "
-                    f"(digest {compiled.digest[:12]}...)"
-                )
-            requested = doc_ids[index] if doc_ids is not None else None
-            if requested is not None and (requested in self._documents or requested in claimed):
-                raise ServingError(f"document id {requested!r} already in use")
-            if requested is not None:
-                claimed.add(requested)
-            rows.append((requested, kind, content, compiled))
-        reply = self._call(
-            "add_documents",
-            [[requested, content, compiled.digest] for requested, _k, content, compiled in rows],
-        )
-        assigned = reply["doc_ids"] if isinstance(reply, dict) else None
-        if not isinstance(assigned, (list, tuple)) or len(assigned) != len(rows):
-            raise ProtocolError("malformed add_documents reply from server")
-        documents = []
-        for (_requested, kind, _content, compiled), doc_id in zip(rows, assigned):
-            document = Document(self, doc_id, kind, compiled)
-            self._documents[doc_id] = document
-            self._epochs[doc_id] = 0
-            documents.append(document)
-        return documents
-
-    def document(self, doc_id) -> Document:
-        """The handle of a served document."""
-        try:
-            return self._documents[doc_id]
-        except KeyError:
-            raise ServingError(f"no document with id {doc_id!r}") from None
-
-    def remove(self, doc_id) -> None:
-        """Drop a document on the server (its cursors are closed)."""
-        self.document(doc_id)
-        self._check_open()
-        self._call("remove", doc_id)
-        del self._documents[doc_id]
-        self._epochs.pop(doc_id, None)
-
-    def doc_ids(self) -> List[object]:
-        return list(self._documents)
-
-    def __len__(self) -> int:
-        return len(self._documents)
-
-    def __contains__(self, doc_id) -> bool:
-        return doc_id in self._documents
-
-    # ------------------------------------------------------------------ edits
-    def apply_edits(self, doc_id, edits):
-        """Apply one edit batch (one epoch step) on the server."""
-        self.document(doc_id)
-        self._check_open()
-        try:
-            report = self._call("apply_edits", doc_id, list(edits))
-        except ProtocolError:
-            raise
-        except BaseException:
-            # The batch may have partially applied (the epoch still advances
-            # on a partial batch): resync the mirror so live streams see it.
-            try:
-                self._epochs[doc_id] = self._call("epoch", doc_id)
-            except ReproError:
-                self._epochs.pop(doc_id, None)
-            raise
-        self._epochs[doc_id] = report.epoch
-        return report
-
-    # ------------------------------------------------------------ reads/pages
-    def _doc_epoch(self, doc_id) -> int:
-        self.document(doc_id)
-        epoch = self._epochs.get(doc_id)
-        if epoch is None:  # mirror lost after a failed batch: resync
-            epoch = self._call("epoch", doc_id)
-            self._epochs[doc_id] = epoch
-        return epoch
-
-    def _count(self, doc_id, limit: Optional[int]) -> int:
-        self.document(doc_id)
-        return self._call("count", doc_id, limit)
-
-    def _runtime(self, doc_id):
-        self.document(doc_id)
-        raise EngineError(
-            f"document {doc_id!r} lives in the server process; "
-            "its runtime is not reachable over the network"
-        )
-
-    def _page(self, doc_id, cursor, page_size: Optional[int]) -> ResultPage:
-        self.document(doc_id)
-        self._check_open()
-        if isinstance(cursor, ResultPage):
-            if cursor.document_id != doc_id:
-                raise EngineError(
-                    f"page cursor {cursor.cursor_id} belongs to document "
-                    f"{cursor.document_id!r}, not {doc_id!r}"
-                )
-            cursor_id: Optional[int] = cursor.cursor_id
-        else:
-            cursor_id = cursor
-        if cursor_id is not None and page_size is not None:
-            raise EngineError(
-                "page_size is fixed when a cursor is opened; "
-                "continue with page(cursor=...) only"
-            )
-        size = self.page_size if page_size is None else page_size
-        if size < 1:
-            raise EngineError("page_size must be >= 1")
-        payload = self._call("page", doc_id, cursor_id, size)
-        if not isinstance(payload, dict):
-            raise ProtocolError("malformed page reply from server")
-        return ResultPage(
-            answers=tuple(payload["answers"]),
-            offset=payload["offset"],
-            exhausted=payload["exhausted"],
-            cursor_id=payload["cursor_id"],
-            document_id=doc_id,
-            epoch=payload["epoch"],
-        )
-
-    # ---------------------------------------------------------------- streams
-    def _stream(self, doc_id):
-        """Credit-window push stream over the socket (adaptive, demuxed).
-
-        The base epoch is captured eagerly, and staleness is checked against
-        the client's epoch mirror before every yielded answer — the exact
-        contract of a local engine's ``stream()``.
-        """
-        self.document(doc_id)
-        self._check_open()
-        start_epoch = self._doc_epoch(doc_id)
-        request_id = next(self._request_ids)
-        window = self.credit.initial_credit(len(self._streams))
-        stream = _ClientStream(request_id, window)
-        self._streams[request_id] = stream
-        self._send([request_id, "stream_open", doc_id, self.stream_chunk_size, window])
-        self.stream_round_trips_total += 1
-        self._metrics.inc("net_stream_round_trips_total")
-
-        def check_fresh():
-            if self._epochs.get(doc_id) != start_epoch:
-                raise StaleIteratorError(
-                    f"document {doc_id!r} was edited (or removed) while stream() "
-                    "was running; restart the stream, or use page() for "
-                    "edit-stable pagination"
-                )
-
-        def iterate():
-            check_fresh()
-            try:
-                while True:
-                    chunk = self._next_chunk(stream)
-                    if chunk is None:
-                        return
-                    answers, exhausted = chunk
-                    for answer in answers:
-                        check_fresh()
-                        yield answer
-                    if exhausted:
-                        return
-            finally:
-                self._close_stream(stream)
-
-        return iterate()
-
-    def _next_chunk(self, stream: _ClientStream):
-        """Pop one buffered chunk, blocking on the socket if none arrived.
-
-        Runs the same adaptive-credit bookkeeping as the shard pool: a full
-        buffer (buffered chunks plus unreturned grants covering the whole
-        window) votes to shrink the window, a stall votes to grow it, and
-        grants top the window up to the controller's current target.
-        """
-        if stream.chunks:
-            self.credit.note_buffered(len(stream.chunks) + stream.to_grant, stream.window)
-        stalled_at: Optional[float] = None
-        while not stream.chunks:
-            if stream.error is not None:
-                raise stream.error
-            if stream.done or stream.closed:
-                return None
-            if stalled_at is None:
-                stalled_at = perf_counter()
-            self._recv_one()
-        if stalled_at is not None:
-            self._metrics.observe("net_stream_stall_seconds", perf_counter() - stalled_at)
-            self.stream_stalls_total += 1
-            self.credit.note_stall()
-        answers, exhausted = stream.chunks.pop(0)
-        stream.to_grant += 1
-        target = self.credit.window
-        if (
-            not exhausted
-            and not stream.done
-            and stream.to_grant >= max(1, min(stream.window, target) // 2)
-        ):
-            grant = max(0, target - (stream.window - stream.to_grant))
-            stream.window = stream.window - stream.to_grant + grant
-            stream.to_grant = 0
-            if grant > 0:
-                self._send([stream.request_id, "stream_credit", grant])
-                self.stream_round_trips_total += 1
-                self._metrics.inc("net_stream_round_trips_total")
-        return answers, exhausted
-
-    def _close_stream(self, stream: _ClientStream) -> None:
-        if stream.closed:
-            return
-        stream.closed = True
-        self._streams.pop(stream.request_id, None)
-        if not stream.done and not self._closed:
-            # Deferred: this may run inside a generator finalizer triggered
-            # at an arbitrary point (even mid-send); the close frame goes
-            # out with the next regular send instead.
-            self._deferred_closes.append(stream.request_id)
+        return None
 
     # ------------------------------------------------------------- monitoring
     def net_stats(self) -> Dict[str, object]:
         """Client-side transport counters (the adaptive window included)."""
+        transport = self._transport
         return {
             "credit": self.credit.window,
             "credit_start": STREAM_CREDIT,
             "credit_grown": self.credit.grown_total,
             "credit_shrunk": self.credit.shrunk_total,
-            "chunks": self.stream_chunks_total,
-            "round_trips": self.stream_round_trips_total,
-            "stalls": self.stream_stalls_total,
+            "chunks": transport.stream_chunks_total,
+            "round_trips": transport.stream_round_trips_total,
+            "stalls": transport.stream_stalls_total,
             "open_streams": len(self._streams),
         }
 
@@ -576,7 +387,7 @@ class RemoteEngine:
         ``net_*`` histograms/counters (client-side names win on collision:
         ``stream_credit_window`` is the *client's* window)."""
         payload = self._call("metrics")
-        payload.update(self._metrics.snapshot())
+        payload.update(self._transport.metrics.snapshot())
         return payload
 
     def events(self) -> List[Dict[str, object]]:
@@ -585,35 +396,3 @@ class RemoteEngine:
 
     def ping(self) -> str:
         return self._call("ping")
-
-    # --------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Close the connection (idempotent); server-side state is dropped
-        by the server's disconnect handling."""
-        if self._closed:
-            return
-        self._closed = True
-        for stream in list(self._streams.values()):
-            stream.closed = True
-            stream.done = True
-        self._streams.clear()
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def __enter__(self) -> "RemoteEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover — best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "closed" if self._closed else "open"
-        return f"RemoteEngine({state}, documents={len(self._documents)})"

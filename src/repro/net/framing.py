@@ -67,8 +67,10 @@ __all__ = [
 ]
 
 #: protocol revision negotiated by the HELLO exchange; bumped on any
-#: incompatible change to the frame format or the op vocabulary
-PROTOCOL_VERSION = 1
+#: incompatible change to the frame format, the op vocabulary or a reply
+#: shape (revision 2: the ``add_documents`` reply names the registered
+#: documents and carries an item's failure)
+PROTOCOL_VERSION = 2
 
 #: default per-frame byte ceiling (header excluded) on both sides
 MAX_FRAME_BYTES = 8 * 1024 * 1024

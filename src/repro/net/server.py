@@ -3,9 +3,9 @@
 The server listens on TCP and/or a unix socket and multiplexes many
 concurrent client connections onto one engine.  The wire speaks the framed
 canonical codec of :mod:`repro.net.framing` (no pickle), and requests carry
-the same ``(request_id, op, *args)`` shape as the PR-5 shard protocol —
-the network tier is the shard protocol with a socket instead of a pipe and
-a safe codec instead of pickle:
+the same ``(request_id, op, *args)`` shape as the pipelined shard protocol
+of :mod:`repro.engine.sharding` — the network tier is that protocol with a
+socket instead of a pipe and a safe codec instead of pickle:
 
 * a versioned **HELLO** opens every connection: the client sends
   ``[0, "hello", {"protocol": N}]`` and the server answers with its
@@ -262,8 +262,18 @@ class EngineServer:
                 contents.append(content)
                 queries.append(query)
                 doc_ids.append(doc_id)
-            documents = engine.add_documents(contents, queries=queries, doc_ids=doc_ids)
-            return {"doc_ids": [document.doc_id for document in documents]}
+            # Name every document the engine registered, in item order, even
+            # when an item fails: the client registers them, then raises.
+            rows = engine._prepare_ingest(
+                contents, query=None, queries=queries, doc_ids=doc_ids, alphabet=None
+            )
+            landed = [None] * len(rows)
+            try:
+                for index, document in engine._ingest(rows):
+                    landed[index] = document.doc_id
+            except Exception as exc:  # noqa: BLE001 — travels back in the reply
+                return {"doc_ids": landed, "error": exc}
+            return {"doc_ids": landed, "error": None}
         if op == "apply_edits":
             doc_id, edits = args
             return engine.apply_edits(doc_id, list(edits))

@@ -7,6 +7,12 @@ with the same message in-process (``Engine()``), on shard workers
 and :class:`~repro.net.RemoteEngine` keeps its client-side shape: the
 server's ``stats()`` plus a ``net`` section, its transport counters, the
 HELLO reply, and auto ids that the server assigns.
+
+Because ``RemoteEngine`` is an ``Engine`` over a socket transport, it has
+every public ``Engine`` method, and a behaviour fix lands on all three
+transports at once: a failed batch ingest keeps the documents it added
+served and removable, and content of the other kind than its query is
+refused by the facade with one ``EngineError`` before anything ships.
 """
 
 from __future__ import annotations
@@ -15,10 +21,18 @@ import contextlib
 
 import pytest
 
-from repro import Engine, EngineError, InvalidTreeError, ServingError, StaleIteratorError
+from repro import (
+    Engine,
+    EngineError,
+    InvalidEditError,
+    InvalidTreeError,
+    ServingError,
+    StaleIteratorError,
+)
 from repro.automata.queries import select_labeled
 from repro.engine import ResultPage
 from repro.net import EngineServer, RemoteEngine
+from repro.obs import parse_prometheus_text
 from repro.trees.edits import Relabel
 from repro.trees.generators import random_tree
 from repro.trees.unranked import UnrankedTree
@@ -220,3 +234,87 @@ class TestRemoteShape:
                     assert sorted(engine.doc_ids()) == [0, 1]
             finally:
                 server.stop()
+
+
+class TestFailedBatchIngest:
+    """``add_documents(["ab", "", "ab"])`` fails on the empty word; every
+    document the batch added is registered, served and removable."""
+
+    @pytest.mark.parametrize(
+        "workers, remote",
+        [(0, False), (1, False), (0, True), (1, True), (2, True)],
+        ids=["local", "sharded", "tcp-local", "tcp-sharded", "tcp-two-shards"],
+    )
+    def test_added_documents_stay_served(self, workers, remote):
+        with contextlib.ExitStack() as stack:
+            served = engine = stack.enter_context(Engine(workers=workers))
+            if remote:
+                server = EngineServer(served).start()
+                stack.callback(server.stop)
+                engine = stack.enter_context(RemoteEngine(server.address))
+            query = engine.compile("x{a+}b", alphabet="ab")
+            with pytest.raises(InvalidEditError, match="words must be non-empty"):
+                engine.add_documents(["ab", "", "ab"], query, doc_ids=["a", "b", "c"])
+            assert "a" in engine and "b" not in engine
+            assert engine.doc_ids() == served.doc_ids()
+            with Engine() as fresh:
+                expected = fresh.add_word("ab", fresh.compile("x{a+}b", alphabet="ab")).answers()
+            assert engine.document("a").answers() == expected
+            engine.remove("a")
+            assert "a" not in engine and "a" not in served
+            with pytest.raises(ServingError, match="no document with id 'a'"):
+                engine.document("a")
+
+
+class TestKindMismatch:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_one_engine_error_before_anything_ships(self, served, transport):
+        engine, _t, _o = served[transport]
+        tree_query = engine.compile(_query())
+        word_query = engine.compile("x{a}.*", alphabet="ab")
+        with pytest.raises(EngineError) as info:
+            engine.add_tree(["a", "b"], tree_query)
+        assert type(info.value) is EngineError
+        assert str(info.value) == (
+            "cannot serve a word document under a tree query "
+            f"(digest {tree_query.digest[:12]}...)"
+        )
+        with pytest.raises(EngineError) as info:
+            engine.add_word(random_tree(5, LABELS, 3), word_query)
+        assert type(info.value) is EngineError
+        assert str(info.value) == (
+            "cannot serve a tree document under a word query "
+            f"(digest {word_query.digest[:12]}...)"
+        )
+        assert sorted(engine.doc_ids()) == ["o", "t"]
+        assert engine.stats()["documents"] == 2
+
+
+class TestRemoteIsAnEngine:
+    def test_inherited_surface(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        with Engine() as engine:
+            server = EngineServer(engine).start()
+            try:
+                with RemoteEngine(server.address) as remote:
+                    assert isinstance(remote, Engine)
+                    trees = [random_tree(12, LABELS, seed) for seed in range(3)]
+                    docs = list(remote.add_documents_iter(trees, _query()))
+                    assert [doc.doc_id for doc in docs] == engine.doc_ids() == [0, 1, 2]
+                    for doc in docs:
+                        assert doc.answers() == engine.document(doc.doc_id).answers()
+                    remote.await_repairs()  # no fleet: nothing to wait for
+                    parsed = parse_prometheus_text(remote.metrics_text())
+                    assert parsed["repro_ingest_batch_seconds"]["count"] == 1  # the server's
+                    assert parsed["repro_net_round_trip_seconds"]["count"] >= 2  # the client's
+                    with pytest.raises(EngineError, match="tracing is off"):
+                        remote.dump_trace(str(tmp_path / "trace.json"))
+            finally:
+                server.stop()
+
+    def test_unknown_shard_op_is_refused_by_name(self):
+        with Engine(workers=1) as engine:
+            for op in ("frobnicate", "_source"):
+                with pytest.raises(EngineError, match=f"unknown shard request '{op}'"):
+                    engine._pool.request(0, op)
+            assert engine._pool.request(0, "ping") == "pong"

@@ -2,7 +2,8 @@
 
 Covers the wire codec (round trips, hardening, byte-corruption fuzz), the
 canonical-payload codec hardening in :mod:`repro.automata.serialize`, the
-:class:`~repro.engine.sharding.AdaptiveCredit` controller, the server's
+:class:`~repro.engine.sharding.AdaptiveCredit` controller and the stream
+consumer it steers (:func:`~repro.engine.sharding.take_chunk`), the server's
 per-connection limits and HELLO versioning, typed error propagation over
 real TCP, catalog leases + concurrent ``gc()``, and the incremental
 (completion-order) ingest path.  The transcript-exactness of the network
@@ -32,7 +33,7 @@ from repro.automata.serialize import (
     query_payload,
 )
 from repro.engine.catalog import QueryCatalog
-from repro.engine.sharding import STREAM_CREDIT, AdaptiveCredit
+from repro.engine.sharding import STREAM_CREDIT, AdaptiveCredit, ShardStream, take_chunk
 from repro.core.results import UpdateStats
 from repro.engine.local import BatchUpdateReport
 from repro.errors import (
@@ -365,6 +366,51 @@ class TestAdaptiveCredit:
         snapshot = metrics.snapshot()
         assert snapshot["stream_credit_window"]["value"] == 8
         assert snapshot["stream_credit_grown_total"]["value"] == 1
+
+
+class TestTakeChunk:
+    """The one credit-window consumer, shared by the shard pool and the
+    network client: its window votes and its token-conserving grants."""
+
+    @staticmethod
+    def _stream(window):
+        stream = ShardStream(None, 1)
+        stream.window = window
+        return stream
+
+    def test_waits_grow_the_window_and_grants_top_up_to_it(self):
+        credit = AdaptiveCredit(4)
+        stream = self._stream(4)
+        grants = []
+
+        def receive():
+            stream.chunks.append(((len(grants),), False))
+
+        for _ in range(2):
+            chunk, stalled = take_chunk(stream, credit, receive, grants.append)
+            assert chunk is not None and stalled is not None
+        assert credit.window == 8  # two waits in a row
+        # the second chunk returned half the window: topped up to 8 tokens
+        assert grants == [6] and stream.window == 8 and stream.to_grant == 0
+
+    def test_full_buffers_shrink_the_window_and_withhold_credit(self):
+        credit = AdaptiveCredit(4)
+        stream = self._stream(4)
+        stream.chunks = [((n,), False) for n in range(4)]
+        grants = []
+        for _ in range(2):
+            chunk, stalled = take_chunk(stream, credit, None, grants.append)
+            assert chunk is not None and stalled is None
+        assert credit.window == AdaptiveCredit.MIN_WINDOW
+        assert grants == []  # 4 tokens out against a target of 2: nothing to grant
+
+    def test_an_error_is_raised_once_then_the_stream_ends(self):
+        credit = AdaptiveCredit(4)
+        stream = self._stream(4)
+        stream.error = StaleIteratorError("edited")
+        with pytest.raises(StaleIteratorError):
+            take_chunk(stream, credit, None, None)
+        assert take_chunk(stream, credit, None, None) == (None, None)
 
 
 # ===================================================== server + limits

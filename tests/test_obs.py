@@ -244,7 +244,7 @@ class TestEngineMetrics:
             assert maintainer.on_delay is None
             iterator = doc.stream()
             # the exact generator the runtime hands out — no wrapper frames
-            assert iterator.gi_code.co_name == "iterate"
+            assert iterator.gi_code is doc.runtime.assignments().gi_code
             assert engine._tracer.enabled is False
         with Engine(delay_budget=1.0) as engine:
             doc = engine.add_tree(small_tree(), tree_query())
