@@ -27,15 +27,20 @@ Box plans
 ---------
 The gate structure of a box depends only on its label and on the *state
 signature* of each child — which states are present and which of those are ⊤.
-With a fixed automaton a large tree hits only a handful of distinct
-signatures, so the construction memoizes, per automaton, a **box plan** for
-every (label, left signature, right signature) triple it encounters: the
-δ-product and all per-state classification work run once per distinct
-signature, and every later box with the same signature is built by a single
-cache lookup plus gate instantiation.  The box records its ∪-wiring
-(``local_input``/``left_input_masks``/``right_input_masks``) as its gates are
-created, which is what lets the index construction (Lemma 6.3) avoid
-rescanning gate inputs.
+A signature is two ints: the mask of the present (non-⊥) states and the
+mask of the ⊤ states, bit ``i`` standing for the automaton's ``i``-th state
+in canonical order (:func:`_canonical_states`); a child's ∪-slot of state
+``i`` is the popcount of its ∪-states below bit ``i``.  With a fixed
+automaton a large tree hits only a handful of distinct signatures, so the
+construction memoizes, per automaton, a **box plan** for every (label, left
+signature, right signature) triple it encounters: the δ-product and all
+per-state classification work run once per distinct signature — by bit
+tests over δ tables indexed by canonical state, built once per label — and
+every later box with the same signature is built by a single cache lookup
+(hashing a label and four ints) plus gate instantiation.  The box records
+its ∪-wiring (``local_input``/``left_input_masks``/``right_input_masks``)
+as its gates are created, which is what lets the index construction
+(Lemma 6.3) avoid rescanning gate inputs.
 
 Plans are stored **struct-of-arrays**: one flat table per gate kind rather
 than one record per gate.  An :class:`_InternalPlan` keeps, in slot order,
@@ -70,6 +75,7 @@ backend)``.
 from __future__ import annotations
 
 import hashlib
+import re
 import weakref
 from collections import OrderedDict
 from time import perf_counter
@@ -120,7 +126,8 @@ class _InternalPlan:
     the concrete child boxes is precomputed and *shared* by every box built
     from the plan: the transposed child wiring ``wire_masks`` (child slot →
     mask of box slots), the per-slot input masks, the local-input mask and
-    the box's own state signature.
+    the box's own state signature (a ``(present mask, ⊤ mask)`` pair over
+    canonical state indices).
     """
 
     __slots__ = (
@@ -147,6 +154,7 @@ class _InternalPlan:
         local_mask,
         signature,
         slot_prod_masks,
+        slot_inputs,
     ):
         self.entries = entries
         self.prod_pairs = prod_pairs
@@ -172,9 +180,7 @@ class _InternalPlan:
         self.n_unions = len(left_input_masks)
         #: per-∪-slot input descriptors, in slot order (the union-state
         #: subsequence of ``entries``); read by lazy gate materialization.
-        self.slot_inputs = tuple(
-            value for _state, value in entries if value.__class__ is tuple
-        )
+        self.slot_inputs = slot_inputs
 
     # ----------------------------------------------- lazy gate materialization
     def materialize_unions(self, box: "Box"):
@@ -211,7 +217,8 @@ class _LeafPlan:
     var-gate; ``entries`` lists, per state, a sentinel (⊤/⊥) or the indices
     into ``var_sets`` feeding the state's ∪-gate; ``slot_var_masks`` is the
     same wiring as a per-∪-slot bitmask over var-gate indices (read by the
-    mask-native enumeration of Algorithm 2).
+    mask-native enumeration of Algorithm 2).  ``signature`` is the leaf
+    box's ``(present mask, ⊤ mask)`` pair over canonical state indices.
     """
 
     __slots__ = (
@@ -224,7 +231,7 @@ class _LeafPlan:
         "slot_inputs",
     )
 
-    def __init__(self, entries, var_sets, local_mask, signature, slot_var_masks):
+    def __init__(self, entries, var_sets, local_mask, signature, slot_var_masks, slot_inputs):
         self.entries = entries
         self.var_sets = var_sets
         self.local_mask = local_mask
@@ -233,9 +240,7 @@ class _LeafPlan:
         self.n_unions = len(slot_var_masks)
         #: per-∪-slot var-gate index tuples, in slot order (the union-state
         #: subsequence of ``entries``); read by lazy gate materialization.
-        self.slot_inputs = tuple(
-            value for _state, value in entries if value.__class__ is tuple
-        )
+        self.slot_inputs = slot_inputs
 
     # ----------------------------------------------- lazy gate materialization
     def materialize_unions(self, box: "Box"):
@@ -298,11 +303,11 @@ def _require_homogenized(automaton: BinaryTVA) -> None:
 
 #: most internal plans one automaton keeps (least recently used go first).
 #: A wide automaton under steady edits meets new child signatures for as
-#: long as it runs — nondet-6 over the edit-refresh corpus grows ~55 plans
-#: per 100-step cycle from ~1.4k, with no plateau — so the table is capped
-#: well above what one benchmark run reaches (~3.2k after 30 cycles).  Boxes
-#: keep their plan by reference; an evicted plan is only recomputed on its
-#: next use.
+#: long as it runs — nondet-6 over the edit-refresh corpus (seed 1) grows
+#: ~60 plans per 100-step cycle from 1,433 after set-up, with no plateau —
+#: so the table is capped well above what one benchmark run reaches (3,213
+#: after 30 cycles).  Boxes keep their plan by reference; an evicted plan is
+#: only recomputed on its next use.
 _INTERNAL_PLAN_LIMIT = 8192
 
 
@@ -310,17 +315,29 @@ def _plan_cache(automaton: BinaryTVA) -> Dict[str, object]:
     """The per-automaton box-plan cache (attached lazily; automata are immutable).
 
     Besides the leaf plans and the internal plans (an LRU of at most
-    :data:`_INTERNAL_PLAN_LIMIT`) it holds the shared sentinel entries (see
-    :func:`_sentinel_entry`) and the states in the order plans number their
-    slots (see :func:`_canonical_states`).
+    :data:`_INTERNAL_PLAN_LIMIT`) it holds the states in canonical order
+    (see :func:`_canonical_states`) with their index, the masks of the 0-
+    and 1-states, the shared ``(state, ⊤)`` and ``(state, ⊥)`` plan entries
+    by state index (one tuple each per automaton: most states of a wide
+    automaton's plans are ⊤ or ⊥, and a tuple holding a sentinel stays
+    tracked by the cyclic GC, so a fresh pair per state per plan would make
+    every collection walk hundreds of thousands of them) and, filled per
+    label on first use, the δ tables of :func:`_label_targets`.
     """
     cache = getattr(automaton, "_box_plan_cache", None)
     if cache is None:
+        states = _canonical_states(automaton)
+        index = {state: i for i, state in enumerate(states)}
         cache = {
             "leaf": {},
             "internal": OrderedDict(),
-            "sentinel": {},
-            "states": _canonical_states(automaton),
+            "states": states,
+            "index": index,
+            "zero": _mask_of(automaton.zero_states, index),
+            "one": _mask_of(automaton.one_states, index),
+            "top": tuple((state, TOP) for state in states),
+            "bottom": tuple((state, BOTTOM) for state in states),
+            "delta": {},
         }
         automaton._box_plan_cache = cache
     return cache
@@ -336,7 +353,8 @@ def _remember_internal_plan(plans: "OrderedDict", key: Tuple, plan: "_InternalPl
 def _canonical_states(automaton: BinaryTVA) -> Tuple[object, ...]:
     """The automaton's states sorted by their canonical encoding.
 
-    Plans give ∪-gates their slots in this order, and slot numbering decides
+    State ``i`` of this order is bit ``i`` of every state signature, and
+    plans give ∪-gates their slots in this order; slot numbering decides
     answer order.  The iteration order of ``automaton.states`` (a frozenset)
     is not fixed: it varies with ``PYTHONHASHSEED`` and with how the set was
     built, so a shard worker that compiles or unpickles the same query could
@@ -354,38 +372,42 @@ def _canonical_states(automaton: BinaryTVA) -> Tuple[object, ...]:
     return tuple(sorted(automaton.states, key=key))
 
 
-def _sentinel_entry(table: dict, state: object, value: object) -> Tuple[object, object]:
-    """The ``(state, ⊤)`` or ``(state, ⊥)`` plan entry, one tuple per automaton.
+def _mask_of(states, index: Dict[object, int]) -> int:
+    mask = 0
+    for state in states:
+        mask |= 1 << index[state]
+    return mask
 
-    Most states of a wide automaton's plans are ⊤ or ⊥, and a tuple holding
-    a sentinel stays tracked by the cyclic GC, so a fresh pair per state per
-    plan would make every collection walk hundreds of thousands of them.
-    """
-    key = (state, value)
-    return table.setdefault(key, key)
+
+_ONE = re.compile("1")
+
+
+def _bit_indices(mask: int) -> List[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    return [match.start() for match in _ONE.finditer(bin(mask)[:1:-1])]
 
 
 def _leaf_plan(automaton: BinaryTVA, label: object) -> _LeafPlan:
     """The build recipe for a leaf box with the given label (leaf-independent)."""
-    zero_states = automaton.zero_states
-    one_states = automaton.one_states
     cache = _plan_cache(automaton)
-    sentinels = cache["sentinel"]
-    entries_out: List[Tuple[object, object]] = []
-    signature: List[Tuple[object, bool]] = []
+    zero = cache["zero"]
+    one = cache["one"]
+    entries_out = list(cache["bottom"])
+    present = 0
+    top = 0
     var_sets: List[frozenset] = []
     var_index: Dict[frozenset, int] = {}
     slot_var_masks: List[int] = []
-    union_count = 0
-    for state in cache["states"]:
-        entries = automaton.initial_by_label_state.get((label, state), [])
-        if state in zero_states:
+    slot_inputs: List[Tuple[int, ...]] = []
+    for i, state in enumerate(cache["states"]):
+        entries = automaton.initial_by_label_state.get((label, state), ())
+        bit = 1 << i
+        if zero & bit:
             if any(not vs for vs in entries):
-                entries_out.append(_sentinel_entry(sentinels, state, TOP))
-                signature.append((state, True))
-            else:
-                entries_out.append(_sentinel_entry(sentinels, state, BOTTOM))
-        elif state in one_states:
+                entries_out[i] = cache["top"][i]
+                present |= bit
+                top |= bit
+        elif one & bit:
             indices: List[int] = []
             seen = set()
             for vs in entries:
@@ -398,166 +420,201 @@ def _leaf_plan(automaton: BinaryTVA, label: object) -> _LeafPlan:
                         var_sets.append(vs)
                     indices.append(idx)
             if indices:
-                entries_out.append((state, tuple(indices)))
-                signature.append((state, False))
-                slot_var_masks.append(sum(1 << i for i in set(indices)))
-                union_count += 1
-            else:
-                entries_out.append(_sentinel_entry(sentinels, state, BOTTOM))
-        else:  # unreachable state (possible only if the automaton is not trimmed)
-            entries_out.append(_sentinel_entry(sentinels, state, BOTTOM))
+                inputs = tuple(indices)
+                entries_out[i] = (state, inputs)
+                present |= bit
+                slot_var_masks.append(sum(1 << j for j in set(indices)))
+                slot_inputs.append(inputs)
     return _LeafPlan(
         tuple(entries_out),
         tuple(var_sets),
-        (1 << union_count) - 1,
-        tuple(signature),
+        (1 << len(slot_inputs)) - 1,
+        (present, top),
         tuple(slot_var_masks),
+        tuple(slot_inputs),
     )
 
 
-def _signature_of(box: Box) -> Tuple[Tuple[object, bool], ...]:
-    """The state signature of a box: its present (non-⊥) states, flagged for ⊤.
+def _signature_of(box: Box, automaton: BinaryTVA) -> Tuple[int, int]:
+    """The state signature of a box: masks of its present (non-⊥) and ⊤ states.
 
     Normally read from ``box.state_sig`` (stamped by the plan that built the
-    box); this fallback recomputes it for boxes built by other means.  The
-    plan machinery assumes ∪-gate slots follow ``state_gate`` insertion
-    order, so a hand-built box violating that is rejected loudly here rather
-    than silently miswired.
+    box); this fallback recomputes it for boxes built by other means.  A
+    plan numbers a child's ∪-gates by the rank of their state in canonical
+    order, so a hand-built box whose slots do not follow that order is
+    rejected loudly here rather than silently miswired.
     """
-    signature = tuple((q, g is TOP) for q, g in box.state_gate.items() if g is not BOTTOM)
-    slot = 0
-    for state, is_top in signature:
-        if is_top:
+    index = _plan_cache(automaton)["index"]
+    present = 0
+    top = 0
+    union_slots: Dict[int, int] = {}
+    for state, gate in box.state_gate.items():
+        if gate is BOTTOM:
             continue
-        if box.state_gate[state].slot != slot:
-            raise CircuitStructureError(
-                "box's ∪-gate slots do not follow state_gate insertion order; "
-                "create each state's gate in the order its state_gate entry is inserted"
-            )
-        slot += 1
-    return signature
+        i = index.get(state)
+        if i is None:
+            raise CircuitStructureError(f"box has a gate for {state!r}, not a state of the automaton")
+        present |= 1 << i
+        if gate is TOP:
+            top |= 1 << i
+        else:
+            union_slots[i] = gate.slot
+    if [union_slots[i] for i in sorted(union_slots)] != list(range(len(union_slots))):
+        raise CircuitStructureError(
+            "box's ∪-gate slots do not follow the canonical state order; "
+            "create each state's gate in the order of its state's canonical index"
+        )
+    return present, top
 
 
-def _slots_of_signature(sig: Tuple[Tuple[object, bool], ...]) -> Dict[object, int]:
-    """State → ∪-gate slot for a child with the given signature.
+def _label_targets(cache: Dict[str, object], automaton: BinaryTVA, label: object) -> Tuple:
+    """δ_label by target state, as canonical indices (built once per label).
 
-    Slots are assigned in ``state_gate`` insertion order (= the canonical
-    state order, which the plans preserve) to the present states that are not ⊤, so
-    the mapping is fully determined by the signature.
+    One row ``(q, is 0-state, left need, right need, pairs)`` per target
+    ``q`` in canonical order, where ``pairs`` lists the ``(q1, q2)`` of
+    ``(q1, q2, q) ∈ δ_label`` in the automaton's own δ order (input order
+    and ×-gate numbering follow it), and the need masks are the ``q1`` and
+    ``q2`` that occur: a target none of whose pairs can fire is skipped
+    with two mask tests.  A target that is neither a 0- nor a 1-state
+    (an untrimmed automaton's) gets no row: its gate is always ⊥.
     """
-    slots: Dict[object, int] = {}
-    for state, is_top in sig:
-        if not is_top:
-            slots[state] = len(slots)
-    return slots
+    targets = cache["delta"].get(label)
+    if targets is None:
+        index = cache["index"]
+        reachable = cache["zero"] | cache["one"]
+        pairs_of: Dict[int, List[Tuple[int, int]]] = {}
+        for q1, q2, q in automaton.delta_by_label.get(label, ()):
+            pairs_of.setdefault(index[q], []).append((index[q1], index[q2]))
+        rows = []
+        for q in sorted(pairs_of):
+            if not reachable >> q & 1:
+                continue
+            pairs = tuple(pairs_of[q])
+            left_need = 0
+            right_need = 0
+            for i1, i2 in pairs:
+                left_need |= 1 << i1
+                right_need |= 1 << i2
+            rows.append((q, bool(cache["zero"] >> q & 1), left_need, right_need, pairs))
+        targets = cache["delta"][label] = tuple(rows)
+    return targets
+
+
+def _child_slots(signature: Tuple[int, int], n_states: int) -> Tuple[List[Optional[int]], int]:
+    """Per state index, a child's ∪-slot (⊤: -1, absent: None); and its ∪-count.
+
+    Slots go to the present non-⊤ states in canonical order, so the slot of
+    state ``i`` is the popcount of the ∪-states below bit ``i``.
+    """
+    present, top = signature
+    slots: List[Optional[int]] = [None] * n_states
+    for i in _bit_indices(top):
+        slots[i] = -1
+    unions = _bit_indices(present & ~top)
+    for slot, i in enumerate(unions):
+        slots[i] = slot
+    return slots, len(unions)
 
 
 def _internal_plan(
     automaton: BinaryTVA,
     label: object,
-    left_sig: Tuple[Tuple[object, bool], ...],
-    right_sig: Tuple[Tuple[object, bool], ...],
+    left_sig: Tuple[int, int],
+    right_sig: Tuple[int, int],
 ) -> _InternalPlan:
     """The build recipe for an internal box, given the children's signatures.
 
-    A signature lists the child's present (non-⊥) states with a flag for ⊤.
-    Because each state owns its own ∪-gate, child states identify child gates
-    uniquely, so deduplication on (source, slot) descriptors reproduces the
-    per-gate deduplication of the direct construction — and the child slot
-    numbers (hence the box's full ∪-wiring) are already determined by the
-    signatures, which is what lets the plan precompute the wiring masks.
+    A signature is a pair of masks over canonical state indices: the child's
+    present (non-⊥) states and its ⊤ states.  Because each state owns its
+    own ∪-gate, child states identify child gates uniquely, so deduplication
+    on (source, slot) descriptors reproduces the per-gate deduplication of
+    the direct construction — and the child slot numbers (hence the box's
+    full ∪-wiring) are already determined by the signatures, which is what
+    lets the plan precompute the wiring masks.  Entries start as the
+    automaton's all-⊥ row, and the targets of δ_label are examined in
+    canonical order, each skipped by two mask tests unless one of its
+    transitions can fire on the children's present states.
     """
-    zero_states = automaton.zero_states
-    one_states = automaton.one_states
     cache = _plan_cache(automaton)
-    sentinels = cache["sentinel"]
-    left_slots = _slots_of_signature(left_sig)
-    right_slots = _slots_of_signature(right_sig)
-
-    # For every target state, the contributing (q1, top1, q2, top2) quadruples.
-    # Iterating δ_label and filtering by the signatures is cheaper than the
-    # |left_sig| × |right_sig| product: δ_label is usually the smaller set.
-    left_top = dict(left_sig)
-    right_top = dict(right_sig)
-    contributions: Dict[object, List[Tuple[object, bool, object, bool]]] = {}
-    for q1, q2, q in automaton.delta_by_label.get(label, ()):
-        top1 = left_top.get(q1)
-        if top1 is None:
-            continue
-        top2 = right_top.get(q2)
-        if top2 is None:
-            continue
-        contributions.setdefault(q, []).append((q1, top1, q2, top2))
-
-    entries: List[Tuple[object, object]] = []
-    signature: List[Tuple[object, bool]] = []
+    states = cache["states"]
+    n_states = len(states)
+    left, n_left = _child_slots(left_sig, n_states)
+    right, n_right = _child_slots(right_sig, n_states)
+    left_present, left_top = left_sig
+    right_present, right_top = right_sig
+    top_entries = cache["top"]
+    entries = list(cache["bottom"])
+    present = 0
+    top = 0
     prod_pairs: List[Tuple[int, int]] = []
-    prod_index: Dict[Tuple[int, int], int] = {}
+    prod_index: Dict[int, int] = {}
+    slot_inputs: List[Tuple[Tuple[int, int], ...]] = []
     left_input_masks: List[int] = []
     right_input_masks: List[int] = []
     slot_prod_masks: List[int] = []
     local_mask = 0
-    left_wire: List[int] = [0] * len(left_slots)
-    right_wire: List[int] = [0] * len(right_slots)
-    for state in cache["states"]:
-        contribs = contributions.get(state, ())
-        if state in zero_states:
-            is_top = any(top1 and top2 for _q1, top1, _q2, top2 in contribs)
-            entries.append(_sentinel_entry(sentinels, state, TOP if is_top else BOTTOM))
-            if is_top:
-                signature.append((state, True))
+    left_wire: List[int] = [0] * n_left
+    right_wire: List[int] = [0] * n_right
+    for q, is_zero, left_need, right_need, pairs in _label_targets(cache, automaton, label):
+        if is_zero:
+            # ⊤ iff some transition has both child states ⊤
+            if left_top & left_need and right_top & right_need:
+                for i1, i2 in pairs:
+                    if left[i1] == -1 and right[i2] == -1:
+                        entries[q] = top_entries[q]
+                        present |= 1 << q
+                        top |= 1 << q
+                        break
             continue
-        if state not in one_states:
-            entries.append(_sentinel_entry(sentinels, state, BOTTOM))
+        if not (left_present & left_need and right_present & right_need):
             continue
         inputs: List[Tuple[int, int]] = []
-        seen = set()
-        has_local = False
         left_mask = 0
         right_mask = 0
         prod_mask = 0
-        union_slot = len(left_input_masks)
-        for q1, top1, q2, top2 in contribs:
-            if top1 and top2:
-                raise CircuitStructureError(
-                    f"1-state {state!r} would capture the empty assignment; "
-                    "the automaton is not homogenized"
-                )
-            if top1:
-                descriptor = (_IN_RIGHT, right_slots[q2])
-            elif top2:
-                descriptor = (_IN_LEFT, left_slots[q1])
+        union_bit = 1 << len(slot_inputs)
+        for i1, i2 in pairs:
+            s1 = left[i1]
+            if s1 is None:
+                continue
+            s2 = right[i2]
+            if s2 is None:
+                continue
+            # the input masks double as the per-source "seen" sets
+            if s1 < 0:
+                if s2 < 0:
+                    raise CircuitStructureError(
+                        f"1-state {states[q]!r} would capture the empty assignment; "
+                        "the automaton is not homogenized"
+                    )
+                if not right_mask >> s2 & 1:
+                    right_mask |= 1 << s2
+                    right_wire[s2] |= union_bit
+                    inputs.append((_IN_RIGHT, s2))
+            elif s2 < 0:
+                if not left_mask >> s1 & 1:
+                    left_mask |= 1 << s1
+                    left_wire[s1] |= union_bit
+                    inputs.append((_IN_LEFT, s1))
             else:
-                pair = (left_slots[q1], right_slots[q2])
-                prod = prod_index.get(pair)
+                key = s1 * n_right + s2
+                prod = prod_index.get(key)
                 if prod is None:
-                    prod = len(prod_pairs)
-                    prod_index[pair] = prod
-                    prod_pairs.append(pair)
-                descriptor = (_IN_PROD, prod)
-            if descriptor not in seen:
-                seen.add(descriptor)
-                inputs.append(descriptor)
-                source, slot = descriptor
-                if source == _IN_LEFT:
-                    left_mask |= 1 << slot
-                    left_wire[slot] |= 1 << union_slot
-                elif source == _IN_RIGHT:
-                    right_mask |= 1 << slot
-                    right_wire[slot] |= 1 << union_slot
-                else:
-                    has_local = True
-                    prod_mask |= 1 << slot
+                    prod = prod_index[key] = len(prod_pairs)
+                    prod_pairs.append((s1, s2))
+                if not prod_mask >> prod & 1:
+                    prod_mask |= 1 << prod
+                    inputs.append((_IN_PROD, prod))
         if inputs:
-            entries.append((state, tuple(inputs)))
-            signature.append((state, False))
-            if has_local:
-                local_mask |= 1 << union_slot
+            value = tuple(inputs)
+            entries[q] = (states[q], value)
+            present |= 1 << q
+            if prod_mask:
+                local_mask |= union_bit
+            slot_inputs.append(value)
             left_input_masks.append(left_mask)
             right_input_masks.append(right_mask)
             slot_prod_masks.append(prod_mask)
-        else:
-            entries.append(_sentinel_entry(sentinels, state, BOTTOM))
     return _InternalPlan(
         tuple(entries),
         tuple(prod_pairs),
@@ -565,11 +622,10 @@ def _internal_plan(
         tuple(left_input_masks),
         tuple(right_input_masks),
         local_mask,
-        tuple(signature),
+        (present, top),
         tuple(slot_prod_masks),
+        tuple(slot_inputs),
     )
-
-
 # --------------------------------------------------------------------------- plan persistence
 # Box plans are pure content: entries, masks and signatures fully determine
 # the gates a box build instantiates, and nothing in a plan references a
@@ -608,21 +664,27 @@ def export_box_plans(automaton: BinaryTVA) -> Dict:
 
     States, labels and variable sets are interned in the payload's
     ``values`` table (states first, in canonical order, so the table —
-    hence the whole payload — is deterministic for a given plan set);
-    entries and signatures reference table indexes.  Entry order inside
-    each plan is preserved exactly (∪-gate slots follow it).
+    hence the whole payload — is deterministic for a given plan set, and a
+    state's reference is its canonical index); entries and signatures
+    reference table indexes, a signature as its ``[state, is ⊤]`` pairs in
+    canonical order.  Entry order inside each plan is preserved exactly
+    (∪-gate slots follow it).
     """
     from repro.automata.serialize import ValueTable
 
     cache = _plan_cache(automaton)
     table = ValueTable()
-    table.seed(automaton.states)
+    table.seed(cache["states"])
     table.seed({label for label in cache["leaf"]}
                | {label for label, _ls, _rs in cache["internal"]})
     table.seed({vs for plan in cache["leaf"].values() for vs in plan.var_sets})
 
     def sig_payload(signature):
-        return [[table.ref(state), bool(is_top)] for state, is_top in signature]
+        present, top = signature
+        return [[i, bool(top >> i & 1)] for i in _bit_indices(present)]
+
+    def entries_payload(entries):
+        return [[i, _encode_plan_value(value)] for i, (_state, value) in enumerate(entries)]
 
     leaf_payload = []
     for label, plan in cache["leaf"].items():
@@ -630,10 +692,7 @@ def export_box_plans(automaton: BinaryTVA) -> Dict:
             [
                 table.ref(label),
                 {
-                    "entries": [
-                        [table.ref(state), _encode_plan_value(value)]
-                        for state, value in plan.entries
-                    ],
+                    "entries": entries_payload(plan.entries),
                     "var_sets": [table.ref(vs) for vs in plan.var_sets],
                     "local_mask": plan.local_mask,
                     "signature": sig_payload(plan.signature),
@@ -649,10 +708,7 @@ def export_box_plans(automaton: BinaryTVA) -> Dict:
             [
                 [table.ref(label), sig_payload(left_sig), sig_payload(right_sig)],
                 {
-                    "entries": [
-                        [table.ref(state), _encode_plan_value(value)]
-                        for state, value in plan.entries
-                    ],
+                    "entries": entries_payload(plan.entries),
                     "prod_pairs": [list(pair) for pair in plan.prod_pairs],
                     "wire_masks": [list(plan.wire_masks[0]), list(plan.wire_masks[1])],
                     "left_input_masks": list(plan.left_input_masks),
@@ -674,29 +730,45 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
     installed plans fill the remaining keys, internal ones only up to
     :data:`_INTERNAL_PLAN_LIMIT`.  Returns the number of plans installed.
     Safe to call on a freshly deserialized automaton — the plan cache is
-    created on demand.
+    created on demand.  The payload's state references are read as
+    canonical indices, which the export guarantees; a payload whose state
+    table is not this automaton's canonical states is refused.
     """
     from repro.automata.serialize import decode_values
 
     if not payload:
         return 0
     values = decode_values(payload.get("values", []))
+    cache = _plan_cache(automaton)
+    states = cache["states"]
+    if values[: len(states)] != list(states):
+        raise InvalidAutomatonError(
+            "the plan payload's state table is not this automaton's canonical states"
+        )
+    top_entries = cache["top"]
+    bottom_entries = cache["bottom"]
 
     def decode_sig(sig):
-        return tuple((values[i], bool(is_top)) for i, is_top in sig)
-
-    cache = _plan_cache(automaton)
-    sentinels = cache["sentinel"]
+        present = 0
+        top = 0
+        for i, is_top in sig:
+            present |= 1 << i
+            if is_top:
+                top |= 1 << i
+        return present, top
 
     def decode_entries(entries, pair_inputs):
         decoded = []
-        for state, value in entries:
+        for i, value in entries:
             value = _decode_plan_value(value, pair_inputs)
-            if value.__class__ is tuple:
-                decoded.append((values[state], value))
+            if value is TOP:
+                decoded.append(top_entries[i])
+            elif value is BOTTOM:
+                decoded.append(bottom_entries[i])
             else:
-                decoded.append(_sentinel_entry(sentinels, values[state], value))
-        return tuple(decoded)
+                decoded.append((states[i], value))
+        decoded = tuple(decoded)
+        return decoded, tuple(value for _state, value in decoded if value.__class__ is tuple)
 
     installed = 0
     internal = cache["internal"]
@@ -704,12 +776,14 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         label = values[label_index]
         if label in cache["leaf"]:
             continue
+        entries, slot_inputs = decode_entries(data["entries"], pair_inputs=False)
         cache["leaf"][label] = _LeafPlan(
-            decode_entries(data["entries"], pair_inputs=False),
+            entries,
             tuple(values[i] for i in data["var_sets"]),
             data["local_mask"],
             decode_sig(data["signature"]),
             tuple(data["slot_var_masks"]),
+            slot_inputs,
         )
         installed += 1
     for key_payload, data in payload.get("internal", ()):
@@ -719,8 +793,9 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         key = (values[label_index], decode_sig(left_sig), decode_sig(right_sig))
         if key in internal:
             continue
+        entries, slot_inputs = decode_entries(data["entries"], pair_inputs=True)
         internal[key] = _InternalPlan(
-            decode_entries(data["entries"], pair_inputs=True),
+            entries,
             tuple(tuple(pair) for pair in data["prod_pairs"]),
             (tuple(data["wire_masks"][0]), tuple(data["wire_masks"][1])),
             tuple(data["left_input_masks"]),
@@ -728,6 +803,7 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
             data["local_mask"],
             decode_sig(data["signature"]),
             tuple(data["slot_prod_masks"]),
+            slot_inputs,
         )
         installed += 1
     return installed
@@ -1020,10 +1096,10 @@ def build_internal_box(
     """Build the box ``B_n`` for an internal node from its children's boxes."""
     left_sig = left_box.state_sig
     if left_sig is None:
-        left_sig = _signature_of(left_box)
+        left_sig = _signature_of(left_box, automaton)
     right_sig = right_box.state_sig
     if right_sig is None:
-        right_sig = _signature_of(right_box)
+        right_sig = _signature_of(right_box, automaton)
 
     internal_plans = _plan_cache(automaton)["internal"]
     key = (label, left_sig, right_sig)

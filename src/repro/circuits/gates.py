@@ -260,9 +260,11 @@ class Box:
         #: the plan (leaf or internal) that can materialize this box's gate
         #: objects on demand; None for hand-built boxes.
         self.build_plan: Optional[object] = None
-        #: state signature stamped by the box plan that built this box
-        #: (see repro.circuits.build); None for hand-built boxes.
-        self.state_sig: Optional[Tuple[Tuple[object, bool], ...]] = None
+        #: state signature stamped by the box plan that built this box: the
+        #: masks of its present (non-⊥) and ⊤ states, bit i standing for
+        #: the automaton's i-th state in canonical order (see
+        #: repro.circuits.build); None for hand-built boxes.
+        self.state_sig: Optional[Tuple[int, int]] = None
         #: flattened gate tables for mask-native enumeration (see class docs);
         #: None until stamped by the builder or computed by enumeration_tables.
         self.enum_tables: Optional[Tuple] = None

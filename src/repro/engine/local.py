@@ -68,6 +68,28 @@ _RUNTIMES = {"tree": TreeRuntime, "word": WordRuntime}
 #: the word edit tuples: (op, number of fields)
 _WORD_EDITS = (("replace", 3), ("insert_after", 3), ("delete", 2))
 
+#: how many of its latest cursor opens a document keeps addressable by id:
+#: opening cursor ``n`` releases every id up to ``n - CURSOR_ID_LIMIT``.
+#: The rule reads only the id counter, which replicas and the parent of a
+#: fleet share, so they release the same ids without exchanging a message.
+CURSOR_ID_LIMIT = 1024
+
+
+def release_old_cursor_ids(table: Dict[int, object], newest_id: int) -> List[object]:
+    """Pop the entries of ``table`` that the opening of ``newest_id`` releases.
+
+    ``table`` is keyed by cursor id in open order (ids are handed out in
+    increasing order), so the released ids are a prefix.  Returns the popped
+    values, oldest first.
+    """
+    floor = newest_id - CURSOR_ID_LIMIT
+    released = []
+    for cursor_id in table:
+        if cursor_id > floor:
+            break
+        released.append(cursor_id)
+    return [table.pop(cursor_id) for cursor_id in released]
+
 
 @dataclass
 class BatchUpdateReport:
@@ -103,11 +125,13 @@ class LocalDocument:
         #: replicated engines mirror every cursor open to every replica, and
         #: ids must agree across replicas for failover to be transparent.
         self._next_cursor_id = 0
-        #: cursors addressable by id for ``Engine``-style paging.  Bounded:
-        #: an entry is evicted as soon as its stream can never produce
-        #: another useful page — when a fetch exhausts it, or right after
-        #: the one precise :class:`CursorInvalidatedError` is delivered —
-        #: so a long-lived document retains only its live cursors.
+        #: cursors addressable by id for ``Engine``-style paging, in open
+        #: order.  An entry is released as soon as its stream can never
+        #: produce another useful page — when a fetch exhausts it, or right
+        #: after the one precise :class:`CursorInvalidatedError` is delivered
+        #: — and at the latest when :data:`CURSOR_ID_LIMIT` newer cursors
+        #: have been opened (an abandoned cursor is closed then), so the
+        #: table holds at most that many entries.
         self._cursors_by_id: Dict[int, Cursor] = {}
         self.cursors_opened_total = 0
         self.cursors_invalidated_total = 0
@@ -165,6 +189,8 @@ class LocalDocument:
         self._next_cursor_id += 1
         self._cursors.append(cursor)
         self._cursors_by_id[cursor.cursor_id] = cursor
+        for released in release_old_cursor_ids(self._cursors_by_id, cursor.cursor_id):
+            released.close()
         self.cursors_opened_total += 1
         return cursor
 
@@ -191,7 +217,8 @@ class LocalDocument:
         except KeyError:
             raise ServingError(
                 f"document {self.doc_id!r} has no cursor {cursor_id!r} "
-                "(it may have been exhausted or invalidated and released)"
+                "(it may have been exhausted, invalidated or superseded by "
+                f"{CURSOR_ID_LIMIT} newer cursors, and released)"
             ) from None
 
     def fetch_page(

@@ -91,7 +91,7 @@ import time
 from typing import Dict, List, Optional, Set
 
 from repro.engine.document import STREAM_PAGE_SIZE
-from repro.engine.local import BatchUpdateReport, Transport
+from repro.engine.local import BatchUpdateReport, Transport, release_old_cursor_ids
 from repro.errors import (
     EngineError,
     ShardDiedError,
@@ -1094,11 +1094,13 @@ class FleetTransport(Transport):
         self.replicas_of: Dict[object, List[int]] = {}
         #: documents placed per shard (replica-counted), for load-aware placement
         self.placed: Dict[int, int] = {}
-        #: (doc_id, cursor_id) → shards holding that cursor.  Page fetches
-        #: are mirrored, so every holder's copy stays in lockstep; a replica
-        #: rebuilt *after* the cursor was opened never joins (it only holds
-        #: cursors opened since its restore).
-        self._cursor_holders: Dict[tuple, Set[int]] = {}
+        #: doc_id → {cursor_id → shards holding that cursor}, in open order.
+        #: Page fetches are mirrored, so every holder's copy stays in
+        #: lockstep; a replica rebuilt *after* the cursor was opened never
+        #: joins (it only holds cursors opened since its restore).  An id
+        #: leaves when the workers release it, by the same rules
+        #: (``LocalDocument._cursors_by_id``).
+        self._cursor_holders: Dict[object, Dict[int, Set[int]]] = {}
         #: per document, the next cursor id the workers will assign (shipped
         #: on restore so rebuilt replicas keep assigning the survivors' ids)
         self._next_cursor_ids: Dict[object, int] = {}
@@ -1215,11 +1217,12 @@ class FleetTransport(Transport):
             if shard in replicas:
                 replicas.remove(shard)
                 self._release_placement(shard)
-        for key in list(self._cursor_holders):
-            holders = self._cursor_holders[key]
-            holders.discard(shard)
-            if not holders:
-                del self._cursor_holders[key]
+        for cursors in self._cursor_holders.values():
+            for cursor_id in list(cursors):
+                holders = cursors[cursor_id]
+                holders.discard(shard)
+                if not holders:
+                    del cursors[cursor_id]
         dead_generation = pool.generation(shard)
         self._repairs = [
             repair
@@ -1507,11 +1510,11 @@ class FleetTransport(Transport):
         the surviving holders advanced identically.
         """
         self._reap_repairs()
-        key = (doc_id, cursor_id)
+        cursors = self._cursor_holders.get(doc_id, {})
         if cursor_id is None:
             targets = self._write_targets(doc_id)
         else:
-            holders = self._cursor_holders.get(key, ())
+            holders = cursors.get(cursor_id, ())
             targets = [
                 shard
                 for shard in self.replicas_of[doc_id]
@@ -1532,17 +1535,19 @@ class FleetTransport(Transport):
             if app_error is not None:
                 # Deterministic across replicas (invalidation, released id,
                 # ...): the worker-side cursor is released everywhere.
-                self._cursor_holders.pop(key, None)
+                cursors.pop(cursor_id, None)
                 raise app_error
             raise death_error if death_error is not None else self._gone(doc_id)
         payload = replies[0][1]
+        cursors = self._cursor_holders.setdefault(doc_id, cursors)
         if cursor_id is None:
             self._next_cursor_ids[doc_id] = self._next_cursor_ids.get(doc_id, 0) + 1
-            key = (doc_id, payload["cursor_id"])
+            cursor_id = payload["cursor_id"]
+            release_old_cursor_ids(cursors, cursor_id)  # as the workers just did
         if payload["exhausted"]:
-            self._cursor_holders.pop(key, None)
+            cursors.pop(cursor_id, None)
         else:
-            self._cursor_holders[key] = {shard for shard, _payload in replies}
+            cursors[cursor_id] = {shard for shard, _payload in replies}
         return payload
 
     def count(self, doc_id, limit: Optional[int]) -> int:
@@ -1569,8 +1574,7 @@ class FleetTransport(Transport):
         self._ingest_blobs.pop(doc_id, None)
         self._edit_logs.pop(doc_id, None)
         self._next_cursor_ids.pop(doc_id, None)
-        for key in [key for key in self._cursor_holders if key[0] == doc_id]:
-            del self._cursor_holders[key]
+        self._cursor_holders.pop(doc_id, None)
         for shard in set(dead_seen):
             self._after_death(shard)
 

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.automata.binary_tva import BinaryTVA
 from repro.circuits.build import (
     BuildCache,
+    _bit_indices,
     automaton_digest,
     build_internal_box,
     build_leaf_box,
@@ -99,20 +100,22 @@ def _child_changed_mask(old_child: Box, new_child: Box, deltas: Dict[int, "BoxDe
     return -1  # all slots
 
 
-def _slot_states(box: Box) -> List[object]:
-    """The automaton state of each ∪-slot, in slot order.
+def _slot_states(old: Box, new: Box) -> Tuple[List[object], List[object]]:
+    """The automaton state of each ∪-slot of two boxes, in slot order.
 
-    Plan-built boxes answer from the stamped state signature (the
-    ``(state, False)`` entries are the ∪-slots, in order); hand-built boxes
-    from their gate objects.  Part of the slot fingerprint because the
-    cursor's root boxed set was *selected* by final states: positional
-    wiring equality alone could in principle pair a slot with a different
-    state's γ-gate.
+    Plan-built boxes answer from their stamped signatures: the ∪-slots are
+    the present non-⊤ states, in canonical order, named by canonical index.
+    A hand-built box answers from its gate objects, and then so does its
+    partner, so the two lists always name states the same way.  Part of the
+    slot fingerprint because the cursor's root boxed set was *selected* by
+    final states: positional wiring equality alone could in principle pair
+    a slot with a different state's γ-gate.
     """
-    sig = box.state_sig
-    if sig is not None:
-        return [state for state, is_top in sig if not is_top]
-    return [gate.state for gate in box.union_gates]
+    old_sig = old.state_sig
+    new_sig = new.state_sig
+    if old_sig is None or new_sig is None:
+        return [gate.state for gate in old.union_gates], [gate.state for gate in new.union_gates]
+    return _bit_indices(old_sig[0] & ~old_sig[1]), _bit_indices(new_sig[0] & ~new_sig[1])
 
 
 def box_changed_mask(old: Box, new: Box, deltas: Dict[int, "BoxDelta"]) -> int:
@@ -138,13 +141,12 @@ def box_changed_mask(old: Box, new: Box, deltas: Dict[int, "BoxDelta"]) -> int:
     new_tables = new.enumeration_tables()
     old_vars, old_var_masks = old_tables[0], old_tables[1]
     new_vars, new_var_masks = new_tables[0], new_tables[1]
-    # equal stamped signatures (usually the very same plan tuple) give
-    # equal slot states: skip the per-slot state comparison
+    # equal stamped signatures (two int pairs) give equal slot states: skip
+    # the per-slot state comparison
     old_sig = old.state_sig
     same_states = old_sig is not None and old_sig == new.state_sig
     if not same_states:
-        old_states = _slot_states(old)
-        new_states = _slot_states(new)
+        old_states, new_states = _slot_states(old, new)
     if is_leaf:
         left_changed = right_changed = 0
         old_prod_masks = new_prod_masks = None

@@ -318,3 +318,40 @@ class TestRemoteIsAnEngine:
                 with pytest.raises(EngineError, match=f"unknown shard request '{op}'"):
                     engine._pool.request(0, op)
             assert engine._pool.request(0, "ping") == "pong"
+
+
+class TestCursorTableIsBounded:
+    """A document keeps the ids of its last ``CURSOR_ID_LIMIT`` cursor opens.
+
+    Cursors that are abandoned — invalidated and never fetched again, or
+    simply dropped — are released once that many newer ones were opened,
+    on the worker and on the fleet's parent alike, and a fetch of a
+    released id fails the same way everywhere.
+    """
+
+    @staticmethod
+    def _tables(engine, doc_id):
+        if engine._pool is None:
+            return [engine._store.document(doc_id)._cursors_by_id]
+        return [engine._transport._cursor_holders[doc_id]]
+
+    def test_old_ids_are_released(self):
+        from repro.engine.local import CURSOR_ID_LIMIT
+
+        opens = CURSOR_ID_LIMIT + 76
+        messages = []
+        for options in ({}, {"workers": 2, "replicas": 2}):
+            with Engine(**options) as engine:
+                doc = engine.add_tree(random_tree(30, LABELS, 4), _query(), doc_id="t")
+                pages = [doc.page(page_size=1) for _ in range(opens)]
+                assert not any(page.exhausted for page in pages)
+                assert [page.cursor_id for page in pages] == list(range(opens))
+                for table in self._tables(engine, "t"):
+                    assert len(table) <= CURSOR_ID_LIMIT
+                with pytest.raises(ServingError) as info:
+                    doc.page(cursor=pages[0].cursor_id)
+                messages.append(str(info.value))
+                newest = doc.page(cursor=pages[-1])
+                assert newest.offset == 1 and newest.answers
+        assert messages[0] == messages[1]
+        assert "has no cursor 0" in messages[0]
