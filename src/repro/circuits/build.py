@@ -626,6 +626,8 @@ def _internal_plan(
         tuple(slot_prod_masks),
         tuple(slot_inputs),
     )
+
+
 # --------------------------------------------------------------------------- plan persistence
 # Box plans are pure content: entries, masks and signatures fully determine
 # the gates a box build instantiates, and nothing in a plan references a
