@@ -441,13 +441,15 @@ def _signature_of(box: Box, automaton: BinaryTVA) -> Tuple[int, int]:
     Normally read from ``box.state_sig`` (stamped by the plan that built the
     box); this fallback recomputes it for boxes built by other means.  A
     plan numbers a child's ∪-gates by the rank of their state in canonical
-    order, so a hand-built box whose slots do not follow that order is
-    rejected loudly here rather than silently miswired.
+    order, so a hand-built box whose slots do not follow ``state_gate``
+    insertion order, or whose ∪-states are not inserted in canonical order,
+    is rejected loudly here rather than silently miswired.
     """
     index = _plan_cache(automaton)["index"]
     present = 0
     top = 0
-    union_slots: Dict[int, int] = {}
+    slot = 0
+    last = -1
     for state, gate in box.state_gate.items():
         if gate is BOTTOM:
             continue
@@ -457,13 +459,14 @@ def _signature_of(box: Box, automaton: BinaryTVA) -> Tuple[int, int]:
         present |= 1 << i
         if gate is TOP:
             top |= 1 << i
-        else:
-            union_slots[i] = gate.slot
-    if [union_slots[i] for i in sorted(union_slots)] != list(range(len(union_slots))):
-        raise CircuitStructureError(
-            "box's ∪-gate slots do not follow the canonical state order; "
-            "create each state's gate in the order of its state's canonical index"
-        )
+            continue
+        if gate.slot != slot or i < last:
+            raise CircuitStructureError(
+                "box's ∪-gate slots do not follow state_gate insertion order in canonical "
+                "state order; create each state's gate in the order of its canonical index"
+            )
+        slot += 1
+        last = i
     return present, top
 
 
