@@ -192,14 +192,15 @@ def _iter_delays(iterator, max_answers=None):
 def bench_delay(size: int, max_answers: int):
     """Median and p95 per-answer delay, per backend, on the descendant query.
 
-    Also measures the **engine facade**: one served document, walked once
-    through its ``TreeRuntime.assignments()`` directly and once through
-    ``Engine → Document.stream()``, with one measurement harness for both:
-    :data:`GATE_PAIRS` back-to-back pairs of per-answer delay medians,
-    alternating which side runs first, and the median of the per-pair
-    ratios.  The facade must be free — ``stream()`` hands back the runtime's
-    own iterator — and the smoke gate holds it to <5% overhead on the
-    bitset delay median.
+    Also measures the **engine facade**: the same document and query, once
+    as a directly built bitset ``TreeRuntime`` walked through
+    ``assignments()`` and once served by ``Engine.add_tree`` and walked
+    through ``Document.stream()``.  Each side is built once; one harness
+    then measures :data:`GATE_PAIRS` back-to-back pairs of per-answer delay
+    medians, alternating which side runs first, and takes the median of the
+    per-pair ratios.  The facade must be free — the engine builds the same
+    document and ``stream()`` hands back the runtime's own iterator — and
+    the smoke gate holds it to <5% overhead on the bitset delay median.
     """
     results = {}
     for backend in BACKENDS:
@@ -217,9 +218,9 @@ def bench_delay(size: int, max_answers: int):
     from repro import Engine
 
     tree = tree_for_experiment(size, "random", seed=SEED)
+    runtime = TreeRuntime(tree, query_for_name("descendant"), relation_backend="bitset")
     with Engine() as engine:
         doc = engine.add_tree(tree, query_for_name("descendant"))
-        runtime = doc.runtime  # both sides walk this one built document
         sides = {
             "direct": lambda: iter(runtime.assignments()),
             "facade": lambda: iter(doc.stream()),
