@@ -154,7 +154,6 @@ class _InternalPlan:
         local_mask,
         signature,
         slot_prod_masks,
-        slot_inputs,
     ):
         self.entries = entries
         self.prod_pairs = prod_pairs
@@ -180,7 +179,9 @@ class _InternalPlan:
         self.n_unions = len(left_input_masks)
         #: per-∪-slot input descriptors, in slot order (the union-state
         #: subsequence of ``entries``); read by lazy gate materialization.
-        self.slot_inputs = slot_inputs
+        self.slot_inputs = tuple(
+            value for _state, value in entries if value.__class__ is tuple
+        )
 
     # ----------------------------------------------- lazy gate materialization
     def materialize_unions(self, box: "Box"):
@@ -231,7 +232,7 @@ class _LeafPlan:
         "slot_inputs",
     )
 
-    def __init__(self, entries, var_sets, local_mask, signature, slot_var_masks, slot_inputs):
+    def __init__(self, entries, var_sets, local_mask, signature, slot_var_masks):
         self.entries = entries
         self.var_sets = var_sets
         self.local_mask = local_mask
@@ -240,7 +241,9 @@ class _LeafPlan:
         self.n_unions = len(slot_var_masks)
         #: per-∪-slot var-gate index tuples, in slot order (the union-state
         #: subsequence of ``entries``); read by lazy gate materialization.
-        self.slot_inputs = slot_inputs
+        self.slot_inputs = tuple(
+            value for _state, value in entries if value.__class__ is tuple
+        )
 
     # ----------------------------------------------- lazy gate materialization
     def materialize_unions(self, box: "Box"):
@@ -398,7 +401,6 @@ def _leaf_plan(automaton: BinaryTVA, label: object) -> _LeafPlan:
     var_sets: List[frozenset] = []
     var_index: Dict[frozenset, int] = {}
     slot_var_masks: List[int] = []
-    slot_inputs: List[Tuple[int, ...]] = []
     for i, state in enumerate(cache["states"]):
         entries = automaton.initial_by_label_state.get((label, state), ())
         bit = 1 << i
@@ -420,18 +422,15 @@ def _leaf_plan(automaton: BinaryTVA, label: object) -> _LeafPlan:
                         var_sets.append(vs)
                     indices.append(idx)
             if indices:
-                inputs = tuple(indices)
-                entries_out[i] = (state, inputs)
+                entries_out[i] = (state, tuple(indices))
                 present |= bit
                 slot_var_masks.append(sum(1 << j for j in set(indices)))
-                slot_inputs.append(inputs)
     return _LeafPlan(
         tuple(entries_out),
         tuple(var_sets),
-        (1 << len(slot_inputs)) - 1,
+        (1 << len(slot_var_masks)) - 1,
         (present, top),
         tuple(slot_var_masks),
-        tuple(slot_inputs),
     )
 
 
@@ -551,7 +550,6 @@ def _internal_plan(
     top = 0
     prod_pairs: List[Tuple[int, int]] = []
     prod_index: Dict[int, int] = {}
-    slot_inputs: List[Tuple[Tuple[int, int], ...]] = []
     left_input_masks: List[int] = []
     right_input_masks: List[int] = []
     slot_prod_masks: List[int] = []
@@ -575,7 +573,7 @@ def _internal_plan(
         left_mask = 0
         right_mask = 0
         prod_mask = 0
-        union_bit = 1 << len(slot_inputs)
+        union_bit = 1 << len(left_input_masks)
         for i1, i2 in pairs:
             s1 = left[i1]
             if s1 is None:
@@ -609,12 +607,10 @@ def _internal_plan(
                     prod_mask |= 1 << prod
                     inputs.append((_IN_PROD, prod))
         if inputs:
-            value = tuple(inputs)
-            entries[q] = (states[q], value)
+            entries[q] = (states[q], tuple(inputs))
             present |= 1 << q
             if prod_mask:
                 local_mask |= union_bit
-            slot_inputs.append(value)
             left_input_masks.append(left_mask)
             right_input_masks.append(right_mask)
             slot_prod_masks.append(prod_mask)
@@ -627,7 +623,6 @@ def _internal_plan(
         local_mask,
         (present, top),
         tuple(slot_prod_masks),
-        tuple(slot_inputs),
     )
 
 
@@ -737,7 +732,9 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
     Safe to call on a freshly deserialized automaton — the plan cache is
     created on demand.  The payload's state references are read as
     canonical indices, which the export guarantees; a payload whose state
-    table is not this automaton's canonical states is refused.
+    table is not this automaton's canonical states, whose plan entries are
+    not one per state in that order, or whose signatures name a state
+    outside it is refused with :class:`InvalidAutomatonError`.
     """
     from repro.automata.serialize import decode_values
 
@@ -750,6 +747,7 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         raise InvalidAutomatonError(
             "the plan payload's state table is not this automaton's canonical states"
         )
+    n_states = len(states)
     top_entries = cache["top"]
     bottom_entries = cache["bottom"]
 
@@ -757,6 +755,11 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         present = 0
         top = 0
         for i, is_top in sig:
+            if not 0 <= i < n_states:
+                raise InvalidAutomatonError(
+                    f"a plan signature in the payload names state {i!r}; "
+                    f"the automaton has {n_states} states"
+                )
             present |= 1 << i
             if is_top:
                 top |= 1 << i
@@ -764,16 +767,22 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
 
     def decode_entries(entries, pair_inputs):
         decoded = []
-        for i, value in entries:
-            value = _decode_plan_value(value, pair_inputs)
-            if value is TOP:
-                decoded.append(top_entries[i])
-            elif value is BOTTOM:
-                decoded.append(bottom_entries[i])
-            else:
-                decoded.append((states[i], value))
-        decoded = tuple(decoded)
-        return decoded, tuple(value for _state, value in decoded if value.__class__ is tuple)
+        if len(entries) == n_states:
+            for i, (ref, value) in enumerate(entries):
+                if ref != i:
+                    break
+                value = _decode_plan_value(value, pair_inputs)
+                if value is TOP:
+                    decoded.append(top_entries[i])
+                elif value is BOTTOM:
+                    decoded.append(bottom_entries[i])
+                else:
+                    decoded.append((states[i], value))
+        if len(decoded) != n_states:
+            raise InvalidAutomatonError(
+                "a plan's entries in the payload are not one per state in canonical order"
+            )
+        return tuple(decoded)
 
     installed = 0
     internal = cache["internal"]
@@ -781,14 +790,12 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         label = values[label_index]
         if label in cache["leaf"]:
             continue
-        entries, slot_inputs = decode_entries(data["entries"], pair_inputs=False)
         cache["leaf"][label] = _LeafPlan(
-            entries,
+            decode_entries(data["entries"], pair_inputs=False),
             tuple(values[i] for i in data["var_sets"]),
             data["local_mask"],
             decode_sig(data["signature"]),
             tuple(data["slot_var_masks"]),
-            slot_inputs,
         )
         installed += 1
     for key_payload, data in payload.get("internal", ()):
@@ -798,9 +805,8 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
         key = (values[label_index], decode_sig(left_sig), decode_sig(right_sig))
         if key in internal:
             continue
-        entries, slot_inputs = decode_entries(data["entries"], pair_inputs=True)
         internal[key] = _InternalPlan(
-            entries,
+            decode_entries(data["entries"], pair_inputs=True),
             tuple(tuple(pair) for pair in data["prod_pairs"]),
             (tuple(data["wire_masks"][0]), tuple(data["wire_masks"][1])),
             tuple(data["left_input_masks"]),
@@ -808,7 +814,6 @@ def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
             data["local_mask"],
             decode_sig(data["signature"]),
             tuple(data["slot_prod_masks"]),
-            slot_inputs,
         )
         installed += 1
     return installed

@@ -44,7 +44,7 @@ from repro.automata.serialize import query_digest
 from repro.automata.unranked_tva import UnrankedTVA
 from repro.automata.wva import WVA
 from repro.core.enumerator import compiled_automaton_for
-from repro.errors import CatalogError, CatalogVersionError
+from repro.errors import CatalogError, CatalogVersionError, InvalidAutomatonError
 from repro.engine.codec import CompiledQuery, compiled_query_from_json, compiled_query_to_json
 
 __all__ = ["CatalogLease", "QueryCatalog", "MANIFEST_FORMAT", "MANIFEST_NAME", "LEASE_DIR"]
@@ -433,9 +433,9 @@ class QueryCatalog:
           this one listed or probed it) — returns ``None``, letting callers
           decide between compiling and raising a precise missing-entry error;
         * **the entry is unreadable** (truncated file, invalid JSON, a
-          payload that does not decode) — raises :class:`CatalogError`
-          naming the path and digest, never a bare ``json`` / ``KeyError``
-          crash.  Entry writes are atomic, so this means real corruption,
+          payload that does not decode, box plans that do not fit the
+          automaton) — raises :class:`CatalogError` naming the path and
+          digest, never a bare ``json`` / ``KeyError`` / codec crash.  Entry writes are atomic, so this means real corruption,
           not a concurrent writer.
         """
         path = self.path_of(digest)
@@ -449,7 +449,7 @@ class QueryCatalog:
             entry = compiled_query_from_json(text, expected_digest=digest)
         except CatalogError:
             raise
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, LookupError, TypeError, InvalidAutomatonError) as exc:
             raise CatalogError(
                 f"corrupt or truncated compiled-query entry {path} "
                 f"(digest {digest!r}): {exc}"

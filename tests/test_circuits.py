@@ -34,7 +34,7 @@ from repro.circuits.gates import BOTTOM, TOP, Box, UnionGate
 from repro.circuits.semantics import captured_set
 from repro.circuits.vtree import iter_vtree_edges, vtree_leaf_labels, vtree_partition_is_valid
 from repro.enumeration.assignment_iter import CircuitEnumerator
-from repro.errors import CircuitStructureError, NotHomogenizedError
+from repro.errors import CircuitStructureError, InvalidAutomatonError, NotHomogenizedError
 from repro.trees.binary import BinaryTree
 
 
@@ -288,6 +288,53 @@ class TestBoxPlanPersistence:
             )
         ]
         assert answers[0] == answers[1] and answers[0]
+
+
+def _swap_state_refs(payload):
+    payload["values"][0], payload["values"][1] = payload["values"][1], payload["values"][0]
+
+
+def _swap_entries(payload):
+    entries = payload["internal"][0][1]["entries"]
+    entries[0], entries[1] = entries[1], entries[0]
+
+
+def _drop_entry(payload):
+    payload["internal"][0][1]["entries"].pop()
+
+
+def _extra_entry(payload):
+    entries = payload["leaf"][0][1]["entries"]
+    entries.append([len(entries), "B"])
+
+
+def _foreign_signature_state(payload):
+    payload["internal"][0][0][1].append([5, False])  # the automaton has states 0-4
+
+
+class TestPlanInstallRefusals:
+    """A payload's state references are installed as canonical indices, so a
+    payload that does not lay out its states and entries in canonical order
+    is refused instead of installed miswired."""
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_swap_state_refs, "state table"),
+            (_swap_entries, "one per state"),
+            (_drop_entry, "one per state"),
+            (_extra_entry, "one per state"),
+            (_foreign_signature_state, "names state 5"),
+        ],
+    )
+    def test_tampered_payload_is_refused(self, tamper, message):
+        automaton = TestBoxPlanPersistence._pair_automaton()
+        build_assignment_circuit(random_binary_tree(4, 60, ("a", "b", "c")), automaton)
+        payload = json.loads(json.dumps(export_box_plans(automaton)))
+        install_box_plans(TestBoxPlanPersistence._pair_automaton(), payload)  # intact: fine
+        tamper(payload)
+        with pytest.raises(InvalidAutomatonError, match=message):
+            install_box_plans(TestBoxPlanPersistence._pair_automaton(), payload)
 
 
 class TestHandBuiltChildren:

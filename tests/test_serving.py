@@ -103,6 +103,23 @@ class TestQueryCatalog:
         with pytest.raises(CatalogError, match="corrupt"):
             compiled_query_from_json("{not json")
 
+    def test_plans_out_of_canonical_order_raise_catalog_error(self, tmp_path):
+        query = select_descendant_pairs(LABELS)
+        TreeRuntime(tree_of_shape("random", 40, LABELS, 3), query)  # fills the plan cache
+        catalog = QueryCatalog(str(tmp_path))
+        catalog.save(query)
+        digest = catalog.digest_of(query)
+        path = catalog.path_of(digest)
+        with open(path, encoding="utf8") as handle:
+            payload = json.load(handle)
+        values = payload["plans"]["values"]
+        assert payload["plans"]["internal"] and values[0] != values[1]
+        values[0], values[1] = values[1], values[0]
+        with open(path, "w", encoding="utf8") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(CatalogError, match="corrupt.*state table"):
+            QueryCatalog(str(tmp_path)).load(digest)
+
     def test_get_compiles_without_persisting(self, tmp_path):
         query = select_labeled("a", LABELS)
         catalog = QueryCatalog(str(tmp_path))
