@@ -210,17 +210,12 @@ def _reference_internal_plan(automaton, states, label, left_sig, right_sig):
 
 # --------------------------------------------------------------------------- the boundary
 def _as_pairs(signature, states):
-    """A library signature as ``(state, is ⊤)`` pairs in canonical order.
-
-    Accepts either form the library may store: the pairs themselves, or a
-    ``(present mask, ⊤ mask)`` pair of ints over canonical state indices.
-    """
-    if signature and isinstance(signature[0], int):
-        present, top = signature
-        return tuple(
-            (state, bool(top >> i & 1)) for i, state in enumerate(states) if present >> i & 1
-        )
-    return tuple(signature)
+    """A library signature, a ``(present mask, ⊤ mask)`` pair of ints over
+    canonical state indices, as ``(state, is ⊤)`` pairs in canonical order."""
+    present, top = signature
+    return tuple(
+        (state, bool(top >> i & 1)) for i, state in enumerate(states) if present >> i & 1
+    )
 
 
 _LEAF_FIELDS = ("entries", "var_sets", "local_mask", "slot_var_masks", "n_unions", "slot_inputs")
