@@ -1,5 +1,6 @@
 # Developer entry points.  `make check` is the gate every change must pass
-# (CI runs exactly it): the tier-1 test suite, the socket tests in dev mode,
+# (CI runs it on every Python version, and `make test-hashseeds` besides on
+# 3.12): the tier-1 test suite, the socket tests in dev mode,
 # the benchmark's own tests, the network serving smoke and a <30 s perf
 # smoke that (a) compares the bitset
 # relation backend (the runtime) against the reference pairs backend on a
@@ -15,7 +16,7 @@ PYPATH := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # @pytest.mark.timeout markers via SIGALRM.
 PYTEST_TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=300 --timeout-method=thread")
 
-.PHONY: check test test-net-dev test-perfbench lint net-smoke bench-smoke bench
+.PHONY: check test test-net-dev test-hashseeds test-perfbench lint net-smoke bench-smoke bench
 
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q $(PYTEST_TIMEOUT_FLAGS)
@@ -25,6 +26,18 @@ test:
 # follow `-m pytest`: given to the interpreter, pytest would override them.
 test-net-dev:
 	$(PYPATH) $(PYTHON) -X dev -m pytest tests/test_net.py -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
+
+# The order-sensitive tests under two fixed hash seeds: answer order, plan
+# exports and transcripts must not follow the interpreter's string-hash
+# (hence set iteration) order.  Not part of `make check`.
+HASHSEED_TESTS := tests/test_compact_index.py tests/test_plan_oracle.py tests/test_circuits.py \
+	tests/test_fuzz_differential.py tests/test_facade.py
+
+test-hashseeds:
+	@for seed in 3 12; do \
+		echo "PYTHONHASHSEED=$$seed"; \
+		PYTHONHASHSEED=$$seed $(PYPATH) $(PYTHON) -m pytest -q $(PYTEST_TIMEOUT_FLAGS) $(HASHSEED_TESTS) || exit 1; \
+	done
 
 # The benchmark's own tests (perfbench/tests): besides the harness arithmetic
 # they run every workload at a tiny size, which drives the engine through

@@ -25,22 +25,21 @@ time ``O(|T| × |A|)`` and produces a complete structured DNNF of width
 
 Box plans
 ---------
-The gate structure of a box depends only on its label and on the *state
-signature* of each child — which states are present and which of those are ⊤.
-A signature is two ints: the mask of the present (non-⊥) states and the
-mask of the ⊤ states, bit ``i`` standing for the automaton's ``i``-th state
-in canonical order (:func:`_canonical_states`); a child's ∪-slot of state
-``i`` is the popcount of its ∪-states below bit ``i``.  With a fixed
-automaton a large tree hits only a handful of distinct signatures, so the
-construction memoizes, per automaton, a **box plan** for every (label, left
-signature, right signature) triple it encounters: the δ-product and all
-per-state classification work run once per distinct signature — by bit
-tests over δ tables indexed by canonical state, built once per label — and
-every later box with the same signature is built by a single cache lookup
-(hashing a label and four ints) plus gate instantiation.  The box records
-its ∪-wiring (``local_input``/``left_input_masks``/``right_input_masks``)
-as its gates are created, which is what lets the index construction
-(Lemma 6.3) avoid rescanning gate inputs.
+Every box is built from a **box plan**.  The gate structure of a box depends
+only on its label and on the *state signature* of each child — which states
+are present and which of those are ⊤.  A signature is two ints: the mask of
+the present (non-⊥) states and the mask of the ⊤ states, bit ``i`` standing
+for the automaton's ``i``-th state in canonical order
+(:func:`_canonical_states`); a child's ∪-slot of state ``i`` is the popcount
+of its ∪-states below bit ``i``.  With a fixed automaton a large tree hits
+only a handful of distinct signatures, so the construction memoizes, per
+automaton, a plan for every label (leaves) and every (label, left
+signature, right signature) triple (internal nodes) it encounters: the
+δ-product and all per-state classification work run once per distinct
+signature — by bit tests over δ tables indexed by canonical state, built
+once per label — and every later box with the same signature is built by a
+single cache lookup (hashing a label and four ints).  The box reads its
+children's signatures from their stamped ``state_sig``.
 
 Plans are stored **struct-of-arrays**: one flat table per gate kind rather
 than one record per gate.  An :class:`_InternalPlan` keeps, in slot order,
@@ -52,12 +51,13 @@ mask of box slots, lifted lazily into per-backend ``wire_rels`` Relations)
 and the per-slot input masks; a :class:`_LeafPlan` keeps the distinct
 var-gate variable sets (``var_sets``) and a per-∪-slot bitmask over them
 (``slot_var_masks``).  Everything position-independent is computed once per
-plan and *shared* by every box built from it; a freshly built box holds only
-slot-indexed references into these tables, and its gate **objects** are
-materialized lazily (``materialize_unions`` / ``materialize_prods`` /
-``materialize_vars``) the first time something walks the circuit as gates —
-the mask-native enumeration path reads the flat tables directly and never
-creates them.
+plan and *shared* by every box built from it: the :class:`Box` constructor
+takes the plan and stamps its signature, ∪-count, masks and enumeration
+tables (only a leaf's var assignments, which embed the leaf, are its own).
+The gate **objects** are materialized lazily (``materialize_unions`` /
+``materialize_prods`` / ``materialize_vars``) the first time something walks
+the circuit as gates — the mask-native enumeration path reads the flat
+tables directly and never creates them.
 
 The two box builders are exposed separately because the incremental
 maintenance of Section 7 (Lemma 7.3) re-invokes them on the trunk of each
@@ -207,7 +207,11 @@ class _InternalPlan:
         sources = (box.left_child.union_gates, box.right_child.union_gates, box.prod_gates)
         return tuple(sources[source][index] for source, index in self.slot_inputs[slot])
 
-    def gate_counts(self, _box: "Box"):
+    def enum_tables_for(self, _leaf_payload):
+        """The enumeration tables of a box built from this plan: the plan's own."""
+        return self.enum_tables
+
+    def gate_counts(self):
         return (self.n_unions, len(self.prod_pairs), 0)
 
 
@@ -231,6 +235,9 @@ class _LeafPlan:
         "n_unions",
         "slot_inputs",
     )
+
+    #: a leaf has no child wiring; every leaf box shares these empty tuples
+    left_input_masks = right_input_masks = ()
 
     def __init__(self, entries, var_sets, local_mask, signature, slot_var_masks):
         self.entries = entries
@@ -271,7 +278,19 @@ class _LeafPlan:
         var_gates = box.var_gates
         return tuple(var_gates[i] for i in self.slot_inputs[slot])
 
-    def gate_counts(self, _box: "Box"):
+    def enum_tables_for(self, leaf_payload):
+        """The enumeration tables of a leaf box: no ×-gates, the per-slot var
+        masks shared from the plan, and var assignments that embed the leaf
+        payload — the one per-box part."""
+        return (
+            tuple(frozenset((var, leaf_payload) for var in var_set) for var_set in self.var_sets),
+            self.slot_var_masks,
+            (),
+            (),
+            (),
+        )
+
+    def gate_counts(self):
         return (self.n_unions, 0, len(self.var_sets))
 
 
@@ -279,8 +298,8 @@ def _materialize_unions(plan, box):
     """Shared ∪-gate materialization for both plan kinds.
 
     Creates one :class:`UnionGate` per union entry (inputs lazy) plus the
-    ``state_gate`` mapping, in ``entries`` order — identical slot numbering
-    to the eager construction.
+    ``state_gate`` mapping, in ``entries`` order: slot ``s`` is the ``s``-th
+    union entry.
     """
     union_gates = []
     state_gate = {}
@@ -432,41 +451,6 @@ def _leaf_plan(automaton: BinaryTVA, label: object) -> _LeafPlan:
         (present, top),
         tuple(slot_var_masks),
     )
-
-
-def _signature_of(box: Box, automaton: BinaryTVA) -> Tuple[int, int]:
-    """The state signature of a box: masks of its present (non-⊥) and ⊤ states.
-
-    Normally read from ``box.state_sig`` (stamped by the plan that built the
-    box); this fallback recomputes it for boxes built by other means.  A
-    plan numbers a child's ∪-gates by the rank of their state in canonical
-    order, so a hand-built box whose slots do not follow ``state_gate``
-    insertion order, or whose ∪-states are not inserted in canonical order,
-    is rejected loudly here rather than silently miswired.
-    """
-    index = _plan_cache(automaton)["index"]
-    present = 0
-    top = 0
-    slot = 0
-    last = -1
-    for state, gate in box.state_gate.items():
-        if gate is BOTTOM:
-            continue
-        i = index.get(state)
-        if i is None:
-            raise CircuitStructureError(f"box has a gate for {state!r}, not a state of the automaton")
-        present |= 1 << i
-        if gate is TOP:
-            top |= 1 << i
-            continue
-        if gate.slot != slot or i < last:
-            raise CircuitStructureError(
-                "box's ∪-gate slots do not follow state_gate insertion order in canonical "
-                "state order; create each state's gate in the order of its canonical index"
-            )
-        slot += 1
-        last = i
-    return present, top
 
 
 def _label_targets(cache: Dict[str, object], automaton: BinaryTVA, label: object) -> Tuple:
@@ -1075,67 +1059,26 @@ def build_leaf_box(label: object, leaf_payload: int, automaton: BinaryTVA) -> Bo
         plan = _leaf_plan(automaton, label)
         leaf_plans[label] = plan
 
-    # Struct-of-arrays instantiation: the box is just the plan reference plus
-    # the flat tables (masks shared from the plan, per-leaf assignments).
-    # Gate objects are materialized lazily — the mask-native pipeline never
-    # creates them at all.
-    box = Box(label, leaf_payload=leaf_payload, planned=True)
-    box.build_plan = plan
-    box.state_sig = plan.signature
-    box.local_mask = plan.local_mask
-    box.n_unions = plan.n_unions
-    # Flattened gate tables for mask-native enumeration: leaf boxes have no
-    # ×-gates; the per-slot var masks are shared from the plan.  The var
-    # assignments embed the leaf payload, so they are the one per-box part.
-    box.enum_tables = (
-        tuple(
-            frozenset((var, leaf_payload) for var in var_set)
-            for var_set in plan.var_sets
-        ),
-        plan.slot_var_masks,
-        (),
-        (),
-        (),
-    )
-    return box
+    return Box(label, plan, leaf_payload=leaf_payload)
 
 
 def build_internal_box(
     label: object, left_box: Box, right_box: Box, automaton: BinaryTVA
 ) -> Box:
-    """Build the box ``B_n`` for an internal node from its children's boxes."""
-    left_sig = left_box.state_sig
-    if left_sig is None:
-        left_sig = _signature_of(left_box, automaton)
-    right_sig = right_box.state_sig
-    if right_sig is None:
-        right_sig = _signature_of(right_box, automaton)
+    """Build the box ``B_n`` for an internal node from its children's boxes.
 
+    The plan is looked up by the label and the children's stamped state
+    signatures; every per-slot table of the new box is shared from it.
+    """
     internal_plans = _plan_cache(automaton)["internal"]
-    key = (label, left_sig, right_sig)
+    key = (label, left_box.state_sig, right_box.state_sig)
     plan = internal_plans.get(key)
     if plan is None:
-        plan = _internal_plan(automaton, label, left_sig, right_sig)
+        plan = _internal_plan(automaton, label, key[1], key[2])
         _remember_internal_plan(internal_plans, key, plan)
     else:
         internal_plans.move_to_end(key)
-
-    # Struct-of-arrays instantiation: every per-slot table (input masks,
-    # enum tables, wiring) is shared from the plan, so building the box is a
-    # handful of attribute stamps.  Gate objects (∪, ×) are materialized
-    # lazily; the mask-native pipeline reads only the flat tables.
-    box = Box(label, left_child=left_box, right_child=right_box, planned=True)
-    box.build_plan = plan
-    box.state_sig = plan.signature
-    box.wire_plan = plan
-    box.local_mask = plan.local_mask
-    box.n_unions = plan.n_unions
-    box.enum_tables = plan.enum_tables
-    # The per-slot input masks are immutable once built, so every box from
-    # this plan shares the plan's tuples.
-    box.left_input_masks = plan.left_input_masks
-    box.right_input_masks = plan.right_input_masks
-    return box
+    return Box(label, plan, left_child=left_box, right_child=right_box)
 
 
 def build_assignment_circuit(tree: BinaryTree, automaton: BinaryTVA) -> AssignmentCircuit:

@@ -26,7 +26,7 @@ Design notes
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.assignments import Assignment
 from repro.errors import CircuitStructureError
@@ -39,7 +39,6 @@ __all__ = [
     "UnionGate",
     "Box",
     "AssignmentCircuit",
-    "child_wire_pairs",
 ]
 
 
@@ -104,39 +103,28 @@ class UnionGate:
     construction of Lemma 3.7 produces and what the index of Section 6
     assumes; it is checked by :func:`repro.circuits.dnnf.validate_circuit`).
 
-    For gates of plan-built boxes the ``inputs`` tuple is **lazy**: the box
-    plan knows the wiring as flat (source, index) descriptors, so the input
-    gate objects are only created when something actually walks them (the
-    generic relation-based enumeration, validation, tests).  The mask-native
-    hot paths read the stamped ``Box.enum_tables`` / wiring masks instead and
-    never touch ``inputs``.
+    The ``inputs`` tuple is **lazy**: the box plan knows the wiring as flat
+    (source, index) descriptors, so the input gate objects are only created
+    when something actually walks them (the generic relation-based
+    enumeration, validation, tests).  The mask-native hot paths read the
+    stamped ``Box.enum_tables`` / wiring masks instead and never touch
+    ``inputs``.
     """
 
     __slots__ = ("box", "slot", "state", "_inputs")
 
-    def __init__(
-        self,
-        box: "Box",
-        slot: int,
-        state: object,
-        inputs: Optional[Tuple[object, ...]] = None,
-    ):
+    def __init__(self, box: "Box", slot: int, state: object):
         self.box = box
         self.slot = slot
         self.state = state
-        self._inputs = inputs
+        self._inputs: Optional[Tuple[object, ...]] = None
 
     @property
     def inputs(self) -> Tuple[object, ...]:
         inputs = self._inputs
         if inputs is None:
-            inputs = self.box.build_plan.gate_inputs(self.box, self.slot)
-            self._inputs = inputs
+            inputs = self._inputs = self.box.plan.gate_inputs(self.box, self.slot)
         return inputs
-
-    @inputs.setter
-    def inputs(self, value: Tuple[object, ...]) -> None:
-        self._inputs = value
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"UnionGate(slot={self.slot}, state={self.state!r}, fan_in={len(self.inputs)})"
@@ -144,6 +132,10 @@ class UnionGate:
 
 class Box:
     """One box of a complete structured DNNF = one node of the v-tree.
+
+    A box is built from a box plan (:mod:`repro.circuits.build`), which fixes
+    its gates and wiring, and carries its own entry of the enumeration index
+    (:mod:`repro.enumeration.index`) once that is built.
 
     Attributes
     ----------
@@ -158,26 +150,24 @@ class Box:
         singletons); ``None`` for internal boxes.
     left_child / right_child:
         Child boxes (``None`` for leaf boxes).
-    union_gates:
-        The ∪-gates of the box, indexed by their ``slot``.
-    state_gate:
-        The mapping ``q ↦ γ(n, q)``; values are :class:`UnionGate`, ``TOP``
-        or ``BOTTOM``.
-    prod_gates / var_gates:
-        The ×-gates and var-gates of the box (for statistics and validation).
-    local_mask / left_input_masks / right_input_masks:
-        The box's ∪-wiring, recorded once at construction time (when a
-        ∪-gate is added): a bitmask over slots whose gate has a local
-        (var-/×-gate) input, and per-slot bitmasks of the left/right child
-        slots wired into it.  The index construction (Lemma 6.3) and
-        Algorithm 3 read these instead of rescanning ``gate.inputs`` with
-        ``isinstance``.
-    wire_cache:
-        Per-(side, backend) cache of the single-level wire
-        :class:`~repro.enumeration.relations.Relation` to each child
-        (filled lazily by :func:`repro.enumeration.wiring.wire_relation`).
-        Safe to cache because gates are never rewired after construction —
-        updates rebuild whole boxes (Lemma 7.3).
+    plan:
+        The leaf or internal box plan that built the box.  An internal plan
+        also carries the transposed child wiring (``wire_masks``) and the
+        per-backend wire relations that every box built from it shares.
+    union_gates / state_gate / prod_gates / var_gates:
+        The gate objects, materialized from the plan on first access: the
+        ∪-gates indexed by their ``slot``, the mapping ``q ↦ γ(n, q)``
+        (values :class:`UnionGate`, ``TOP`` or ``BOTTOM``), and the ×- and
+        var-gates (for statistics, validation and the generic enumeration).
+    state_sig:
+        The masks of the box's present (non-⊥) and ⊤ states, bit ``i``
+        standing for the automaton's ``i``-th state in canonical order.
+    n_unions / local_mask / left_input_masks / right_input_masks:
+        The box's ∪-wiring, stamped from the plan: the number of ∪-slots, a
+        bitmask over slots whose gate has a local (var-/×-gate) input, and
+        per-slot bitmasks of the left/right child slots wired into it (empty
+        for a leaf).  The index construction (Lemma 6.3) and Algorithm 3
+        read these instead of walking ``gate.inputs``.
     enum_tables:
         The flattened per-box gate tables read by the mask-native
         enumeration of Algorithm 2 (:mod:`repro.enumeration.duplicate_free`):
@@ -186,12 +176,20 @@ class Box:
         assignment of var-gate ``v``, ``slot_var_masks[s]`` /
         ``slot_prod_masks[s]`` are bitmasks over var-/×-gate indices feeding
         ∪-slot ``s``, and ``prod_lefts[j]`` / ``prod_rights[j]`` are the
-        child ∪-slot numbers of ×-gate ``j``.  Stamped at construction time
-        by :mod:`repro.circuits.build`; computed lazily (once per box) by
-        :meth:`enumeration_tables` for hand-built boxes.
-    index:
-        The :class:`repro.enumeration.index.BoxIndex` attached by the
-        preprocessing of Section 6 (``None`` until it is built).
+        child ∪-slot numbers of ×-gate ``j``.  Shared from an internal plan;
+        a leaf's var assignments embed its payload, so they are its own.
+    content_hash:
+        Content digest of the subtree this box was built for, set by the
+        cache-aware build of :mod:`repro.incremental.maintainer`; ``None``
+        when the cross-document build cache is off or the content is
+        unhashable.  Stored on the (immutable) box so a trunk rebuild
+        derives the parent's hash from the children's in O(1).
+    targets / shape:
+        The box's index entry (Definition 6.1), ``None`` until
+        :func:`repro.enumeration.index.build_box_index` runs: the target
+        boxes by ordinal (``targets[0]`` is ``None``, standing for the box
+        itself) and the shared :class:`~repro.enumeration.index.IndexShape`
+        holding everything else.
     """
 
     __slots__ = (
@@ -200,202 +198,88 @@ class Box:
         "leaf_payload",
         "left_child",
         "right_child",
+        "plan",
+        "state_sig",
+        "n_unions",
+        "local_mask",
+        "left_input_masks",
+        "right_input_masks",
+        "enum_tables",
+        "content_hash",
+        "targets",
+        "shape",
         "_union_gates",
         "_state_gate",
         "_prod_gates",
         "_var_gates",
-        "n_unions",
-        "left_input_masks",
-        "right_input_masks",
-        "local_mask",
-        "_wire_cache",
-        "wire_plan",
-        "build_plan",
-        "state_sig",
-        "enum_tables",
-        "content_hash",
-        "index",
     )
 
     def __init__(
         self,
         label: object,
+        plan,
         leaf_payload: Optional[int] = None,
         left_child: Optional["Box"] = None,
         right_child: Optional["Box"] = None,
-        planned: bool = False,
     ):
-        #: monotonic build serial (see _BOX_SERIALS): the box's stable name
-        #: in cursor dependency masks, maintainer delta reports and the wire
-        #: codec — never recycled, unlike id().
         self.serial = next(_BOX_SERIALS)
         self.label = label
         self.leaf_payload = leaf_payload
         self.left_child = left_child
         self.right_child = right_child
-        if planned:
-            # Struct-of-arrays form: the builder stamps flat tables
-            # (n_unions, masks, enum_tables) and a build plan; the gate
-            # *objects* are materialized lazily by the properties below.
-            self._union_gates: Optional[List[UnionGate]] = None
-            self._state_gate: Optional[Dict[object, object]] = None
-            self._prod_gates: Optional[List[ProdGate]] = None
-            self._var_gates: Optional[List[VarGate]] = None
-        else:
-            self._union_gates = []
-            self._state_gate = {}
-            self._prod_gates = []
-            self._var_gates = []
-        self.n_unions: int = 0
-        # Plan-built boxes share their plan's mask tuples (a leaf has no
-        # child wiring at all); hand-built ones fill lists gate by gate.
-        self.left_input_masks: Sequence[int] = () if planned else []
-        self.right_input_masks: Sequence[int] = () if planned else []
-        self.local_mask: int = 0
-        self._wire_cache: Optional[Dict[Tuple[str, str], object]] = None
-        #: the internal box plan that built this box (carries precomputed
-        #: transposed wire masks and shared wire relations); None when built
-        #: gate-by-gate and for leaf boxes.
-        self.wire_plan: Optional[object] = None
-        #: the plan (leaf or internal) that can materialize this box's gate
-        #: objects on demand; None for hand-built boxes.
-        self.build_plan: Optional[object] = None
-        #: state signature stamped by the box plan that built this box: the
-        #: masks of its present (non-⊥) and ⊤ states, bit i standing for
-        #: the automaton's i-th state in canonical order (see
-        #: repro.circuits.build); None for hand-built boxes.
-        self.state_sig: Optional[Tuple[int, int]] = None
-        #: flattened gate tables for mask-native enumeration (see class docs);
-        #: None until stamped by the builder or computed by enumeration_tables.
-        self.enum_tables: Optional[Tuple] = None
-        #: content digest of the subtree this box was built for, set by the
-        #: cache-aware build of repro.incremental.maintainer; None when the
-        #: cross-document build cache is off or the content is unhashable.
-        #: Stored on the (immutable) box so a trunk rebuild derives the
-        #: parent's hash from the children's in O(1).
+        # Struct-of-arrays form: flat tables shared from the plan (a leaf's
+        # var assignments excepted); the gate objects are materialized
+        # lazily by the properties below.
+        self.plan = plan
+        self.state_sig: Tuple[int, int] = plan.signature
+        self.n_unions: int = plan.n_unions
+        self.local_mask: int = plan.local_mask
+        self.left_input_masks: Sequence[int] = plan.left_input_masks
+        self.right_input_masks: Sequence[int] = plan.right_input_masks
+        self.enum_tables: Tuple = plan.enum_tables_for(leaf_payload)
         self.content_hash: Optional[bytes] = None
-        self.index = None
+        self.targets: Optional[Tuple[Optional["Box"], ...]] = None
+        self.shape = None
+        self._union_gates: Optional[List[UnionGate]] = None
+        self._state_gate: Optional[Dict[object, object]] = None
+        self._prod_gates: Optional[List[ProdGate]] = None
+        self._var_gates: Optional[List[VarGate]] = None
 
     # ----------------------------------------------------- lazy gate storage
-    # Plan-built boxes start as pure struct-of-arrays (flat masks + tables);
-    # the first access to a gate collection materializes just that collection
-    # (union/state gates need nothing, ×-gates need only the children's
-    # ∪-gates — never a deep recursion).  Hand-built boxes get the eager
-    # lists from __init__ and never hit the plan.
+    # The first access to a gate collection materializes just that
+    # collection (union/state gates need nothing, ×-gates need only the
+    # children's ∪-gates — never a deep recursion).
     @property
     def union_gates(self) -> List[UnionGate]:
         gates = self._union_gates
         if gates is None:
-            gates = self.build_plan.materialize_unions(self)
+            gates = self.plan.materialize_unions(self)
         return gates
-
-    @union_gates.setter
-    def union_gates(self, value: List[UnionGate]) -> None:
-        self._union_gates = value
 
     @property
     def state_gate(self) -> Dict[object, object]:
-        mapping = self._state_gate
-        if mapping is None:
-            self.build_plan.materialize_unions(self)
-            mapping = self._state_gate
-        return mapping
-
-    @state_gate.setter
-    def state_gate(self, value: Dict[object, object]) -> None:
-        self._state_gate = value
+        if self._state_gate is None:
+            self.plan.materialize_unions(self)
+        return self._state_gate
 
     @property
     def prod_gates(self) -> List[ProdGate]:
         gates = self._prod_gates
         if gates is None:
-            gates = self.build_plan.materialize_prods(self)
+            gates = self.plan.materialize_prods(self)
         return gates
-
-    @prod_gates.setter
-    def prod_gates(self, value: List[ProdGate]) -> None:
-        self._prod_gates = value
 
     @property
     def var_gates(self) -> List[VarGate]:
         gates = self._var_gates
         if gates is None:
-            gates = self.build_plan.materialize_vars(self)
+            gates = self.plan.materialize_vars(self)
         return gates
-
-    @var_gates.setter
-    def var_gates(self, value: List[VarGate]) -> None:
-        self._var_gates = value
-
-    @property
-    def wire_cache(self) -> Dict[Tuple[str, str], object]:
-        cache = self._wire_cache
-        if cache is None:
-            cache = self._wire_cache = {}
-        return cache
 
     # ------------------------------------------------------------------ api
     def is_leaf_box(self) -> bool:
         """Return ``True`` if this box corresponds to a leaf of the v-tree."""
         return self.left_child is None
-
-    def add_union_gate(self, state: object, inputs: Iterable[object]) -> UnionGate:
-        """Create a ∪-gate in this box with the given inputs and register it.
-
-        The gate's wiring is classified once, here, into ``local_mask`` and
-        the per-slot child masks; every later consumer (index construction,
-        Algorithm 3) reads those masks instead of re-walking ``inputs``.
-        (Boxes built from a box plan get their gates and masks stamped
-        directly by :mod:`repro.circuits.build` instead.)
-        """
-        inputs = tuple(inputs)
-        if not inputs:
-            raise CircuitStructureError("∪-gates must have at least one input")
-        if self.state_sig is not None or self.wire_plan is not None or self.build_plan is not None:
-            # Plan-built boxes share their plan's stamped tuples (input masks,
-            # enum_tables, state_sig); mutating one would either crash on the
-            # shared tuples or silently stale the stamped tables — updates
-            # rebuild whole boxes instead (Lemma 7.3).
-            raise CircuitStructureError(
-                "cannot add gates to a plan-built box; rebuild the box instead"
-            )
-        self.enum_tables = None  # invalidate lazily computed tables, if any
-        slot = len(self.union_gates)
-        gate = UnionGate(self, slot, state, inputs)
-        has_local = False
-        left_mask = 0
-        right_mask = 0
-        for inp in inputs:
-            if isinstance(inp, (VarGate, ProdGate)):
-                has_local = True
-            elif isinstance(inp, UnionGate):
-                if inp.box is self.left_child:
-                    left_mask |= 1 << inp.slot
-                elif inp.box is self.right_child:
-                    right_mask |= 1 << inp.slot
-                else:
-                    raise CircuitStructureError("∪-gate input from a non-child box")
-            else:
-                raise CircuitStructureError(f"unexpected input gate {inp!r}")
-        self.union_gates.append(gate)
-        self.n_unions = slot + 1
-        if has_local:
-            self.local_mask |= 1 << slot
-        self.left_input_masks.append(left_mask)
-        self.right_input_masks.append(right_mask)
-        return gate
-
-    def add_prod_gate(self, left: UnionGate, right: UnionGate) -> ProdGate:
-        """Create a ×-gate in this box and register it."""
-        gate = ProdGate(self, left, right)
-        self.prod_gates.append(gate)
-        return gate
-
-    def add_var_gate(self, assignment: Assignment) -> VarGate:
-        """Create a var-gate in this box and register it."""
-        gate = VarGate(self, assignment)
-        self.var_gates.append(gate)
-        return gate
 
     def children(self) -> Tuple["Box", ...]:
         """Return the tuple of child boxes (empty for leaf boxes)."""
@@ -414,100 +298,16 @@ class Box:
                 stack.append(box.left_child)
 
     def width(self) -> int:
-        """Return the number of ∪-gates of this box (the local width).
-
-        Maintained as a plain counter so the hot paths (index construction,
-        Algorithm 3, the mask-native stack) never materialize the gate
-        objects of a plan-built box just to take a length.
-        """
+        """Return the number of ∪-gates of this box (the local width)."""
         return self.n_unions
 
     def gate_counts(self) -> Tuple[int, int, int]:
-        """Return ``(n_union, n_prod, n_var)`` without materializing gates.
-
-        Plan-built boxes answer from the plan's flat tables; hand-built boxes
-        from their eager gate lists.
-        """
-        plan = self.build_plan
-        if plan is not None:
-            return plan.gate_counts(self)
-        return (len(self._union_gates), len(self._prod_gates), len(self._var_gates))
-
-    def enumeration_tables(self) -> Tuple:
-        """Return the flattened gate tables used by mask-native enumeration.
-
-        ``(var_assignments, slot_var_masks, prod_lefts, prod_rights,
-        slot_prod_masks)`` — see the class docstring.  Boxes built by the box
-        plans of :mod:`repro.circuits.build` get the tables stamped at
-        construction time; this fallback walks ``gate.inputs`` exactly once
-        per hand-built box, so enumeration itself never rescans inputs or
-        dispatches on gate types.
-        """
-        tables = self.enum_tables
-        if tables is not None:
-            return tables
-        var_index: Dict[int, int] = {}
-        prod_index: Dict[int, int] = {}
-        var_assignments: List[Assignment] = []
-        prod_lefts: List[int] = []
-        prod_rights: List[int] = []
-        slot_var_masks: List[int] = []
-        slot_prod_masks: List[int] = []
-        for gate in self.union_gates:
-            var_mask = 0
-            prod_mask = 0
-            for inp in gate.inputs:
-                if isinstance(inp, VarGate):
-                    idx = var_index.get(id(inp))
-                    if idx is None:
-                        idx = len(var_assignments)
-                        var_index[id(inp)] = idx
-                        var_assignments.append(inp.assignment)
-                    var_mask |= 1 << idx
-                elif isinstance(inp, ProdGate):
-                    idx = prod_index.get(id(inp))
-                    if idx is None:
-                        idx = len(prod_lefts)
-                        prod_index[id(inp)] = idx
-                        prod_lefts.append(inp.left.slot)
-                        prod_rights.append(inp.right.slot)
-                    prod_mask |= 1 << idx
-            slot_var_masks.append(var_mask)
-            slot_prod_masks.append(prod_mask)
-        tables = (
-            tuple(var_assignments),
-            tuple(slot_var_masks),
-            tuple(prod_lefts),
-            tuple(prod_rights),
-            tuple(slot_prod_masks),
-        )
-        self.enum_tables = tables
-        return tables
+        """Return ``(n_union, n_prod, n_var)`` from the plan, without materializing gates."""
+        return self.plan.gate_counts()
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "leaf" if self.is_leaf_box() else "internal"
         return f"Box(label={self.label!r}, {kind}, unions={self.n_unions})"
-
-
-def child_wire_pairs(box: Box, side: str) -> FrozenSet[Tuple[int, int]]:
-    """Return the ∪-wire relation between a child box and ``box``.
-
-    The result is the set of pairs ``(child_slot, box_slot)`` such that the
-    ∪-gate ``child_slot`` of the chosen child box is an input of the ∪-gate
-    ``box_slot`` of ``box`` — i.e. the relation ``R(child, box)`` restricted
-    to single wires, which is the base case of the index construction
-    (Lemma 6.3) and of Algorithm 3.
-    """
-    if box.is_leaf_box():
-        return frozenset()
-    masks = box.left_input_masks if side == "left" else box.right_input_masks
-    pairs = set()
-    for box_slot, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            pairs.add((low.bit_length() - 1, box_slot))
-            mask ^= low
-    return frozenset(pairs)
 
 
 class AssignmentCircuit:

@@ -67,11 +67,11 @@ STREAM_PAGE_SIZE = 256
 class Document:
     """A handle on one maintained document owned by an :class:`repro.Engine`."""
 
-    def __init__(self, engine, doc_id, kind: str, query):
+    def __init__(self, engine, doc_id, query):
         self.engine = engine
         self.doc_id = doc_id
-        self.kind = kind  #: "tree" or "word"
         self.query = query  #: the :class:`~repro.engine.query.Query` served
+        self.kind = query.kind  #: "tree" or "word", the query's kind
 
     # ------------------------------------------------------------------ state
     @property

@@ -417,7 +417,7 @@ class Engine:
         return (document for _index, document in self._ingest(items))
 
     def _prepare_ingest(self, contents, query, queries, doc_ids, alphabet):
-        """Validate one ingest batch into ``(doc_id, kind, content, compiled)`` rows."""
+        """Validate one ingest batch into ``(doc_id, content, compiled)`` rows."""
         contents = list(contents)
         if queries is not None:
             queries = list(queries)
@@ -456,7 +456,7 @@ class Engine:
             elif doc_id in self._documents or doc_id in claimed:
                 raise ServingError(f"document id {doc_id!r} already in use")
             claimed.add(doc_id)
-            items.append((doc_id, kind, content, compiled))
+            items.append((doc_id, content, compiled))
         return items
 
     def _auto_doc_id(self, claimed):
@@ -473,8 +473,7 @@ class Engine:
         try:
             trace_ctx = None if span is None else span.context
             for index, doc_id in self._transport.ingest(items, trace_ctx):
-                _requested, kind, _content, compiled = items[index]
-                document = self._documents[doc_id] = Document(self, doc_id, kind, compiled)
+                document = self._documents[doc_id] = Document(self, doc_id, items[index][2])
                 self._epochs[doc_id] = 0
                 yield index, document
         finally:

@@ -592,25 +592,22 @@ class StoreOps:
         return source
 
     def add_batch(self, items):
-        """Add ``(doc_id, kind, content, source_or_None, digest)`` items in order.
+        """Add ``(doc_id, content, source_or_None, digest)`` items in order.
 
-        The store picks the runtime from the query's kind (``kind`` is not
-        read).  The first failure ends the batch; the reply names the
-        documents added so far and, after a failure, the failing id and its
-        original exception, so the caller registers the successes and
-        re-raises precisely.
+        The store picks the runtime from the query's kind.  The first failure
+        ends the batch; the reply names the ids of the documents added so far
+        and, after a failure, the failing id and its original exception, so
+        the caller registers the successes and re-raises precisely.
         """
         added = []
-        for doc_id, _kind, content, source, digest in items:
+        for doc_id, content, source, digest in items:
             try:
                 document = self._store.add_document(
                     content, self._source(source, digest), doc_id=doc_id
                 )
             except BaseException as exc:  # noqa: BLE001 — reported, not swallowed
                 return {"added": added, "failed_doc_id": doc_id, "error": exc}
-            added.append(
-                {"doc_id": document.doc_id, "kind": document.kind, "digest": document.digest}
-            )
+            added.append(document.doc_id)
         return {"added": added, "failed_doc_id": None, "error": None}
 
     def edits(self, doc_id, edits) -> BatchUpdateReport:
@@ -636,7 +633,7 @@ class StoreOps:
     def remove(self, doc_id) -> None:
         self._store.remove(doc_id)
 
-    def restore(self, doc_id, kind, content, source, digest, edit_batches, next_cursor_id):
+    def restore(self, doc_id, content, source, digest, edit_batches, next_cursor_id):
         """Rebuild one document from its original content plus its edit log.
 
         Failover re-migrates every document a dead shard held onto its
@@ -681,10 +678,10 @@ class Transport:
     """What the :class:`repro.Engine` facade needs from a transport: the
     object that carries its document ops to wherever the documents live.
 
-    ``ingest(items, trace_ctx)`` ships validated ``(doc_id, kind, content,
-    query)`` rows and yields ``(index, doc_id)`` for each document that
-    landed, then raises the batch's failure, if any; ``edits``, ``page``,
-    ``count``, ``epoch`` and ``remove`` take the op set's arguments;
+    ``ingest(items, trace_ctx)`` ships validated ``(doc_id, content, query)``
+    rows and yields ``(index, doc_id)`` for each document that landed, then
+    raises the batch's failure, if any; ``edits``, ``page``, ``count``,
+    ``epoch`` and ``remove`` take the op set's arguments;
     ``stream(doc_id, check)`` iterates the current answers, calling
     ``check()`` (which raises once the facade saw an edit) before each one
     unless the iterator checks staleness itself; ``runtime``, ``stats``,
@@ -714,13 +711,10 @@ class LocalTransport(StoreOps, Transport):
 
     def ingest(self, items, trace_ctx=None):
         reply = self.add_batch(
-            [
-                (doc_id, kind, content, query.source, query.digest)
-                for doc_id, kind, content, query in items
-            ]
+            [(doc_id, content, query.source, query.digest) for doc_id, content, query in items]
         )
-        for index, added in enumerate(reply["added"]):
-            yield index, added["doc_id"]
+        for index, doc_id in enumerate(reply["added"]):
+            yield index, doc_id
         if reply["error"] is not None:
             raise reply["error"]
 

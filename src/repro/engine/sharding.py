@@ -1244,7 +1244,6 @@ class FleetTransport(Transport):
                     shard,
                     "restore",
                     doc_id,
-                    query.kind,
                     pickle.loads(content_bytes),
                     source,
                     query.digest,
@@ -1364,14 +1363,14 @@ class FleetTransport(Transport):
         # adds of the same content carry only the digest).
         placements: Dict[object, List[int]] = {}
         batches: Dict[int, List] = {}
-        for doc_id, kind, content, query in items:
+        for doc_id, content, query in items:
             shards = self._pick_shards(self.replicas)
             placements[doc_id] = shards
             for shard in shards:
                 sent = self._queries_sent.setdefault(shard, set())
                 source = None if query.digest in sent else query.source
                 sent.add(query.digest)
-                batches.setdefault(shard, []).append((doc_id, kind, content, source, query.digest))
+                batches.setdefault(shard, []).append((doc_id, content, source, query.digest))
         request_ids: Dict[int, int] = {}
         died: List[tuple] = []  # (shard, doc_ids, error)
         item_failure: Optional[BaseException] = None
@@ -1381,18 +1380,18 @@ class FleetTransport(Transport):
             except ShardDiedError as exc:
                 died.append((shard, [entry[0] for entry in batch], exc))
         #: per document: placement shards that have not acknowledged yet
-        remaining = {doc_id: set(placements[doc_id]) for doc_id, _k, _c, _q in items}
+        remaining = {doc_id: set(placements[doc_id]) for doc_id, _c, _q in items}
         for shard, doc_ids, _exc in died:  # dead at submit: never acknowledges
             for doc_id in doc_ids:
                 remaining[doc_id].discard(shard)
-        landed: Dict[object, List[int]] = {doc_id: [] for doc_id, _k, _c, _q in items}
+        landed: Dict[object, List[int]] = {doc_id: [] for doc_id, _c, _q in items}
         finalized: Set[object] = set()
         batch_t0 = time.perf_counter()
         first_reply: Optional[float] = None
 
         def finalize_ready():
             """Yield every document whose placements all reported."""
-            for index, (doc_id, _kind, content, query) in enumerate(items):
+            for index, (doc_id, content, query) in enumerate(items):
                 if doc_id in finalized or remaining[doc_id]:
                     continue
                 finalized.add(doc_id)
@@ -1432,7 +1431,7 @@ class FleetTransport(Transport):
                     self._events.emit(
                         "ingest_straggler", shard=shard, elapsed=elapsed, first_reply=first_reply
                     )
-                added = {summary["doc_id"] for summary in payload["added"]}
+                added = set(payload["added"])
                 for entry in batches[shard]:
                     if entry[0] in added:
                         landed[entry[0]].append(shard)

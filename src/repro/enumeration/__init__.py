@@ -3,7 +3,7 @@
 from repro.enumeration.relations import Relation
 from repro.enumeration.simple import enumerate_with_duplicates
 from repro.enumeration.duplicate_free import enumerate_boxed_masks, enumerate_boxed_set
-from repro.enumeration.index import BoxIndex, build_index, build_box_index
+from repro.enumeration.index import build_index, build_box_index
 from repro.enumeration.box_enum import indexed_box_enum, naive_box_enum
 from repro.enumeration.assignment_iter import CircuitEnumerator
 
@@ -12,7 +12,6 @@ __all__ = [
     "enumerate_with_duplicates",
     "enumerate_boxed_set",
     "enumerate_boxed_masks",
-    "BoxIndex",
     "build_index",
     "build_box_index",
     "naive_box_enum",

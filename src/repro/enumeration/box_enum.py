@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.circuits.gates import Box, UnionGate
-from repro.enumeration.index import BoxIndex, fbb_of_mask, fib_of_mask
+from repro.enumeration.index import fbb_of_mask, fib_of_mask
 from repro.enumeration.relations import Relation
 from repro.enumeration.wiring import wire_relation
 from repro.errors import CircuitStructureError, IndexError_
@@ -88,7 +88,7 @@ def indexed_box_enum(
 ) -> Iterator[Tuple[Box, Relation]]:
     """Algorithm 3: enumerate interesting boxes using the index.
 
-    The boxes of the circuit must carry their :class:`BoxIndex` (built by
+    The boxes of the circuit must carry their index entries (built by
     :func:`repro.enumeration.index.build_index`).  The enumeration order is
     the one sketched in Figure 1 of the paper: first the subtree of the first
     interesting box, then the right subtrees of the bidirectional boxes on
@@ -103,15 +103,15 @@ def indexed_box_enum(
     gamma = list(gamma)
     relation = gamma_relation(gamma, backend=backend)
     box = gamma[0].box
-    if box.index is None:
+    if box.shape is None:
         raise IndexError_("indexed_box_enum requires the index to be built (build_index)")
     #: stack items: (is_walk, box, relation); pushed in reverse of the
     #: paper's order so that popping reproduces it.
     stack: List[Tuple[bool, Box, Relation]] = [(False, box, relation)]
     while stack:
         is_walk, box, relation = stack.pop()
-        index: BoxIndex = box.index
-        if index is None:
+        shape = box.shape
+        if shape is None:
             raise IndexError_("indexed_box_enum requires the index to be built (build_index)")
         slot_mask = relation.lower_mask()
         if not slot_mask:
@@ -122,14 +122,14 @@ def indexed_box_enum(
             # One iteration of the walk over the bidirectional boxes on the
             # path from ``box`` down to its first interesting box (lines 11-16):
             # it continues while the fbb is a proper ancestor of the fib.
-            bid = fbb_of_mask(index, slot_mask)
+            bid = fbb_of_mask(shape, slot_mask)
             if bid < 0:
                 continue
-            local_first = fib_of_mask(index, slot_mask)
-            if bid == local_first or not index.is_ancestor(bid, local_first):
+            local_first = fib_of_mask(shape, slot_mask)
+            if bid == local_first or not shape.is_ancestor(bid, local_first):
                 continue
-            bidirectional = index.targets[bid] if bid else box
-            rel_bidirectional = index.relations[bid].compose(relation)
+            bidirectional = box.targets[bid] if bid else box
+            rel_bidirectional = shape.relations[bid].compose(relation)
             rel_right = wire_relation(bidirectional, "right", backend).compose(rel_bidirectional)
             rel_left = wire_relation(bidirectional, "left", backend).compose(rel_bidirectional)
             # Continue the walk from the left child; enumerate the right
@@ -141,10 +141,10 @@ def indexed_box_enum(
             continue
 
         # ---- first interesting box (lines 4-6)
-        ordinal = fib_of_mask(index, slot_mask)
+        ordinal = fib_of_mask(shape, slot_mask)
         if ordinal:
-            first_interesting = index.targets[ordinal]
-            rel_first = index.relations[ordinal].compose(relation)
+            first_interesting = box.targets[ordinal]
+            rel_first = shape.relations[ordinal].compose(relation)
         else:
             first_interesting = box
             rel_first = relation

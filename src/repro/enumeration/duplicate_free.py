@@ -77,7 +77,6 @@ from repro.circuits.gates import Box, ProdGate, UnionGate, VarGate
 from repro.enumeration.box_enum import indexed_box_enum
 from repro.enumeration.index import fbb_of_mask, fib_of_mask
 from repro.enumeration.relations import Relation, iter_bits
-from repro.enumeration.wiring import wire_relation
 from repro.errors import CircuitStructureError, IndexError_
 
 __all__ = ["enumerate_boxed_set", "enumerate_boxed_masks", "MaskStackEnumeration"]
@@ -118,7 +117,7 @@ def enumerate_boxed_set(
     gamma = list(gamma)
     if not gamma:
         return
-    if box_enum is indexed_box_enum and gamma[0].box.index is not None:
+    if box_enum is indexed_box_enum and gamma[0].box.shape is not None:
         for assignment, prov_mask in enumerate_boxed_masks(gamma):
             yield assignment, frozenset(gamma[p] for p in iter_bits(prov_mask))
         return
@@ -228,15 +227,6 @@ def _compose_masks_lm(stored: Sequence[int], g: Sequence[int]) -> Tuple[List[int
     return out, lower_mask
 
 
-def _wire_masks(box: Box, left: bool) -> Sequence[int]:
-    """Transposed ∪-wire masks (child slot → mask of box slots) for one side."""
-    plan = box.wire_plan
-    if plan is not None:
-        masks = plan.wire_masks
-        return masks[0] if left else masks[1]
-    return wire_relation(box, "left" if left else "right", "bitset").masks_view()
-
-
 def _materialize(part) -> Assignment:
     """Union the var-gate assignments of a nested 2-tuple part tree."""
     if type(part) is not tuple:
@@ -314,7 +304,7 @@ class MaskStackEnumeration:
         for gate in gamma:
             if gate.box is not box:
                 raise CircuitStructureError("a boxed set must contain gates of a single box")
-        if box.index is None:
+        if box.shape is None:
             raise IndexError_(
                 "mask-native enumeration requires the index to be built (build_index)"
             )
@@ -520,29 +510,24 @@ class MaskStackEnumeration:
                     stack.pop()
                     continue
                 is_walk, cur_box, g, lower_mask = steps.pop()
-                index = cur_box.index
+                shape = cur_box.shape
 
                 if is_walk:
                     # one iteration of the bidirectional-box walk (Algorithm 3):
                     # it continues only while the fbb (ordinal ``bid``) is a
                     # proper ancestor of the fib — preorder ordinal compares
-                    bid = fbb_of_mask(index, lower_mask)
+                    bid = fbb_of_mask(shape, lower_mask)
                     if bid < 0:
                         continue
-                    if not bid < fib_of_mask(index, lower_mask) < index.ends[bid]:
+                    if not bid < fib_of_mask(shape, lower_mask) < shape.ends[bid]:
                         continue
                     if bid:
-                        best = index.targets[bid]
-                        rel_bid = _compose_masks(index.relations[bid].masks_view(), g)
+                        best = cur_box.targets[bid]
+                        rel_bid = _compose_masks(shape.relations[bid].masks_view(), g)
                     else:
                         best = cur_box
                         rel_bid = g
-                    plan = best.wire_plan
-                    if plan is not None:
-                        wire_left, wire_right = plan.wire_masks
-                    else:
-                        wire_left = _wire_masks(best, True)
-                        wire_right = _wire_masks(best, False)
+                    wire_left, wire_right = best.plan.wire_masks
                     rel_left, lm_left = _compose_masks_lm(wire_left, rel_bid)
                     rel_right, lm_right = _compose_masks_lm(wire_right, rel_bid)
                     if lm_left:
@@ -552,25 +537,20 @@ class MaskStackEnumeration:
                     continue
 
                 # descend to the first interesting box (Algorithm 3, lines 4-10)
-                ordinal = fib_of_mask(index, lower_mask)
+                ordinal = fib_of_mask(shape, lower_mask)
                 if ordinal:
-                    first = index.targets[ordinal]
+                    first = cur_box.targets[ordinal]
                     rel_first, rf_lower = _compose_masks_lm(
-                        index.relations[ordinal].masks_view(), g
+                        shape.relations[ordinal].masks_view(), g
                     )
                 else:
                     first = cur_box
                     rel_first = g
                     rf_lower = lower_mask
-                if index.fbb:
+                if shape.fbb:
                     steps.append((True, cur_box, g, lower_mask))
                 if first.left_child is not None:
-                    plan = first.wire_plan
-                    if plan is not None:
-                        wire_left, wire_right = plan.wire_masks
-                    else:
-                        wire_left = _wire_masks(first, True)
-                        wire_right = _wire_masks(first, False)
+                    wire_left, wire_right = first.plan.wire_masks
                     rel_l, lm_l = _compose_masks_lm(wire_left, rel_first)
                     rel_r, lm_r = _compose_masks_lm(wire_right, rel_first)
                     if lm_r:
@@ -579,10 +559,9 @@ class MaskStackEnumeration:
                         steps.append((False, first.left_child, rel_l, lm_l))
 
                 # ---- interesting box found: accumulate gate provenance masks (lines 5-7)
-                tables = first.enum_tables
-                if tables is None:
-                    tables = first.enumeration_tables()
-                var_assignments, slot_var_masks, prod_lefts, prod_rights, slot_prod_masks = tables
+                var_assignments, slot_var_masks, prod_lefts, prod_rights, slot_prod_masks = (
+                    first.enum_tables
+                )
                 n_vars = len(var_assignments)
                 n_prods = len(prod_lefts)
                 var_prov = [0] * n_vars

@@ -30,25 +30,26 @@ numbering would be invalidated by every update): each box renumbers the
 targets it keeps, so an ordinal never outlives one index lookup.
 Enumeration frames hold boxes and slot masks, never ordinals.
 
-An entry is a handful of flat tables (:class:`BoxIndex`): the target boxes
-and their relations, and the ``ends``, ``fib`` and ``fbb`` ordinal tables,
-which are ``bytes`` while the ordinals fit a byte (int→int ``dict``
-otherwise) — containers the cyclic garbage collector does not track.  The
-owning box is not stored in its own entry (``targets[0]`` is ``None``), so
-a box and its index form no reference cycle that only the collector could
-break.
+An entry lives on its box as two attributes: ``Box.targets``, the target
+boxes by ordinal, and ``Box.shape``, the :class:`IndexShape` holding the
+relations and the ``ends``, ``fib`` and ``fbb`` ordinal tables, which are
+``bytes`` while the ordinals fit a byte (int→int ``dict`` otherwise) —
+containers the cyclic garbage collector does not track.  The owning box is
+not stored in its own targets (``targets[0]`` is ``None``), so a box and its
+entry form no reference cycle that only the collector could break.
 
 Shapes
 ------
 Only ``targets`` names boxes.  Everything else — ``relations``, ``ends``,
 ``fib``, ``fbb``, ``fbb_rows`` and, per ordinal, the raw ordinal that says
 which child target it resolves to (``sources``) — is the entry's
-:class:`IndexShape`, an immutable value that :class:`BoxIndex` copies its
-five tables from.  A box plan (:mod:`repro.circuits.build`) fixes a box's
-∪-wiring, so a shape is a pure function of (plan, left child's shape, right
-child's shape, relation backend): two boxes built from one plan over
-children of equal shapes get equal shapes, whatever concrete boxes their
-subtrees hold.  A document hits few distinct shapes compared to its boxes.
+:class:`IndexShape`, an immutable value.  A box plan
+(:mod:`repro.circuits.build`) fixes a box's ∪-wiring, so a shape is a pure
+function of (plan, left child's shape, right child's shape, relation
+backend): two boxes built from one plan over children of equal shapes get
+equal shapes, whatever concrete boxes their subtrees hold.  A document hits
+few distinct shapes compared to its boxes.  Leaves share one ``(None,)``
+targets tuple and one shape per (width, backend).
 
 With a store's :class:`~repro.circuits.build.BuildCache` on,
 :func:`build_box_index` looks the shape up by that key first.  A hit only
@@ -57,8 +58,8 @@ targets; a miss runs the construction below and then **interns** the new
 shape by content.  Interning is what makes the table hit: the key names the
 children's shapes, so two equal shapes reached through different keys would
 otherwise stay two objects, and every parent above them would miss again.
-Hand-built boxes (no plan), builds without a store and builds with the cache
-off always run the construction.
+Builds without a store and builds with the cache off always run the
+construction.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from repro.enumeration.wiring import wire_relation
 from repro.errors import CircuitStructureError, IndexError_
 
 __all__ = [
-    "BoxIndex",
     "IndexShape",
     "build_box_index",
     "build_index",
@@ -88,11 +88,25 @@ _BYTE_LIMIT = 255
 class IndexShape:
     """The box-free part of an index entry, shared by every entry equal to it.
 
-    ``relations``, ``ends``, ``fib``, ``fbb`` and ``fbb_rows`` are the
-    :class:`BoxIndex` tables of the same names.  ``sources[t - 1]`` is the
-    raw ordinal of target ``t ≥ 1``: 1 + ``c`` for ordinal ``c`` of the left
-    child's entry, ``1 + len(left targets) + c`` for ordinal ``c`` of the
-    right child's (ordinal 0 of a child entry being the child box itself).
+    All tables are indexed by target ordinal ``t`` (see the module docs)
+    except ``fib`` (by ∪-slot) and ``fbb`` (by slot pair):
+
+    ``relations[t]``
+        The stored relation ``R(targets[t], B)``; there is one per target.
+    ``ends[t]``
+        One past the last ordinal inside the subtree of ``targets[t]``.
+    ``fib[s]``
+        The ordinal of ``fib`` of slot ``s``.
+    ``fbb[fbb_rows[i] + j]``
+        For slots ``i ≤ j``: the ordinal of ``fbb({g_i, g_j})``, or a value
+        ``≥ len(relations)`` when that pair has no bidirectional box.  Empty
+        when no pair of the box has one.
+    ``sources[t - 1]``
+        The raw ordinal of target ``t ≥ 1``: 1 + ``c`` for ordinal ``c`` of
+        the left child's entry, ``1 + len(left targets) + c`` for ordinal
+        ``c`` of the right child's (ordinal 0 of a child entry being the
+        child box itself).
+
     Shapes compare and hash by identity; :meth:`same_content` and
     :meth:`content_hash` compare by content, without copying any relation's
     masks.
@@ -112,14 +126,16 @@ class IndexShape:
         self._pick = None
         self._hash: Optional[int] = None
 
+    def is_ancestor(self, ancestor: int, descendant: int) -> bool:
+        """True iff target ``ancestor`` is an ancestor of (or is) ``descendant``."""
+        return ancestor <= descendant < self.ends[ancestor]
+
     def resolve(self, left_box: Box, right_box: Box) -> Tuple[Optional[Box], ...]:
         """The ``targets`` of a box with this shape over the given indexed children."""
         pick = self._pick
         if pick is None:
             pick = self._pick = itemgetter(0, *self.sources)
-        return pick(
-            (None, left_box) + left_box.index.targets[1:] + (right_box,) + right_box.index.targets[1:]
-        )
+        return pick((None, left_box) + left_box.targets[1:] + (right_box,) + right_box.targets[1:])
 
     def content_hash(self) -> int:
         """A hash of the shape's content, computed once."""
@@ -165,54 +181,14 @@ def _hashable(table):
     return table if table.__class__ is bytes else tuple(table.values())
 
 
-class BoxIndex:
-    """The per-box part of the index structure ``I(C)`` of Definition 6.1.
-
-    All fields are indexed by target ordinal ``t`` (see the module docs)
-    except ``fib`` (by ∪-slot) and ``fbb`` (by slot pair):
-
-    ``targets[t]``
-        The target box (``targets[0]`` is ``None``: ordinal 0 is the owner).
-    ``relations[t]``
-        The stored relation ``R(targets[t], B)``.
-    ``ends[t]``
-        One past the last ordinal inside the subtree of ``targets[t]``.
-    ``fib[s]``
-        The ordinal of ``fib`` of slot ``s``.
-    ``fbb[fbb_rows[i] + j]``
-        For slots ``i ≤ j``: the ordinal of ``fbb({g_i, g_j})``, or a value
-        ``≥ len(targets)`` when that pair has no bidirectional box.  Empty
-        when no pair of the box has one.
-
-    Only ``targets`` is the box's own; the other five fields are read from
-    its (shared) :class:`IndexShape`, kept as ``shape``.
-    """
-
-    __slots__ = ("targets", "relations", "ends", "fib", "fbb", "fbb_rows", "shape")
-
-    def __init__(self, targets: Tuple[Optional[Box], ...], shape: IndexShape):
-        self.targets = targets
-        self.relations = shape.relations
-        self.ends = shape.ends
-        self.fib = shape.fib
-        self.fbb = shape.fbb
-        self.fbb_rows = shape.fbb_rows
-        self.shape = shape
-
-    def is_ancestor(self, ancestor: int, descendant: int) -> bool:
-        """True iff target ``ancestor`` is an ancestor of (or is) ``descendant``."""
-        return ancestor <= descendant < self.ends[ancestor]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"BoxIndex(targets={len(self.targets)}, width={len(self.fib)})"
-
-
 #: width -> fbb row offsets (``fbb_rows``), shared by every entry of that width
 _FBB_ROWS: Dict[int, Tuple[int, ...]] = {}
-#: (width, backend) -> the entry every leaf box of that width shares: a leaf
+#: (width, backend) -> the shape every leaf box of that width shares: a leaf
 #: is its own fib for every slot, no pair has a fbb, and it has no targets
-#: besides itself — and an entry never stores its owner
-_LEAF_INDEXES: Dict[Tuple[int, str], BoxIndex] = {}
+#: besides itself — which every leaf's targets, one shared tuple, say: an
+#: entry never stores its owner
+_LEAF_SHAPES: Dict[Tuple[int, str], IndexShape] = {}
+_LEAF_TARGETS = (None,)
 
 
 def _fbb_rows(width: int) -> Tuple[int, ...]:
@@ -224,13 +200,13 @@ def _fbb_rows(width: int) -> Tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------- lookups
-def fib_of_mask(index: BoxIndex, slot_mask: int) -> int:
+def fib_of_mask(shape: IndexShape, slot_mask: int) -> int:
     """Ordinal of ``fib(Γ)`` for a boxed set given as a bitmask over slots.
 
     The preorder-first of the slots' fibs (equation (1)): a minimum over the
     set bits, with no allocation.
     """
-    fib = index.fib
+    fib = shape.fib
     best = -1
     while slot_mask:
         low = slot_mask & -slot_mask
@@ -245,18 +221,18 @@ def fib_of_mask(index: BoxIndex, slot_mask: int) -> int:
     return best
 
 
-def fbb_of_mask(index: BoxIndex, slot_mask: int) -> int:
+def fbb_of_mask(shape: IndexShape, slot_mask: int) -> int:
     """Ordinal of ``fbb(Γ)`` for a boxed set given as a bitmask over slots, or -1.
 
     Following Definition 6.1 and Observation 6.2, the first bidirectional box
     of a larger set is the preorder-minimum of the stored values for the
     pairs (and singletons) included in the set.
     """
-    fbb = index.fbb
+    fbb = shape.fbb
     if not fbb:
         return -1
-    rows = index.fbb_rows
-    none = len(index.targets)
+    rows = shape.fbb_rows
+    none = len(shape.relations)
     best = none
     outer = slot_mask
     while outer:
@@ -276,11 +252,11 @@ def fbb_of_mask(index: BoxIndex, slot_mask: int) -> int:
 
 
 # --------------------------------------------------------------------------- construction
-def _leaf_index(width: int, relation_backend: Optional[str]) -> BoxIndex:
+def _leaf_shape(width: int, relation_backend: Optional[str]) -> IndexShape:
     backend = relation_backend or DEFAULT_BACKEND
-    index = _LEAF_INDEXES.get((width, backend))
-    if index is None:
-        shape = IndexShape(
+    shape = _LEAF_SHAPES.get((width, backend))
+    if shape is None:
+        shape = _LEAF_SHAPES[(width, backend)] = IndexShape(
             (Relation.identity(width, backend=backend),),
             b"\x01",
             bytes(width),
@@ -288,51 +264,49 @@ def _leaf_index(width: int, relation_backend: Optional[str]) -> BoxIndex:
             _fbb_rows(width),
             (),
         )
-        index = _LEAF_INDEXES[(width, backend)] = BoxIndex((None,), shape)
-    return index
+    return shape
 
 
 def build_box_index(
     box: Box, relation_backend: Optional[str] = None, shapes=None
-) -> BoxIndex:
+) -> IndexShape:
     """Build the index entry of a single box from its children's entries.
 
-    For internal boxes, both children must already carry a ``BoxIndex`` (the
-    construction is bottom-up).  The entry is also stored on ``box.index``.
+    The entry is stamped on the box (``box.targets`` and ``box.shape``) and
+    its shape returned.  For internal boxes, both children must already
+    carry their entries (the construction is bottom-up).
 
     ``shapes`` is an enabled :class:`~repro.circuits.build.BuildCache` or
-    None.  With one, a plan-built box first looks its shape up by (plan,
-    left shape, right shape, backend), and a newly constructed shape is
-    interned there (see the module docs); the entry is the same either way.
+    None.  With one, the box first looks its shape up by (plan, left shape,
+    right shape, backend), and a newly constructed shape is interned there
+    (see the module docs); the entry is the same either way.
     """
     if box.is_leaf_box():
-        index = box.index = _leaf_index(box.n_unions, relation_backend)
-        return index
+        box.targets = _LEAF_TARGETS
+        shape = box.shape = _leaf_shape(box.n_unions, relation_backend)
+        return shape
 
     left_box = box.left_child
     right_box = box.right_child
-    left_index: BoxIndex = left_box.index
-    right_index: BoxIndex = right_box.index
-    if left_index is None or right_index is None:
+    if left_box.shape is None or right_box.shape is None:
         raise IndexError_("children must be indexed before their parent (bottom-up order)")
 
-    plan = box.wire_plan
     shape = key = None
-    if shapes is not None and plan is not None:
-        key = (plan, left_index.shape, right_index.shape, relation_backend or DEFAULT_BACKEND)
+    if shapes is not None:
+        key = (box.plan, left_box.shape, right_box.shape, relation_backend or DEFAULT_BACKEND)
         shape = shapes.get_shape(key)
     if shape is None:
-        shape, targets = _construct(box, left_index, right_index, relation_backend)
+        shape, box.targets = _construct(box, relation_backend)
         if key is not None:
             shape = shapes.put_shape(key, shape)
     else:
-        targets = shape.resolve(left_box, right_box)
-    index = box.index = BoxIndex(targets, shape)
-    return index
+        box.targets = shape.resolve(left_box, right_box)
+    box.shape = shape
+    return shape
 
 
 def _construct(
-    box: Box, left_index: BoxIndex, right_index: BoxIndex, relation_backend: Optional[str]
+    box: Box, relation_backend: Optional[str]
 ) -> Tuple[IndexShape, Tuple[Optional[Box], ...]]:
     """Lemma 6.3 for one internal box: its shape and its targets.
 
@@ -348,15 +322,16 @@ def _construct(
     n = box.n_unions
     left_box = box.left_child
     right_box = box.right_child
+    left_shape = left_box.shape
+    right_shape = right_box.shape
 
-    # Input wiring, recorded once at circuit-construction time
-    # (Box.add_union_gate / the box plans); no isinstance rescan of gate
+    # Input wiring, stamped from the box plan; no isinstance rescan of gate
     # inputs happens here.
     local_mask = box.local_mask
     left_inputs = box.left_input_masks
     right_inputs = box.right_input_masks
-    right_base = 1 + len(left_index.targets)
-    n_raw = right_base + len(right_index.targets)
+    right_base = 1 + len(left_shape.relations)
+    n_raw = right_base + len(right_shape.relations)
     byte_tables = n_raw <= _BYTE_LIMIT
     raw_none = _BYTE_LIMIT if byte_tables else n_raw
 
@@ -367,9 +342,9 @@ def _construct(
         if (local_mask >> slot) & 1:
             value = 0
         elif left_inputs[slot]:
-            value = 1 + fib_of_mask(left_index, left_inputs[slot])
+            value = 1 + fib_of_mask(left_shape, left_inputs[slot])
         elif right_inputs[slot]:
-            value = right_base + fib_of_mask(right_index, right_inputs[slot])
+            value = right_base + fib_of_mask(right_shape, right_inputs[slot])
         else:
             raise CircuitStructureError("∪-gate with no inputs during index construction")
         used |= 1 << value
@@ -392,12 +367,12 @@ def _construct(
             right_only |= 1 << slot
         else:
             neither |= 1 << slot
-    for side_only, inputs, child_index, offset in (
-        (left_only, left_inputs, left_index, 1),
-        (right_only, right_inputs, right_index, right_base),
+    for side_only, inputs, child_shape, offset in (
+        (left_only, left_inputs, left_shape, 1),
+        (right_only, right_inputs, right_shape, right_base),
     ):
         memo: Dict[int, int] = {}
-        child_has_fbb = bool(child_index.fbb)
+        child_has_fbb = bool(child_shape.fbb)
         pending = side_only
         while pending:
             low = pending & -pending
@@ -415,7 +390,7 @@ def _construct(
                     key = mask_a | inputs[b]
                     value = memo.get(key)
                     if value is None:
-                        child = fbb_of_mask(child_index, key)
+                        child = fbb_of_mask(child_shape, key)
                         value = memo[key] = raw_none if child < 0 else offset + child
                         used |= 1 << value
                 else:
@@ -455,18 +430,18 @@ def _construct(
         else:
             sources.append(raw)
             if raw < right_base:
-                child_box, child_index, wire, offset = left_box, left_index, left_relation, 1
+                child_box, child_shape, wire, offset = left_box, left_shape, left_relation, 1
             else:
-                child_box, child_index, wire = right_box, right_index, right_relation
+                child_box, child_shape, wire = right_box, right_shape, right_relation
                 offset = right_base
             child = raw - offset
             if child:
-                targets.append(child_index.targets[child])
-                relations.append(child_index.relations[child].compose(wire))
+                targets.append(child_box.targets[child])
+                relations.append(child_shape.relations[child].compose(wire))
             else:
                 targets.append(child_box)
                 relations.append(wire)
-            raw_end = offset + child_index.ends[child]
+            raw_end = offset + child_shape.ends[child]
         # the dense end counts the used raw ordinals below the raw one
         ends.append((used & ((1 << raw_end) - 1)).bit_count())
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import InvalidEditError, TermStructureError
 from repro.forest_algebra.encoder import encode_fragment, encode_tree
@@ -163,12 +163,6 @@ class MaintainedTerm:
         while node is not None:
             node.refresh()
             node = node.parent
-
-    def _ancestors(self, node: TermNode, include_self: bool = False) -> Iterable[TermNode]:
-        current = node if include_self else node.parent
-        while current is not None:
-            yield current
-            current = current.parent
 
     # ------------------------------------------------------------------- edits
     def relabel(self, node_id: int, label: object) -> UpdateReport:

@@ -4,14 +4,19 @@ This module glues the circuit construction (Lemma 3.7), the enumeration index
 (Lemma 6.3) and the balanced-term maintenance (Section 7) together, which is
 exactly the content of Lemma 7.3:
 
-* every term node carries the circuit **box** built for it (``TermNode.box``);
-* the initial build walks the term bottom-up and builds one box plus one
-  index entry per node — time ``O(|T| · poly|Q'|)``;
+* every term node carries the circuit **box** built for it (``TermNode.box``),
+  and every box carries its own index entry (``Box.targets`` and
+  ``Box.shape``): one record per built node;
+* the initial build walks the term bottom-up and builds one indexed box per
+  node — time ``O(|T| · poly|Q'|)``;
 * after an edit, the :class:`~repro.forest_algebra.maintenance.UpdateReport`
   lists the trunk (dirty term nodes, bottom-up); the maintainer rebuilds
-  exactly those boxes and index entries, reusing every untouched subtree, in
-  time ``O(trunk · poly|Q'|)`` — logarithmic in the tree for non-rebalancing
-  updates and amortized logarithmic overall.
+  exactly those boxes with their index entries, reusing every untouched
+  subtree, in time ``O(trunk · poly|Q'|)`` — logarithmic in the tree for
+  non-rebalancing updates and amortized logarithmic overall;
+* while it rebuilds, it records per replaced box which ∪-slots' reachable
+  content changed (:class:`BoxDelta`), which is what the serving layer's
+  cursors resume or invalidate on.
 
 Enumeration after an update restarts from the (possibly new) root box, as the
 paper's model prescribes.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.automata.binary_tva import BinaryTVA
 from repro.circuits.build import (
@@ -100,24 +105,6 @@ def _child_changed_mask(old_child: Box, new_child: Box, deltas: Dict[int, "BoxDe
     return -1  # all slots
 
 
-def _slot_states(old: Box, new: Box) -> Tuple[List[object], List[object]]:
-    """The automaton state of each ∪-slot of two boxes, in slot order.
-
-    Plan-built boxes answer from their stamped signatures: the ∪-slots are
-    the present non-⊤ states, in canonical order, named by canonical index.
-    A hand-built box answers from its gate objects, and then so does its
-    partner, so the two lists always name states the same way.  Part of the
-    slot fingerprint because the cursor's root boxed set was *selected* by
-    final states: positional wiring equality alone could in principle pair
-    a slot with a different state's γ-gate.
-    """
-    old_sig = old.state_sig
-    new_sig = new.state_sig
-    if old_sig is None or new_sig is None:
-        return [gate.state for gate in old.union_gates], [gate.state for gate in new.union_gates]
-    return _bit_indices(old_sig[0] & ~old_sig[1]), _bit_indices(new_sig[0] & ~new_sig[1])
-
-
 def box_changed_mask(old: Box, new: Box, deltas: Dict[int, "BoxDelta"]) -> int:
     """Compute the per-slot changed mask between a box and its replacement.
 
@@ -137,16 +124,23 @@ def box_changed_mask(old: Box, new: Box, deltas: Dict[int, "BoxDelta"]) -> int:
     is_leaf = old.is_leaf_box()
     if is_leaf != new.is_leaf_box():
         return full
-    old_tables = old.enumeration_tables()
-    new_tables = new.enumeration_tables()
+    old_tables = old.enum_tables
+    new_tables = new.enum_tables
     old_vars, old_var_masks = old_tables[0], old_tables[1]
     new_vars, new_var_masks = new_tables[0], new_tables[1]
-    # equal stamped signatures (two int pairs) give equal slot states: skip
-    # the per-slot state comparison
+    # The automaton state of each ∪-slot is part of the slot fingerprint,
+    # because the cursor's root boxed set was *selected* by final states:
+    # positional wiring equality alone could in principle pair a slot with
+    # a different state's γ-gate.  The ∪-slots are the present non-⊤ states
+    # of the stamped signature, in canonical order; equal signatures (two
+    # int pairs) give equal slot states, so the per-slot comparison is
+    # skipped.
     old_sig = old.state_sig
-    same_states = old_sig is not None and old_sig == new.state_sig
+    new_sig = new.state_sig
+    same_states = old_sig == new_sig
     if not same_states:
-        old_states, new_states = _slot_states(old, new)
+        old_states = _bit_indices(old_sig[0] & ~old_sig[1])
+        new_states = _bit_indices(new_sig[0] & ~new_sig[1])
     if is_leaf:
         left_changed = right_changed = 0
         old_prod_masks = new_prod_masks = None
@@ -224,7 +218,6 @@ def _build_node(
     node: TermNode,
     automaton: BinaryTVA,
     relation_backend: Optional[str],
-    use_index: bool,
     cache: Optional[BuildCache],
 ) -> Box:
     """Build (or fetch from the cross-document cache) one node's box + index.
@@ -241,8 +234,8 @@ def _build_node(
     """
     content = None
     key = None
-    if not (use_index and cache is not None and cache.enabled):
-        cache = None  # both of its tables hold indexed builds only
+    if cache is not None and not cache.enabled:
+        cache = None
     if cache is not None:
         if node.is_leaf():
             content = leaf_content_hash(*node.content_signature())
@@ -265,8 +258,7 @@ def _build_node(
                 return hit
     box = _build_box_for_node(node, automaton)
     box.content_hash = content
-    if use_index:
-        build_box_index(box, relation_backend=relation_backend, shapes=cache)
+    build_box_index(box, relation_backend=relation_backend, shapes=cache)
     if key is not None:
         cache.put(key, box)
     return box
@@ -275,17 +267,16 @@ def _build_node(
 def build_circuit_over_term(
     term: TermNode,
     automaton: BinaryTVA,
-    with_index: bool = True,
     relation_backend: Optional[str] = None,
     build_cache: Optional[BuildCache] = None,
 ) -> AssignmentCircuit:
-    """Build the assignment circuit (and index) of ``automaton`` over a term.
+    """Build the assignment circuit and its index of ``automaton`` over a term.
 
     Boxes are attached to the term nodes (``TermNode.box``) so that later
     updates can reuse them; the returned :class:`AssignmentCircuit` is a view
-    rooted at the term root's box.  When a :class:`BuildCache` is supplied
-    (and the index is being built), every subtree is first looked up by
-    content — repeated structure across documents builds once.
+    rooted at the term root's box.  When a :class:`BuildCache` is supplied,
+    every subtree is first looked up by content — repeated structure across
+    documents builds once.
     """
     # Bottom-up (post-order) traversal without recursion.
     order: List[TermNode] = []
@@ -299,7 +290,7 @@ def build_circuit_over_term(
             stack.append((node.right, False))
             stack.append((node.left, False))
     for node in order:
-        node.box = _build_node(node, automaton, relation_backend, with_index, build_cache)
+        node.box = _build_node(node, automaton, relation_backend, build_cache)
     return AssignmentCircuit(term.box, automaton, box_by_node=None)
 
 
@@ -311,7 +302,6 @@ class IncrementalCircuitMaintainer:
         term: MaintainedTerm,
         automaton: BinaryTVA,
         relation_backend: Optional[str] = None,
-        use_index: bool = True,
         build_cache: Optional[BuildCache] = None,
     ):
         self.term = term
@@ -319,16 +309,13 @@ class IncrementalCircuitMaintainer:
         if relation_backend is not None:
             validate_backend(relation_backend)  # fail fast, before the build
         self.relation_backend = relation_backend
-        self.use_index = use_index
         self.build_cache = build_cache
         self.version = 0
         #: the boxes replaced by the most recent apply_report call (the old
-        #: trunk); read by the serving layer to invalidate cursors precisely.
-        self.last_replaced_boxes: List[Box] = []
-        #: fine-grained view of the same trunk: old-box serial →
-        #: :class:`BoxDelta` with the per-slot changed mask, computed inline
-        #: during the bottom-up rebuild (children before parents, so a
-        #: parent's mask can consult its rebuilt children's).
+        #: trunk): old-box serial → :class:`BoxDelta` with the per-slot
+        #: changed mask, computed inline during the bottom-up rebuild
+        #: (children before parents, so a parent's mask can consult its
+        #: rebuilt children's).
         self.last_replaced_deltas: Dict[int, BoxDelta] = {}
         #: observability hooks (both optional).  ``on_update_seconds`` is
         #: called with the wall-clock duration of each :meth:`apply_report`
@@ -339,11 +326,7 @@ class IncrementalCircuitMaintainer:
         self.on_update_seconds = None
         self.on_delay = None
         build_circuit_over_term(
-            term.root,
-            automaton,
-            with_index=use_index,
-            relation_backend=relation_backend,
-            build_cache=build_cache,
+            term.root, automaton, relation_backend=relation_backend, build_cache=build_cache
         )
 
     # ------------------------------------------------------------------ views
@@ -359,10 +342,7 @@ class IncrementalCircuitMaintainer:
     def enumerator(self) -> CircuitEnumerator:
         """A fresh enumerator over the current circuit (no re-preprocessing)."""
         enumerator = CircuitEnumerator(
-            self.circuit(),
-            use_index=self.use_index,
-            relation_backend=self.relation_backend,
-            build=False,
+            self.circuit(), relation_backend=self.relation_backend, build=False
         )
         enumerator.on_delay = self.on_delay
         return enumerator
@@ -372,27 +352,22 @@ class IncrementalCircuitMaintainer:
         """Rebuild the boxes and index entries of the trunk of an update.
 
         Returns the number of boxes rebuilt (the trunk size), the quantity
-        Lemma 7.3 bounds by ``O(log |T|)`` per update.  The boxes the trunk
-        *replaced* are collected in :attr:`last_replaced_boxes` (new term
-        nodes contribute nothing), and :attr:`last_replaced_deltas` records,
-        per replaced box, which ∪-slots' reachable content actually changed
-        (:class:`BoxDelta`): the serving layer intersects those masks with
-        the slot masks a paused cursor can still read to decide, per cursor,
-        between resuming and invalidating.
+        Lemma 7.3 bounds by ``O(log |T|)`` per update.  For each box the
+        trunk *replaced* (new term nodes contribute none),
+        :attr:`last_replaced_deltas` records which ∪-slots' reachable
+        content actually changed (:class:`BoxDelta`): the serving layer
+        intersects those masks with the slot masks a paused cursor can still
+        read to decide, per cursor, between resuming and invalidating.
         """
         on_update = self.on_update_seconds
         start = perf_counter() if on_update is not None else 0.0
         rebuilt = 0
-        replaced: List[Box] = []
         deltas: Dict[int, BoxDelta] = {}
         for node in report.dirty_bottom_up:
             old_box = node.box
-            new_box = _build_node(
-                node, self.automaton, self.relation_backend, self.use_index, self.build_cache
-            )
+            new_box = _build_node(node, self.automaton, self.relation_backend, self.build_cache)
             node.box = new_box
             if old_box is not None:
-                replaced.append(old_box)
                 deltas[old_box.serial] = BoxDelta(
                     old_serial=old_box.serial,
                     old_box=old_box,
@@ -400,20 +375,8 @@ class IncrementalCircuitMaintainer:
                     changed_mask=box_changed_mask(old_box, new_box, deltas),
                 )
             rebuilt += 1
-        self.last_replaced_boxes = replaced
         self.last_replaced_deltas = deltas
         self.version += 1
         if on_update is not None:
             on_update(perf_counter() - start)
         return rebuilt
-
-    def rebuild_from_scratch(self) -> None:
-        """Drop all boxes and rebuild everything (used by baselines and tests)."""
-        build_circuit_over_term(
-            self.term.root,
-            self.automaton,
-            with_index=self.use_index,
-            relation_backend=self.relation_backend,
-            build_cache=self.build_cache,
-        )
-        self.version += 1

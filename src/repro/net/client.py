@@ -191,7 +191,7 @@ class SocketTransport(Transport):
         and names every document it registered, even when an item failed."""
         reply = self.call(
             "add_documents",
-            [[doc_id, content, query.digest] for doc_id, _kind, content, query in items],
+            [[doc_id, content, query.digest] for doc_id, content, query in items],
         )
         landed = reply.get("doc_ids") if isinstance(reply, dict) else None
         if not isinstance(landed, (list, tuple)) or len(landed) != len(items):

@@ -54,20 +54,16 @@ class DelayMonitor:
     produced answer (see ``MaskStackEnumeration.on_delay``): the sample is
     recorded into the registry's ``answer_delay_seconds`` histogram and, when
     it exceeds ``budget`` seconds, a ``delay_violation`` event is logged and
-    the ``delay_violations`` counter incremented.  ``sample_every=N`` thins
-    the sampling to every Nth answer when even the measurement's
-    ``perf_counter`` pair is too much for a workload.
+    the ``delay_violations`` counter incremented.
     """
 
     __slots__ = (
         "budget",
         "strict",
-        "sample_every",
         "violations",
         "_metrics",
         "_observe_histogram",
         "_events",
-        "_skip",
     )
 
     def __init__(
@@ -76,7 +72,6 @@ class DelayMonitor:
         metrics,
         events: Optional[EventLog] = None,
         strict: bool = False,
-        sample_every: int = 1,
     ):
         if budget <= 0:
             from repro.errors import EngineError
@@ -84,23 +79,12 @@ class DelayMonitor:
             raise EngineError(f"the delay budget must be positive, got {budget}")
         self.budget = budget
         self.strict = strict
-        self.sample_every = max(1, sample_every)
         self.violations = 0
         self._metrics = metrics
         self._observe_histogram: Callable[[float], None] = metrics.timer(
             "answer_delay_seconds"
         )
         self._events = events
-        self._skip = 0
-
-    @property
-    def should_sample(self) -> bool:
-        """Whether the next answer is a sampling point (advances the phase)."""
-        self._skip += 1
-        if self._skip >= self.sample_every:
-            self._skip = 0
-            return True
-        return False
 
     def observe(self, seconds: float) -> None:
         """Record one per-answer delay sample; log (or raise) on breach."""

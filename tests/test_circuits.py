@@ -23,18 +23,13 @@ from helpers import (
 )
 from repro.automata.brute_force import binary_satisfying_assignments, binary_state_assignments
 from repro.automata.homogenize import homogenize
-from repro.circuits.build import (
-    build_assignment_circuit,
-    build_internal_box,
-    export_box_plans,
-    install_box_plans,
-)
+from repro.circuits.build import build_assignment_circuit, export_box_plans, install_box_plans
 from repro.circuits.dnnf import circuit_stats, validate_circuit
-from repro.circuits.gates import BOTTOM, TOP, Box, UnionGate
+from repro.circuits.gates import BOTTOM, TOP, UnionGate
 from repro.circuits.semantics import captured_set
 from repro.circuits.vtree import iter_vtree_edges, vtree_leaf_labels, vtree_partition_is_valid
 from repro.enumeration.assignment_iter import CircuitEnumerator
-from repro.errors import CircuitStructureError, InvalidAutomatonError, NotHomogenizedError
+from repro.errors import InvalidAutomatonError, NotHomogenizedError
 from repro.trees.binary import BinaryTree
 
 
@@ -335,28 +330,3 @@ class TestPlanInstallRefusals:
         tamper(payload)
         with pytest.raises(InvalidAutomatonError, match=message):
             install_box_plans(TestBoxPlanPersistence._pair_automaton(), payload)
-
-
-class TestHandBuiltChildren:
-    """A box built gate by gate can be the child of a plan-built box only if
-    its ∪-gates are numbered in ``state_gate`` order and its ∪-states are
-    inserted in canonical state order, the order plans number child slots in."""
-
-    @staticmethod
-    def _child(order, slots):
-        box = Box("a")
-        box.state_gate[0] = TOP  # 0 is a 0-state; 1 and 2 are 1-states
-        for state, slot in zip(order, slots):
-            gate = UnionGate(box, slot, state, inputs=())
-            box.union_gates.append(gate)
-            box.state_gate[state] = gate
-        return box
-
-    def test_slots_must_follow_canonical_insertion_order(self):
-        automaton = TestBoxPlanPersistence._pair_automaton()
-        good = self._child((1, 2), (0, 1))
-        box = build_internal_box("a", good, good, automaton)
-        assert box.build_plan.n_unions > 0
-        for order, slots in (((1, 2), (1, 0)), ((2, 1), (0, 1)), ((2, 1), (1, 0))):
-            with pytest.raises(CircuitStructureError, match="state_gate insertion order"):
-                build_internal_box("a", self._child(order, slots), good, automaton)

@@ -142,13 +142,13 @@ def test_wide_ordinal_tables_enumerate_identically(monkeypatch):
     with Engine() as engine:
         doc = engine.add(tree, query_for_name("descendant"))
         internal = [
-            box.index
+            box.shape
             for box in doc.runtime.maintainer.root_box.subtree_boxes()
             if not box.is_leaf_box()
         ]
-    assert internal and all(type(index.fib) is dict for index in internal)
-    for index in internal:
-        for table in (index.fib, index.fbb, index.ends):
+    assert internal and all(type(shape.fib) is dict for shape in internal)
+    for shape in internal:
+        for table in (shape.fib, shape.fbb, shape.ends):
             assert gc.is_tracked(table) is False
 
 
@@ -163,8 +163,8 @@ def test_heap_shape_of_a_wide_document():
         per_node = (len(gc.get_objects()) - before) / tree.size()
         boxes = list(doc.runtime.maintainer.root_box.subtree_boxes())
         for box in boxes:
-            index = box.index
-            for table in (index.fib, index.fbb, index.ends):
+            shape = box.shape
+            for table in (shape.fib, shape.fbb, shape.ends):
                 assert gc.is_tracked(table) is False
             if box.is_leaf_box():
                 # plan-built leaves share one empty tuple, not two [] each

@@ -506,7 +506,7 @@ class TestPipelinedIngest:
             engine._pool.request(
                 0,
                 "add_batch",
-                [("ghost", "tree", trees[0], compiled.source, compiled.digest)],
+                [("ghost", trees[0], compiled.source, compiled.digest)],
             )
             with pytest.raises(ServingError, match="already in use"):
                 engine.add_documents(trees, compiled, doc_ids=["x", "ghost", "y"])

@@ -153,10 +153,9 @@ class TestBoxEnumeration:
         _automaton, _tree, circuit = build_circuit(select_a_leaf, 4, tree_size=8)
         build_index(circuit)
         for box in circuit.boxes():
-            index = box.index
             for slot, gate in enumerate(box.union_gates):
-                ordinal = index.fib[slot]
-                fib_box = index.targets[ordinal] if ordinal else box
+                ordinal = box.shape.fib[slot]
+                fib_box = box.targets[ordinal] if ordinal else box
                 # the fib box contains a var- or ×-gate reachable from the gate
                 produced = {id(b) for b, _ in naive_box_enum([gate])}
                 assert id(fib_box) in produced
@@ -165,12 +164,12 @@ class TestBoxEnumeration:
         _automaton, _tree, circuit = build_circuit(select_pair_ab, 3, tree_size=8)
         build_index(circuit)
         for box in circuit.boxes():
-            index = box.index
-            assert index.targets[0] is None  # the owner is never stored
-            assert index.ends[0] == len(index.targets)
-            for ordinal in range(len(index.targets)):
-                assert index.is_ancestor(ordinal, ordinal)
-                assert index.is_ancestor(0, ordinal)
+            shape = box.shape
+            assert box.targets[0] is None  # the owner is never stored
+            assert shape.ends[0] == len(box.targets)
+            for ordinal in range(len(box.targets)):
+                assert shape.is_ancestor(ordinal, ordinal)
+                assert shape.is_ancestor(0, ordinal)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_target_ancestry_matches_box_tree(self, seed):
@@ -179,7 +178,6 @@ class TestBoxEnumeration:
         _automaton, _tree, circuit = build_circuit(select_pair_ab, seed, tree_size=12)
         build_index(circuit)
         for box in circuit.boxes():
-            index = box.index
             preorder = {}  # id(box) -> (preorder position, ancestor ids)
             stack = [(box, ())]
             while stack:
@@ -187,13 +185,13 @@ class TestBoxEnumeration:
                 preorder[id(current)] = (len(preorder), path + (id(current),))
                 for child in reversed(current.children()):
                     stack.append((child, path + (id(current),)))
-            targets = [box] + list(index.targets[1:])
+            targets = [box] + list(box.targets[1:])
             positions = [preorder[id(target)][0] for target in targets]
             assert positions == sorted(positions)
             for first, first_box in enumerate(targets):
                 for second, second_box in enumerate(targets):
                     expected = id(first_box) in preorder[id(second_box)][1]
-                    assert index.is_ancestor(first, second) is expected
+                    assert box.shape.is_ancestor(first, second) is expected
 
     @staticmethod
     def _first_below(box, slot_mask, hit):
@@ -237,20 +235,19 @@ class TestBoxEnumeration:
         _automaton, _tree, circuit = build_circuit(factory, seed, tree_size=10)
         build_index(circuit)
         for box in circuit.boxes():
-            index = box.index
             for i in range(box.n_unions):
                 for j in range(i, box.n_unions):
                     mask = (1 << i) | (1 << j)
-                    fib = fib_of_mask(index, mask)
-                    assert (index.targets[fib] if fib else box) is self._first_below(
+                    fib = fib_of_mask(box.shape, mask)
+                    assert (box.targets[fib] if fib else box) is self._first_below(
                         box, mask, interesting
                     )
-                    fbb = fbb_of_mask(index, mask)
+                    fbb = fbb_of_mask(box.shape, mask)
                     expected = self._first_below(box, mask, bidirectional)
                     if fbb < 0:
                         assert expected is None
                     else:
-                        assert (index.targets[fbb] if fbb else box) is expected
+                        assert (box.targets[fbb] if fbb else box) is expected
 
 
 # --------------------------------------------------------------------------- Algorithm 2

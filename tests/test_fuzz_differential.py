@@ -60,6 +60,7 @@ every worker, which must never alter a transcript.)
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -284,6 +285,11 @@ class TestCircuitLevelDifferential:
 
 
 # ===================================================== sharded differential
+def _answer_text(answer):
+    """Canonical text of one answer: its sorted ``[var, position]`` pairs."""
+    return json.dumps(sorted([str(var), pos] for var, pos in answer), separators=(",", ":"))
+
+
 def _ordered_answers(answers):
     """Order-preserving canonical text of an answer sequence.
 
@@ -291,11 +297,27 @@ def _ordered_answers(answers):
     produced the answers in — the sharded engine must reproduce the
     single-process stream byte for byte, not just as a set.
     """
-    return json.dumps(
-        [sorted([str(var), pos] for var, pos in answer) for answer in answers],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return "[" + ",".join(_answer_text(answer) for answer in answers) + "]"
+
+
+def _answers_digest(answers):
+    """The answer count and a blake2b digest of :func:`_ordered_answers`'s
+    text, fed answer by answer.
+
+    A document's full answer sequence can run to millions of answers (a
+    random 2–3-state query has 531,441 on one 12-node document), whose text
+    would not fit in memory; the digest pins the same order-preserving text
+    while holding one answer at a time.
+    """
+    digest = hashlib.blake2b(b"[", digest_size=16)
+    count = 0
+    for answer in answers:
+        if count:
+            digest.update(b",")
+        digest.update(_answer_text(answer).encode())
+        count += 1
+    digest.update(b"]")
+    return count, digest.hexdigest()
 
 
 def _sharded_scenario(case_seed: int):
@@ -376,7 +398,8 @@ def _replay_ops(engine, trees, queries, doc_query, ops, keep=None):
     The transcript records every observable: epochs, per-batch rebuild and
     cursor-resume/invalidate counts, page contents/offsets/exhaustion,
     cursor invalidation reports, stream segments in production order with
-    their end status, and the final answers + epoch of every document.
+    their end status, and the final answers (count and digest) + epoch of
+    every document.
     """
     from repro import CursorInvalidatedError, ReproError, StaleIteratorError
 
@@ -474,7 +497,7 @@ def _replay_ops(engine, trees, queries, doc_query, ops, keep=None):
             )
     for doc_index, doc in enumerate(docs):
         transcript.append(
-            ("final", doc_index, _ordered_answers(doc.stream()), doc.epoch)
+            ("final", doc_index, _answers_digest(doc.stream()), doc.epoch)
         )
     return transcript
 

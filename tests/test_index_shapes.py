@@ -56,17 +56,18 @@ def test_entries_served_from_the_table_equal_a_from_scratch_build():
     stats = store.stats()
     assert stats["index_shape_hits"] > stats["index_shape_misses"] > 0
     in_table = {id(shape) for shape in store.build_cache._shapes.values()}
-    served = [box for box in _internal_boxes(doc) if id(box.index.shape) in in_table]
+    served = [box for box in _internal_boxes(doc) if id(box.shape) in in_table]
     assert len(served) > 100
     for box in served:
-        shared = box.index
+        shared_targets, shared = box.targets, box.shape
         try:
             fresh = build_box_index(box)
+            fresh_targets = box.targets
         finally:
-            box.index = shared
-        assert fresh is not shared and fresh.shape is not shared.shape
-        assert len(fresh.targets) == len(shared.targets)
-        assert all(a is b for a, b in zip(fresh.targets, shared.targets))
+            box.targets, box.shape = shared_targets, shared
+        assert fresh is not shared and fresh_targets is not shared_targets
+        assert len(fresh_targets) == len(shared_targets)
+        assert all(a is b for a, b in zip(fresh_targets, shared_targets))
         assert fresh.relations == shared.relations
         assert fresh.ends == shared.ends
         assert fresh.fib == shared.fib

@@ -31,8 +31,8 @@ from repro.automata.serialize import (
     encode_value,
 )
 from repro.bench.workloads import query_for_name, tree_for_experiment
-from repro.circuits.build import build_internal_box
-from repro.circuits.gates import BOTTOM, TOP, Box, UnionGate
+from repro.circuits.build import _LeafPlan, build_internal_box
+from repro.circuits.gates import BOTTOM, TOP, Box
 from repro.core.enumerator import TreeRuntime, WordRuntime, compiled_automaton_for
 from repro.errors import CircuitStructureError, InvalidAutomatonError
 from repro.spanners.compile import regex_to_wva
@@ -284,18 +284,17 @@ def _drive(name, query):
             runtime.delete(rng.choice(ids))
 
 
-def _hand_built_box(label, signature):
-    """A box built gate by gate, with the given signature in canonical order."""
-    box = Box(label)
+def _child_box(label, signature, states):
+    """A box that carries ``signature``, stamped as the library stamps one:
+    from its plan, as the masks of its present and ⊤ states over canonical
+    state indices.  ``build_internal_box`` reads nothing else of a child."""
+    present = top = 0
     for state, is_top in signature:
+        bit = 1 << states.index(state)
+        present |= bit
         if is_top:
-            box.state_gate[state] = TOP
-        else:
-            gate = UnionGate(box, len(box.union_gates), state, inputs=())
-            box.union_gates.append(gate)
-            box.state_gate[state] = gate
-    box.n_unions = len(box.union_gates)
-    return box
+            top |= bit
+    return Box(label, _LeafPlan((), (), 0, (present, top), ()))
 
 
 def _random_signature(rng, states, zero_states):
@@ -326,10 +325,13 @@ def test_plans_of_random_signatures_match_the_reference(monkeypatch, name):
         left_sig = _random_signature(rng, states, automaton.zero_states)
         right_sig = _random_signature(rng, states, automaton.zero_states)
         box = build_internal_box(
-            label, _hand_built_box(label, left_sig), _hand_built_box(label, right_sig), automaton
+            label,
+            _child_box(label, left_sig, states),
+            _child_box(label, right_sig, states),
+            automaton,
         )
         reference = _reference_internal_plan(automaton, states, label, left_sig, right_sig)
-        _assert_same_plan(box.build_plan, reference, _INTERNAL_FIELDS, states)
+        _assert_same_plan(box.plan, reference, _INTERNAL_FIELDS, states)
         assert _as_pairs(box.state_sig, states) == reference.signature
     _check_cached_plans(automaton)  # the cache keys convert back to these signatures
 

@@ -33,7 +33,7 @@ from repro.automata.queries import select_labeled
 from repro.circuits.build import BuildCache, build_assignment_circuit
 from repro.core.enumerator import TreeRuntime, WordRuntime, compiled_automaton_for
 from repro.enumeration.assignment_iter import CircuitEnumerator
-from repro.enumeration.index import _leaf_index, build_box_index, build_index
+from repro.enumeration.index import _leaf_shape, build_box_index, build_index
 from repro.enumeration.relations import VALID_BACKENDS, Relation, validate_backend
 from repro.errors import BackendError
 from repro.forest_algebra.maintenance import MaintainedTerm
@@ -264,45 +264,6 @@ class TestEndToEndBackendEquivalence:
         assert Relation(1, 1, [(0, 0)]).backend == "bitset"
         assert Relation.identity(2).backend == "bitset"
 
-    def test_hand_built_boxes_record_wiring_and_index_correctly(self):
-        """The non-plan construction path (Box.add_* API) stays equivalent.
-
-        Hand-builds a three-level circuit fragment through the public gate
-        API — exercising add_union_gate's mask classification, the wiring
-        fallback (no wire plan), and the generic index path — and checks the
-        masks against child_wire_pairs and the indexed enumeration against
-        the naive walk.
-        """
-        from repro.circuits.gates import Box, child_wire_pairs
-        from repro.enumeration.box_enum import indexed_box_enum, naive_box_enum
-        from repro.enumeration.index import build_box_index
-
-        left = Box("l", leaf_payload=1)
-        gate_l = left.add_union_gate("q", [left.add_var_gate(frozenset({("x", 1)}))])
-        right = Box("r", leaf_payload=2)
-        gate_r = right.add_union_gate("q", [right.add_var_gate(frozenset({("x", 2)}))])
-        mid = Box("m", left_child=left, right_child=right)
-        prod = mid.add_prod_gate(gate_l, gate_r)
-        gate_m0 = mid.add_union_gate("q", [prod])
-        gate_m1 = mid.add_union_gate("p", [gate_l])
-        top_leaf = Box("t", leaf_payload=3)
-        gate_t = top_leaf.add_union_gate("q", [top_leaf.add_var_gate(frozenset({("x", 3)}))])
-        root = Box("root", left_child=mid, right_child=top_leaf)
-        gate_root = root.add_union_gate("q", [root.add_prod_gate(gate_m0, gate_t), gate_m1])
-        for box in (mid, root):
-            box.state_gate = {g.state: g for g in box.union_gates}
-
-        assert root.local_mask == 0b1
-        assert root.left_input_masks == [0b10]  # gate_m1 is slot 1 of mid
-        assert child_wire_pairs(root, "left") == {(1, 0)}
-        assert child_wire_pairs(mid, "left") == {(0, 1)}
-
-        for box in (left, right, top_leaf, mid, root):
-            build_box_index(box)
-        naive = {(id(b), rel.pairs()) for b, rel in naive_box_enum([gate_root])}
-        indexed = {(id(b), rel.pairs()) for b, rel in indexed_box_enum([gate_root])}
-        assert naive == indexed and naive
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_relation_pairs_identical_on_index_relations(self, backend):
         """The stored index relations agree with the pairs reference backend."""
@@ -314,10 +275,10 @@ class TestEndToEndBackendEquivalence:
         CircuitEnumerator(circuit, relation_backend=backend)
         for box_ref, box in zip(circuit_ref.boxes(), circuit.boxes()):
             # ordinals are preorder positions, so the tables line up
-            ref_rels = [rel.pairs() for rel in box_ref.index.relations]
-            rels = [rel.pairs() for rel in box.index.relations]
+            ref_rels = [rel.pairs() for rel in box_ref.shape.relations]
+            rels = [rel.pairs() for rel in box.shape.relations]
             assert ref_rels == rels
-            assert list(box_ref.index.ends) == list(box.index.ends)
+            assert list(box_ref.shape.ends) == list(box.shape.ends)
 
 
 def _small_tree():
@@ -389,13 +350,13 @@ class TestNoneMeansBitset:
         assert Relation.identity(3, backend="pairs") is not Relation.identity(3)
 
     def test_leaf_indexes_are_shared_with_bitset(self):
-        assert _leaf_index(3, None) is _leaf_index(3, "bitset")
-        assert _leaf_index(3, "pairs") is not _leaf_index(3, None)
+        assert _leaf_shape(3, None) is _leaf_shape(3, "bitset")
+        assert _leaf_shape(3, "pairs") is not _leaf_shape(3, None)
 
     def test_index_relations_are_bitset(self):
         circuit = _small_circuit()
         build_index(circuit, relation_backend=None)
-        backends = {rel.backend for box in circuit.boxes() for rel in box.index.relations}
+        backends = {rel.backend for box in circuit.boxes() for rel in box.shape.relations}
         assert backends == {"bitset"}
 
     def test_subtree_cache_keys_meet(self):
@@ -416,16 +377,14 @@ class TestNoneMeansBitset:
         tree = tree_of_shape("random", 40, ("a", "b", "c"), 2)
         runtime = TreeRuntime(tree, select_labeled("a", ("a", "b", "c")))
         box = next(
-            box
-            for box in runtime.maintainer.root_box.subtree_boxes()
-            if not box.is_leaf_box() and box.wire_plan is not None
+            box for box in runtime.maintainer.root_box.subtree_boxes() if not box.is_leaf_box()
         )
-        shared = box.index
+        shared = box.targets, box.shape
         shapes = BuildCache()
         try:
             first = build_box_index(box, relation_backend=None, shapes=shapes)
             second = build_box_index(box, relation_backend="bitset", shapes=shapes)
         finally:
-            box.index = shared
+            box.targets, box.shape = shared
         assert (shapes.shape_hits, shapes.shape_misses) == (1, 1)
-        assert second.shape is first.shape
+        assert second is first
