@@ -23,9 +23,14 @@ from helpers import (
 )
 from repro.automata.brute_force import binary_satisfying_assignments, binary_state_assignments
 from repro.automata.homogenize import homogenize
-from repro.circuits.build import build_assignment_circuit, export_box_plans, install_box_plans
+from repro.circuits.build import (
+    _canonical_states,
+    build_assignment_circuit,
+    export_box_plans,
+    install_box_plans,
+)
 from repro.circuits.dnnf import circuit_stats, validate_circuit
-from repro.circuits.gates import BOTTOM, TOP, UnionGate
+from repro.circuits.gates import BOTTOM, TOP, ProdGate, UnionGate
 from repro.circuits.semantics import captured_set
 from repro.circuits.vtree import iter_vtree_edges, vtree_leaf_labels, vtree_partition_is_valid
 from repro.enumeration.assignment_iter import CircuitEnumerator
@@ -330,3 +335,49 @@ class TestPlanInstallRefusals:
         tamper(payload)
         with pytest.raises(InvalidAutomatonError, match=message):
             install_box_plans(TestBoxPlanPersistence._pair_automaton(), payload)
+
+
+class TestChildSlotOrder:
+    """A parent's plan numbers a child's ∪-slots from the child's stamped
+    signature alone: the slot of state ``i`` is the popcount of the child's
+    ∪-states below bit ``i``.  So every box must number its ∪-gates in
+    canonical state order and stamp the signature of its own gates, or the
+    parent's ×- and ∪-inputs land on the wrong child states."""
+
+    def test_slots_follow_canonical_state_order(self):
+        # the state set iterates in another order than the canonical one
+        automaton = TestBoxPlanPersistence._pair_automaton(
+            lambda state: 8 * state, [32, 24, 16, 8, 0]
+        )
+        index = {state: i for i, state in enumerate(_canonical_states(automaton))}
+        assert list(automaton.states) != sorted(automaton.states, key=index.__getitem__)
+        circuit = build_assignment_circuit(random_binary_tree(5, 60, ("a", "b", "c")), automaton)
+        step = automaton.delta_by_children
+        wired = 0
+        for box in circuit.boxes():
+            present = top = 0
+            for state, gate in box.state_gate.items():
+                present |= (gate is not BOTTOM) << index[state]
+                top |= (gate is TOP) << index[state]
+            assert box.state_sig == (present, top)
+            unions = box.union_gates
+            assert [gate.slot for gate in unions] == list(range(box.n_unions))
+            assert [index[gate.state] for gate in unions] == [
+                i for i in range(len(index)) if (present & ~top) >> i & 1
+            ]
+            assert all(box.state_gate[gate.state] is gate for gate in unions)
+            if box.is_leaf_box():
+                continue
+            left, right = box.left_child, box.right_child
+            for gate in unions:
+                for source in gate.inputs:
+                    if isinstance(source, ProdGate):
+                        children = [(source.left.state, source.right.state)]
+                    elif source.box is left:
+                        children = [(source.state, q) for q, g in right.state_gate.items() if g is TOP]
+                    else:
+                        assert source.box is right
+                        children = [(q, source.state) for q, g in left.state_gate.items() if g is TOP]
+                    assert any(gate.state in step.get((box.label, *pair), ()) for pair in children)
+                    wired += 1
+        assert wired

@@ -265,6 +265,53 @@ class TestEndToEndBackendEquivalence:
         assert Relation.identity(2).backend == "bitset"
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_plan_built_boxes_record_wiring_and_index_correctly(self, backend):
+        """The wiring a box stamps from its plan matches its gates.
+
+        Every box's ``local_mask``, ``left_input_masks`` and
+        ``right_input_masks`` and both shared wire relations are recomputed
+        from the lazily materialized ``gate.inputs``, and the indexed box
+        enumeration from the root's ∪-gates yields the same boxes and
+        relations as the naive walk.
+        """
+        from repro.circuits.gates import UnionGate
+        from repro.enumeration.box_enum import indexed_box_enum, naive_box_enum
+        from repro.enumeration.wiring import wire_relation
+
+        automaton = homogenize(select_pair_ab())
+        circuit = build_assignment_circuit(random_binary_tree(3, 9), automaton)
+        build_index(circuit, relation_backend=backend)
+        for box in circuit.boxes():
+            side_of = {box.left_child: 0, box.right_child: 1}
+            local = 0
+            masks = ([0] * box.n_unions, [0] * box.n_unions)
+            wires = (set(), set())
+            for gate in box.union_gates:
+                for source in gate.inputs:
+                    if isinstance(source, UnionGate):
+                        side = side_of[source.box]
+                        masks[side][gate.slot] |= 1 << source.slot
+                        wires[side].add((source.slot, gate.slot))
+                    else:
+                        assert source.box is box
+                        local |= 1 << gate.slot
+            assert box.local_mask == local
+            if box.is_leaf_box():
+                assert box.left_input_masks == box.right_input_masks == ()
+                continue
+            assert len(side_of) == 2
+            assert list(box.left_input_masks) == masks[0]
+            assert list(box.right_input_masks) == masks[1]
+            assert wire_relation(box, "left", backend).pairs() == wires[0]
+            assert wire_relation(box, "right", backend).pairs() == wires[1]
+
+        gamma = [gate for gate in circuit.root_gates() if isinstance(gate, UnionGate)]
+        naive = [(box.serial, rel.pairs()) for box, rel in naive_box_enum(gamma, backend)]
+        indexed = [(box.serial, rel.pairs()) for box, rel in indexed_box_enum(gamma, backend)]
+        assert sorted(naive) == sorted(indexed) and naive
+        assert len({serial for serial, _pairs in indexed}) == len(indexed)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_relation_pairs_identical_on_index_relations(self, backend):
         """The stored index relations agree with the pairs reference backend."""
         automaton = homogenize(select_pair_ab())
