@@ -28,10 +28,10 @@ test-net-dev:
 	$(PYPATH) $(PYTHON) -X dev -m pytest tests/test_net.py -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
 # The order-sensitive tests under two fixed hash seeds: answer order, plan
-# exports and transcripts must not follow the interpreter's string-hash
-# (hence set iteration) order.  Not part of `make check`.
+# exports, transcripts and wire frames must not follow the interpreter's
+# string-hash (hence set iteration) order.  Not part of `make check`.
 HASHSEED_TESTS := tests/test_compact_index.py tests/test_plan_oracle.py tests/test_circuits.py \
-	tests/test_fuzz_differential.py tests/test_facade.py
+	tests/test_fuzz_differential.py tests/test_facade.py tests/test_wire_oracle.py
 
 test-hashseeds:
 	@for seed in 3 12; do \
