@@ -147,7 +147,9 @@ def loads_payload(text, max_bytes: int = MAX_PAYLOAD_BYTES) -> object:
     front (before JSON parsing allocates anything); malformed JSON raises a
     :class:`~repro.errors.CodecError` that names the byte offset where the
     parse failed, and distinguishes truncation (parse ran off the end) from
-    in-place corruption.
+    in-place corruption.  An integer literal longer than the interpreter's
+    digit limit is a :class:`~repro.errors.CodecError` as well; the limit is
+    not raised.
     """
     if isinstance(text, str):
         raw = text.encode("utf8", errors="surrogatepass")
@@ -180,16 +182,29 @@ def loads_payload(text, max_bytes: int = MAX_PAYLOAD_BYTES) -> object:
         raise CodecError(
             "payload nests deeper than the parser allows (recursion bomb?)"
         ) from exc
+    except ValueError as exc:
+        # An integer literal past the interpreter's digit limit
+        # (sys.get_int_max_str_digits); JSONDecodeError is caught above.
+        raise CodecError(f"payload holds an integer literal too long to parse: {exc}") from exc
+
+
+#: the one canonical renderer: the text of ``json.dumps(..., sort_keys=True,
+#: separators=(",", ":"))``, without building a fresh encoder per call.
+#: What it renders are fresh lists and dicts built by the encoders here and
+#: in :mod:`repro.net.framing` (tuples and frozensets cannot hold
+#: themselves, and the wire encoder stops at its depth limit), so the cycle
+#: check would find nothing; skipping it halves the time of a rendering.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def canonical_key(encoded: object) -> str:
     """A total order on encoded values (used to sort heterogeneous sets)."""
-    return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(encoded)
 
 
 def canonical_json(payload: object) -> str:
     """Render a payload as canonical JSON text (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 def _sorted_values(values) -> List[object]:

@@ -16,7 +16,7 @@ tag       payload
 ========  ==================================================================
 ``f``     float as its ``repr`` string (no silent ``1`` / ``1.0`` merging)
 ``t``     tuple, items encoded in order
-``s``     frozenset, items encoded and sorted by canonical key
+``s``     frozenset, items encoded and sorted by their canonical JSON text
 ``l``     list, items encoded in order
 ``d``     dict as ``[[key, value], ...]`` sorted by the encoded key
 ``tree``  :class:`~repro.trees.unranked.UnrankedTree` with **node ids
@@ -34,13 +34,28 @@ tag       payload
            precise error types as typed error frames
 ========  ==================================================================
 
+Answers take a direct path in both directions.  Every answer of a tree or
+word query is a frozenset of ``(variable, id)`` pairs, exact ``str`` and
+``int``.  A member's canonical key is its own canonical text,
+``["t",[<variable as JSON>,<id>]]``, so the encoder builds that text by
+concatenation, sorts the members by it and emits them, instead of
+encoding each member recursively and running the JSON encoder once more
+per member for its key; the decoder builds the pairs straight from the
+parsed JSON.  Any other set, or a member of any other shape (a ``bool`` or
+``IntEnum`` id, a namedtuple, a ``str`` subclass, a set whose pairs would
+sit at :data:`MAX_WIRE_DEPTH`), takes the generic path.  The frame bytes
+are the same either way.
+
 Decoding is hardened exactly like the catalog codec: unknown tags, wrong
-arities, oversized or truncated frames and nesting past
-:data:`MAX_WIRE_DEPTH` raise a precise :class:`~repro.errors.ProtocolError`
-naming the offending shape — never a bare ``ValueError`` or a blown stack.
-A framing violation is unrecoverable on a byte stream (the next frame
-boundary is unknowable), so the side that detects one closes that
-connection; see :mod:`repro.net.server`.
+arities, oversized or truncated frames, nesting past
+:data:`MAX_WIRE_DEPTH`, a set member or dict key that decodes to an
+unhashable value and an integer literal past the interpreter's digit
+limit raise a precise :class:`~repro.errors.ProtocolError` naming the
+offending shape — never a bare ``ValueError``/``TypeError`` or a blown
+stack.  Encoding an integer past that limit raises one as well.  A framing
+violation is unrecoverable on a byte stream (the next frame boundary is
+unknowable), so the side that detects one closes that connection; see
+:mod:`repro.net.server`.
 """
 
 from __future__ import annotations
@@ -48,6 +63,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, List, Optional, Tuple
 
 from repro.automata.serialize import canonical_json, canonical_key, loads_payload
@@ -96,6 +112,12 @@ def encode_wire(value: object, _depth: int = 0) -> object:
     if isinstance(value, tuple):
         return ["t", [encode_wire(item, _depth + 1) for item in value]]
     if isinstance(value, frozenset):
+        # An answer's pairs sit two levels down; past the limit the generic
+        # path raises as it should.
+        if _depth + 2 < MAX_WIRE_DEPTH:
+            members = _encode_answer(value)
+            if members is not None:
+                return ["s", members]
         encoded = [encode_wire(item, _depth + 1) for item in value]
         encoded.sort(key=canonical_key)
         return ["s", encoded]
@@ -116,6 +138,29 @@ def encode_wire(value: object, _depth: int = 0) -> object:
         "JSON primitives, float/tuple/frozenset/list/dict, trees, edits, "
         "update reports and exceptions"
     )
+
+
+def _encode_answer(value: frozenset) -> Optional[list]:
+    """The direct path for an answer: a set of ``(variable, id)`` pairs.
+
+    Returns the encoded members in canonical order, or ``None`` when some
+    member is not an exact ``(str, int)`` pair (a ``bool`` id, an
+    ``IntEnum``, a namedtuple or a ``str`` subclass keeps the generic
+    path).  A member's canonical key is its own canonical text, so it is
+    built by concatenation rather than by one encoder run per member.
+    """
+    keyed = []
+    for member in value:
+        if type(member) is not tuple or len(member) != 2:
+            return None
+        var, ident = member
+        if type(var) is not str or type(ident) is not int:
+            return None
+        keyed.append(('["t",[' + _json_str(var) + "," + repr(ident) + "]]", ["t", [var, ident]]))
+    if len(keyed) == 1:
+        return [keyed[0][1]]
+    keyed.sort()  # keys are distinct, so the rows are never compared
+    return [row for _key, row in keyed]
 
 
 def _encode_domain(value: object, depth: int) -> Optional[list]:
@@ -216,7 +261,10 @@ def decode_wire(payload: object, _depth: int = 0) -> object:
             f"frame value nested deeper than {MAX_WIRE_DEPTH} levels; "
             "rejecting a recursion bomb"
         )
-    _expect(len(payload) == 2, f"tagged value of arity {len(payload)} (expected 2)")
+    if len(payload) != 2:
+        raise ProtocolError(
+            f"malformed frame value: tagged value of arity {len(payload)} (expected 2)"
+        )
     tag, data = payload
     if tag == "f":
         _expect(isinstance(data, str), "'f' tag without a repr string")
@@ -225,21 +273,67 @@ def decode_wire(payload: object, _depth: int = 0) -> object:
         except ValueError as exc:
             raise ProtocolError(f"malformed frame value: bad float repr {data!r}") from exc
     if tag in ("t", "s", "l"):
-        _expect(isinstance(data, list), f"{tag!r} tag without a list payload")
+        if not isinstance(data, list):
+            raise ProtocolError(f"malformed frame value: {tag!r} tag without a list payload")
+        if tag == "s" and _depth + 1 < MAX_WIRE_DEPTH:
+            answer = _decode_answer(data)
+            if answer is not None:
+                return answer
         items = [decode_wire(item, _depth + 1) for item in data]
         if tag == "t":
             return tuple(items)
         if tag == "s":
-            return frozenset(items)
+            try:
+                return frozenset(items)
+            except TypeError:
+                raise _unhashable("set member", items) from None
         return items
     if tag == "d":
         _expect(isinstance(data, list), "'d' tag without a row list")
         out = {}
         for row in data:
             _expect(isinstance(row, list) and len(row) == 2, "dict row that is not a pair")
-            out[decode_wire(row[0], _depth + 1)] = decode_wire(row[1], _depth + 1)
+            key = decode_wire(row[0], _depth + 1)
+            value = decode_wire(row[1], _depth + 1)
+            try:
+                out[key] = value
+            except TypeError:
+                raise _unhashable("dict key", [key]) from None
         return out
     return _decode_domain(tag, data, _depth)
+
+
+def _decode_answer(data: list) -> Optional[frozenset]:
+    """The direct path for an answer: ``["t", [str, int]]`` members only.
+
+    Returns ``None`` at the first member of any other shape (``["t",
+    ["x", true]]``, a one- or three-item tuple, a nested tag), which the
+    generic path then decodes.
+    """
+    pairs = []
+    for member in data:
+        if type(member) is list and len(member) == 2 and member[0] == "t":
+            pair = member[1]
+            if type(pair) is list and len(pair) == 2:
+                var, ident = pair
+                if type(var) is str and type(ident) is int:
+                    pairs.append((var, ident))
+                    continue
+        return None
+    return frozenset(pairs)
+
+
+def _unhashable(what: str, values: list) -> ProtocolError:
+    """The error for a set member or dict key that decoded to an unhashable value."""
+    for value in values:
+        try:
+            hash(value)
+        except TypeError:
+            return ProtocolError(
+                f"malformed frame value: a {what} decoded to an unhashable "
+                f"{type(value).__name__}"
+            )
+    return ProtocolError(f"malformed frame value: an unhashable {what}")
 
 
 def _decode_domain(tag: str, data: object, depth: int) -> object:
@@ -264,16 +358,23 @@ def _decode_domain(tag: str, data: object, depth: int) -> object:
         root_row = rows[0]
         _expect(isinstance(root_row, list) and len(root_row) == 3 and root_row[2] is None,
                 "'tree' tag whose first row is not a parentless root")
+        _expect(not isinstance(root_row[0], (list, dict)), "'tree' root id that is unhashable")
         tree.root = UnrankedNode(root_row[0], decode_wire(root_row[1], depth + 1), None)
         tree._nodes[tree.root.node_id] = tree.root
         for row in rows[1:]:
             _expect(isinstance(row, list) and len(row) == 3, "'tree' node row arity")
             node_id, label, parent_id = row
-            parent = tree._nodes.get(parent_id)
-            _expect(parent is not None, f"'tree' node {node_id!r} references "
-                    f"unknown parent {parent_id!r} (rows must be in document order)")
-            _expect(isinstance(node_id, int) and node_id not in tree._nodes,
-                    f"'tree' node id {node_id!r} is not a fresh int")
+            # An unhashable (list or dict) parent id is as unknown as any other.
+            parent = None if isinstance(parent_id, (list, dict)) else tree._nodes.get(parent_id)
+            if parent is None:
+                raise ProtocolError(
+                    f"malformed frame value: 'tree' node {node_id!r} references unknown "
+                    f"parent {parent_id!r} (rows must be in document order)"
+                )
+            if not isinstance(node_id, int) or node_id in tree._nodes:
+                raise ProtocolError(
+                    f"malformed frame value: 'tree' node id {node_id!r} is not a fresh int"
+                )
             node = UnrankedNode(node_id, decode_wire(label, depth + 1), parent)
             parent.children.append(node)
             tree._nodes[node_id] = node
@@ -367,7 +468,12 @@ def _rebuild_exception(name: str, message: str, extra: object) -> BaseException:
 # ------------------------------------------------------------------ frames
 def encode_frame(value: object, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Render one frame (length prefix + canonical JSON body)."""
-    body = canonical_json(encode_wire(value)).encode("utf8")
+    try:
+        body = canonical_json(encode_wire(value)).encode("utf8")
+    except ValueError as exc:
+        # The only ValueError an encoded value can raise: an int past the
+        # interpreter's digit limit (sys.get_int_max_str_digits).
+        raise ProtocolError(f"cannot put an integer this long on the wire: {exc}") from exc
     if len(body) > max_frame_bytes:
         raise ProtocolError(
             f"frame body of {len(body)} bytes exceeds the "

@@ -17,6 +17,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import socket
 import sys
 import time
@@ -258,6 +259,43 @@ class TestWireCodec:
                 pass
         assert decoded < 400  # sanity: the fuzz actually corrupted something
 
+    @pytest.mark.parametrize(
+        "body, what",
+        [
+            ('["s",[["l",[]]]]', "set member decoded to an unhashable list"),
+            ('["s",[1,["d",[]]]]', "set member decoded to an unhashable dict"),
+            ('["s",[["t",[1,["l",[2]]]]]]', "set member decoded to an unhashable tuple"),
+            ('["d",[[["l",[]],1]]]', "dict key decoded to an unhashable list"),
+            ('["d",[[["t",[["l",[]]]],1]]]', "dict key decoded to an unhashable tuple"),
+            ('["tree",[2,[[0,"a",null],[1,"b",[0]]]]]', "unknown parent [0]"),
+            ('["tree",[2,[[[0],"a",null]]]]', "root id that is unhashable"),
+        ],
+    )
+    def test_unhashable_members_and_keys_raise_protocol_error(self, body, what):
+        with pytest.raises(ProtocolError, match=re.escape(what)):
+            decode_frame_body(body.encode(), MAX_FRAME_BYTES)
+
+    def test_overlong_integer_literal_raises_typed_errors(self):
+        body = b"[" + b"9" * 5000 + b"]"
+        with pytest.raises(CodecError, match="integer literal too long"):
+            loads_payload(body)
+        with pytest.raises(ProtocolError, match="integer literal too long"):
+            decode_frame_body(body, MAX_FRAME_BYTES)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            10**5000,
+            frozenset({("x", 10**5000)}),
+            [1, frozenset({("x", 10**5000), ("y", 1)})],
+            frozenset({(1, 10**5000), 2}),
+        ],
+        ids=["int", "answer", "two-member-answer", "generic-set"],
+    )
+    def test_overlong_integer_encode_raises_protocol_error(self, value):
+        with pytest.raises(ProtocolError, match="integer this long"):
+            encode_frame(value, MAX_FRAME_BYTES)
+
 
 # ============================================ canonical codec hardening
 class TestSerializeHardening:
@@ -488,6 +526,28 @@ class TestServerProtocol:
             assert recv_frame(rogue, MAX_FRAME_BYTES) is None
         finally:
             rogue.close()
+        with RemoteEngine(server.address) as healthy:
+            assert healthy.ping() == "pong"
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'["l",[1,"ping",["s",[["l",[]]]]]]', b"[" + b"9" * 5000 + b"]"],
+        ids=["unhashable-set-member", "overlong-int"],
+    )
+    def test_undecodable_body_is_a_protocol_error(self, served_engine, body):
+        engine, server = served_engine
+        rogue = _raw_connect(server)
+        try:
+            send_frame(rogue, [0, "hello", {"protocol": PROTOCOL_VERSION}], MAX_FRAME_BYTES)
+            assert recv_frame(rogue, MAX_FRAME_BYTES)[1] == "ok"
+            rogue.sendall(len(body).to_bytes(4, "big") + body)
+            assert recv_frame(rogue, MAX_FRAME_BYTES) is None  # dropped
+        finally:
+            rogue.close()
+        events = engine.events()
+        assert any(e["kind"] == "net_protocol_error" for e in events)
+        reasons = [e["reason"] for e in events if e["kind"] == "net_disconnect"]
+        assert reasons and reasons[-1].startswith("protocol-error: ")
         with RemoteEngine(server.address) as healthy:
             assert healthy.ping() == "pong"
 

@@ -575,6 +575,8 @@ def test_real_spanner_page_frames_identically():
 # --------------------------------------------------------------------------- malformed bodies
 _JSON_ATOMS = ("x", "", "t", "s", 1, 0, -4, 2**70, True, False, None, 1.5, [], {},
                ["f", "1.5"], ["t", []], ["s", []])
+#: members and keys the reference cannot hash (a bare TypeError there)
+_UNHASHABLE = (["l", []], ["d", []], ["t", [1, ["l", [2]]]], ["s", [["l", []]]])
 
 
 def _pair_like(rng: random.Random) -> object:
@@ -591,12 +593,12 @@ def _pair_like(rng: random.Random) -> object:
     if roll == 7:
         return ["t", var]
     if roll == 8:
-        return [rng.choice(("u", "s", "T", 1, None)), [var, node]]
+        return [rng.choice(("u", "s", "l", "T", 1, None)), [var, node]]
     if roll == 9:
         return ["t", [var, node], 3]
     if roll == 10:
         return rng.choice((["t"], [], "t", 5, {"t": 1}))
-    return rng.choice(_JSON_ATOMS)
+    return rng.choice(_JSON_ATOMS + _UNHASHABLE)
 
 
 def _malformed_payload(rng: random.Random) -> object:
@@ -611,7 +613,7 @@ def _malformed_payload(rng: random.Random) -> object:
     elif roll == 3:
         payload = ["s", {"members": members}]
     else:
-        payload = ["d", [[rng.choice(_JSON_ATOMS[:12]), ["s", members]]]]
+        payload = ["d", [[rng.choice(_JSON_ATOMS[:12] + _UNHASHABLE), ["s", members]]]]
     for _ in range(rng.choice((0, 0, 1, 2, MAX_WIRE_DEPTH - 3, MAX_WIRE_DEPTH - 2,
                                MAX_WIRE_DEPTH - 1, MAX_WIRE_DEPTH))):
         payload = ["l", [payload]]
@@ -633,6 +635,9 @@ def test_pair_look_alikes_decode_as_the_reference():
         '["s",[["t",["x",1]],["t",["x",1]]]]',
         '["s",[["t",["y",2]],["t",["x",1]]]]',
         '["s",[["t",["x",1]],"x",1]]',
+        '["s",[["t",["x",1]],["l",[]]]]',
+        '["s",[["t",["x",["l",[]]]]]]',
+        '["s",[["t",["x",' + "9" * 5000 + ']]]]',
     ):
         _assert_same_decode(text.encode())
 
