@@ -63,6 +63,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
+# the canonical encoder's own renderer of a str (ensure_ascii escapes)
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, List, Optional, Tuple
 
@@ -112,8 +113,8 @@ def encode_wire(value: object, _depth: int = 0) -> object:
     if isinstance(value, tuple):
         return ["t", [encode_wire(item, _depth + 1) for item in value]]
     if isinstance(value, frozenset):
-        # An answer's pairs sit two levels down; past the limit the generic
-        # path raises as it should.
+        # An answer's variables and ids sit two levels below the set; where
+        # that reaches the depth limit, the generic path raises as it should.
         if _depth + 2 < MAX_WIRE_DEPTH:
             members = _encode_answer(value)
             if members is not None:
@@ -324,16 +325,15 @@ def _decode_answer(data: list) -> Optional[frozenset]:
 
 
 def _unhashable(what: str, values: list) -> ProtocolError:
-    """The error for a set member or dict key that decoded to an unhashable value."""
+    """The error naming the first of ``values`` that cannot be hashed."""
     for value in values:
         try:
             hash(value)
         except TypeError:
-            return ProtocolError(
-                f"malformed frame value: a {what} decoded to an unhashable "
-                f"{type(value).__name__}"
-            )
-    return ProtocolError(f"malformed frame value: an unhashable {what}")
+            break
+    return ProtocolError(
+        f"malformed frame value: a {what} decoded to an unhashable {type(value).__name__}"
+    )
 
 
 def _decode_domain(tag: str, data: object, depth: int) -> object:
