@@ -236,6 +236,51 @@ class TestRemoteShape:
                 server.stop()
 
 
+class TestChunkBoundaries:
+    """How many chunks a stream of N answers arrives in, on each hop.
+
+    C is the hop's chunk size: ``STREAM_PAGE_SIZE`` (256) on the pipe to a
+    shard worker, the client's ``stream_chunk_size`` on the wire.  A chunk
+    holds up to C answers, and a stream whose answer count is a multiple of
+    C ends with an empty exhausted chunk.  The consumer's own counters are
+    read: ``stats()["streaming"]["chunks"]`` on the pipe and
+    ``net_stats()["chunks"]`` on the wire.
+    """
+
+    #: (answers as a multiple of C plus an offset, chunks received)
+    COUNTS = [((0, 0), 1), ((0, 1), 1), ((1, -1), 1), ((1, 0), 2), ((1, 1), 2), ((2, 0), 3)]
+
+    @staticmethod
+    def _star(answers: int) -> UnrankedTree:
+        return UnrankedTree.from_nested(("b", ["a"] * answers + ["c"]))
+
+    def _check(self, engine, chunk_size, chunks_received):
+        for (multiple, offset), expected in self.COUNTS:
+            answers = multiple * chunk_size + offset
+            doc = engine.add_tree(self._star(answers), _query())
+            before = chunks_received()
+            assert len(list(doc.stream())) == answers
+            assert chunks_received() - before == expected, answers
+            doc.remove()
+
+    def test_pipe(self):
+        from repro.engine.document import STREAM_PAGE_SIZE
+
+        with Engine(workers=1) as engine:
+            self._check(
+                engine, STREAM_PAGE_SIZE, lambda: engine.stats()["streaming"]["chunks"]
+            )
+
+    def test_wire(self):
+        with Engine() as engine:
+            server = EngineServer(engine).start()
+            try:
+                with RemoteEngine(server.address, stream_chunk_size=4) as remote:
+                    self._check(remote, 4, lambda: remote.net_stats()["chunks"])
+            finally:
+                server.stop()
+
+
 class TestFailedBatchIngest:
     """``add_documents(["ab", "", "ab"])`` fails on the empty word; every
     document the batch added is registered, served and removable."""

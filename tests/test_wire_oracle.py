@@ -19,6 +19,19 @@
   ``PYTHONHASHSEED``, so a codec that skipped the canonical sort would pass
   under one seed and fail under another; ``make test-hashseeds`` runs this
   module under two.
+* Catalog leg.  ``_ref_encode_value`` / ``_ref_decode_value`` are the
+  catalog codec of :mod:`repro.automata.serialize` as it stood while it was
+  a separate copy of the wire's shared tags: ``f``, ``t`` and ``s`` only,
+  with a decode depth limit of :data:`MAX_VALUE_DEPTH`.  The library must
+  encode seeded random automaton values to the same canonical text and
+  decode them to the same values, types included; on malformed payloads it
+  raises :class:`~repro.errors.CodecError` or
+  :class:`~repro.errors.InvalidAutomatonError` wherever the reference
+  raises anything, and decodes to the reference's value elsewhere.
+* Pinned catalog payloads.  ``PINNED_CATALOG`` holds sha256 digests of the
+  canonical source-query payload and of the canonical compiled-automaton
+  payload of each benchmark query and of a two-capture spanner: the bytes
+  a catalog entry stores for them.
 """
 
 from __future__ import annotations
@@ -36,14 +49,25 @@ import pytest
 from repro import Engine
 from repro import errors as errors_module
 from repro.automata.queries import DEFAULT_LABELS
+from repro.automata.serialize import (
+    MAX_VALUE_DEPTH,
+    binary_tva_to_payload,
+    canonical_json,
+    decode_value,
+    encode_value,
+    query_payload,
+)
 from repro.bench.workloads import query_for_name, tree_for_experiment
+from repro.core.enumerator import compiled_automaton_for
 from repro.core.results import UpdateStats
 from repro.engine.cursor import CursorInvalidation
 from repro.engine.local import BatchUpdateReport
+from repro.engine.query import normalize_query_source
 from repro.errors import (
     CodecError,
     CursorInvalidatedError,
     EngineError,
+    InvalidAutomatonError,
     ProtocolError,
     ReproError,
     ShardTimeoutError,
@@ -689,3 +713,178 @@ def test_frames_are_pinned():
         for key, frame in _pinned_frames().items()
     }
     assert digests == PINNED_FRAMES
+
+
+# --------------------------------------------------------------------------- catalog leg
+#: sha256 digests of the canonical payloads a catalog entry stores
+PINNED_CATALOG = {
+    "query:select-a": "27f1c9082085a0230bf35f77a318a9a81ff197a9828bbeb651de82029ce7c5b4",
+    "automaton:select-a": "ceffcb81e8a5f5c4cebeffc56c03b8cb594733a81572b6a61542046dd4644b53",
+    "query:descendant": "32059fcdfd454b2bcaf6bfc8ab979de6ff138bd7ebe17a3257e500553ec14416",
+    "automaton:descendant": "255700b08e169b0188ebc00693ea2bcf07b337e576af928285a136e6dfea644d",
+    "query:nondet-6": "c4c34f25b8a97a00e075c7f55141e010f71d49da353a5e25ba5f05a6431b9f22",
+    "automaton:nondet-6": "612bd1a32dd8a5cbf0184ef2707948a6d3b549385a1b6733720cc7e562455a20",
+    "query:spanner": "f174dffc325515f9485bd3a3d10ee7609299f657d089c79a75ddbcf415c0baab",
+    "automaton:spanner": "12efc08890010f368b0a38fb107e541d6dec4bed987459a1f7a4d4200d329394",
+}
+
+
+def _ref_encode_value(value: object) -> object:
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return ["f", repr(value)]
+    if isinstance(value, tuple):
+        return ["t", [_ref_encode_value(item) for item in value]]
+    if isinstance(value, frozenset):
+        encoded = [_ref_encode_value(item) for item in value]
+        encoded.sort(key=_ref_canonical_key)
+        return ["s", encoded]
+    raise InvalidAutomatonError(f"cannot serialize value {value!r}")
+
+
+def _ref_decode_value(payload: object, _depth: int = 0) -> object:
+    if isinstance(payload, list):
+        if _depth >= MAX_VALUE_DEPTH:
+            raise CodecError(f"value payload nested deeper than {MAX_VALUE_DEPTH} levels")
+        if len(payload) != 2:
+            raise CodecError(f"tagged value of length {len(payload)}")
+        tag, data = payload
+        if tag == "t":
+            if not isinstance(data, list):
+                raise CodecError("'t' tag needs a list payload")
+            return tuple(_ref_decode_value(item, _depth + 1) for item in data)
+        if tag == "s":
+            if not isinstance(data, list):
+                raise CodecError("'s' tag needs a list payload")
+            return frozenset(_ref_decode_value(item, _depth + 1) for item in data)
+        if tag == "f":
+            if not isinstance(data, str):
+                raise CodecError("'f' tag needs a repr string")
+            try:
+                return float(data)
+            except ValueError as exc:
+                raise CodecError(f"unparseable float repr {data!r}") from exc
+        raise CodecError(f"unknown value tag {tag!r}")
+    if payload is None or isinstance(payload, (bool, int, str)):
+        return payload
+    raise CodecError(f"cannot decode a value of type {type(payload).__name__}")
+
+
+def _levels(value: object) -> int:
+    """Tagged lists on the deepest path of ``value``'s encoding."""
+    if isinstance(value, (tuple, frozenset)):
+        return 1 + max(map(_levels, value), default=0)
+    return 1 if isinstance(value, float) else 0
+
+
+def _catalog_value(rng: random.Random) -> object:
+    """An automaton value: hashable, its deepest tagged list above depth 31."""
+    value = _value(rng, 4, hashable=True)
+    room = 31 - _levels(value)
+    for _ in range(min(room, rng.choice((0, 0, 0, 1, 2, rng.randrange(31))))):
+        value = (value,) if rng.random() < 0.5 else frozenset({value, rng.choice(_INTS)})
+    return value
+
+
+def _assert_same_catalog_value(value: object) -> None:
+    text = canonical_json(encode_value(value))
+    assert text == _ref_canonical_json(_ref_encode_value(value))
+    payload = json.loads(text)
+    assert _typed(decode_value(payload)) == _typed(_ref_decode_value(payload))
+
+
+def _assert_same_catalog_decode(payload: object) -> None:
+    try:
+        expected = _ref_decode_value(payload)
+    except Exception:  # noqa: BLE001 — whatever the reference raised
+        with pytest.raises((CodecError, InvalidAutomatonError)):
+            decode_value(payload)
+        return
+    assert _typed(decode_value(payload)) == _typed(expected)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_random_values_encode_as_the_catalog_reference(seed):
+    rng = random.Random(104729 + seed)
+    for _ in range(5000):
+        _assert_same_catalog_value(_catalog_value(rng))
+
+
+def test_edge_values_encode_as_the_catalog_reference():
+    for value in (
+        None, True, 1, False, 0, 2**70, -(2**70), -0.0, 0.0, float("inf"),
+        float("-inf"), float("nan"), "héllo", 'q"uote', "back\\slash", "\udc80", "日本語",
+        (True, 1, 1.0), frozenset({True, 2, 1.5}), frozenset({(1,), ("1",), (1.0, None)}),
+        frozenset({("x", 1), ("x", True), ("y", 2**70)}),
+        frozenset({frozenset({("x", 1)}), frozenset({("y", 0), ("é", 3)})}),
+        Pair("x", 1), Label("x"), Color.BLUE, (Color.RED, Label("s")),
+    ):
+        _assert_same_catalog_value(value)
+
+
+def _catalog_payload_like(rng: random.Random) -> object:
+    """A JSON value that is, or only looks like, an encoded automaton value."""
+    roll = rng.randrange(12)
+    if roll == 0:
+        return [rng.choice(("u", "T", "", 1, None, "tuple")), []]
+    if roll == 1:
+        return rng.choice((["l", [1, 2]], ["d", [[1, 2]]], ["tree", [2, [[0, "a", None]]]],
+                           ["exc", ["EngineError", "boom", ["d", []]]], ["edit", ["delete", 1, None]]))
+    if roll == 2:
+        return rng.choice(({}, {"t": [1]}, 1.5, -0.0, 1e300))
+    if roll == 3:
+        return rng.choice((["t"], ["t", [], 1], [], ["s"], ["f", "1.0", 2], [["t", []], 1]))
+    if roll == 4:
+        return ["f", rng.choice((1.5, None, 1, True, [], "x", "nan", "-inf", "1e999", " 2.5 "))]
+    if roll == 5:
+        return [rng.choice(("t", "s")), rng.choice(("x", 1, None, {"a": 1}))]
+    if roll == 6:
+        return ["s", [_catalog_payload_like(rng) for _ in range(rng.randrange(3))]]
+    if roll == 7:
+        return ["t", [_catalog_payload_like(rng) for _ in range(rng.randrange(3))]]
+    if roll == 8:
+        var = rng.choice(("x", "y", 3, None, True, ["t", ["x"]]))
+        node = rng.choice((1, 0, 2**70, True, None, 1.5, "1", ["f", "1.0"]))
+        return ["s", [["t", [var, node]] for _ in range(rng.randrange(3))]]
+    return json.loads(canonical_json(encode_value(_value(rng, 3, hashable=True))))
+
+
+def _nest(payload: object, levels: int, tag: str = "t") -> object:
+    for _ in range(levels):
+        payload = [tag, [payload]]
+    return payload
+
+
+def test_malformed_payloads_decode_as_the_catalog_reference():
+    rng = random.Random(161803)
+    for _ in range(4000):
+        payload = _catalog_payload_like(rng)
+        if rng.random() < 0.2:
+            payload = _nest(payload, rng.choice((1, 2, 29, 30, 31, 32, 33)), rng.choice("ts"))
+        _assert_same_catalog_decode(payload)
+
+
+@pytest.mark.parametrize("levels", [30, 31, 32, 33])
+def test_catalog_nesting_around_the_depth_limit(levels):
+    for inner in (1, "x", None, ["f", "1.5"], ["t", []], ["s", []], ["s", [["t", ["x", 1]]]],
+                  ["s", [["t", ["x", True]]]]):
+        for tag in ("t", "s"):
+            _assert_same_catalog_decode(_nest(inner, levels, tag))
+
+
+def _pinned_catalog_queries():
+    queries = {name: query_for_name(name) for name in ("select-a", "descendant", "nondet-6")}
+    queries["spanner"] = normalize_query_source(_SPANNER, "abc")[1]
+    return queries
+
+
+def test_catalog_payloads_are_pinned():
+    digests = {}
+    for name, query in _pinned_catalog_queries().items():
+        for key, payload in (
+            (f"query:{name}", query_payload(query)),
+            (f"automaton:{name}", binary_tva_to_payload(compiled_automaton_for(query))),
+        ):
+            digests[key] = hashlib.sha256(canonical_json(payload).encode("utf8")).hexdigest()
+    assert digests == PINNED_CATALOG
