@@ -21,6 +21,17 @@ Tuples and frozensets are encoded as tagged JSON lists (``["t", [...]]`` /
 (``["f", "repr"]``) so JSON round-trips cannot silently merge ``1`` and
 ``1.0``.
 
+This is the one tagged value codec of the library, built by
+:func:`value_codec`.  The catalog's instance is :func:`encode_value` /
+:func:`decode_value`; the network tier's wire codec
+(:mod:`repro.net.framing`) is another instance that extends it at its two
+extension points — a hook that encodes a type the shared tags do not
+cover, and one that decodes a tag they do not — with its own depth limit
+and error type.  Each codec applies its one depth limit on both encode and
+decode (:data:`MAX_VALUE_DEPTH` here), so no value is written that its own
+decoder refuses.  Catalog files and wire frames are both rendered by
+:func:`canonical_json` and parsed by :func:`loads_payload`.
+
 Payloads **intern** values: each distinct state/label/variable/variable-set
 is encoded once into a canonically sorted ``values`` table, and the relation
 rows reference table indexes.  Homogenized translated automata have hundreds
@@ -33,7 +44,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Tuple
+# the canonical encoder's own renderer of a str (ensure_ascii escapes)
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Dict, List, Optional
 
 from repro.automata.binary_tva import BinaryTVA
 from repro.automata.unranked_tva import UnrankedTVA
@@ -41,6 +54,8 @@ from repro.automata.wva import WVA
 from repro.errors import CodecError, InvalidAutomatonError
 
 __all__ = [
+    "value_codec",
+    "unhashable_error",
     "encode_value",
     "decode_value",
     "canonical_json",
@@ -57,10 +72,12 @@ __all__ = [
     "MAX_PAYLOAD_BYTES",
 ]
 
-#: deepest nesting :func:`decode_value` accepts.  Real states are tuples a
-#: few levels deep (translation pairs, homogenization flags); anything
-#: deeper is a recursion bomb, not an automaton — rejected with a precise
-#: :class:`~repro.errors.CodecError` instead of blowing the Python stack.
+#: deepest nesting the catalog codec encodes and decodes.  Real states are
+#: tuples a few levels deep (translation pairs, homogenization flags);
+#: anything deeper is a recursion bomb, not an automaton — rejected with a
+#: precise :class:`~repro.errors.CodecError` instead of blowing the Python
+#: stack, and refused on encode as well, so no entry is ever written that
+#: cannot be read back.
 MAX_VALUE_DEPTH = 32
 
 #: default byte ceiling of :func:`loads_payload` (64 MiB) — far above every
@@ -70,18 +87,153 @@ MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
 
 # --------------------------------------------------------------------------- value codec
-def encode_value(value: object) -> object:
-    """Encode a state/label/variable value as a JSON-compatible structure."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return ["f", repr(value)]
-    if isinstance(value, tuple):
-        return ["t", [encode_value(item) for item in value]]
-    if isinstance(value, frozenset):
-        encoded = [encode_value(item) for item in value]
-        encoded.sort(key=canonical_key)
-        return ["s", encoded]
+def value_codec(max_depth: int, error: type, encode_other, decode_other):
+    """Build one tagged value codec: its ``(encode, decode)`` pair.
+
+    The shared part is written here once: bare JSON primitives, the
+    ``f``/``t``/``s`` tags, the canonical set order and the direct path of
+    answer sets.  A codec differs from another only where the arguments
+    say: ``encode_other(value, depth, encode)`` encodes a type the shared
+    tags do not cover, ``decode_other(tag, data, depth, decode)`` decodes a
+    tag they do not, and ``max_depth`` and ``error`` are its own.  The
+    catalog's codec (:func:`encode_value` / :func:`decode_value`) refuses
+    anything else; the wire's (:mod:`repro.net.framing`) adds its tags.
+
+    The depth limit holds on both sides, so a codec never writes a value
+    that it refuses to read back.  The encoder counts the value's own
+    depth and the decoder the depth of its tagged lists, so a bare
+    primitive may sit one level deeper on the decode side.  Decoding is
+    hardened against untrusted input: unknown tags, wrong arities,
+    non-string float reprs, set members that cannot be hashed and nesting
+    past ``max_depth`` raise a precise ``error`` naming the offending
+    shape, never a bare ``ValueError`` / ``TypeError`` / ``RecursionError``.
+
+    Answers take a direct path in both directions.  Every answer of a tree
+    or word query is a frozenset of ``(variable, id)`` pairs, exact ``str``
+    and ``int``.  A member's canonical key is its own canonical text,
+    ``["t",[<variable as JSON>,<id>]]``, so the encoder builds that text by
+    concatenation, sorts the members by it and emits them, instead of
+    encoding each member recursively and running the JSON encoder once more
+    per member for its key; the decoder builds the pairs straight from the
+    parsed JSON.  Any other set, or a member of any other shape (a ``bool``
+    or ``IntEnum`` id, a namedtuple, a ``str`` subclass, a set whose pairs
+    would sit at the depth limit), takes the generic path.  The bytes are
+    the same either way.
+    """
+
+    def encode(value: object, depth: int = 0) -> object:
+        """Encode ``value`` as a JSON-compatible tagged structure."""
+        if depth >= max_depth:
+            raise error(f"refusing to encode a value nested deeper than {max_depth} levels")
+        if value is None or isinstance(value, (bool, int, str)):
+            return value
+        if isinstance(value, float):
+            return ["f", repr(value)]
+        if isinstance(value, tuple):
+            return ["t", [encode(item, depth + 1) for item in value]]
+        if isinstance(value, frozenset):
+            # An answer's variables and ids sit two levels below the set;
+            # where that reaches the depth limit, the generic path raises.
+            if depth + 2 < max_depth:
+                members = _encode_answer(value)
+                if members is not None:
+                    return ["s", members]
+            encoded = [encode(item, depth + 1) for item in value]
+            encoded.sort(key=canonical_key)
+            return ["s", encoded]
+        return encode_other(value, depth, encode)
+
+    def decode(payload: object, depth: int = 0) -> object:
+        """Invert ``encode``; hardened against untrusted input."""
+        if payload is None or isinstance(payload, (bool, int, str)):
+            return payload
+        if not isinstance(payload, list):
+            raise error(
+                f"malformed value: bare {type(payload).__name__} "
+                "(expected a JSON primitive or a tagged [tag, data] pair)"
+            )
+        if depth >= max_depth:
+            raise error(f"value nested deeper than {max_depth} levels; rejecting a recursion bomb")
+        if len(payload) != 2:
+            raise error(f"malformed value: tagged value of arity {len(payload)} (expected 2)")
+        tag, data = payload
+        if tag == "t" or tag == "s":
+            if not isinstance(data, list):
+                raise error(f"malformed value: {tag!r} tag without a list payload")
+            if tag == "t":
+                return tuple([decode(item, depth + 1) for item in data])
+            if depth + 1 < max_depth:
+                answer = _decode_answer(data)
+                if answer is not None:
+                    return answer
+            items = [decode(item, depth + 1) for item in data]
+            try:
+                return frozenset(items)
+            except TypeError:
+                raise unhashable_error(error, "set member", items) from None
+        if tag == "f":
+            if not isinstance(data, str):
+                raise error("malformed value: 'f' tag without a repr string")
+            try:
+                return float(data)
+            except ValueError as exc:
+                raise error(f"malformed value: bad float repr {data!r}") from exc
+        return decode_other(tag, data, depth, decode)
+
+    return encode, decode
+
+
+def unhashable_error(error: type, what: str, values: list) -> Exception:
+    """The ``error`` naming the first of ``values`` that cannot be hashed."""
+    for value in values:
+        try:
+            hash(value)
+        except TypeError:
+            break
+    return error(f"malformed value: a {what} decoded to an unhashable {type(value).__name__}")
+
+
+def _encode_answer(value: frozenset) -> Optional[list]:
+    """The direct path for an answer: a set of ``(variable, id)`` pairs.
+
+    Returns the encoded members in canonical order, or ``None`` when some
+    member is not an exact ``(str, int)`` pair.
+    """
+    keyed = []
+    for member in value:
+        if type(member) is not tuple or len(member) != 2:
+            return None
+        var, ident = member
+        if type(var) is not str or type(ident) is not int:
+            return None
+        keyed.append(('["t",[' + _json_str(var) + "," + repr(ident) + "]]", ["t", [var, ident]]))
+    if len(keyed) == 1:
+        return [keyed[0][1]]
+    keyed.sort()  # keys are distinct, so the rows are never compared
+    return [row for _key, row in keyed]
+
+
+def _decode_answer(data: list) -> Optional[frozenset]:
+    """The direct path for an answer: ``["t", [str, int]]`` members only.
+
+    Returns ``None`` at the first member of any other shape (``["t",
+    ["x", true]]``, a one- or three-item tuple, a nested tag), which the
+    generic path then decodes.
+    """
+    pairs = []
+    for member in data:
+        if type(member) is list and len(member) == 2 and member[0] == "t":
+            pair = member[1]
+            if type(pair) is list and len(pair) == 2:
+                var, ident = pair
+                if type(var) is str and type(ident) is int:
+                    pairs.append((var, ident))
+                    continue
+        return None
+    return frozenset(pairs)
+
+
+def _refuse_type(value: object, depth: int, encode) -> object:
     raise InvalidAutomatonError(
         f"cannot serialize value {value!r} of type {type(value).__name__}; "
         "states, labels and variables must be built from None, bool, int, "
@@ -89,55 +241,12 @@ def encode_value(value: object) -> object:
     )
 
 
-def decode_value(payload: object, _depth: int = 0) -> object:
-    """Invert :func:`encode_value`.
+def _refuse_tag(tag: object, data: object, depth: int, decode) -> object:
+    raise CodecError(f"malformed value: unknown tag {tag!r}")
 
-    Hardened for untrusted input (catalog entries shared between processes,
-    frames off the network): unknown tags, wrong arities, non-string float
-    reprs and nesting past :data:`MAX_VALUE_DEPTH` raise a precise
-    :class:`~repro.errors.CodecError` naming the offending shape — never a
-    bare ``ValueError`` / ``IndexError`` / ``RecursionError``.
-    """
-    if isinstance(payload, list):
-        if _depth >= MAX_VALUE_DEPTH:
-            raise CodecError(
-                f"value payload nested deeper than {MAX_VALUE_DEPTH} levels; "
-                "rejecting a recursion bomb"
-            )
-        if len(payload) != 2:
-            raise CodecError(
-                f"tagged value must be a [tag, data] pair, got a list of "
-                f"length {len(payload)}"
-            )
-        tag, data = payload
-        if tag == "t":
-            if not isinstance(data, list):
-                raise CodecError(
-                    f"'t' (tuple) tag needs a list payload, got {type(data).__name__}"
-                )
-            return tuple(decode_value(item, _depth + 1) for item in data)
-        if tag == "s":
-            if not isinstance(data, list):
-                raise CodecError(
-                    f"'s' (frozenset) tag needs a list payload, got {type(data).__name__}"
-                )
-            return frozenset(decode_value(item, _depth + 1) for item in data)
-        if tag == "f":
-            if not isinstance(data, str):
-                raise CodecError(
-                    f"'f' (float) tag needs a repr string, got {type(data).__name__}"
-                )
-            try:
-                return float(data)
-            except ValueError as exc:
-                raise CodecError(f"unparseable float repr {data!r}") from exc
-        raise CodecError(f"unknown value tag {tag!r} in automaton payload")
-    if payload is None or isinstance(payload, (bool, int, str)):
-        return payload
-    raise CodecError(
-        f"cannot decode a value of type {type(payload).__name__}; expected "
-        "None, bool, int, str or a tagged [tag, data] list"
-    )
+
+#: the catalog's codec: encode a state/label/variable value, and its inverse
+encode_value, decode_value = value_codec(MAX_VALUE_DEPTH, CodecError, _refuse_type, _refuse_tag)
 
 
 def loads_payload(text, max_bytes: int = MAX_PAYLOAD_BYTES) -> object:
@@ -192,7 +301,7 @@ def loads_payload(text, max_bytes: int = MAX_PAYLOAD_BYTES) -> object:
 #: separators=(",", ":"))``, without building a fresh encoder per call.
 #: What it renders are fresh lists and dicts built by the encoders here and
 #: in :mod:`repro.net.framing` (tuples and frozensets cannot hold
-#: themselves, and the wire encoder stops at its depth limit), so the cycle
+#: themselves, and every codec stops at its depth limit), so the cycle
 #: check would find nothing; skipping it halves the time of a rendering.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 

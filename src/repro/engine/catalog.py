@@ -441,15 +441,15 @@ class QueryCatalog:
         path = self.path_of(digest)
         start = time.perf_counter()
         try:
-            with open(path, encoding="utf8") as handle:
+            with open(path, "rb") as handle:  # loads_payload checks the UTF-8
                 text = handle.read()
         except FileNotFoundError:
             return None
         try:
             entry = compiled_query_from_json(text, expected_digest=digest)
-        except CatalogError:
+        except CatalogVersionError:
             raise
-        except (ValueError, LookupError, TypeError, InvalidAutomatonError) as exc:
+        except (CatalogError, ValueError, LookupError, TypeError, InvalidAutomatonError) as exc:
             raise CatalogError(
                 f"corrupt or truncated compiled-query entry {path} "
                 f"(digest {digest!r}): {exc}"

@@ -37,7 +37,6 @@ correctness one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -46,11 +45,13 @@ from repro.automata.binary_tva import BinaryTVA
 from repro.automata.serialize import (
     binary_tva_from_payload,
     binary_tva_to_payload,
+    canonical_json,
+    loads_payload,
     query_digest,
     query_payload,
 )
 from repro.circuits.build import export_box_plans, install_box_plans
-from repro.errors import CatalogError, CatalogVersionError
+from repro.errors import CatalogError, CatalogVersionError, CodecError
 
 __all__ = ["FORMAT_VERSION", "CompiledQuery", "compiled_query_to_json", "compiled_query_from_json"]
 
@@ -104,21 +105,28 @@ def compiled_query_to_json(query, automaton: BinaryTVA, kind: str, extra_meta: O
             **(extra_meta or {}),
         },
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
-def compiled_query_from_json(text: str, expected_digest: Optional[str] = None) -> CompiledQuery:
-    """Parse a compiled-query file back into a :class:`CompiledQuery`.
+def compiled_query_from_json(text, expected_digest: Optional[str] = None) -> CompiledQuery:
+    """Parse a compiled-query file (``str`` or ``bytes``) into a :class:`CompiledQuery`.
 
-    Raises :class:`~repro.errors.CatalogError` on unknown format versions and
-    on digest mismatches (a mismatch means the file was renamed or the
-    canonicalization changed — silently serving the wrong standing query is
-    the one failure mode a catalog must never have).
+    Raises :class:`~repro.errors.CatalogError` on text that does not parse
+    (with :func:`~repro.automata.serialize.loads_payload`'s size limit) into
+    a JSON object, on unknown format versions and on digest mismatches (a
+    mismatch means the file was renamed or the canonicalization changed —
+    silently serving the wrong standing query is the one failure mode a
+    catalog must never have).
     """
     try:
-        payload = json.loads(text)
-    except ValueError as exc:
+        payload = loads_payload(text)
+    except CodecError as exc:
         raise CatalogError(f"corrupt compiled-query file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CatalogError(
+            f"corrupt compiled-query file: the top level is a {type(payload).__name__}, "
+            "not an object"
+        )
     if payload.get("format") != FORMAT_VERSION:
         raise CatalogVersionError(
             f"unsupported compiled-query format {payload.get('format')!r} "

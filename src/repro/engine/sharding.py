@@ -26,8 +26,9 @@ worker** at once:
   ``(request_id, "chunk", answers, exhausted)`` without waiting for the
   parent, and ``("stream_credit", n)`` replenishes the window as the parent
   consumes — bounded in-flight data, and a round trip per *credit grant*
-  instead of one per page.  :func:`take_chunk` is the consumer half, shared
-  with the network client.
+  instead of one per page.  :class:`PushStream` is the producer half,
+  shared with the network server, and :func:`take_chunk` the consumer half,
+  shared with the network client.
 * **demultiplexing.**  A worker handles messages strictly in arrival order,
   but chunks of concurrent streams and replies of concurrent requests
   interleave on the pipe; the parent buffers whatever it receives under the
@@ -88,7 +89,7 @@ import itertools
 import multiprocessing
 import pickle
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.document import STREAM_PAGE_SIZE
 from repro.engine.local import BatchUpdateReport, Transport, release_old_cursor_ids
@@ -102,6 +103,7 @@ from repro.errors import (
 __all__ = [
     "AdaptiveCredit",
     "FleetTransport",
+    "PushStream",
     "ShardPool",
     "ShardStream",
     "STREAM_CREDIT",
@@ -303,19 +305,35 @@ def fresh_answers(chunks, check):
             yield answer
 
 
-# ============================================================== worker side
-class _WorkerStream:
-    """One push stream inside a worker: an answer iterator plus its credit."""
+class PushStream:
+    """Producer-side state of one credit-window push stream.
+
+    The same record serves a stream a shard worker pushes over its pipe and
+    one an :class:`~repro.net.server.EngineServer` pushes over a socket:
+    each sends the chunks :meth:`next_chunk` cuts, one per credit token.
+    """
 
     __slots__ = ("iterator", "chunk_size", "credit")
 
-    def __init__(self, iterator, chunk_size: int):
+    def __init__(self, iterator, chunk_size: int, credit: int):
         self.iterator = iterator
         self.chunk_size = chunk_size
-        self.credit = 0
+        self.credit = credit  #: chunks the consumer allows ahead of consumption
+
+    def next_chunk(self) -> Tuple[tuple, bool]:
+        """The next ``(answers, exhausted)`` chunk: up to ``chunk_size`` answers.
+
+        A stream whose answer count is a multiple of the chunk size ends
+        with an empty exhausted chunk.  :attr:`credit` is the caller's to
+        update: the server adds to it on its event loop while this runs on
+        the engine lane.
+        """
+        answers = tuple(itertools.islice(self.iterator, self.chunk_size))
+        return answers, len(answers) < self.chunk_size
 
 
-def _pump_stream(conn, streams: Dict[int, _WorkerStream], request_id: int, inject) -> None:
+# ============================================================== worker side
+def _pump_stream(conn, streams: Dict[int, PushStream], request_id: int, inject) -> None:
     """Push chunks of one stream while it has credit; drop it when done.
 
     The per-answer iterator is the runtime's own (`LocalDocument.answers`),
@@ -325,15 +343,8 @@ def _pump_stream(conn, streams: Dict[int, _WorkerStream], request_id: int, injec
     """
     stream = streams.get(request_id)
     while stream is not None and stream.credit > 0:
-        answers = []
-        exhausted = False
         try:
-            for _ in range(stream.chunk_size):
-                try:
-                    answers.append(next(stream.iterator))
-                except StopIteration:
-                    exhausted = True
-                    break
+            answers, exhausted = stream.next_chunk()
         except BaseException as exc:  # noqa: BLE001 — must travel back
             del streams[request_id]
             _send_err(conn, request_id, exc)
@@ -342,7 +353,7 @@ def _pump_stream(conn, streams: Dict[int, _WorkerStream], request_id: int, injec
         if exhausted:
             del streams[request_id]
             stream = None
-        conn.send(inject("stream_chunk", (request_id, "chunk", tuple(answers), exhausted)))
+        conn.send(inject("stream_chunk", (request_id, "chunk", answers, exhausted)))
 
 
 def _send_err(conn, request_id: int, exc: BaseException) -> None:
@@ -399,7 +410,7 @@ def _shard_worker_main(
         fault_plan.on_fire = lambda shard, op, action: store.events.emit(
             "fault_injected", shard=shard, op=op, action=action
         )
-    streams: Dict[int, _WorkerStream] = {}
+    streams: Dict[int, PushStream] = {}
     pending_ctx = None  #: trace context pushed for the next real request
 
     def inject(op: str, reply: tuple) -> tuple:
@@ -441,9 +452,7 @@ def _shard_worker_main(
                 except BaseException as exc:  # noqa: BLE001
                     _send_err(conn, request_id, exc)
                     continue
-                stream = _WorkerStream(iterator, chunk_size)
-                stream.credit = credit
-                streams[request_id] = stream
+                streams[request_id] = PushStream(iterator, chunk_size, credit)
                 _pump_stream(conn, streams, request_id, inject)
         elif op == "stream_credit":
             stream = streams.get(request_id)

@@ -19,7 +19,10 @@ chunk frames land in per-stream buffers so a stream being consumed never
 blocks an interleaved ``page()`` on the same connection.  Streams use the
 pool's credit-window consumer (:func:`~repro.engine.sharding.take_chunk`)
 under the client's own :class:`~repro.engine.sharding.AdaptiveCredit`
-controller.
+controller.  A failure that leaves the byte stream unreadable or gone —
+a framing error, an end of file, a socket error, a timeout after part of
+a frame was read — closes the connection, and every later call raises one
+:class:`~repro.errors.ProtocolError` naming that first failure.
 
 What stays client-specific: ``compile`` ships the canonical payload (never
 a pickle) and checks the server's digest against its own, so a codec
@@ -79,6 +82,7 @@ class SocketTransport(Transport):
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             self._sock.settimeout(timeout)
         self._closed = False
+        self._close_reason = "closed by the client"
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, Tuple[str, object]] = {}
         self.streams: Dict[int, ShardStream] = {}
@@ -100,8 +104,6 @@ class SocketTransport(Transport):
     def _hello(self) -> Dict[str, object]:
         send_frame(self._sock, [0, "hello", {"protocol": PROTOCOL_VERSION}], self.max_frame_bytes)
         reply = self._recv_raw()
-        if reply is None:
-            raise ProtocolError("the server closed the connection during HELLO")
         if not (isinstance(reply, list) and len(reply) == 3 and reply[0] == 0):
             raise ProtocolError("malformed HELLO reply from server")
         if reply[1] == "err" and isinstance(reply[2], BaseException):
@@ -111,27 +113,54 @@ class SocketTransport(Transport):
         return reply[2]
 
     # -------------------------------------------------------------- framing
+    def _fail(self, reason: str) -> ProtocolError:
+        """Close a connection that can no longer be read or written.
+
+        Every later call raises a :class:`ProtocolError` naming ``reason``,
+        the first failure, instead of reading the rest of a refused frame
+        as frame headers or writing to a dead socket.
+        """
+        if not self._closed:
+            self._close_reason = reason
+            self.close()
+        return ProtocolError(reason)
+
+    def _check_usable(self) -> None:
+        if self._closed:
+            raise ProtocolError(f"the connection to the server is closed ({self._close_reason})")
+
     def _send(self, frame_value) -> None:
-        # Flush stream closes deferred from generator finalizers first, so
-        # they can never interleave inside another frame's bytes.
-        while self._deferred_closes:
-            request_id = self._deferred_closes.pop()
-            send_frame(self._sock, [request_id, "stream_close"], self.max_frame_bytes)
-        send_frame(self._sock, frame_value, self.max_frame_bytes)
+        self._check_usable()
+        try:
+            # Flush stream closes deferred from generator finalizers first, so
+            # they can never interleave inside another frame's bytes.
+            while self._deferred_closes:
+                request_id = self._deferred_closes.pop()
+                send_frame(self._sock, [request_id, "stream_close"], self.max_frame_bytes)
+            send_frame(self._sock, frame_value, self.max_frame_bytes)
+        except OSError as exc:  # a timeout included: part of the frame may be out
+            raise self._fail(f"connection lost while sending: {exc}") from exc
 
     def _recv_raw(self):
+        self._check_usable()
         try:
-            return recv_frame(self._sock, self.max_frame_bytes)
+            frame = recv_frame(self._sock, self.max_frame_bytes)
         except socket.timeout:
+            # Nothing of the next frame was read: the connection stays in step.
             raise ProtocolError(
                 f"timed out after {self.timeout}s waiting for the server"
             ) from None
+        except ProtocolError as exc:
+            raise self._fail(str(exc)) from exc
+        except OSError as exc:
+            raise self._fail(f"connection lost: {exc}") from exc
+        if frame is None:
+            raise self._fail("the server closed the connection")
+        return frame
 
     def _recv_one(self) -> None:
         """Receive and route exactly one reply frame."""
         frame = self._recv_raw()
-        if frame is None:
-            raise ProtocolError("the server closed the connection")
         if not (
             isinstance(frame, list)
             and len(frame) >= 2
@@ -300,7 +329,8 @@ class RemoteEngine(Engine):
         Per-frame byte ceiling in both directions.
     timeout:
         Socket timeout in seconds for every reply wait (``None`` = block
-        forever); an expiry raises :class:`~repro.errors.ProtocolError`.
+        forever); an expiry raises :class:`~repro.errors.ProtocolError`,
+        and closes the connection if part of a frame was read.
     """
 
     def __init__(

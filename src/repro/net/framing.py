@@ -5,18 +5,20 @@ Every message between :class:`~repro.net.client.RemoteEngine` and
 big-endian unsigned length followed by that many bytes of UTF-8 canonical
 JSON (sorted keys, no whitespace — the exact rendering of
 :func:`repro.automata.serialize.canonical_json`).  There is **no pickle on
-the wire**: the body is the tagged value codec below, a strict superset of
-the catalog codec of :mod:`repro.automata.serialize`, so the wire is
-version-stable and safe to parse from untrusted peers.
+the wire**: the body is a tagged value codec, version-stable and safe to
+parse from untrusted peers.
 
-Value tags (JSON primitives — ``None``/bool/int/str — pass through bare):
+That codec extends the catalog's, and does not copy it.  Both are built
+by :func:`repro.automata.serialize.value_codec`, which owns the bare JSON
+primitives, the ``f``/``t``/``s`` tags, the canonical set order and the
+direct path of answer sets.  This module adds the tags below through the
+two extension points (:func:`_encode_other`, :func:`_decode_other`), and
+sets the wire's own depth limit (:data:`MAX_WIRE_DEPTH`, on encode and
+decode) and error type (:class:`~repro.errors.ProtocolError`).
 
 ========  ==================================================================
 tag       payload
 ========  ==================================================================
-``f``     float as its ``repr`` string (no silent ``1`` / ``1.0`` merging)
-``t``     tuple, items encoded in order
-``s``     frozenset, items encoded and sorted by their canonical JSON text
 ``l``     list, items encoded in order
 ``d``     dict as ``[[key, value], ...]`` sorted by the encoded key
 ``tree``  :class:`~repro.trees.unranked.UnrankedTree` with **node ids
@@ -34,28 +36,16 @@ tag       payload
            precise error types as typed error frames
 ========  ==================================================================
 
-Answers take a direct path in both directions.  Every answer of a tree or
-word query is a frozenset of ``(variable, id)`` pairs, exact ``str`` and
-``int``.  A member's canonical key is its own canonical text,
-``["t",[<variable as JSON>,<id>]]``, so the encoder builds that text by
-concatenation, sorts the members by it and emits them, instead of
-encoding each member recursively and running the JSON encoder once more
-per member for its key; the decoder builds the pairs straight from the
-parsed JSON.  Any other set, or a member of any other shape (a ``bool`` or
-``IntEnum`` id, a namedtuple, a ``str`` subclass, a set whose pairs would
-sit at :data:`MAX_WIRE_DEPTH`), takes the generic path.  The frame bytes
-are the same either way.
-
-Decoding is hardened exactly like the catalog codec: unknown tags, wrong
-arities, oversized or truncated frames, nesting past
-:data:`MAX_WIRE_DEPTH`, a set member or dict key that decodes to an
-unhashable value and an integer literal past the interpreter's digit
-limit raise a precise :class:`~repro.errors.ProtocolError` naming the
-offending shape — never a bare ``ValueError``/``TypeError`` or a blown
-stack.  Encoding an integer past that limit raises one as well.  A framing
-violation is unrecoverable on a byte stream (the next frame boundary is
-unknowable), so the side that detects one closes that connection; see
-:mod:`repro.net.server`.
+Decoding is hardened: unknown tags, wrong arities, oversized or truncated
+frames, nesting past :data:`MAX_WIRE_DEPTH`, a set member or dict key that
+decodes to an unhashable value and an integer literal past the
+interpreter's digit limit raise a precise
+:class:`~repro.errors.ProtocolError` naming the offending shape — never a
+bare ``ValueError``/``TypeError`` or a blown stack.  Encoding an integer
+past that limit raises one as well.  A framing violation is unrecoverable
+on a byte stream (the next frame boundary is unknowable), so the side that
+detects one closes that connection; see :mod:`repro.net.server` and
+:mod:`repro.net.client`.
 """
 
 from __future__ import annotations
@@ -63,11 +53,15 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-# the canonical encoder's own renderer of a str (ensure_ascii escapes)
-from json.encoder import encode_basestring_ascii as _json_str
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.automata.serialize import canonical_json, canonical_key, loads_payload
+from repro.automata.serialize import (
+    canonical_json,
+    canonical_key,
+    loads_payload,
+    unhashable_error,
+    value_codec,
+)
 from repro.errors import CodecError, EngineError, ProtocolError
 
 __all__ = [
@@ -100,72 +94,17 @@ _LEN = struct.Struct(">I")
 
 
 # ------------------------------------------------------------- value codec
-def encode_wire(value: object, _depth: int = 0) -> object:
-    """Encode one value for the wire (JSON-compatible tagged structure)."""
-    if _depth >= MAX_WIRE_DEPTH:
-        raise ProtocolError(
-            f"refusing to encode a value nested deeper than {MAX_WIRE_DEPTH} levels"
-        )
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return ["f", repr(value)]
-    if isinstance(value, tuple):
-        return ["t", [encode_wire(item, _depth + 1) for item in value]]
-    if isinstance(value, frozenset):
-        # An answer's variables and ids sit two levels below the set; where
-        # that reaches the depth limit, the generic path raises as it should.
-        if _depth + 2 < MAX_WIRE_DEPTH:
-            members = _encode_answer(value)
-            if members is not None:
-                return ["s", members]
-        encoded = [encode_wire(item, _depth + 1) for item in value]
-        encoded.sort(key=canonical_key)
-        return ["s", encoded]
+def _encode_other(value: object, depth: int, encode) -> object:
+    """Encode what the catalog's tags do not cover: lists, dicts, domain objects."""
     if isinstance(value, list):
-        return ["l", [encode_wire(item, _depth + 1) for item in value]]
+        return ["l", [encode(item, depth + 1) for item in value]]
     if isinstance(value, dict):
         rows = [
-            [encode_wire(key, _depth + 1), encode_wire(val, _depth + 1)]
+            [encode(key, depth + 1), encode(val, depth + 1)]
             for key, val in value.items()
         ]
         rows.sort(key=lambda row: canonical_key(row[0]))
         return ["d", rows]
-    encoded = _encode_domain(value, _depth)
-    if encoded is not None:
-        return encoded
-    raise ProtocolError(
-        f"cannot put a {type(value).__name__} on the wire; the codec covers "
-        "JSON primitives, float/tuple/frozenset/list/dict, trees, edits, "
-        "update reports and exceptions"
-    )
-
-
-def _encode_answer(value: frozenset) -> Optional[list]:
-    """The direct path for an answer: a set of ``(variable, id)`` pairs.
-
-    Returns the encoded members in canonical order, or ``None`` when some
-    member is not an exact ``(str, int)`` pair (a ``bool`` id, an
-    ``IntEnum``, a namedtuple or a ``str`` subclass keeps the generic
-    path).  A member's canonical key is its own canonical text, so it is
-    built by concatenation rather than by one encoder run per member.
-    """
-    keyed = []
-    for member in value:
-        if type(member) is not tuple or len(member) != 2:
-            return None
-        var, ident = member
-        if type(var) is not str or type(ident) is not int:
-            return None
-        keyed.append(('["t",[' + _json_str(var) + "," + repr(ident) + "]]", ["t", [var, ident]]))
-    if len(keyed) == 1:
-        return [keyed[0][1]]
-    keyed.sort()  # keys are distinct, so the rows are never compared
-    return [row for _key, row in keyed]
-
-
-def _encode_domain(value: object, depth: int) -> Optional[list]:
-    """Encode the engine-surface domain objects (tree, edit, report, exc)."""
     from repro.core.results import UpdateStats
     from repro.engine.cursor import CursorInvalidation
     from repro.engine.local import BatchUpdateReport
@@ -176,18 +115,18 @@ def _encode_domain(value: object, depth: int) -> Optional[list]:
         nodes = [
             [
                 node.node_id,
-                encode_wire(node.label, depth + 1),
+                encode(node.label, depth + 1),
                 None if node.parent is None else node.parent.node_id,
             ]
             for node in value.nodes()
         ]
         return ["tree", [value._next_id, nodes]]
     if isinstance(value, Relabel):
-        return ["edit", ["relabel", value.node_id, encode_wire(value.label, depth + 1)]]
+        return ["edit", ["relabel", value.node_id, encode(value.label, depth + 1)]]
     if isinstance(value, Insert):
-        return ["edit", ["insert", value.node_id, encode_wire(value.label, depth + 1)]]
+        return ["edit", ["insert", value.node_id, encode(value.label, depth + 1)]]
     if isinstance(value, InsertRight):
-        return ["edit", ["insertR", value.node_id, encode_wire(value.label, depth + 1)]]
+        return ["edit", ["insertR", value.node_id, encode(value.label, depth + 1)]]
     if isinstance(value, Delete):
         return ["edit", ["delete", value.node_id, None]]
     if isinstance(value, UpdateStats):
@@ -196,7 +135,7 @@ def _encode_domain(value: object, depth: int) -> Optional[list]:
             [
                 value.trunk_size,
                 value.rebuilt_subterm_size,
-                encode_wire(value.seconds, depth + 1),
+                encode(value.seconds, depth + 1),
                 value.new_node_id,
                 value.new_position_id,
             ],
@@ -205,9 +144,9 @@ def _encode_domain(value: object, depth: int) -> Optional[list]:
         return [
             "report",
             [
-                encode_wire(value.document_id, depth + 1),
+                encode(value.document_id, depth + 1),
                 value.epoch,
-                [encode_wire(stat, depth + 1) for stat in value.stats],
+                [encode(stat, depth + 1) for stat in value.stats],
                 value.boxes_rebuilt,
                 value.cursors_resumed,
                 value.cursors_invalidated,
@@ -218,13 +157,13 @@ def _encode_domain(value: object, depth: int) -> Optional[list]:
             "inval",
             [
                 value.cursor_id,
-                encode_wire(value.document_id, depth + 1),
+                encode(value.document_id, depth + 1),
                 value.base_epoch,
                 value.invalidated_epoch,
                 value.answers_delivered,
                 value.edit,
                 value.boxes_hit,
-                encode_wire(value.regions, depth + 1),
+                encode(value.regions, depth + 1),
             ],
         ]
     if isinstance(value, BaseException):
@@ -233,110 +172,37 @@ def _encode_domain(value: object, depth: int) -> Optional[list]:
         if shard is not None or hasattr(value, "deadline"):
             for attr in ("shard", "op", "elapsed", "deadline"):
                 if hasattr(value, attr):
-                    extra[attr] = encode_wire(getattr(value, attr), depth + 1)
+                    extra[attr] = encode(getattr(value, attr), depth + 1)
         report = getattr(value, "report", None)
         if report is not None:
-            extra["report"] = encode_wire(report, depth + 1)
+            extra["report"] = encode(report, depth + 1)
         return ["exc", [type(value).__name__, str(value), ["d", sorted(
             ([key, val] for key, val in extra.items()), key=lambda row: row[0]
         )]]]
-    return None
+    raise ProtocolError(
+        f"cannot put a {type(value).__name__} on the wire; the codec covers "
+        "JSON primitives, float/tuple/frozenset/list/dict, trees, edits, "
+        "update reports and exceptions"
+    )
 
 
-def _expect(condition: bool, what: str) -> None:
-    if not condition:
-        raise ProtocolError(f"malformed frame value: {what}")
-
-
-def decode_wire(payload: object, _depth: int = 0) -> object:
-    """Invert :func:`encode_wire`; hardened against untrusted input."""
-    if payload is None or isinstance(payload, (bool, int, str)):
-        return payload
-    if not isinstance(payload, list):
-        raise ProtocolError(
-            f"malformed frame value: bare {type(payload).__name__} "
-            "(expected a JSON primitive or a tagged [tag, data] pair)"
-        )
-    if _depth >= MAX_WIRE_DEPTH:
-        raise ProtocolError(
-            f"frame value nested deeper than {MAX_WIRE_DEPTH} levels; "
-            "rejecting a recursion bomb"
-        )
-    if len(payload) != 2:
-        raise ProtocolError(
-            f"malformed frame value: tagged value of arity {len(payload)} (expected 2)"
-        )
-    tag, data = payload
-    if tag == "f":
-        _expect(isinstance(data, str), "'f' tag without a repr string")
-        try:
-            return float(data)
-        except ValueError as exc:
-            raise ProtocolError(f"malformed frame value: bad float repr {data!r}") from exc
-    if tag in ("t", "s", "l"):
-        if not isinstance(data, list):
-            raise ProtocolError(f"malformed frame value: {tag!r} tag without a list payload")
-        if tag == "s" and _depth + 1 < MAX_WIRE_DEPTH:
-            answer = _decode_answer(data)
-            if answer is not None:
-                return answer
-        items = [decode_wire(item, _depth + 1) for item in data]
-        if tag == "t":
-            return tuple(items)
-        if tag == "s":
-            try:
-                return frozenset(items)
-            except TypeError:
-                raise _unhashable("set member", items) from None
-        return items
+def _decode_other(tag: object, data: object, depth: int, decode) -> object:
+    """Decode the tags the catalog does not: ``l``, ``d`` and the domain tags."""
+    if tag == "l":
+        _expect(isinstance(data, list), "'l' tag without a list payload")
+        return [decode(item, depth + 1) for item in data]
     if tag == "d":
         _expect(isinstance(data, list), "'d' tag without a row list")
         out = {}
         for row in data:
             _expect(isinstance(row, list) and len(row) == 2, "dict row that is not a pair")
-            key = decode_wire(row[0], _depth + 1)
-            value = decode_wire(row[1], _depth + 1)
+            key = decode(row[0], depth + 1)
+            value = decode(row[1], depth + 1)
             try:
                 out[key] = value
             except TypeError:
-                raise _unhashable("dict key", [key]) from None
+                raise unhashable_error(ProtocolError, "dict key", [key]) from None
         return out
-    return _decode_domain(tag, data, _depth)
-
-
-def _decode_answer(data: list) -> Optional[frozenset]:
-    """The direct path for an answer: ``["t", [str, int]]`` members only.
-
-    Returns ``None`` at the first member of any other shape (``["t",
-    ["x", true]]``, a one- or three-item tuple, a nested tag), which the
-    generic path then decodes.
-    """
-    pairs = []
-    for member in data:
-        if type(member) is list and len(member) == 2 and member[0] == "t":
-            pair = member[1]
-            if type(pair) is list and len(pair) == 2:
-                var, ident = pair
-                if type(var) is str and type(ident) is int:
-                    pairs.append((var, ident))
-                    continue
-        return None
-    return frozenset(pairs)
-
-
-def _unhashable(what: str, values: list) -> ProtocolError:
-    """The error naming the first of ``values`` that cannot be hashed."""
-    for value in values:
-        try:
-            hash(value)
-        except TypeError:
-            break
-    return ProtocolError(
-        f"malformed frame value: a {what} decoded to an unhashable {type(value).__name__}"
-    )
-
-
-def _decode_domain(tag: str, data: object, depth: int) -> object:
     from repro.core.results import UpdateStats
     from repro.engine.cursor import CursorInvalidation
     from repro.engine.local import BatchUpdateReport
@@ -359,7 +225,7 @@ def _decode_domain(tag: str, data: object, depth: int) -> object:
         _expect(isinstance(root_row, list) and len(root_row) == 3 and root_row[2] is None,
                 "'tree' tag whose first row is not a parentless root")
         _expect(not isinstance(root_row[0], (list, dict)), "'tree' root id that is unhashable")
-        tree.root = UnrankedNode(root_row[0], decode_wire(root_row[1], depth + 1), None)
+        tree.root = UnrankedNode(root_row[0], decode(root_row[1], depth + 1), None)
         tree._nodes[tree.root.node_id] = tree.root
         for row in rows[1:]:
             _expect(isinstance(row, list) and len(row) == 3, "'tree' node row arity")
@@ -368,14 +234,14 @@ def _decode_domain(tag: str, data: object, depth: int) -> object:
             parent = None if isinstance(parent_id, (list, dict)) else tree._nodes.get(parent_id)
             if parent is None:
                 raise ProtocolError(
-                    f"malformed frame value: 'tree' node {node_id!r} references unknown "
+                    f"malformed value: 'tree' node {node_id!r} references unknown "
                     f"parent {parent_id!r} (rows must be in document order)"
                 )
             if not isinstance(node_id, int) or node_id in tree._nodes:
                 raise ProtocolError(
-                    f"malformed frame value: 'tree' node id {node_id!r} is not a fresh int"
+                    f"malformed value: 'tree' node id {node_id!r} is not a fresh int"
                 )
-            node = UnrankedNode(node_id, decode_wire(label, depth + 1), parent)
+            node = UnrankedNode(node_id, decode(label, depth + 1), parent)
             parent.children.append(node)
             tree._nodes[node_id] = node
         return tree
@@ -383,7 +249,7 @@ def _decode_domain(tag: str, data: object, depth: int) -> object:
         _expect(isinstance(data, list) and len(data) == 3, "'edit' tag arity")
         kind, node_id, label = data
         _expect(isinstance(node_id, int), "'edit' without an int node id")
-        label = decode_wire(label, depth + 1)
+        label = decode(label, depth + 1)
         if kind == "relabel":
             return Relabel(node_id, label)
         if kind == "insert":
@@ -392,13 +258,13 @@ def _decode_domain(tag: str, data: object, depth: int) -> object:
             return InsertRight(node_id, label)
         if kind == "delete":
             return Delete(node_id)
-        raise ProtocolError(f"malformed frame value: unknown edit kind {kind!r}")
+        raise ProtocolError(f"malformed value: unknown edit kind {kind!r}")
     if tag == "ustat":
         _expect(isinstance(data, list) and len(data) == 5, "'ustat' tag arity")
         return UpdateStats(
             trunk_size=data[0],
             rebuilt_subterm_size=data[1],
-            seconds=decode_wire(data[2], depth + 1),
+            seconds=decode(data[2], depth + 1),
             new_node_id=data[3],
             new_position_id=data[4],
         )
@@ -407,20 +273,20 @@ def _decode_domain(tag: str, data: object, depth: int) -> object:
         stats = data[2]
         _expect(isinstance(stats, list), "'report' stats that are not a list")
         return BatchUpdateReport(
-            document_id=decode_wire(data[0], depth + 1),
+            document_id=decode(data[0], depth + 1),
             epoch=data[1],
-            stats=[decode_wire(stat, depth + 1) for stat in stats],
+            stats=[decode(stat, depth + 1) for stat in stats],
             boxes_rebuilt=data[3],
             cursors_resumed=data[4],
             cursors_invalidated=data[5],
         )
     if tag == "inval":
         _expect(isinstance(data, list) and len(data) == 8, "'inval' tag arity")
-        regions = decode_wire(data[7], depth + 1)
+        regions = decode(data[7], depth + 1)
         _expect(isinstance(regions, tuple), "'inval' regions that are not a tuple")
         return CursorInvalidation(
             cursor_id=data[0],
-            document_id=decode_wire(data[1], depth + 1),
+            document_id=decode(data[1], depth + 1),
             base_epoch=data[2],
             invalidated_epoch=data[3],
             answers_delivered=data[4],
@@ -432,8 +298,18 @@ def _decode_domain(tag: str, data: object, depth: int) -> object:
         _expect(isinstance(data, list) and len(data) == 3, "'exc' tag arity")
         name, message, extra = data
         _expect(isinstance(name, str) and isinstance(message, str), "'exc' name/message")
-        return _rebuild_exception(name, message, decode_wire(extra, depth + 1))
-    raise ProtocolError(f"malformed frame value: unknown wire tag {tag!r}")
+        return _rebuild_exception(name, message, decode(extra, depth + 1))
+    raise ProtocolError(f"malformed value: unknown tag {tag!r}")
+
+
+#: the wire's codec: encode one value for the wire (a JSON-compatible
+#: tagged structure), and its inverse, hardened against untrusted input
+encode_wire, decode_wire = value_codec(MAX_WIRE_DEPTH, ProtocolError, _encode_other, _decode_other)
+
+
+def _expect(condition: bool, what: str) -> None:
+    if not condition:
+        raise ProtocolError(f"malformed value: {what}")
 
 
 def _rebuild_exception(name: str, message: str, extra: object) -> BaseException:
@@ -499,14 +375,27 @@ def send_frame(
     sock.sendall(encode_frame(value, max_frame_bytes))
 
 
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes; ``None`` on clean EOF before any byte."""
+def _recv_exact(sock: socket.socket, count: int, started: bool) -> Optional[bytes]:
+    """Read exactly ``count`` bytes of a frame.
+
+    Before any byte of the frame (``started`` false and nothing read yet) a
+    clean EOF returns ``None`` and a timeout propagates: the stream is still
+    at a frame boundary.  After that either one loses the boundary and
+    raises :class:`~repro.errors.ProtocolError`.
+    """
     chunks: List[bytes] = []
     got = 0
     while got < count:
-        chunk = sock.recv(count - got)
+        try:
+            chunk = sock.recv(count - got)
+        except socket.timeout:
+            if not (got or started):
+                raise
+            raise ProtocolError(
+                f"timed out mid-frame ({got} of {count} bytes received)"
+            ) from None
         if not chunk:
-            if got == 0:
+            if not (got or started):
                 return None
             raise ProtocolError(
                 f"connection closed mid-frame ({got} of {count} bytes received)"
@@ -521,12 +410,13 @@ def recv_frame(
 ) -> Optional[object]:
     """Receive one frame from a blocking socket.
 
-    Returns ``None`` on a clean EOF at a frame boundary (the peer closed);
-    raises :class:`~repro.errors.ProtocolError` on a truncated or oversized
-    frame — after which the stream position is unrecoverable and the
-    connection must be dropped.
+    Returns ``None`` on a clean EOF at a frame boundary (the peer closed),
+    and lets a socket timeout there propagate; raises
+    :class:`~repro.errors.ProtocolError` on a truncated, oversized or
+    undecodable frame, or on a timeout inside one — after which the stream
+    position is unrecoverable and the connection must be dropped.
     """
-    header = _recv_exact(sock, _LEN.size)
+    header = _recv_exact(sock, _LEN.size, started=False)
     if header is None:
         return None
     (length,) = _LEN.unpack(header)
@@ -535,10 +425,7 @@ def recv_frame(
             f"incoming frame announces {length} bytes, over the "
             f"{max_frame_bytes}-byte frame limit"
         )
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise ProtocolError("connection closed between frame header and body")
-    return decode_frame_body(body, max_frame_bytes)
+    return decode_frame_body(_recv_exact(sock, length, started=True), max_frame_bytes)
 
 
 # -------------------------------------------------------------- asyncio I/O

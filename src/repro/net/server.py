@@ -18,8 +18,9 @@ socket instead of a pipe and a safe codec instead of pickle:
   the engine's own request ordering — and answer ``[rid, "ok", payload]``
   or ``[rid, "err", exc]`` with the engine's *original* error type encoded
   in the frame;
-* **streams** reuse the credit-window push semantics end to end: the
-  client opens a stream with an initial credit, the server pushes
+* **streams** reuse the credit-window push semantics end to end, and the
+  shard worker's producer record (:class:`~repro.engine.sharding.PushStream`):
+  the client opens a stream with an initial credit, the server pushes
   ``[rid, "chunk", answers, exhausted]`` frames ahead of consumption while
   credit lasts, and ``stream_credit`` frames replenish the window.  The
   server-side producer is the engine's own ``stream()`` — so on a sharded
@@ -32,8 +33,9 @@ Per-connection limits (``max_frame_bytes``, ``max_streams``,
 ``idle_timeout``) protect the server from misbehaving peers: a malformed
 or oversized frame raises a precise :class:`~repro.errors.ProtocolError`
 and closes **that connection only** (a framing violation leaves no
-recoverable frame boundary), while a stream-limit breach is answered with
-a typed error frame on a connection that stays usable.  Observability
+recoverable frame boundary), while a stream-limit breach, and an outgoing
+reply or stream chunk over the frame limit, are answered with a typed
+error frame on a connection that stays usable.  Observability
 hooks into the engine's obs layer: ``net_request_seconds`` round-trip
 histograms, ``net_connect`` / ``net_disconnect`` / ``net_protocol_error``
 events, and a ``net:<op>`` span around every engine call so a traced
@@ -49,6 +51,7 @@ from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 from repro.engine.document import STREAM_PAGE_SIZE
+from repro.engine.sharding import PushStream
 from repro.errors import EngineError, ProtocolError
 from repro.net.framing import (
     MAX_FRAME_BYTES,
@@ -63,13 +66,14 @@ __all__ = ["EngineServer"]
 DEFAULT_MAX_STREAMS = 32
 
 
-class _ServerStream:
-    """Server-side state of one client stream: its credit gate and pump task."""
+class _ServerStream(PushStream):
+    """A push stream of one connection, with its pump task and the event
+    that wakes the pump when credit arrives."""
 
-    __slots__ = ("credit", "refill", "closed", "task")
+    __slots__ = ("refill", "closed", "task")
 
-    def __init__(self, credit: int):
-        self.credit = credit
+    def __init__(self, iterator, chunk_size: int, credit: int):
+        super().__init__(iterator, chunk_size, credit)
         self.refill = asyncio.Event()
         self.closed = False
         self.task: Optional[asyncio.Task] = None
@@ -93,7 +97,8 @@ class EngineServer:
     max_frame_bytes:
         Per-frame byte ceiling in both directions; an incoming frame over
         it is rejected with :class:`~repro.errors.ProtocolError` and the
-        connection dropped.
+        connection dropped, and an outgoing reply or chunk over it is
+        replaced by a typed error frame.
     max_streams:
         Concurrently open streams one connection may hold; a breach is
         answered with a typed error frame (connection stays usable).
@@ -310,8 +315,7 @@ class EngineServer:
 
     # -------------------------------------------------------------- connections
     async def _handle_connection(self, reader, writer) -> None:
-        peer = writer.get_extra_info("peername") or writer.get_extra_info("sockname")
-        peer = repr(peer)
+        peer = self._peer(writer)
         self._connections += 1
         self.engine._events.emit("net_connect", peer=peer)
         write_lock = asyncio.Lock()
@@ -440,11 +444,28 @@ class EngineServer:
             )
         return frame[0], frame[1], frame[2:]
 
-    async def _send(self, writer, write_lock, frame_value) -> None:
-        data = encode_frame(frame_value, self.max_frame_bytes)
+    @staticmethod
+    def _peer(writer) -> str:
+        return repr(writer.get_extra_info("peername") or writer.get_extra_info("sockname"))
+
+    async def _send(self, writer, write_lock, frame_value) -> bool:
+        """Send one frame; False if a typed error frame went in its place.
+
+        A frame the codec refuses — over ``max_frame_bytes``, or holding a
+        value the wire cannot carry — is answered with ``[rid, "err",
+        ProtocolError]`` naming why.  None of its bytes were written, so
+        the connection stays usable.
+        """
+        try:
+            data, sent = encode_frame(frame_value, self.max_frame_bytes), True
+        except ProtocolError as exc:
+            error = ProtocolError(f"reply not sent: {exc}")
+            self.engine._events.emit("net_protocol_error", peer=self._peer(writer), error=str(error))
+            data, sent = encode_frame([frame_value[0], "err", error], self.max_frame_bytes), False
         async with write_lock:
             writer.write(data)
             await writer.drain()
+        return sent
 
     async def _answer(self, request_id, op, args, writer, write_lock) -> None:
         try:
@@ -497,27 +518,17 @@ class EngineServer:
         except BaseException as exc:  # noqa: BLE001 — unknown doc, closed engine...
             await self._send(writer, write_lock, [request_id, "err", exc])
             return
-        stream = _ServerStream(credit)
-        streams[request_id] = stream
+        stream = streams[request_id] = _ServerStream(iterator, chunk_size, credit)
         stream.task = asyncio.get_running_loop().create_task(
-            self._pump(request_id, stream, streams, iterator, chunk_size, writer, write_lock)
+            self._pump(request_id, stream, streams, writer, write_lock)
         )
 
-    async def _pump(
-        self, request_id, stream, streams, iterator, chunk_size, writer, write_lock
-    ) -> None:
+    async def _pump(self, request_id, stream, streams, writer, write_lock) -> None:
         """Push chunks of one stream to the client while its credit lasts."""
 
         def pull():
-            answers = []
-            tracer = self.engine._tracer
-            with tracer.span("net:stream_chunk"):
-                try:
-                    for _ in range(chunk_size):
-                        answers.append(next(iterator))
-                except StopIteration:
-                    return tuple(answers), True
-            return tuple(answers), False
+            with self.engine._tracer.span("net:stream_chunk"):
+                return stream.next_chunk()
 
         loop = asyncio.get_running_loop()
         try:
@@ -537,10 +548,10 @@ class EngineServer:
                 if stream.closed:
                     return
                 stream.credit -= 1
-                await self._send(
+                sent = await self._send(
                     writer, write_lock, [request_id, "chunk", answers, exhausted]
                 )
-                if exhausted:
+                if exhausted or not sent:
                     return
         except asyncio.CancelledError:
             raise
@@ -548,7 +559,7 @@ class EngineServer:
             pass
         finally:
             streams.pop(request_id, None)
-            close = getattr(iterator, "close", None)
+            close = getattr(stream.iterator, "close", None)
             if close is not None:
                 # Run the generator's finalizer on the engine lane: it sends
                 # the shard-side stream_close through the pool.

@@ -22,6 +22,7 @@ import contextlib
 import pytest
 
 from repro import (
+    CodecError,
     Engine,
     EngineError,
     InvalidEditError,
@@ -30,6 +31,8 @@ from repro import (
     StaleIteratorError,
 )
 from repro.automata.queries import select_labeled
+from repro.automata.serialize import MAX_VALUE_DEPTH
+from repro.automata.unranked_tva import UnrankedTVA
 from repro.engine import ResultPage
 from repro.net import EngineServer, RemoteEngine
 from repro.obs import parse_prometheus_text
@@ -279,6 +282,43 @@ class TestChunkBoundaries:
                     self._check(remote, 4, lambda: remote.net_stats()["chunks"])
             finally:
                 server.stop()
+
+
+class TestDeepQueryStates:
+    """States nested deeper than the catalog codec's limit are refused at
+    compile with one ``CodecError`` on every transport.  The codec applies
+    its limit on encode as well as on decode, so no process writes a
+    catalog entry that a shard worker cannot read back."""
+
+    @staticmethod
+    def _deep_query(levels: int) -> UnrankedTVA:
+        """select-a with every state wrapped in ``levels`` one-tuples."""
+        base = _query()
+
+        def wrap(state):
+            for _ in range(levels):
+                state = (state,)
+            return state
+
+        return UnrankedTVA(
+            states=[wrap(q) for q in base.states],
+            variables=base.variables,
+            initial=[(label, var_set, wrap(q)) for label, var_set, q in base.initial],
+            delta=[(wrap(q), wrap(child), wrap(nxt)) for q, child, nxt in base.delta],
+            final=[wrap(q) for q in base.final],
+        )
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_one_codec_error_at_compile(self, served, transport):
+        engine = served[transport][0]
+        with pytest.raises(CodecError, match=f"nested deeper than {MAX_VALUE_DEPTH} levels"):
+            engine.compile(self._deep_query(40))
+
+    def test_states_under_the_limit_reach_a_shard_worker(self, served):
+        engine, tree_doc, _other = served["sharded"]
+        doc = engine.add_tree(random_tree(20, LABELS, 1), self._deep_query(20))
+        assert set(doc.stream()) == set(tree_doc.stream())
+        doc.remove()
 
 
 class TestFailedBatchIngest:

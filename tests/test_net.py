@@ -20,6 +20,7 @@ import random
 import re
 import socket
 import sys
+import threading
 import time
 
 import pytest
@@ -63,6 +64,7 @@ from repro.net.framing import (
 from repro.obs.metrics import MetricsRegistry
 from repro.engine.cursor import CursorInvalidation
 from repro.trees.edits import Delete, Insert, InsertRight, Relabel
+from repro.trees.generators import star_tree
 from repro.trees.unranked import UnrankedTree
 
 
@@ -569,6 +571,28 @@ class TestServerProtocol:
             finally:
                 server.stop()
 
+    @pytest.mark.parametrize("read", ["page", "stream"])
+    def test_oversized_reply_is_a_typed_error_and_connection_survives(self, read):
+        """A 250-answer page or chunk is ~6 kB, over the server's 4 kB limit."""
+        with Engine() as engine:
+            server = EngineServer(engine, max_frame_bytes=4096).start()
+            try:
+                with RemoteEngine(server.address, timeout=5) as remote:
+                    doc = remote.add_tree(
+                        star_tree(250, labels=("a",)), queries.select_labeled("a")
+                    )
+                    with pytest.raises(
+                        ProtocolError,
+                        match=r"reply not sent: frame body of \d+ bytes exceeds the 4096-byte",
+                    ):
+                        doc.page(page_size=250) if read == "page" else list(doc.stream())
+                    assert remote.ping() == "pong"
+                events = engine.events()
+                errors = [e["error"] for e in events if e["kind"] == "net_protocol_error"]
+                assert len(errors) == 1 and "4096-byte" in errors[0]
+            finally:
+                server.stop()
+
     def test_idle_timeout_drops_the_connection(self):
         with Engine(page_size=3) as engine:
             server = EngineServer(engine, idle_timeout=0.2).start()
@@ -607,6 +631,72 @@ class TestServerProtocol:
                     assert doc.count() == len(list(doc.stream()))
             finally:
                 server.stop()
+
+
+class TestClientClosesAnUnusableConnection:
+    """After a failure that leaves the byte stream unreadable or gone, the
+    client closes its connection, and every later call raises one
+    ``ProtocolError`` naming that first failure."""
+
+    @staticmethod
+    def _assert_later_calls_name(first, *calls):
+        for call in calls:
+            with pytest.raises(ProtocolError, match=re.escape(str(first.value))):
+                call()
+
+    def test_refused_incoming_frame(self):
+        with Engine() as engine:
+            server = EngineServer(engine).start()
+            try:
+                with RemoteEngine(server.address, max_frame_bytes=4096, timeout=5) as remote:
+                    doc = remote.add_tree(
+                        star_tree(250, labels=("a",)), queries.select_labeled("a")
+                    )
+                    with pytest.raises(ProtocolError, match=r"announces \d+ bytes") as first:
+                        doc.page(page_size=250)
+                    self._assert_later_calls_name(first, remote.ping, doc.count)
+            finally:
+                server.stop()
+
+    def test_connection_dropped_by_the_server(self):
+        with Engine() as engine:
+            server = EngineServer(engine, idle_timeout=0.2).start()
+            try:
+                with RemoteEngine(server.address, timeout=5) as remote:
+                    time.sleep(0.6)
+                    with pytest.raises(ProtocolError) as first:
+                        remote.ping()
+                    self._assert_later_calls_name(first, remote.ping)
+            finally:
+                server.stop()
+
+    def test_timeout_inside_a_frame(self):
+        """A fake server stalls after two bytes of a reply header."""
+        release = threading.Event()
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def serve():
+                conn, _peer = listener.accept()
+                with conn:
+                    recv_frame(conn)  # HELLO
+                    info = {"protocol": PROTOCOL_VERSION, "page_size": 3, "chunk_size": 4,
+                            "max_frame_bytes": MAX_FRAME_BYTES, "max_streams": 1}
+                    send_frame(conn, [0, "ok", info])
+                    recv_frame(conn)  # the ping
+                    conn.sendall(b"\x00\x00")
+                    release.wait(10)
+
+            thread = threading.Thread(target=serve)
+            thread.start()
+            try:
+                with RemoteEngine(listener.getsockname()[:2], timeout=0.3) as remote:
+                    with pytest.raises(ProtocolError, match="timed out mid-frame") as first:
+                        remote.ping()
+                    self._assert_later_calls_name(first, remote.ping)
+            finally:
+                release.set()
+                thread.join(10)
+            assert not thread.is_alive()
 
 
 class TestRemoteEngineSurface:

@@ -103,6 +103,23 @@ class TestQueryCatalog:
         with pytest.raises(CatalogError, match="corrupt"):
             compiled_query_from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"[1]", b'"x"', b"[" * 100000 + b"]" * 100000, b"\xff\xfe{}"],
+        ids=["list", "string", "nesting-bomb", "not-utf8"],
+    )
+    def test_unreadable_entry_raises_catalog_error_naming_it(self, tmp_path, text):
+        query = select_labeled("a", LABELS)
+        catalog = QueryCatalog(str(tmp_path))
+        catalog.save(query)
+        digest = catalog.digest_of(query)
+        path = catalog.path_of(digest)
+        with open(path, "wb") as handle:
+            handle.write(text)
+        with pytest.raises(CatalogError, match="corrupt") as info:
+            QueryCatalog(str(tmp_path)).load(digest)
+        assert path in str(info.value) and digest in str(info.value)
+
     def test_plans_out_of_canonical_order_raise_catalog_error(self, tmp_path):
         query = select_descendant_pairs(LABELS)
         TreeRuntime(tree_of_shape("random", 40, LABELS, 3), query)  # fills the plan cache
