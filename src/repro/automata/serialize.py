@@ -21,16 +21,12 @@ Tuples and frozensets are encoded as tagged JSON lists (``["t", [...]]`` /
 (``["f", "repr"]``) so JSON round-trips cannot silently merge ``1`` and
 ``1.0``.
 
-This is the one tagged value codec of the library, built by
-:func:`value_codec`.  The catalog's instance is :func:`encode_value` /
-:func:`decode_value`; the network tier's wire codec
-(:mod:`repro.net.framing`) is another instance that extends it at its two
-extension points — a hook that encodes a type the shared tags do not
-cover, and one that decodes a tag they do not — with its own depth limit
-and error type.  Each codec applies its one depth limit on both encode and
-decode (:data:`MAX_VALUE_DEPTH` here), so no value is written that its own
-decoder refuses.  Catalog files and wire frames are both rendered by
-:func:`canonical_json` and parsed by :func:`loads_payload`.
+:func:`value_codec` builds the library's one tagged value codec: this
+catalog's :func:`encode_value` / :func:`decode_value`, and the wire codec of
+:mod:`repro.net.framing`, which extends it at two points (a type and a tag
+the shared ones do not cover) with its own depth limit and error type.
+Catalog files and wire frames are rendered by :func:`canonical_json` and
+parsed by :func:`loads_payload` alike.
 
 Payloads **intern** values: each distinct state/label/variable/variable-set
 is encoded once into a canonically sorted ``values`` table, and the relation
@@ -76,8 +72,7 @@ __all__ = [
 #: tuples a few levels deep (translation pairs, homogenization flags);
 #: anything deeper is a recursion bomb, not an automaton — rejected with a
 #: precise :class:`~repro.errors.CodecError` instead of blowing the Python
-#: stack, and refused on encode as well, so no entry is ever written that
-#: cannot be read back.
+#: stack.
 MAX_VALUE_DEPTH = 32
 
 #: default byte ceiling of :func:`loads_payload` (64 MiB) — far above every
@@ -92,21 +87,17 @@ def value_codec(max_depth: int, error: type, encode_other, decode_other):
 
     The shared part is written here once: bare JSON primitives, the
     ``f``/``t``/``s`` tags, the canonical set order and the direct path of
-    answer sets.  A codec differs from another only where the arguments
-    say: ``encode_other(value, depth, encode)`` encodes a type the shared
-    tags do not cover, ``decode_other(tag, data, depth, decode)`` decodes a
-    tag they do not, and ``max_depth`` and ``error`` are its own.  The
-    catalog's codec (:func:`encode_value` / :func:`decode_value`) refuses
-    anything else; the wire's (:mod:`repro.net.framing`) adds its tags.
+    answer sets.  Codecs differ only in the arguments:
+    ``encode_other(value, depth, encode)`` encodes a type the shared tags
+    do not cover, ``decode_other(tag, data, depth, decode)`` decodes a tag
+    they do not, and ``max_depth`` and ``error`` are the codec's own.
 
-    The depth limit holds on both sides, so a codec never writes a value
-    that it refuses to read back.  The encoder counts the value's own
-    depth and the decoder the depth of its tagged lists, so a bare
-    primitive may sit one level deeper on the decode side.  Decoding is
-    hardened against untrusted input: unknown tags, wrong arities,
-    non-string float reprs, set members that cannot be hashed and nesting
-    past ``max_depth`` raise a precise ``error`` naming the offending
-    shape, never a bare ``ValueError`` / ``TypeError`` / ``RecursionError``.
+    The depth limit holds on encode and decode, so a codec never writes a
+    value that it refuses to read back (the decoder counts tagged lists
+    only, so a bare primitive may sit one level deeper there).  Unknown
+    tags, wrong arities, non-string float reprs, unhashable set members and
+    nesting past ``max_depth`` raise a precise ``error``, never a bare
+    ``ValueError`` / ``TypeError`` / ``RecursionError``.
 
     Answers take a direct path in both directions.  Every answer of a tree
     or word query is a frozenset of ``(variable, id)`` pairs, exact ``str``

@@ -114,12 +114,8 @@ class SocketTransport(Transport):
 
     # -------------------------------------------------------------- framing
     def _fail(self, reason: str) -> ProtocolError:
-        """Close a connection that can no longer be read or written.
-
-        Every later call raises a :class:`ProtocolError` naming ``reason``,
-        the first failure, instead of reading the rest of a refused frame
-        as frame headers or writing to a dead socket.
-        """
+        """Close a connection that can no longer be read or written; every
+        later call raises a :class:`ProtocolError` naming ``reason``."""
         if not self._closed:
             self._close_reason = reason
             self.close()

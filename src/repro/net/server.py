@@ -449,13 +449,9 @@ class EngineServer:
         return repr(writer.get_extra_info("peername") or writer.get_extra_info("sockname"))
 
     async def _send(self, writer, write_lock, frame_value) -> bool:
-        """Send one frame; False if a typed error frame went in its place.
-
-        A frame the codec refuses — over ``max_frame_bytes``, or holding a
-        value the wire cannot carry — is answered with ``[rid, "err",
-        ProtocolError]`` naming why.  None of its bytes were written, so
-        the connection stays usable.
-        """
+        """Send one frame; False if the codec refused it (over the frame
+        limit, or a value the wire cannot carry) and a typed error frame
+        went in its place, on a connection that stays usable."""
         try:
             data, sent = encode_frame(frame_value, self.max_frame_bytes), True
         except ProtocolError as exc:
