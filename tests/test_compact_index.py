@@ -9,6 +9,12 @@
   The word digests pin the order of spanner answers on a word under text
   edits; they were recorded while words still had a term maintainer of
   their own, before they became forests of one-node trees.
+* Provenance and dependency masks.  The same kind of digest over the
+  ``(sorted answer, provenance mask)`` stream of the mask-native enumeration
+  of a root boxed set, which also takes in the dependency masks a cursor's
+  resume-or-invalidate decision reads, at pauses after 1, 7 and 50 answers.
+  The three queries' root boxed sets hold one gate each; a random automaton
+  covers root boxed sets and left frames with several positions.
 * Heap shape.  The index tables are flat integer containers the cyclic GC
   does not track, and a built document stays a few dozen tracked objects per
   tree node.
@@ -22,10 +28,16 @@ import random
 
 import pytest
 
+from helpers import random_binary_tree, random_binary_tva
 from repro import Engine
+from repro.automata.homogenize import homogenize
 from repro.automata.queries import DEFAULT_LABELS
 from repro.bench.workloads import query_for_name, tree_for_experiment
+from repro.circuits.build import build_assignment_circuit
 from repro.enumeration import index as index_module
+from repro.enumeration.assignment_iter import root_boxed_set
+from repro.enumeration.duplicate_free import MaskStackEnumeration
+from repro.enumeration.index import build_index
 from repro.trees.edits import random_edit_sequence
 
 #: (before the edit script, after it) per query on the fixed 300-node tree
@@ -56,6 +68,30 @@ PINNED_WORD_ORDER = {
     ),
 }
 
+#: digests of the ``(sorted answer, provenance mask)`` stream of the root
+#: boxed set, dependency masks included (see :func:`_provenance_digest`):
+#: (before the edit script, after it) per query on the fixed 300-node tree,
+#: and one digest for the random automaton of
+#: :func:`test_provenance_over_several_positions_is_pinned`
+PINNED_PROVENANCE = {
+    "select-a": (
+        "d611b8db19ecb6e2177dfe828a03096beab9eb0fdd8533bbdd6fd094148d7a39",
+        "a2de271e5ec016c7aaaa8b425face8ece3ea4904a8eec83628abb7af0ef95f10",
+    ),
+    "descendant": (
+        "d42f76dd322bbdb11ead7c45b79ddbf026b6cc3a6b468327b0f85346bf97e4b3",
+        "f979f4300e84e4df93b50c9e491e2c47839cd47c1d7cc1e99573600e2281cbb9",
+    ),
+    "nondet-6": (
+        "410c3dd9c44c1723f35d4c25c6dd6636527d25fa1560f2088e89c6eb5c9ff09b",
+        "551b567bec244c172c0a53f6340ab80016f04fb8a550b5071410e2569800cb88",
+    ),
+    "several-positions": "fc19058722b2c8e08ef48d504640826930ce499617a4fb009d63bdfcf6b041fa",
+}
+
+#: answer counts after which the provenance digest takes in the dependency masks
+PROVENANCE_PAUSES = (1, 7, 50)
+
 #: GC-tracked objects per tree node added by ingesting one 2048-node
 #: nondet-6 document, plan cache included: 219 with tuple/dict index
 #: entries and per-plan sentinel pairs, about 20 with the flat tables
@@ -70,21 +106,86 @@ def _order_digest(answers) -> str:
     return digest.hexdigest()
 
 
-def _before_and_after(name: str):
+def _leaf_span(box):
+    """The ids of the first and the last leaf under ``box``."""
+    first = last = box
+    while first.left_child is not None:
+        first = first.left_child
+    while last.right_child is not None:
+        last = last.right_child
+    return first.leaf_payload, last.leaf_payload
+
+
+def _provenance_digest(gates) -> str:
+    """sha256 of the enumeration's ``(sorted answer, provenance mask)`` lines,
+    with its dependency masks after each answer count in PROVENANCE_PAUSES.
+
+    Box serials are global counters, so a box is named by its label and leaf
+    span; the dependency masks are sorted ``(label, first leaf id, last leaf
+    id, slot mask)`` tuples.
+    """
+    digest = hashlib.sha256()
+    enumeration = MaskStackEnumeration(gates)
+    for count, (answer, mask) in enumerate(enumeration, 1):
+        digest.update(repr((tuple(sorted(answer)), mask)).encode())
+        digest.update(b"\n")
+        if count in PROVENANCE_PAUSES:
+            deps = sorted(
+                (repr(box.label), *_leaf_span(box), slots)
+                for box, slots in enumeration.dependency_masks().values()
+            )
+            digest.update(repr(deps).encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _before_and_after(name: str, read=lambda doc: doc.answers()):
     tree = tree_for_experiment(300, "random", seed=13)
     edits = random_edit_sequence(tree, DEFAULT_LABELS, 30, seed=29)
     with Engine() as engine:
         doc = engine.add(tree.copy(), query_for_name(name))
-        before = doc.answers()
+        before = read(doc)
         for edit in edits:
             doc.apply_edits([edit])
-        return before, doc.answers()
+        return before, read(doc)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_ORDER))
 def test_answer_order_is_pinned(name):
     before, after = _before_and_after(name)
     assert (_order_digest(before), _order_digest(after)) == PINNED_ORDER[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ORDER))
+def test_provenance_and_dependency_masks_are_pinned(name):
+    def read(doc):
+        runtime = doc.runtime
+        gates, _empty = root_boxed_set(
+            runtime.maintainer.root_box, runtime.binary_automaton.final
+        )
+        assert len(gates) == 1  # one position
+        return _provenance_digest(gates)
+
+    assert _before_and_after(name, read) == PINNED_PROVENANCE[name]
+
+
+def test_provenance_over_several_positions_is_pinned():
+    automaton = homogenize(random_binary_tva(16, n_states=3, variables=("x", "y")))
+    circuit = build_assignment_circuit(random_binary_tree(16, 6), automaton)
+    build_index(circuit)
+    gates, _empty = root_boxed_set(circuit.root_box, automaton.final)
+    gates.sort(key=lambda gate: gate.slot)  # final states iterate in hash order
+    # The premise: several positions at the root and in some left frame.
+    assert len(gates) >= 2
+    enumeration = MaskStackEnumeration(gates)
+    assert any(
+        frame.parent is not None
+        and frame is frame.parent.left_frame
+        and len(frame.parent.pbl) >= 2
+        for _answer in enumeration
+        for frame in enumeration._stack
+    )
+    assert _provenance_digest(gates) == PINNED_PROVENANCE["several-positions"]
 
 
 def _word_before_and_after(pattern: str):

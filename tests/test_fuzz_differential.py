@@ -252,21 +252,23 @@ class TestCircuitLevelDifferential:
         for box in circuit.boxes():
             if not box.union_gates:
                 continue
-            gamma = list(box.union_gates)
-            generic = {
-                (assignment, frozenset(id(g) for g in provenance))
-                for assignment, provenance in _enumerate_generic(gamma, naive_box_enum)
-            }
-            fast = {
-                (assignment, frozenset(id(gamma[p]) for p in iter_bits(mask)))
-                for assignment, mask in enumerate_boxed_masks(gamma)
-            }
-            assert fast == generic
-            public = {
-                (assignment, frozenset(id(g) for g in provenance))
-                for assignment, provenance in enumerate_boxed_set(gamma)
-            }
-            assert public == generic
+            # Every ∪-gate of the box (many positions), then each ∪-gate on
+            # its own (one position).
+            for gamma in [list(box.union_gates)] + [[gate] for gate in box.union_gates]:
+                generic = {
+                    (assignment, frozenset(id(g) for g in provenance))
+                    for assignment, provenance in _enumerate_generic(gamma, naive_box_enum)
+                }
+                fast = {
+                    (assignment, frozenset(id(gamma[p]) for p in iter_bits(mask)))
+                    for assignment, mask in enumerate_boxed_masks(gamma)
+                }
+                assert fast == generic
+                public = {
+                    (assignment, frozenset(id(g) for g in provenance))
+                    for assignment, provenance in enumerate_boxed_set(gamma)
+                }
+                assert public == generic
 
     @pytest.mark.parametrize("case", range(8))
     def test_root_enumeration_matches_dp_oracle(self, case):
