@@ -54,6 +54,7 @@ from repro.engine.sharding import (
 from repro.errors import EngineError, ProtocolError
 from repro.net.framing import (
     MAX_FRAME_BYTES,
+    MIN_FRAME_BYTES,
     PROTOCOL_VERSION,
     recv_frame,
     send_frame,
@@ -322,7 +323,8 @@ class RemoteEngine(Engine):
     stream_chunk_size:
         Answers per pushed stream chunk; ``None`` inherits the server's.
     max_frame_bytes:
-        Per-frame byte ceiling in both directions.
+        Per-frame byte ceiling in both directions, at least
+        :data:`~repro.net.framing.MIN_FRAME_BYTES`.
     timeout:
         Socket timeout in seconds for every reply wait (``None`` = block
         forever); an expiry raises :class:`~repro.errors.ProtocolError`,
@@ -343,6 +345,10 @@ class RemoteEngine(Engine):
             raise EngineError("pass exactly one of address=(host, port) or unix_path=")
         if page_size is not None and page_size < 1:
             raise EngineError("page_size must be >= 1")
+        if max_frame_bytes < MIN_FRAME_BYTES:
+            raise EngineError(
+                f"max_frame_bytes must be >= {MIN_FRAME_BYTES}, got {max_frame_bytes}"
+            )
         # Engine's constructor builds an in-process or fleet transport; a
         # remote engine starts from the same facade state over a socket.
         transport = SocketTransport(address, unix_path, max_frame_bytes, timeout)

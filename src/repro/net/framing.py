@@ -67,6 +67,7 @@ from repro.errors import CodecError, EngineError, ProtocolError
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "MIN_FRAME_BYTES",
     "MAX_WIRE_DEPTH",
     "encode_wire",
     "decode_wire",
@@ -85,6 +86,11 @@ PROTOCOL_VERSION = 2
 
 #: default per-frame byte ceiling (header excluded) on both sides
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: the lowest ceiling a server or client accepts: room for the HELLO
+#: exchange (the server's reply is about 120 bytes) and for the typed error
+#: frame that replaces a refused reply (a few hundred bytes)
+MIN_FRAME_BYTES = 1024
 
 #: deepest value nesting a frame body may carry (answers are ~3 deep,
 #: stats dicts ~4; anything deeper is a recursion bomb, not traffic)

@@ -55,6 +55,7 @@ from repro.engine.sharding import PushStream
 from repro.errors import EngineError, ProtocolError
 from repro.net.framing import (
     MAX_FRAME_BYTES,
+    MIN_FRAME_BYTES,
     PROTOCOL_VERSION,
     encode_frame,
     recv_frame_async,
@@ -95,10 +96,12 @@ class EngineServer:
     unix_path:
         Optional unix-domain socket path to additionally listen on.
     max_frame_bytes:
-        Per-frame byte ceiling in both directions; an incoming frame over
+        Per-frame byte ceiling in both directions, at least
+        :data:`~repro.net.framing.MIN_FRAME_BYTES`; an incoming frame over
         it is rejected with :class:`~repro.errors.ProtocolError` and the
         connection dropped, and an outgoing reply or chunk over it is
-        replaced by a typed error frame.
+        replaced by a typed error frame (the connection is dropped if that
+        frame is refused too).
     max_streams:
         Concurrently open streams one connection may hold; a breach is
         answered with a typed error frame (connection stays usable).
@@ -119,6 +122,10 @@ class EngineServer:
     ):
         if host is None and unix_path is None:
             raise EngineError("EngineServer needs a TCP host and/or a unix_path")
+        if max_frame_bytes < MIN_FRAME_BYTES:
+            raise EngineError(
+                f"max_frame_bytes must be >= {MIN_FRAME_BYTES}, got {max_frame_bytes}"
+            )
         if max_streams < 1:
             raise EngineError(f"max_streams must be >= 1, got {max_streams}")
         if idle_timeout is not None and idle_timeout <= 0:
@@ -337,33 +344,13 @@ class EngineServer:
                 except asyncio.TimeoutError:
                     reason = "idle-timeout"
                     return
-                except ProtocolError as exc:
-                    reason = f"protocol-error: {exc}"
-                    self.engine._events.emit(
-                        "net_protocol_error", peer=peer, error=str(exc)
-                    )
-                    return
                 if frame is None:
                     return  # clean EOF: the client closed
-                try:
-                    request_id, op, args = self._parse_request(frame)
-                except ProtocolError as exc:
-                    reason = f"protocol-error: {exc}"
-                    self.engine._events.emit(
-                        "net_protocol_error", peer=peer, error=str(exc)
-                    )
-                    return
+                request_id, op, args = self._parse_request(frame)
                 if op == "stream_open":
-                    try:
-                        await self._stream_open(
-                            request_id, args, streams, writer, write_lock, peer
-                        )
-                    except ProtocolError as exc:
-                        reason = f"protocol-error: {exc}"
-                        self.engine._events.emit(
-                            "net_protocol_error", peer=peer, error=str(exc)
-                        )
-                        return
+                    await self._stream_open(
+                        request_id, args, streams, reader, writer, write_lock, peer
+                    )
                 elif op == "stream_credit":
                     stream = streams.get(request_id)
                     if stream is not None and args and isinstance(args[0], int):
@@ -373,6 +360,12 @@ class EngineServer:
                     self._stream_drop(streams, request_id)
                 else:
                     await self._answer(request_id, op, args, writer, write_lock)
+        except ProtocolError as exc:
+            # A framing violation leaves no frame boundary to resume at, and
+            # a refused error frame leaves a request unanswered: either way
+            # this connection closes.
+            reason = f"protocol-error: {exc}"
+            self.engine._events.emit("net_protocol_error", peer=peer, error=str(exc))
         except asyncio.CancelledError:
             # Server shutdown cancels connection tasks; ending the task
             # cleanly (instead of re-raising) keeps asyncio's stream
@@ -451,13 +444,19 @@ class EngineServer:
     async def _send(self, writer, write_lock, frame_value) -> bool:
         """Send one frame; False if the codec refused it (over the frame
         limit, or a value the wire cannot carry) and a typed error frame
-        went in its place, on a connection that stays usable."""
+        went in its place, on a connection that stays usable.  Raises
+        :class:`~repro.errors.ProtocolError` if the error frame is refused
+        too; the connection's task then closes the connection."""
         try:
             data, sent = encode_frame(frame_value, self.max_frame_bytes), True
         except ProtocolError as exc:
             error = ProtocolError(f"reply not sent: {exc}")
             self.engine._events.emit("net_protocol_error", peer=self._peer(writer), error=str(error))
-            data, sent = encode_frame([frame_value[0], "err", error], self.max_frame_bytes), False
+            try:
+                data = encode_frame([frame_value[0], "err", error], self.max_frame_bytes)
+            except ProtocolError as refused:
+                raise ProtocolError(f"error frame not sent: {refused}") from None
+            sent = False
         async with write_lock:
             writer.write(data)
             await writer.drain()
@@ -473,7 +472,7 @@ class EngineServer:
 
     # ------------------------------------------------------------------ streams
     async def _stream_open(
-        self, request_id, args, streams, writer, write_lock, peer
+        self, request_id, args, streams, reader, writer, write_lock, peer
     ) -> None:
         if request_id in streams:
             raise ProtocolError(f"stream request id {request_id} is already open")
@@ -516,10 +515,10 @@ class EngineServer:
             return
         stream = streams[request_id] = _ServerStream(iterator, chunk_size, credit)
         stream.task = asyncio.get_running_loop().create_task(
-            self._pump(request_id, stream, streams, writer, write_lock)
+            self._pump(request_id, stream, streams, reader, writer, write_lock)
         )
 
-    async def _pump(self, request_id, stream, streams, writer, write_lock) -> None:
+    async def _pump(self, request_id, stream, streams, reader, writer, write_lock) -> None:
         """Push chunks of one stream to the client while its credit lasts."""
 
         def pull():
@@ -551,6 +550,10 @@ class EngineServer:
                     return
         except asyncio.CancelledError:
             raise
+        except ProtocolError as exc:
+            # The error frame was refused: the connection's task, woken in
+            # its read, closes the connection.
+            reader.set_exception(exc)
         except Exception:  # noqa: BLE001 — the connection died under the pump
             pass
         finally:

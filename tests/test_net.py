@@ -14,6 +14,7 @@ tier against the in-process oracle lives in
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 import os
 import random
@@ -53,6 +54,7 @@ from repro.errors import (
 from repro.net import EngineServer, RemoteEngine
 from repro.net.framing import (
     MAX_FRAME_BYTES,
+    MIN_FRAME_BYTES,
     PROTOCOL_VERSION,
     decode_frame_body,
     decode_wire,
@@ -590,6 +592,48 @@ class TestServerProtocol:
                 events = engine.events()
                 errors = [e["error"] for e in events if e["kind"] == "net_protocol_error"]
                 assert len(errors) == 1 and "4096-byte" in errors[0]
+            finally:
+                server.stop()
+
+    def test_frame_limit_below_the_floor_is_refused(self, served_engine):
+        """A limit too small for the HELLO exchange would let no client in."""
+        engine, server = served_engine
+        floor = rf"max_frame_bytes must be >= {MIN_FRAME_BYTES}, got 64"
+        with pytest.raises(EngineError, match=floor):
+            EngineServer(engine, max_frame_bytes=64)
+        with pytest.raises(EngineError, match=floor):
+            RemoteEngine(server.address, max_frame_bytes=64, timeout=5)
+        assert not any(e["kind"] == "net_connect" for e in engine.events())
+        with RemoteEngine(server.address, max_frame_bytes=MIN_FRAME_BYTES, timeout=5) as remote:
+            assert remote.ping() == "pong"
+
+    def test_refused_error_frame_closes_the_connection(self, caplog):
+        """When the typed error frame that replaces a refused reply is
+        refused too, the server closes that connection and says why."""
+        with Engine() as engine:
+            server = EngineServer(engine).start()
+            try:
+                # Lowered past the constructor's floor, the limit refuses the
+                # HELLO reply and the error frame that replaces it.
+                server.max_frame_bytes = 64
+                with caplog.at_level(logging.ERROR, logger="asyncio"):
+                    with pytest.raises(ProtocolError, match="closed the connection"):
+                        RemoteEngine(server.address, timeout=5)
+                    deadline = time.monotonic() + 5
+                    while not any(e["kind"] == "net_disconnect" for e in engine.events()):
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                events = engine.events()
+                assert [e["kind"] for e in events] == [
+                    "net_connect", "net_protocol_error", "net_protocol_error", "net_disconnect"
+                ]
+                assert re.fullmatch(
+                    r"reply not sent: frame body of \d+ bytes exceeds the 64-byte frame limit",
+                    events[1]["error"],
+                )
+                assert events[2]["error"].startswith("error frame not sent: frame body of ")
+                assert events[3]["reason"] == f"protocol-error: {events[2]['error']}"
+                assert not [r for r in caplog.records if r.name == "asyncio"]
             finally:
                 server.stop()
 
