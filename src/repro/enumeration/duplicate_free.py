@@ -25,7 +25,8 @@ Two implementations coexist:
   - a boxed set ``Γ`` is a list ``g`` of per-slot masks with bit ``p`` set on
     ``g[slot]`` iff position ``p`` of ``Γ`` reaches that ∪-slot — i.e. the
     ∪-reachability relation itself, so ``uppers_by_lower`` is a list read,
-    not a dict build;
+    not a dict build.  A boxed set with one position is carried as the mask
+    of the slots it reaches plus that position's constant mask ``g``;
   - the provenance of a var-/×-gate is one machine word (a mask over Γ
     positions), accumulated with ``|=`` from the per-slot masks through the
     per-box gate tables stamped at construction time
@@ -46,12 +47,24 @@ Two implementations coexist:
   boundary converts it back to a set of ∪-gates.
 
   Delay accounting: with ``w`` the circuit width, the per-interesting-box
-  work is ``O(w²)`` word operations (the fbb pair scan dominates; relation
-  composition is ``O(w·⌈w/64⌉)`` words), and the per-answer provenance
-  bookkeeping is ``O(k)`` word-ORs for an answer combining ``k`` ×-gate
-  levels — compared to the ``O(w³)`` set joins and ``O(k·w)`` set unions of
-  the frozenset representation.  The overall delay is ``O(|S|·(Δ + w²))``
-  with ``Δ`` the box-enumeration delay of Algorithm 3.
+  work is ``O(w²)`` word operations (the fbb pair scan dominates), and the
+  per-answer provenance bookkeeping is ``O(k)`` word-ORs for an answer
+  combining ``k`` ×-gate levels — compared to the ``O(w³)`` set joins and
+  ``O(k·w)`` set unions of the frozenset representation.  The overall delay
+  is ``O(|S|·(Δ + w²))`` with ``Δ`` the box-enumeration delay of
+  Algorithm 3.  Relation composition (a stored fib/fbb relation, or a
+  box's child wiring, composed with ``g``) costs what the boxed set's
+  positions allow:
+
+  - with several positions, ``stored ∘ g`` ORs one position mask per set
+    bit of each stored row, ``O(w²)`` word operations;
+  - a *one-position* boxed set gives every slot it reaches the same
+    position mask, so ``stored ∘ g`` is a preimage — the rows that meet
+    the step's slot mask — with one AND per stored row, ``O(w)`` word
+    operations, and is one-position again.  A frame is one-position when
+    the root ``Γ`` holds one gate, when a left frame has one ×-left slot,
+    and when a right frame has one matched right slot.  The root boxed
+    sets of select-a, descendant and nondet-6 hold one gate each.
 
 * The **generic path** keeps the paper-shaped recursive formulation over
   :class:`~repro.enumeration.relations.Relation` objects and frozenset
@@ -134,6 +147,11 @@ class _Frame:
     an interesting box is being processed, the mask-typed per-gate state of
     Algorithm 2: var-/×-gate provenance masks and the ×-gate grouping tables
     used for word-parallel left/right matching.
+
+    A step is ``(is_walk, box, g, lower)``: ``lower`` is the mask of the
+    box's slots that the boxed set reaches, and ``g`` is either the position
+    mask every one of those slots carries (a one-position boxed set, an
+    ``int``) or the per-slot list of position masks.
     """
 
     __slots__ = (
@@ -227,6 +245,20 @@ def _compose_masks_lm(stored: Sequence[int], g: Sequence[int]) -> Tuple[List[int
     return out, lower_mask
 
 
+def _preimage(stored: Sequence[int], lower: int) -> int:
+    """The slots whose row of ``stored`` meets ``lower``, as a slot mask.
+
+    ``stored ∘ g`` for a one-position ``g``: every non-zero entry of ``g``
+    is the same position mask, so the composition carries that mask on
+    exactly these rows — one AND per row.
+    """
+    out = 0
+    for slot, row in enumerate(stored):
+        if row & lower:
+            out |= 1 << slot
+    return out
+
+
 def _materialize(part) -> Assignment:
     """Union the var-gate assignments of a nested 2-tuple part tree."""
     if type(part) is not tuple:
@@ -269,6 +301,10 @@ class MaskStackEnumeration:
     instead of suspended generator frames.  That buys two things the serving
     layer needs:
 
+    Each pending step is ``(is_walk, box, g, lower)``, with ``g`` a position
+    mask over the slots in ``lower`` when the frame's boxed set has one
+    position, and the per-slot list otherwise (see :class:`_Frame`).
+
     * **checkpointing** — between two ``next()`` calls the enumeration is a
       passive value; a cursor can hold it across requests (and across edits
       of *other* regions of the document) and resume where it left off;
@@ -308,16 +344,17 @@ class MaskStackEnumeration:
             raise IndexError_(
                 "mask-native enumeration requires the index to be built (build_index)"
             )
-        gmasks = [0] * box.n_unions
-        for position, gate in enumerate(gamma):
-            gmasks[gate.slot] |= 1 << position
         root_lower = 0
-        bit = 1
-        for row in gmasks:
-            if row:
-                root_lower |= bit
-            bit <<= 1
-        self._stack = [_Frame(_ROOT, None, [(False, box, gmasks, root_lower)])]
+        for gate in gamma:
+            root_lower |= 1 << gate.slot
+        if root_lower & (root_lower - 1):
+            g = [0] * box.n_unions
+            for position, gate in enumerate(gamma):
+                g[gate.slot] |= 1 << position
+        else:
+            # one slot (one gate, perhaps repeated) holds every position of Γ
+            g = (1 << len(gamma)) - 1
+        self._stack = [_Frame(_ROOT, None, [(False, box, g, root_lower)])]
 
     def __iter__(self) -> "MaskStackEnumeration":
         return self
@@ -463,7 +500,6 @@ class MaskStackEnumeration:
                     prod_lefts = fr.prod_lefts
                     prod_rights = fr.prod_rights
                     lpos = [-1] * left_box.n_unions
-                    lmasks = [0] * left_box.n_unions
                     left_lower = 0
                     pbl: List[int] = []
                     rpos = [-1] * right_box.n_unions
@@ -477,7 +513,6 @@ class MaskStackEnumeration:
                         p = lpos[s]
                         if p < 0:
                             lpos[s] = len(pbl)
-                            lmasks[s] = 1 << len(pbl)
                             left_lower |= 1 << s
                             pbl.append(jbit)
                         else:
@@ -495,12 +530,14 @@ class MaskStackEnumeration:
                     fr.right_slots = right_slots
                     fr.n_right = right_box.n_unions
                     fr.right_box = right_box
+                    # one ×-left slot: the left frame's one position is 1
+                    left_g = 1 if len(pbl) == 1 else [0 if p < 0 else 1 << p for p in lpos]
                     child = fr.left_frame
                     if child is None:
-                        child = _Frame(_LEFT, fr, [(False, left_box, lmasks, left_lower)])
+                        child = _Frame(_LEFT, fr, [(False, left_box, left_g, left_lower)])
                         fr.left_frame = child
                     else:
-                        child.steps.append((False, left_box, lmasks, left_lower))
+                        child.steps.append((False, left_box, left_g, left_lower))
                     stack.append(child)
                     continue
             else:
@@ -511,6 +548,10 @@ class MaskStackEnumeration:
                     continue
                 is_walk, cur_box, g, lower_mask = steps.pop()
                 shape = cur_box.shape
+                # One position: ``g`` is the position mask that every slot of
+                # ``lower_mask`` carries, and so does every composition, whose
+                # slots are a preimage.
+                one = g.__class__ is int
 
                 if is_walk:
                     # one iteration of the bidirectional-box walk (Algorithm 3):
@@ -521,15 +562,23 @@ class MaskStackEnumeration:
                         continue
                     if not bid < fib_of_mask(shape, lower_mask) < shape.ends[bid]:
                         continue
-                    if bid:
-                        best = cur_box.targets[bid]
-                        rel_bid = _compose_masks(shape.relations[bid].masks_view(), g)
-                    else:
-                        best = cur_box
-                        rel_bid = g
+                    best = cur_box.targets[bid] if bid else cur_box
                     wire_left, wire_right = best.plan.wire_masks
-                    rel_left, lm_left = _compose_masks_lm(wire_left, rel_bid)
-                    rel_right, lm_right = _compose_masks_lm(wire_right, rel_bid)
+                    if one:
+                        rel_lower = (
+                            _preimage(shape.relations[bid].masks_view(), lower_mask)
+                            if bid
+                            else lower_mask
+                        )
+                        rel_left = rel_right = g
+                        lm_left = _preimage(wire_left, rel_lower)
+                        lm_right = _preimage(wire_right, rel_lower)
+                    else:
+                        rel_bid = (
+                            _compose_masks(shape.relations[bid].masks_view(), g) if bid else g
+                        )
+                        rel_left, lm_left = _compose_masks_lm(wire_left, rel_bid)
+                        rel_right, lm_right = _compose_masks_lm(wire_right, rel_bid)
                     if lm_left:
                         steps.append((True, best.left_child, rel_left, lm_left))
                     if lm_right:
@@ -540,9 +589,12 @@ class MaskStackEnumeration:
                 ordinal = fib_of_mask(shape, lower_mask)
                 if ordinal:
                     first = cur_box.targets[ordinal]
-                    rel_first, rf_lower = _compose_masks_lm(
-                        shape.relations[ordinal].masks_view(), g
-                    )
+                    stored = shape.relations[ordinal].masks_view()
+                    if one:
+                        rel_first = g
+                        rf_lower = _preimage(stored, lower_mask)
+                    else:
+                        rel_first, rf_lower = _compose_masks_lm(stored, g)
                 else:
                     first = cur_box
                     rel_first = g
@@ -551,8 +603,13 @@ class MaskStackEnumeration:
                     steps.append((True, cur_box, g, lower_mask))
                 if first.left_child is not None:
                     wire_left, wire_right = first.plan.wire_masks
-                    rel_l, lm_l = _compose_masks_lm(wire_left, rel_first)
-                    rel_r, lm_r = _compose_masks_lm(wire_right, rel_first)
+                    if one:
+                        rel_l = rel_r = g
+                        lm_l = _preimage(wire_left, rf_lower)
+                        lm_r = _preimage(wire_right, rf_lower)
+                    else:
+                        rel_l, lm_l = _compose_masks_lm(wire_left, rel_first)
+                        rel_r, lm_r = _compose_masks_lm(wire_right, rel_first)
                     if lm_r:
                         steps.append((False, first.right_child, rel_r, lm_r))
                     if lm_l:
@@ -568,25 +625,47 @@ class MaskStackEnumeration:
                 prod_prov = [0] * n_prods if n_prods else None
                 prod_slot_mask = 0
                 lm = first.local_mask & rf_lower
-                while lm:
-                    low = lm & -lm
-                    s = low.bit_length() - 1
-                    lm ^= low
-                    pm = rel_first[s]
-                    if n_vars:
-                        vm = slot_var_masks[s]
-                        while vm:
-                            lowv = vm & -vm
-                            var_prov[lowv.bit_length() - 1] |= pm
-                            vm ^= lowv
-                    if n_prods:
-                        qm = slot_prod_masks[s]
-                        if qm and pm:
+                if one:
+                    # every related slot carries ``g``: collect the var- and
+                    # ×-gates they feed, then give each of them ``g`` once
+                    vm = qm = 0
+                    while lm:
+                        low = lm & -lm
+                        s = low.bit_length() - 1
+                        lm ^= low
+                        if n_vars:
+                            vm |= slot_var_masks[s]
+                        if n_prods and slot_prod_masks[s]:
                             prod_slot_mask |= low
-                        while qm:
-                            lowq = qm & -qm
-                            prod_prov[lowq.bit_length() - 1] |= pm
-                            qm ^= lowq
+                            qm |= slot_prod_masks[s]
+                    while vm:
+                        lowv = vm & -vm
+                        var_prov[lowv.bit_length() - 1] = g
+                        vm ^= lowv
+                    while qm:
+                        lowq = qm & -qm
+                        prod_prov[lowq.bit_length() - 1] = g
+                        qm ^= lowq
+                else:
+                    while lm:
+                        low = lm & -lm
+                        s = low.bit_length() - 1
+                        lm ^= low
+                        pm = rel_first[s]
+                        if n_vars:
+                            vm = slot_var_masks[s]
+                            while vm:
+                                lowv = vm & -vm
+                                var_prov[lowv.bit_length() - 1] |= pm
+                                vm ^= lowv
+                        if n_prods:
+                            qm = slot_prod_masks[s]
+                            if qm and pm:
+                                prod_slot_mask |= low
+                            while qm:
+                                lowq = qm & -qm
+                                prod_prov[lowq.bit_length() - 1] |= pm
+                                qm ^= lowq
                 fr.box = first
                 fr.prod_slot_mask = prod_slot_mask
                 fr.var_prov = var_prov
@@ -617,20 +696,25 @@ class MaskStackEnumeration:
                         break
                     parent.match_mask = matched
                     parent.left_part = part
-                    rmasks = [0] * parent.n_right
+                    positions = 0
                     right_lower = 0
                     right_slots = parent.right_slots
                     for p, prods_p in enumerate(parent.pbr):
                         if prods_p & matched:
-                            s = right_slots[p]
-                            rmasks[s] = 1 << p
-                            right_lower |= 1 << s
+                            positions |= 1 << p
+                            right_lower |= 1 << right_slots[p]
+                    if positions & (positions - 1):
+                        right_g = [0] * parent.n_right
+                        for p in iter_bits(positions):
+                            right_g[right_slots[p]] = 1 << p
+                    else:
+                        right_g = positions  # one matched right slot: its position
                     child = parent.right_frame
                     if child is None:
-                        child = _Frame(_RIGHT, parent, [(False, parent.right_box, rmasks, right_lower)])
+                        child = _Frame(_RIGHT, parent, [(False, parent.right_box, right_g, right_lower)])
                         parent.right_frame = child
                     else:
-                        child.steps.append((False, parent.right_box, rmasks, right_lower))
+                        child.steps.append((False, parent.right_box, right_g, right_lower))
                     stack.append(child)
                     break
                 # role == _RIGHT: combine with the stored left part (line 16)
