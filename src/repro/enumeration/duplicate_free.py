@@ -301,10 +301,6 @@ class MaskStackEnumeration:
     instead of suspended generator frames.  That buys two things the serving
     layer needs:
 
-    Each pending step is ``(is_walk, box, g, lower)``, with ``g`` a position
-    mask over the slots in ``lower`` when the frame's boxed set has one
-    position, and the per-slot list otherwise (see :class:`_Frame`).
-
     * **checkpointing** — between two ``next()`` calls the enumeration is a
       passive value; a cursor can hold it across requests (and across edits
       of *other* regions of the document) and resume where it left off;
@@ -321,6 +317,10 @@ class MaskStackEnumeration:
       whole-box projection).  On survival :meth:`rebind` re-points the
       frames at the rebuilt boxes so the next batch can be judged the same
       way.
+
+    Each pending step is ``(is_walk, box, g, lower)``, with ``g`` a position
+    mask over the slots in ``lower`` when the frame's boxed set has one
+    position, and the per-slot list otherwise (see :class:`_Frame`).
     """
 
     __slots__ = ("_stack", "on_delay")
@@ -696,19 +696,19 @@ class MaskStackEnumeration:
                         break
                     parent.match_mask = matched
                     parent.left_part = part
-                    positions = 0
+                    right_positions = 0
                     right_lower = 0
                     right_slots = parent.right_slots
                     for p, prods_p in enumerate(parent.pbr):
                         if prods_p & matched:
-                            positions |= 1 << p
+                            right_positions |= 1 << p
                             right_lower |= 1 << right_slots[p]
-                    if positions & (positions - 1):
+                    if right_positions & (right_positions - 1):
                         right_g = [0] * parent.n_right
-                        for p in iter_bits(positions):
+                        for p in iter_bits(right_positions):
                             right_g[right_slots[p]] = 1 << p
                     else:
-                        right_g = positions  # one matched right slot: its position
+                        right_g = right_positions  # one matched right slot: its position
                     child = parent.right_frame
                     if child is None:
                         child = _Frame(_RIGHT, parent, [(False, parent.right_box, right_g, right_lower)])
