@@ -12,9 +12,10 @@
 * Provenance and dependency masks.  The same kind of digest over the
   ``(sorted answer, provenance mask)`` stream of the mask-native enumeration
   of a root boxed set, which also takes in the dependency masks a cursor's
-  resume-or-invalidate decision reads, at pauses after 1, 7 and 50 answers.
-  The three queries' root boxed sets hold one gate each; a random automaton
-  covers root boxed sets and left frames with several positions.
+  resume-or-invalidate decision reads, at pauses after 1, 7 and 50 answers,
+  and again after every answer.  The three queries' root boxed sets hold
+  one gate each; random automata cover root boxed sets and left frames with
+  several positions.
 * Heap shape.  The index tables are flat integer containers the cyclic GC
   does not track, and a built document stays a few dozen tracked objects per
   tree node.
@@ -92,6 +93,26 @@ PINNED_PROVENANCE = {
 #: answer counts after which the provenance digest takes in the dependency masks
 PROVENANCE_PAUSES = (1, 7, 50)
 
+#: the same digests with the dependency masks taken in after every answer,
+#: the random automaton's at another seed: a slot dropped from a mask late
+#: in a stream (after answer 2,240 of 4,221 on descendant, say) leaves
+#: PINNED_PROVENANCE as it is
+PINNED_DEPENDENCY_MASKS = {
+    "select-a": (
+        "b47ccefb97b022c0dac6ae678126618914ccb6e25bea698b263cd1a2eae3ff72",
+        "4fe1e49337f68c64699fb1166ce843d22966b30fa9b75cd0c4dcd13408f738a5",
+    ),
+    "descendant": (
+        "7d23d340f7b4af596039c68a5dacf562b7759e65941b7b48d5b3ad2f787c8f64",
+        "9486938c2b5d8bbe07cc0c262f7a138199795dc01b63a261b8aa7bfe4be708df",
+    ),
+    "nondet-6": (
+        "160aeb517fa7e106bc46eefe2b8eaedf9381aa1066bd8975d7b54d7442f5d6e6",
+        "11e290ff34f46cbef8a4205399abc53f1e5c02baacbe5fd4e0f03890bb3a7d27",
+    ),
+    "several-positions": "1f843215e3f3a9deb97317c57c7ef92bc66038223b45dc949602ada793e56f90",
+}
+
 #: GC-tracked objects per tree node added by ingesting one 2048-node
 #: nondet-6 document, plan cache included: 219 with tuple/dict index
 #: entries and per-plan sentinel pairs, about 20 with the flat tables
@@ -116,9 +137,10 @@ def _leaf_span(box):
     return first.leaf_payload, last.leaf_payload
 
 
-def _provenance_digest(gates) -> str:
+def _provenance_digest(gates, pauses=PROVENANCE_PAUSES) -> str:
     """sha256 of the enumeration's ``(sorted answer, provenance mask)`` lines,
-    with its dependency masks after each answer count in PROVENANCE_PAUSES.
+    with its dependency masks after each answer count in ``pauses`` (after
+    every answer when ``pauses`` is None).
 
     Box serials are global counters, so a box is named by its label and leaf
     span; the dependency masks are sorted ``(label, first leaf id, last leaf
@@ -129,7 +151,7 @@ def _provenance_digest(gates) -> str:
     for count, (answer, mask) in enumerate(enumeration, 1):
         digest.update(repr((tuple(sorted(answer)), mask)).encode())
         digest.update(b"\n")
-        if count in PROVENANCE_PAUSES:
+        if pauses is None or count in pauses:
             deps = sorted(
                 (repr(box.label), *_leaf_span(box), slots)
                 for box, slots in enumeration.dependency_masks().values()
@@ -156,26 +178,40 @@ def test_answer_order_is_pinned(name):
     assert (_order_digest(before), _order_digest(after)) == PINNED_ORDER[name]
 
 
+def _root_gamma(doc):
+    """The document's root boxed set: its final states' root ∪-gates."""
+    runtime = doc.runtime
+    gates, _empty = root_boxed_set(runtime.maintainer.root_box, runtime.binary_automaton.final)
+    return gates
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_ORDER))
 def test_provenance_and_dependency_masks_are_pinned(name):
     def read(doc):
-        runtime = doc.runtime
-        gates, _empty = root_boxed_set(
-            runtime.maintainer.root_box, runtime.binary_automaton.final
-        )
+        gates = _root_gamma(doc)
         assert len(gates) == 1  # one position
         return _provenance_digest(gates)
 
     assert _before_and_after(name, read) == PINNED_PROVENANCE[name]
 
 
-def test_provenance_over_several_positions_is_pinned():
-    automaton = homogenize(random_binary_tva(16, n_states=3, variables=("x", "y")))
-    circuit = build_assignment_circuit(random_binary_tree(16, 6), automaton)
+@pytest.mark.parametrize("name", sorted(PINNED_ORDER))
+def test_dependency_masks_after_every_answer_are_pinned(name):
+    def read(doc):
+        return _provenance_digest(_root_gamma(doc), pauses=None)
+
+    assert _before_and_after(name, read) == PINNED_DEPENDENCY_MASKS[name]
+
+
+def _several_positions_gamma(seed: int):
+    """The root boxed set of a random automaton on a 6-internal-node tree, in
+    slot order, checked to hold several positions at the root and in some
+    left frame."""
+    automaton = homogenize(random_binary_tva(seed, n_states=3, variables=("x", "y")))
+    circuit = build_assignment_circuit(random_binary_tree(seed, 6), automaton)
     build_index(circuit)
     gates, _empty = root_boxed_set(circuit.root_box, automaton.final)
     gates.sort(key=lambda gate: gate.slot)  # final states iterate in hash order
-    # The premise: several positions at the root and in some left frame.
     assert len(gates) >= 2
     enumeration = MaskStackEnumeration(gates)
     assert any(
@@ -185,7 +221,21 @@ def test_provenance_over_several_positions_is_pinned():
         for _answer in enumeration
         for frame in enumeration._stack
     )
+    return gates
+
+
+def test_provenance_over_several_positions_is_pinned():
+    gates = _several_positions_gamma(16)
     assert _provenance_digest(gates) == PINNED_PROVENANCE["several-positions"]
+
+
+def test_dependency_masks_over_several_positions_after_every_answer_are_pinned():
+    # seed 5, not 16: here the ×-provenance slots of an in-flight activation
+    # show in the dependency masks
+    gates = _several_positions_gamma(5)
+    assert (
+        _provenance_digest(gates, pauses=None) == PINNED_DEPENDENCY_MASKS["several-positions"]
+    )
 
 
 def _word_before_and_after(pattern: str):
