@@ -13,6 +13,7 @@ tier against the in-process oracle lives in
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import multiprocessing
@@ -680,13 +681,42 @@ class TestServerProtocol:
 class TestClientClosesAnUnusableConnection:
     """After a failure that leaves the byte stream unreadable or gone, the
     client closes its connection, and every later call raises one
-    ``ProtocolError`` naming that first failure."""
+    ``ProtocolError`` naming that first failure; so does every open stream,
+    once its buffered chunks are read.  A timeout before any byte of a reply
+    keeps the connection, and the late reply is dropped."""
 
     @staticmethod
     def _assert_later_calls_name(first, *calls):
         for call in calls:
             with pytest.raises(ProtocolError, match=re.escape(str(first.value))):
                 call()
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _fake_server(serve):
+        """A one-connection server thread: the HELLO exchange, then
+        ``serve(conn)``; the connection stays open until the test ends."""
+        release = threading.Event()
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def run():
+                conn, _peer = listener.accept()
+                with conn:
+                    recv_frame(conn)  # HELLO
+                    info = {"protocol": PROTOCOL_VERSION, "page_size": 3, "chunk_size": 4,
+                            "max_frame_bytes": MAX_FRAME_BYTES, "max_streams": 2}
+                    send_frame(conn, [0, "ok", info])
+                    serve(conn)
+                    release.wait(10)
+
+            thread = threading.Thread(target=run)
+            thread.start()
+            try:
+                yield listener.getsockname()[:2]
+            finally:
+                release.set()
+                thread.join(10)
+            assert not thread.is_alive()
 
     def test_refused_incoming_frame(self):
         with Engine() as engine:
@@ -716,31 +746,84 @@ class TestClientClosesAnUnusableConnection:
 
     def test_timeout_inside_a_frame(self):
         """A fake server stalls after two bytes of a reply header."""
-        release = threading.Event()
-        with socket.create_server(("127.0.0.1", 0)) as listener:
 
-            def serve():
-                conn, _peer = listener.accept()
-                with conn:
-                    recv_frame(conn)  # HELLO
-                    info = {"protocol": PROTOCOL_VERSION, "page_size": 3, "chunk_size": 4,
-                            "max_frame_bytes": MAX_FRAME_BYTES, "max_streams": 1}
-                    send_frame(conn, [0, "ok", info])
-                    recv_frame(conn)  # the ping
-                    conn.sendall(b"\x00\x00")
-                    release.wait(10)
+        def serve(conn):
+            recv_frame(conn)  # the ping
+            conn.sendall(b"\x00\x00")
 
-            thread = threading.Thread(target=serve)
-            thread.start()
+        with self._fake_server(serve) as address:
+            with RemoteEngine(address, timeout=0.3) as remote:
+                with pytest.raises(ProtocolError, match="timed out mid-frame") as first:
+                    remote.ping()
+                self._assert_later_calls_name(first, remote.ping)
+
+    def test_timeout_before_a_reply_drops_the_late_reply(self):
+        """The first ping's reply arrives after the client gave up on it,
+        just ahead of the second ping's reply: it answers no waiting call,
+        so nothing keeps it."""
+
+        def serve(conn):
+            first = recv_frame(conn)
+            second = recv_frame(conn)  # sent once the first ping timed out
+            send_frame(conn, [first[0], "ok", "pong"])
+            send_frame(conn, [second[0], "ok", "pong"])
+
+        with self._fake_server(serve) as address:
+            with RemoteEngine(address, timeout=0.3) as remote:
+                with pytest.raises(ProtocolError, match="timed out after 0.3s waiting"):
+                    remote.ping()
+                assert remote.ping() == "pong"
+                assert remote._transport.pending == {}
+                assert remote._transport.inflight == {}
+
+    def test_an_open_stream_raises_the_failure_after_its_buffered_answers(self):
+        """A refused page reply closes the connection while a stream is open:
+        the stream yields what it had buffered, then raises that failure;
+        it never ends early without an error."""
+        with Engine() as engine:
+            server = EngineServer(engine).start()
             try:
-                with RemoteEngine(listener.getsockname()[:2], timeout=0.3) as remote:
-                    with pytest.raises(ProtocolError, match="timed out mid-frame") as first:
-                        remote.ping()
-                    self._assert_later_calls_name(first, remote.ping)
+                with RemoteEngine(
+                    server.address, max_frame_bytes=4096, stream_chunk_size=2, timeout=5
+                ) as remote:
+                    doc = remote.add_tree(
+                        star_tree(250, labels=("a",)), queries.select_labeled("a")
+                    )
+                    stream = doc.stream()
+                    received = [next(stream) for _ in range(5)]
+                    with pytest.raises(ProtocolError, match=r"announces \d+ bytes") as first:
+                        doc.page(page_size=250)
+                    with pytest.raises(ProtocolError, match=re.escape(str(first.value))):
+                        for answer in stream:
+                            received.append(answer)
+                    assert len(received) < engine.document(doc.doc_id).count() == 250
             finally:
-                release.set()
-                thread.join(10)
-            assert not thread.is_alive()
+                server.stop()
+
+    def test_a_malformed_reply_fails_every_open_stream(self):
+        """Stream B's first chunk is a list, not a tuple: the connection
+        closes, both streams raise the failure, and B's later chunk is never
+        yielded after the one that was lost."""
+
+        def serve(conn):
+            a = recv_frame(conn)[0]  # stream_open A
+            b = recv_frame(conn)[0]  # stream_open B
+            send_frame(conn, [b, "chunk", ["b-lost"], False])
+            send_frame(conn, [a, "chunk", ("a1", "a2"), True])
+            send_frame(conn, [b, "chunk", ("b-last",), True])
+
+        with self._fake_server(serve) as address:
+            with RemoteEngine(address, timeout=5) as remote:
+                stream_a = remote._transport.stream("A", lambda: None)
+                stream_b = remote._transport.stream("B", lambda: None)
+                with pytest.raises(ProtocolError, match="malformed") as first:
+                    next(stream_a)
+                received = []
+                with pytest.raises(ProtocolError, match=re.escape(str(first.value))):
+                    for answer in stream_b:
+                        received.append(answer)
+                assert received == []
+                self._assert_later_calls_name(first, remote.ping)
 
 
 class TestRemoteEngineSurface:
