@@ -31,8 +31,11 @@ worker** at once:
   shared with the network client.
 * **demultiplexing.**  A worker handles messages strictly in arrival order,
   but chunks of concurrent streams and replies of concurrent requests
-  interleave on the pipe; the parent buffers whatever it receives under the
-  request id it belongs to, so out-of-order collection is safe.
+  interleave on the pipe.  The parent keeps one :class:`Channel` per worker,
+  the consumer record the network client keeps per connection, and files
+  every message by its one rule: a reply under the request id it answers, a
+  chunk in its stream's buffer.  So out-of-order collection is safe, and a
+  dead worker ends every open stream with an error.
 
 Shard death is a recoverable event, not data loss:
 
@@ -43,11 +46,13 @@ Shard death is a recoverable event, not data loss:
   and raises :class:`~repro.errors.ShardTimeoutError` naming the shard, the
   op and the elapsed time — a hang is promoted to a death instead of
   blocking the engine forever.
-* **strict protocol validation.**  A reply that is not a well-formed
-  ``(request_id, status, *payload)`` tuple with a known status is rejected
-  on receipt with :class:`~repro.errors.ShardProtocolError` (naming the
-  shard and the malformed message's shape) and the worker is killed:
-  nothing on that pipe can be trusted after a framing violation.
+* **strict protocol validation.**  A message that :meth:`Channel.file`
+  finds malformed (not ``(request_id, status, *payload)`` with an int id and
+  a known status, a chunk not ``(answers tuple, exhausted bool)``, an
+  ``err`` without an exception) is rejected on receipt with
+  :class:`~repro.errors.ShardProtocolError` (naming the shard and the
+  malformed message's shape) and the worker is killed: nothing on that pipe
+  can be trusted after a protocol violation.
 * **respawn + restore.**  :meth:`ShardPool.respawn` replaces a dead worker
   with a fresh process at the same index (bumping its ``generation``); the
   ``restore`` op rebuilds a document on it from its original content by
@@ -95,6 +100,7 @@ from repro.engine.document import STREAM_PAGE_SIZE
 from repro.engine.local import BatchUpdateReport, Transport, release_old_cursor_ids
 from repro.errors import (
     EngineError,
+    ProtocolError,
     ShardDiedError,
     ShardProtocolError,
     ShardTimeoutError,
@@ -102,6 +108,7 @@ from repro.errors import (
 
 __all__ = [
     "AdaptiveCredit",
+    "Channel",
     "FleetTransport",
     "PushStream",
     "ShardPool",
@@ -116,7 +123,7 @@ __all__ = [
 #: :class:`AdaptiveCredit`.
 STREAM_CREDIT = 4
 
-#: reply statuses the parent accepts; anything else is a protocol violation
+#: message statuses a consumer accepts; anything else is a protocol violation
 _VALID_STATUSES = ("ok", "err", "chunk")
 
 
@@ -288,6 +295,163 @@ def take_chunk(stream: ShardStream, credit: AdaptiveCredit, receive, grant):
         if tokens > 0:
             grant(tokens)
     return chunk, stalled
+
+
+def _shape(message) -> str:
+    """A message's repr, cut to a length an error message can carry."""
+    shape = repr(message)
+    return shape if len(shape) <= 160 else shape[:160] + "..."
+
+
+def _malformed(message, expected: str) -> ProtocolError:
+    return ProtocolError(
+        f"malformed message ({type(message).__name__}: {_shape(message)}); expected {expected}"
+    )
+
+
+class Channel:
+    """Consumer-side state of one channel, and the one rule that files what
+    arrives on it.
+
+    A channel is a shard worker's pipe (:class:`ShardPool` keeps one per
+    worker) or one connection to an :class:`~repro.net.server.EngineServer`
+    (a :class:`~repro.net.client.SocketTransport` is one).  Each hop keeps
+    how it reads a message, how it punishes a malformed one and its own
+    metrics; :meth:`file` decides where a message goes:
+
+    * a chunk goes to its open stream, and an exhausted chunk ends the
+      stream.  A chunk of an abandoned stream is dropped.  Both count in
+      ``stream_chunks``;
+    * an ``err`` or an ``ok`` addressed to an open stream ends it, with the
+      exception or with :class:`~repro.errors.EngineError`;
+    * a reply to an in-flight request is filed in ``pending``, and a reply
+      to any other id (a request that timed out, say) is dropped.
+
+    A stream leaves ``streams`` when it ends, when its consumer abandons it
+    (:meth:`abandon`) or when the channel dies (:meth:`die`).
+    """
+
+    __slots__ = (
+        "pending",
+        "inflight",
+        "streams",
+        "deferred_closes",
+        "stream_chunks",
+        "stream_round_trips",
+    )
+
+    def __init__(self):
+        self.pending: Dict[int, tuple] = {}  #: request_id → (status, payload)
+        #: request_id → (op, send time) for requests awaiting reply
+        self.inflight: Dict[int, tuple] = {}
+        self.streams: Dict[int, ShardStream] = {}  #: open streams by request id
+        #: abandoned streams still owed chunks; closed before the next send
+        self.deferred_closes: List[int] = []
+        self.stream_chunks = 0  #: chunks received, those of abandoned streams included
+        self.stream_round_trips = 0  #: stream opens and credit grants sent
+
+    def file(self, message) -> Optional[tuple]:
+        """File one incoming ``(request_id, status, *payload)`` message.
+
+        Returns the in-flight entry of the request it answers, if any: the
+        hop's round-trip metrics read it.  A malformed message raises
+        :class:`~repro.errors.ProtocolError` naming its shape; the hop
+        punishes it, since nothing after it on the channel can be trusted.
+        """
+        if not (
+            isinstance(message, (tuple, list))
+            and len(message) >= 2
+            and isinstance(message[0], int)
+            and message[1] in _VALID_STATUSES
+        ):
+            raise _malformed(
+                message,
+                f"(request_id, status, *payload) with an int request_id "
+                f"and status in {_VALID_STATUSES}",
+            )
+        request_id, status = message[0], message[1]
+        if status == "chunk":
+            if not (
+                len(message) == 4
+                and isinstance(message[2], tuple)
+                and isinstance(message[3], bool)
+            ):
+                raise _malformed(message, "(request_id, 'chunk', answers tuple, exhausted bool)")
+            self.stream_chunks += 1
+            stream = self.streams.get(request_id)
+            if stream is not None:  # else a chunk of an abandoned stream: dropped
+                stream.chunks.append((message[2], message[3]))
+                if message[3]:
+                    self._end(stream, None)
+            return None
+        payload = message[2] if len(message) > 2 else None
+        if status == "err" and not isinstance(payload, BaseException):
+            raise _malformed(message, "(request_id, 'err', exception)")
+        stream = self.streams.get(request_id)
+        if stream is not None:
+            # A reply addressed to a stream (StaleIteratorError, the death of
+            # the underlying document, ...) ends it.
+            if status == "ok":
+                payload = EngineError(f"protocol error: stream {request_id} got an 'ok' reply")
+            self._end(stream, payload)
+            return None
+        entry = self.inflight.pop(request_id, None)
+        if entry is not None:
+            self.pending[request_id] = (status, payload)
+        return entry
+
+    def _end(self, stream: ShardStream, error: Optional[BaseException]) -> None:
+        del self.streams[stream.request_id]
+        stream.done = True
+        stream.error = error
+
+    def reply(self, request_id: int, receive):
+        """The reply to ``request_id``: its payload returned, or its error
+        raised.  ``receive()`` files one more incoming message, blocking."""
+        while request_id not in self.pending:
+            receive()
+        status, payload = self.pending.pop(request_id)
+        if status == "err":
+            raise payload
+        return payload
+
+    def open_stream(self, shard: Optional[int], request_id: int, window: int) -> ShardStream:
+        """Register a stream whose ``stream_open`` with ``window`` credit
+        tokens was just sent."""
+        stream = self.streams[request_id] = ShardStream(shard, request_id)
+        stream.window = window
+        self.stream_round_trips += 1
+        return stream
+
+    def abandon(self, stream: ShardStream) -> None:
+        """The consumer abandoned a stream.  Safe in a generator finalizer.
+
+        A finalizer may run at any point, even in the middle of a send on
+        this channel, so nothing is sent here: a stream still owed chunks
+        has its close deferred to the hop's next send (:meth:`take_closes`),
+        and chunks still in flight are dropped on receipt.
+        """
+        stream.closed = True
+        if self.streams.pop(stream.request_id, None) is not None:
+            self.deferred_closes.append(stream.request_id)
+
+    def take_closes(self) -> List[int]:
+        """The deferred stream closes, now due: the hop sends them first."""
+        closes = self.deferred_closes
+        if closes:
+            self.deferred_closes = []
+        return closes
+
+    def die(self, error) -> None:
+        """The channel is gone.  Every open stream ends with a fresh
+        ``error()`` once its buffered chunks are read; in-flight requests and
+        deferred closes are dropped (replies already filed stay readable)."""
+        for stream in self.streams.values():
+            stream.done = True
+            stream.error = error()
+        self.streams.clear()
+        self.inflight.clear()
+        self.deferred_closes.clear()
 
 
 def fresh_answers(chunks, check):
@@ -477,38 +641,19 @@ def _shard_worker_main(
 
 
 # ============================================================== parent side
-class _ShardState:
-    """Parent-side bookkeeping of one worker: pipe, process, pending replies."""
+class _ShardState(Channel):
+    """Parent-side bookkeeping of one worker: its channel, pipe and process."""
 
-    __slots__ = (
-        "conn",
-        "process",
-        "generation",
-        "pending",
-        "inflight",
-        "streams",
-        "deferred_closes",
-        "dead",
-        "requests_sent",
-        "replies_received",
-        "stream_chunks",
-        "stream_round_trips",
-    )
+    __slots__ = ("conn", "process", "generation", "dead", "requests_sent", "replies_received")
 
     def __init__(self, conn, process, generation: int = 0):
+        super().__init__()
         self.conn = conn
         self.process = process
         self.generation = generation  #: respawn count of this index (0 = original)
-        self.pending: Dict[int, tuple] = {}  #: request_id → (status, payload)
-        #: request_id → (op, monotonic send time) for requests awaiting reply
-        self.inflight: Dict[int, tuple] = {}
-        self.streams: Dict[int, ShardStream] = {}
-        self.deferred_closes: List[int] = []
         self.dead = False
         self.requests_sent = 0
         self.replies_received = 0
-        self.stream_chunks = 0
-        self.stream_round_trips = 0
 
 
 class ShardPool:
@@ -643,17 +788,11 @@ class ShardPool:
                 exitcode=state.process.exitcode,
             )
             # In-flight requests can never be answered now; dropping them
-            # keeps the queue-depth counters honest (already-received replies
-            # stay collectable from ``pending``).  Deferred stream closes are
-            # worker-side bookkeeping of a worker that no longer exists —
-            # clearing them here is what lets a respawned worker at this
-            # index start with no leaked stream ids.
-            state.inflight.clear()
-            state.deferred_closes.clear()
-            for stream in state.streams.values():
-                stream.done = True
-                if stream.error is None:
-                    stream.error = ShardDiedError(f"shard worker {shard} died mid-stream")
+            # keeps the queue-depth counters honest.  Deferred stream closes
+            # are worker-side bookkeeping of a worker that no longer exists —
+            # dropping them is what lets a respawned worker at this index
+            # start with no leaked stream ids.
+            state.die(lambda: ShardDiedError(f"shard worker {shard} died mid-stream"))
         process = state.process
         error = ShardDiedError(
             f"shard worker {shard} (pid {process.pid}, exitcode {process.exitcode}) "
@@ -695,19 +834,13 @@ class ShardPool:
             deadline=deadline,
         )
 
-    def _protocol_error(self, shard: int, message) -> ShardProtocolError:
-        """Reject a malformed reply: kill the worker, mark it dead, report."""
-        shape = repr(message)
-        if len(shape) > 160:
-            shape = shape[:160] + "..."
+    def _protocol_error(self, shard: int, message, error: ProtocolError) -> ShardProtocolError:
+        """Punish a malformed message: kill the worker, mark it dead, report."""
         self._kill(shard)
         self._death(shard, "receiving a reply", None)
-        self._emit("protocol_error", shard=shard, shape=shape)
+        self._emit("protocol_error", shard=shard, shape=_shape(message))
         return ShardProtocolError(
-            f"shard worker {shard} sent a malformed protocol message "
-            f"({type(message).__name__}: {shape}); expected a tuple "
-            f"(request_id, status, *payload) with status in {_VALID_STATUSES}; "
-            f"the worker was killed and marked dead"
+            f"shard worker {shard} sent a {error}; the worker was killed and marked dead"
         )
 
     def _check_shard(self, shard: int) -> _ShardState:
@@ -723,17 +856,9 @@ class ShardPool:
 
     def _send(self, shard: int, message: tuple, doing: str) -> None:
         state = self._check_shard(shard)
-        if state.deferred_closes:
-            closes, state.deferred_closes = state.deferred_closes, []
-            for request_id in closes:
-                try:
-                    state.conn.send((request_id, "stream_close"))
-                except (BrokenPipeError, OSError) as exc:
-                    # The worker is gone: every deferred close (this one and
-                    # the rest of ``closes``) dies with it — ``_death``
-                    # already cleared the bookkeeping, nothing leaks.
-                    raise self._death(shard, doing, exc) from exc
         try:
+            for request_id in state.take_closes():
+                state.conn.send((request_id, "stream_close"))
             state.conn.send(message)
         except (BrokenPipeError, OSError) as exc:
             raise self._death(shard, doing, exc) from exc
@@ -745,14 +870,18 @@ class ShardPool:
         deadline_at: Optional[float] = None,
         deadline: Optional[float] = None,
     ) -> None:
-        """Receive one message from a shard and file it where it belongs.
+        """Receive one message from a shard and file it (:meth:`Channel.file`).
 
-        With a ``deadline_at`` (monotonic timestamp, derived from
-        ``deadline`` seconds), waits at most until then: a worker that has
-        not produced a message by the deadline is killed and
-        :class:`~repro.errors.ShardTimeoutError` raised.
+        A dead shard raises its death; a malformed message kills the worker
+        (:class:`~repro.errors.ShardProtocolError`).  With a ``deadline_at``
+        (monotonic timestamp, derived from ``deadline`` seconds), waits at
+        most until then: a worker that has not produced a message by the
+        deadline is killed and :class:`~repro.errors.ShardTimeoutError`
+        raised.
         """
         state = self._shards[shard]
+        if state.dead:
+            raise self._death(shard, doing, None)
         if deadline_at is not None:
             remaining = deadline_at - time.monotonic()
             try:
@@ -766,46 +895,17 @@ class ShardPool:
             message = state.conn.recv()
         except (EOFError, OSError) as exc:
             raise self._death(shard, doing, exc) from exc
-        if not (
-            isinstance(message, tuple)
-            and len(message) >= 2
-            and message[1] in _VALID_STATUSES
-        ):
-            raise self._protocol_error(shard, message)
-        request_id, status = message[0], message[1]
-        if status == "chunk":
-            if len(message) != 4:
-                raise self._protocol_error(shard, message)
-            stream = state.streams.get(request_id)
-            state.stream_chunks += 1
-            if stream is None or stream.closed:
-                return  # chunk of an abandoned stream: drop
-            _request_id, _status, answers, exhausted = message
-            stream.chunks.append((answers, exhausted))
-            if exhausted:
-                stream.done = True
-                state.streams.pop(request_id, None)
-            return
-        if status == "err" and not (len(message) > 2 and isinstance(message[2], BaseException)):
-            raise self._protocol_error(shard, message)
-        if request_id in state.streams:
-            # an error reply addressed to a stream (StaleIteratorError, death
-            # of the underlying document, ...): terminate the stream with it
-            stream = state.streams.pop(request_id)
-            stream.error = message[2] if status == "err" else EngineError(
-                f"protocol error: stream {request_id} got a {status!r} reply"
-            )
-            stream.done = True
-            return
-        state.replies_received += 1
-        entry = state.inflight.pop(request_id, None)
+        try:
+            entry = state.file(message)
+        except ProtocolError as error:
+            raise self._protocol_error(shard, message, error) from None
         if entry is not None:
+            state.replies_received += 1
             elapsed = time.monotonic() - entry[1]
             if self.metrics is not None:
                 self.metrics.observe("protocol_round_trip_seconds", elapsed)
             if self.slow_op_seconds is not None and elapsed > self.slow_op_seconds:
                 self._emit("slow_op", shard=shard, op=entry[0], seconds=elapsed)
-        state.pending[request_id] = (status, message[2] if len(message) > 2 else None)
 
     # ------------------------------------------------------------- requests
     def submit(self, shard: int, op: str, *args, trace_ctx=None) -> int:
@@ -831,15 +931,9 @@ class ShardPool:
         state = self._shards[shard]
         entry = state.inflight.get(request_id)  # before a death clears it
         op = entry[0] if entry is not None else "?"
+        doing = f"handling {op!r}"
         deadline_at = time.monotonic() + deadline if deadline is not None else None
-        while request_id not in state.pending:
-            if state.dead:
-                raise self._death(shard, f"handling {op!r}", None)
-            self._recv_one(shard, f"handling {op!r}", deadline_at, deadline)
-        status, payload = state.pending.pop(request_id)
-        if status == "err":
-            raise payload
-        return payload
+        return state.reply(request_id, lambda: self._recv_one(shard, doing, deadline_at, deadline))
 
     def request(self, shard: int, op: str, *args):
         """Send one request and wait for its reply (the synchronous path)."""
@@ -972,12 +1066,8 @@ class ShardPool:
         if trace_ctx is not None:
             self._send(shard, (-1, "trace_push", trace_ctx), "opening a stream")
         request_id = next(self._request_ids)
-        stream = ShardStream(shard, request_id)
-        stream.window = credit
-        state.streams[request_id] = stream
         self._send(shard, (request_id, "stream_open", doc_id, chunk_size, credit), "opening a stream")
-        state.stream_round_trips += 1
-        return stream
+        return state.open_stream(shard, request_id, credit)
 
     def stream_next_chunk(self, stream: ShardStream):
         """The next ``(answers, exhausted)`` chunk of a stream (blocking).
@@ -988,22 +1078,15 @@ class ShardPool:
         (:func:`take_chunk`); the wait for each chunk is bounded by the pool
         deadline, and a wait is recorded in ``stream_stall_seconds``.
         """
-        state = self._shards[stream.shard]
+        shard = stream.shard
         deadline_at = time.monotonic() + self.deadline if self.deadline is not None else None
 
         def receive():
-            if state.dead:
-                raise self._death(stream.shard, "streaming answers", None)
-            self._recv_one(stream.shard, "streaming answers", deadline_at, self.deadline)
+            self._recv_one(shard, "streaming answers", deadline_at, self.deadline)
 
         def grant(tokens: int):
-            if not state.dead:
-                self._send(
-                    stream.shard,
-                    (stream.request_id, "stream_credit", tokens),
-                    "granting stream credit",
-                )
-                state.stream_round_trips += 1
+            self._send(shard, (stream.request_id, "stream_credit", tokens), "granting stream credit")
+            self._shards[shard].stream_round_trips += 1
 
         chunk, stalled = take_chunk(stream, self.credit, receive, grant)
         if stalled is not None and self.metrics is not None:
@@ -1012,22 +1095,10 @@ class ShardPool:
         return chunk
 
     def stream_close(self, stream: ShardStream) -> None:
-        """Abandon a stream.  Safe to call from generator finalizers.
-
-        The actual ``stream_close`` message is *deferred* to the next send on
-        the same shard (or to :meth:`close`): a finalizer may run at any
-        point — including mid-send on the same pipe — so it must not write to
-        the pipe itself.  Chunks still in flight are dropped on receipt.
-        """
-        if stream.closed:
-            return
-        stream.closed = True
-        if self._closed or stream.shard >= len(self._shards):
-            return
-        state = self._shards[stream.shard]
-        live = state.streams.pop(stream.request_id, None)
-        if live is not None and not state.dead and not stream.done:
-            state.deferred_closes.append(stream.request_id)
+        """Abandon a stream (:meth:`Channel.abandon`): safe to call from
+        generator finalizers, and its ``stream_close`` goes out with the next
+        send to the shard."""
+        self._shards[stream.shard].abandon(stream)
 
     # ---------------------------------------------------------------- stats
     def shard_stats(self) -> List[Dict[str, object]]:

@@ -13,16 +13,22 @@ types (:class:`~repro.errors.CursorInvalidatedError` with its report,
 so code written against a local engine runs unchanged against a remote one.
 
 :class:`SocketTransport` is a single-threaded demultiplexer over one
-socket, the same shape as the shard pool's parent side: requests carry
-fresh ids, replies are routed by id into per-request slots, and stream
-chunk frames land in per-stream buffers so a stream being consumed never
-blocks an interleaved ``page()`` on the same connection.  Streams use the
-pool's credit-window consumer (:func:`~repro.engine.sharding.take_chunk`)
-under the client's own :class:`~repro.engine.sharding.AdaptiveCredit`
-controller.  A failure that leaves the byte stream unreadable or gone —
-a framing error, an end of file, a socket error, a timeout after part of
-a frame was read — closes the connection, and every later call raises one
-:class:`~repro.errors.ProtocolError` naming that first failure.
+socket.  It is the shard pool's consumer record,
+:class:`~repro.engine.sharding.Channel`, for one connection: requests carry
+fresh ids, and the record's one rule files every reply frame under the
+request it answers and every stream chunk in its stream's buffer, so a
+stream being consumed never blocks an interleaved ``page()`` on the same
+connection.  Streams use the pool's credit-window consumer
+(:func:`~repro.engine.sharding.take_chunk`) under the client's own
+:class:`~repro.engine.sharding.AdaptiveCredit` controller.  What stays
+here is how a frame is read, and the penalty for a bad one: a failure that
+leaves the byte stream unreadable, gone or untrustworthy — a framing error,
+a well-framed but malformed reply, an end of file, a socket error, a
+timeout after part of a frame was read — closes the connection.  Every
+later call, and every open stream once its buffered chunks are read, then
+raises one :class:`~repro.errors.ProtocolError` naming that first failure.
+A timeout before any byte of a reply keeps the connection; the reply, when
+it comes, answers no call and is dropped.
 
 What stays client-specific: ``compile`` ships the canonical payload (never
 a pickle) and checks the server's digest against its own, so a codec
@@ -47,6 +53,7 @@ from repro.engine.local import Transport
 from repro.engine.sharding import (
     STREAM_CREDIT,
     AdaptiveCredit,
+    Channel,
     ShardStream,
     fresh_answers,
     take_chunk,
@@ -65,8 +72,9 @@ from repro.obs.tracing import Tracer, trace_path_from_env
 __all__ = ["RemoteEngine", "SocketTransport"]
 
 
-class SocketTransport(Transport):
-    """One connection to an :class:`~repro.net.server.EngineServer`.
+class SocketTransport(Channel, Transport):
+    """One connection to an :class:`~repro.net.server.EngineServer`, and its
+    consumer record.
 
     Connecting sends the versioned HELLO; :attr:`server_info` holds the
     reply.  ``metrics`` is the client-side registry (``net_*`` histograms
@@ -74,6 +82,7 @@ class SocketTransport(Transport):
     """
 
     def __init__(self, address, unix_path, max_frame_bytes: int, timeout: Optional[float]):
+        super().__init__()
         self.max_frame_bytes = max_frame_bytes
         self.timeout = timeout
         if address is not None:
@@ -85,13 +94,8 @@ class SocketTransport(Transport):
         self._closed = False
         self._close_reason = "closed by the client"
         self._request_ids = itertools.count(1)
-        self._pending: Dict[int, Tuple[str, object]] = {}
-        self.streams: Dict[int, ShardStream] = {}
-        self._deferred_closes: List[int] = []
         self.metrics = MetricsRegistry()
         self.credit = AdaptiveCredit(STREAM_CREDIT, metrics=self.metrics)
-        self.stream_chunks_total = 0
-        self.stream_round_trips_total = 0
         self.stream_stalls_total = 0
         try:
             if address is None:
@@ -115,24 +119,27 @@ class SocketTransport(Transport):
 
     # -------------------------------------------------------------- framing
     def _fail(self, reason: str) -> ProtocolError:
-        """Close a connection that can no longer be read or written; every
-        later call raises a :class:`ProtocolError` naming ``reason``."""
+        """Close a connection that can no longer be read, written or
+        trusted; every later call, and every open stream, raises a
+        :class:`ProtocolError` naming ``reason``."""
         if not self._closed:
             self._close_reason = reason
             self.close()
         return ProtocolError(reason)
 
+    def _closed_error(self) -> ProtocolError:
+        return ProtocolError(f"the connection to the server is closed ({self._close_reason})")
+
     def _check_usable(self) -> None:
         if self._closed:
-            raise ProtocolError(f"the connection to the server is closed ({self._close_reason})")
+            raise self._closed_error()
 
     def _send(self, frame_value) -> None:
         self._check_usable()
         try:
-            # Flush stream closes deferred from generator finalizers first, so
-            # they can never interleave inside another frame's bytes.
-            while self._deferred_closes:
-                request_id = self._deferred_closes.pop()
+            # Stream closes deferred from generator finalizers go out first,
+            # so they can never interleave inside another frame's bytes.
+            for request_id in self.take_closes():
                 send_frame(self._sock, [request_id, "stream_close"], self.max_frame_bytes)
             send_frame(self._sock, frame_value, self.max_frame_bytes)
         except OSError as exc:  # a timeout included: part of the frame may be out
@@ -156,60 +163,28 @@ class SocketTransport(Transport):
         return frame
 
     def _recv_one(self) -> None:
-        """Receive and route exactly one reply frame."""
+        """Receive one reply frame and file it (:meth:`Channel.file`); a
+        malformed one closes the connection."""
         frame = self._recv_raw()
-        if not (
-            isinstance(frame, list)
-            and len(frame) >= 2
-            and isinstance(frame[0], int)
-            and isinstance(frame[1], str)
-        ):
-            raise ProtocolError("malformed reply frame: expected [request_id, status, ...]")
-        request_id, status = frame[0], frame[1]
-        if status == "chunk":
-            if not (
-                len(frame) == 4
-                and isinstance(frame[2], tuple)
-                and isinstance(frame[3], bool)
-            ):
-                raise ProtocolError("malformed stream chunk frame")
-            stream = self.streams.get(request_id)
-            if stream is None:
-                return  # chunk already in flight when we closed the stream
-            stream.chunks.append((frame[2], frame[3]))
-            self.stream_chunks_total += 1
+        try:
+            entry = self.file(frame)
+        except ProtocolError as error:
+            raise self._fail(f"the server sent a {error}") from None
+        if entry is not None:
+            self.metrics.observe("net_round_trip_seconds", perf_counter() - entry[1])
+        elif frame[1] == "chunk":
             self.metrics.inc("net_stream_chunks_total")
-            if frame[3]:
-                stream.done = True
-            return
-        if status == "err":
-            error = frame[2] if len(frame) >= 3 else None
-            if not isinstance(error, BaseException):
-                raise ProtocolError("error frame without a decodable exception")
-            stream = self.streams.get(request_id)
-            if stream is not None:
-                stream.error = error
-                stream.done = True
-                return
-            self._pending[request_id] = ("err", error)
-            return
-        if status == "ok":
-            self._pending[request_id] = ("ok", frame[2] if len(frame) >= 3 else None)
-            return
-        raise ProtocolError(f"unknown reply status {status!r} from server")
 
     def call(self, op: str, *args):
         """One round trip: send ``[rid, op, *args]``, wait for its reply."""
         request_id = next(self._request_ids)
-        start = perf_counter()
-        self._send([request_id, op, *args])
-        while request_id not in self._pending:
-            self._recv_one()
-        status, payload = self._pending.pop(request_id)
-        self.metrics.observe("net_round_trip_seconds", perf_counter() - start)
-        if status == "err":
-            raise payload
-        return payload
+        self.inflight[request_id] = (op, perf_counter())
+        try:
+            self._send([request_id, op, *args])
+            return self.reply(request_id, self._recv_one)
+        finally:
+            # A request that timed out is withdrawn: its late reply is dropped.
+            self.inflight.pop(request_id, None)
 
     # ------------------------------------------------------------------ ops
     def ingest(self, items, trace_ctx=None):
@@ -252,24 +227,19 @@ class SocketTransport(Transport):
             "its runtime is not reachable over the network"
         )
 
-    def _round_trip(self) -> None:
-        self.stream_round_trips_total += 1
-        self.metrics.inc("net_stream_round_trips_total")
-
     def stream(self, doc_id, check):
         """A credit-window push stream, opened now (adaptive, demuxed)."""
         request_id = next(self._request_ids)
         window = self.credit.initial_credit(len(self.streams))
-        stream = self.streams[request_id] = ShardStream(None, request_id)
-        stream.window = window
         self._send([request_id, "stream_open", doc_id, self.chunk_size, window])
-        self._round_trip()
-        return fresh_answers(self._chunks(stream), check)
+        self.metrics.inc("net_stream_round_trips_total")
+        return fresh_answers(self._chunks(self.open_stream(None, request_id, window)), check)
 
     def _chunks(self, stream: ShardStream):
         def grant(tokens: int) -> None:
             self._send([stream.request_id, "stream_credit", tokens])
-            self._round_trip()
+            self.stream_round_trips += 1
+            self.metrics.inc("net_stream_round_trips_total")
 
         try:
             while True:
@@ -283,25 +253,16 @@ class SocketTransport(Transport):
                 if chunk[1]:
                     return
         finally:
-            if not stream.closed:
-                stream.closed = True
-                self.streams.pop(stream.request_id, None)
-                if not stream.done and not self._closed:
-                    # Deferred: this may run inside a generator finalizer
-                    # triggered at an arbitrary point (even mid-send); the
-                    # close frame goes out with the next regular send.
-                    self._deferred_closes.append(stream.request_id)
+            self.abandon(stream)
 
     def close(self) -> None:
-        """Close the connection (idempotent); server-side state is dropped
-        by the server's disconnect handling."""
+        """Close the connection (idempotent); every open stream raises why,
+        once its buffered chunks are read.  Server-side state is dropped by
+        the server's disconnect handling."""
         if self._closed:
             return
         self._closed = True
-        for stream in self.streams.values():
-            stream.closed = True
-            stream.done = True
-        self.streams.clear()
+        self.die(self._closed_error)
         try:
             self._sock.close()
         except OSError:  # pragma: no cover
@@ -401,8 +362,8 @@ class RemoteEngine(Engine):
             "credit_start": STREAM_CREDIT,
             "credit_grown": self.credit.grown_total,
             "credit_shrunk": self.credit.shrunk_total,
-            "chunks": transport.stream_chunks_total,
-            "round_trips": transport.stream_round_trips_total,
+            "chunks": transport.stream_chunks,
+            "round_trips": transport.stream_round_trips,
             "stalls": transport.stream_stalls_total,
             "open_streams": len(self._streams),
         }

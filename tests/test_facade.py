@@ -18,6 +18,7 @@ refused by the facade with one ``EngineError`` before anything ships.
 from __future__ import annotations
 
 import contextlib
+import select
 
 import pytest
 
@@ -246,8 +247,11 @@ class TestChunkBoundaries:
     shard worker, the client's ``stream_chunk_size`` on the wire.  A chunk
     holds up to C answers, and a stream whose answer count is a multiple of
     C ends with an empty exhausted chunk.  The consumer's own counters are
-    read: ``stats()["streaming"]["chunks"]`` on the pipe and
-    ``net_stats()["chunks"]`` on the wire.
+    read: ``stats()["streaming"]["chunks"]`` and ``["streams_open"]`` on the
+    pipe, ``net_stats()["chunks"]`` and ``["open_streams"]`` on the wire.
+    Both count every chunk received, an abandoned stream's included, and a
+    stream leaves the open ones when its exhausted chunk arrives or when it
+    is abandoned.
     """
 
     #: (answers as a multiple of C plus an offset, chunks received)
@@ -266,12 +270,43 @@ class TestChunkBoundaries:
             assert chunks_received() - before == expected, answers
             doc.remove()
 
+    def _check_left_early(self, engine, chunk_size, chunks_received, open_streams, pushed):
+        """A consumer leaves a stream of C + 1 answers, two chunks, after one
+        answer: once with its exhausted chunk still owed (the stream is
+        abandoned, and the chunk is dropped on receipt), once after that
+        chunk arrived.  ``pushed()`` returns once the producer sent it."""
+        doc = engine.add_tree(self._star(chunk_size + 1), _query())
+        for owed in (True, False):
+            before = chunks_received()
+            stream = doc.stream()
+            next(stream)
+            pushed()
+            if owed:
+                stream.close()
+                assert open_streams() == 0
+                doc.count()  # a round trip: the dropped chunk arrives first
+            else:
+                doc.count()  # a round trip: the exhausted chunk arrives first
+                assert open_streams() == 0
+                stream.close()
+            assert chunks_received() - before == 2, owed
+        doc.remove()
+
     def test_pipe(self):
         from repro.engine.document import STREAM_PAGE_SIZE
 
         with Engine(workers=1) as engine:
             self._check(
                 engine, STREAM_PAGE_SIZE, lambda: engine.stats()["streaming"]["chunks"]
+            )
+            # A worker pushes a stream's opening credit (at least two chunks)
+            # before it reads the next request.
+            self._check_left_early(
+                engine,
+                STREAM_PAGE_SIZE,
+                lambda: engine.stats()["streaming"]["chunks"],
+                lambda: engine.stats()["streams_open"],
+                lambda: None,
             )
 
     def test_wire(self):
@@ -280,6 +315,19 @@ class TestChunkBoundaries:
             try:
                 with RemoteEngine(server.address, stream_chunk_size=4) as remote:
                     self._check(remote, 4, lambda: remote.net_stats()["chunks"])
+
+                    def pushed():
+                        # The next frame on the socket is the exhausted chunk.
+                        readable, _w, _x = select.select([remote._transport._sock], [], [], 10)
+                        assert readable
+
+                    self._check_left_early(
+                        remote,
+                        4,
+                        lambda: remote.net_stats()["chunks"],
+                        lambda: remote.net_stats()["open_streams"],
+                        pushed,
+                    )
             finally:
                 server.stop()
 

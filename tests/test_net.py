@@ -37,7 +37,8 @@ from repro.automata.serialize import (
     query_payload,
 )
 from repro.engine.catalog import QueryCatalog
-from repro.engine.sharding import STREAM_CREDIT, AdaptiveCredit, ShardStream, take_chunk
+from repro.engine.document import STREAM_PAGE_SIZE
+from repro.engine.sharding import STREAM_CREDIT, AdaptiveCredit, Channel, ShardStream, take_chunk
 from repro.core.results import UpdateStats
 from repro.engine.local import BatchUpdateReport
 from repro.errors import (
@@ -49,6 +50,7 @@ from repro.errors import (
     ReproError,
     ServingError,
     ShardDiedError,
+    ShardProtocolError,
     ShardTimeoutError,
     StaleIteratorError,
 )
@@ -454,6 +456,144 @@ class TestTakeChunk:
         with pytest.raises(StaleIteratorError):
             take_chunk(stream, credit, None, None)
         assert take_chunk(stream, credit, None, None) == (None, None)
+
+
+class TestChannel:
+    """The one rule that files what arrives on a channel, shared by the
+    shard pool (a record per worker pipe) and the network client (a record
+    per connection), fed messages as a hop's reader would.  Each hop's
+    penalty for a malformed message is checked end to end: the pipe's here,
+    the socket's in ``TestClientClosesAnUnusableConnection``."""
+
+    @staticmethod
+    def _channel():
+        channel = Channel()
+        channel.inflight[7] = ("ping", 0.0)
+        return channel
+
+    @staticmethod
+    def _read(stream):
+        """The next chunk of a stream that needs no more messages."""
+        return take_chunk(stream, AdaptiveCredit(4), None, None)[0]
+
+    def test_a_reply_to_an_inflight_request_is_filed(self):
+        channel = self._channel()
+        assert channel.file((7, "ok", "pong")) == ("ping", 0.0)
+        assert channel.inflight == {} and channel.pending == {7: ("ok", "pong")}
+        assert channel.reply(7, None) == "pong"
+        assert channel.pending == {}
+
+    def test_an_error_reply_is_raised_to_its_caller(self):
+        channel = self._channel()
+        channel.file([7, "err", StaleIteratorError("edited")])  # a wire frame is a list
+        with pytest.raises(StaleIteratorError, match="edited"):
+            channel.reply(7, None)
+
+    def test_a_reply_to_any_other_id_is_dropped(self):
+        channel = self._channel()
+        assert channel.file((8, "ok", "late")) is None
+        assert channel.pending == {} and channel.inflight == {7: ("ping", 0.0)}
+
+    def test_chunks_go_to_their_stream_and_an_exhausted_one_ends_it(self):
+        channel = Channel()
+        stream = channel.open_stream(None, 3, 4)
+        assert channel.stream_round_trips == 1
+        channel.file((3, "chunk", ("a",), False))
+        assert stream.chunks == [(("a",), False)] and channel.streams == {3: stream}
+        channel.file((3, "chunk", ("b",), True))
+        assert stream.done and stream.error is None and channel.streams == {}
+        assert channel.stream_chunks == 2
+        assert [self._read(stream) for _ in range(3)] == [(("a",), False), (("b",), True), None]
+
+    def test_a_chunk_of_an_abandoned_stream_is_dropped_and_counted(self):
+        channel = Channel()
+        stream = channel.open_stream(None, 3, 4)
+        channel.abandon(stream)
+        assert channel.file((3, "chunk", ("a",), False)) is None
+        assert stream.chunks == [] and channel.stream_chunks == 1
+
+    @pytest.mark.parametrize(
+        "status, payload, error, match",
+        [
+            ("err", StaleIteratorError("edited"), StaleIteratorError, "edited"),
+            ("ok", None, EngineError, "stream 3 got an 'ok' reply"),
+        ],
+    )
+    def test_a_reply_addressed_to_a_stream_ends_it(self, status, payload, error, match):
+        channel = Channel()
+        stream = channel.open_stream(None, 3, 4)
+        channel.file((3, "chunk", ("a",), False))
+        assert channel.file((3, status, payload)) is None
+        assert channel.streams == {} and channel.pending == {}
+        assert self._read(stream) == (("a",), False)  # buffered chunks first
+        with pytest.raises(error, match=match):
+            self._read(stream)
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            "garbage",  # not a tuple or list
+            (7,),  # no status
+            ("garbage", "not-a-request-id", {"junk": True}),  # an id that is not an int
+            (7, "done", None),  # an unknown status
+            (3, "chunk", ("a",)),  # a chunk of the wrong arity
+            (3, "chunk", ["a"], False),  # answers not a tuple
+            (3, "chunk", ("a",), 1),  # exhausted not a bool
+            (7, "err", "boom"),  # an err without an exception
+            (7, "err"),
+        ],
+    )
+    def test_a_malformed_message_is_refused_and_nothing_is_filed(self, message):
+        channel = self._channel()
+        stream = channel.open_stream(None, 3, 4)
+        with pytest.raises(ProtocolError, match=r"^malformed message \(.+\); expected \("):
+            channel.file(message)
+        assert channel.pending == {} and channel.inflight == {7: ("ping", 0.0)}
+        assert channel.streams == {3: stream} and stream.chunks == []
+        assert channel.stream_chunks == 0
+
+    def test_abandoning_a_stream_defers_a_close_only_while_chunks_are_owed(self):
+        channel = Channel()
+        owed = channel.open_stream(None, 3, 4)
+        ended = channel.open_stream(None, 5, 4)
+        channel.file((5, "chunk", (), True))
+        for stream in (owed, ended, owed):
+            channel.abandon(stream)
+        assert owed.closed and ended.closed and channel.streams == {}
+        assert channel.take_closes() == [3]
+        assert channel.take_closes() == []
+
+    def test_a_dead_channel_ends_each_stream_once_its_chunks_are_read(self):
+        channel = self._channel()
+        channel.file((7, "ok", "pong"))
+        channel.inflight[8] = ("count", 0.0)
+        buffered = channel.open_stream(None, 3, 4)
+        channel.file((3, "chunk", ("a",), False))
+        idle = channel.open_stream(None, 5, 4)
+        channel.abandon(channel.open_stream(None, 9, 4))
+        channel.die(lambda: ShardDiedError("gone"))
+        assert channel.streams == {} and channel.inflight == {} and channel.deferred_closes == []
+        assert buffered.error is not idle.error  # each stream raises its own
+        assert channel.reply(7, None) == "pong"  # a filed reply stays readable
+        assert self._read(buffered) == (("a",), False)
+        for stream in (buffered, idle):
+            with pytest.raises(ShardDiedError, match="gone"):
+                self._read(stream)
+            assert self._read(stream) is None
+
+    def test_the_pipe_kills_a_worker_that_sends_a_malformed_chunk(self):
+        with Engine(workers=1, fault_plan="0:stream_chunk:1:garbage") as engine:
+            doc = engine.add_tree(star_tree(600, labels=("a",)), queries.select_labeled("a"))
+            received = []
+            with pytest.raises(
+                ShardProtocolError,
+                match=r"shard worker 0 sent a malformed message \(tuple: \('garbage', ",
+            ):
+                for answer in doc.stream():
+                    received.append(answer)
+            assert len(received) == STREAM_PAGE_SIZE
+            with pytest.raises(ShardDiedError, match="is dead"):
+                doc.count()
 
 
 # ===================================================== server + limits
