@@ -16,16 +16,18 @@ PYPATH := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # @pytest.mark.timeout markers via SIGALRM.
 PYTEST_TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=300 --timeout-method=thread")
 
-.PHONY: check test test-net-dev test-hashseeds test-perfbench lint net-smoke bench-smoke bench
+.PHONY: check test test-net-dev test-hashseeds test-perfbench lint net-smoke bench-smoke bench codelines
 
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q $(PYTEST_TIMEOUT_FLAGS)
 
 # The socket tests under `python -X dev`, with a leaked socket or an
-# exception raised in a finalizer turned into a failure.  The -W flags must
-# follow `-m pytest`: given to the interpreter, pytest would override them.
+# exception raised in a finalizer turned into a failure: tests/test_net.py,
+# and tests/test_facade.py, whose TCP legs drive RemoteEngine streams that
+# are closed in generator finalizers.  The -W flags must follow
+# `-m pytest`: given to the interpreter, pytest would override them.
 test-net-dev:
-	$(PYPATH) $(PYTHON) -X dev -m pytest tests/test_net.py -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
+	$(PYPATH) $(PYTHON) -X dev -m pytest tests/test_net.py tests/test_facade.py -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
 # The order-sensitive tests under two fixed hash seeds: answer order, plan
 # exports, transcripts and wire frames must not follow the interpreter's
@@ -66,6 +68,12 @@ bench-smoke:
 # committed trajectories can be compared across PRs.
 bench:
 	$(PYPATH) $(PYTHON) benchmarks/run_all.py
+
+# Code lines per file under src/ and their total: lines holding a code
+# token, outside every bare-string statement (so no comments, docstrings or
+# blank lines).  Informational; nothing gates on it.
+codelines:
+	$(PYTHON) tools/codelines.py src
 
 check: test test-net-dev test-perfbench net-smoke bench-smoke
 	@echo "check OK: tier-1 tests + dev-mode socket tests + benchmark tests + net smoke + perf smoke passed"
