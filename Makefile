@@ -16,7 +16,7 @@ PYPATH := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # @pytest.mark.timeout markers via SIGALRM.
 PYTEST_TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=300 --timeout-method=thread")
 
-.PHONY: check test test-net-dev test-hashseeds test-perfbench lint net-smoke bench-smoke bench codelines
+.PHONY: check test test-net-dev test-hashseeds test-perfbench lint net-smoke bench-smoke bench codelines census
 
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q $(PYTEST_TIMEOUT_FLAGS)
@@ -51,7 +51,7 @@ test-perfbench:
 # real ruff failure propagates).
 lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
-		$(PYTHON) -m ruff check src tests benchmarks examples; \
+		$(PYTHON) -m ruff check src tests benchmarks examples tools; \
 	else \
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
@@ -74,6 +74,15 @@ bench:
 # blank lines).  Informational; nothing gates on it.
 codelines:
 	$(PYTHON) tools/codelines.py src
+
+# Which src/ functions the serving runs, the paper experiments and the
+# tier-1 suite reach, traced in a copy of the tree under $(CENSUS_OUT)
+# (ignored by git).  About 7 minutes; informational, not part of check.
+CENSUS_OUT ?= .census
+
+census:
+	$(PYTHON) tools/census.py run --out $(CENSUS_OUT)
+	$(PYTHON) tools/census.py report --out $(CENSUS_OUT)
 
 check: test test-net-dev test-perfbench net-smoke bench-smoke
 	@echo "check OK: tier-1 tests + dev-mode socket tests + benchmark tests + net smoke + perf smoke passed"

@@ -23,12 +23,9 @@ __all__ = [
     "Singleton",
     "Assignment",
     "EMPTY_ASSIGNMENT",
-    "make_singleton",
     "assignment_of",
     "assignment_from_valuation",
     "valuation_from_assignment",
-    "assignment_size",
-    "restrict_assignment",
     "format_assignment",
 ]
 
@@ -37,11 +34,6 @@ Assignment = FrozenSet[Singleton]
 
 #: The empty assignment (the answer corresponding to the empty valuation).
 EMPTY_ASSIGNMENT: Assignment = frozenset()
-
-
-def make_singleton(variable: object, node_id: int) -> Singleton:
-    """Build the singleton ``⟨variable : node_id⟩``."""
-    return (variable, node_id)
 
 
 def assignment_of(*singletons: Singleton) -> Assignment:
@@ -64,17 +56,6 @@ def valuation_from_assignment(assignment: Assignment) -> Dict[int, FrozenSet[obj
     for variable, node_id in assignment:
         result.setdefault(node_id, set()).add(variable)
     return {node_id: frozenset(variables) for node_id, variables in result.items()}
-
-
-def assignment_size(assignment: Assignment) -> int:
-    """Return ``|S|``, the number of singletons in the assignment."""
-    return len(assignment)
-
-
-def restrict_assignment(assignment: Assignment, variables: Iterable[object]) -> Assignment:
-    """Keep only the singletons whose variable is in ``variables``."""
-    keep = set(variables)
-    return frozenset(s for s in assignment if s[0] in keep)
 
 
 def format_assignment(assignment: Assignment) -> str:

@@ -172,25 +172,6 @@ class BinaryTVA:
         def annotation(node: BinaryNode) -> FrozenSet[object]:
             return frozenset(valuation.get(node.node_id, ()))
 
-        def rec(node: BinaryNode) -> FrozenSet[object]:
-            if node.is_leaf():
-                ann = annotation(node)
-                states = frozenset(
-                    state
-                    for var_set, state in self.initial_by_label.get(node.label, [])
-                    if var_set == ann
-                )
-            else:
-                left = rec(node.left)
-                right = rec(node.right)
-                states_set: Set[object] = set()
-                for q1 in left:
-                    for q2 in right:
-                        states_set |= self.delta_by_children.get((node.label, q1, q2), set())
-                states = frozenset(states_set)
-            result[node.node_id] = states
-            return states
-
         # Iterative post-order to avoid recursion limits on deep trees.
         stack: List[Tuple[BinaryNode, bool]] = [(tree.root, False)]
         order: List[BinaryNode] = []
@@ -211,7 +192,7 @@ class BinaryTVA:
                     if var_set == ann
                 )
             else:
-                states_set = set()
+                states_set: Set[object] = set()
                 for q1 in result[node.left.node_id]:
                     for q2 in result[node.right.node_id]:
                         states_set |= self.delta_by_children.get((node.label, q1, q2), set())
@@ -315,15 +296,3 @@ class BinaryTVA:
     def with_final(self, final: Iterable[object]) -> "BinaryTVA":
         """Return a copy of the automaton with a different set of final states."""
         return BinaryTVA(self.states, self.variables, self.initial, self.delta, final, self.name)
-
-    def relabel_states(self, mapping: Mapping[object, object]) -> "BinaryTVA":
-        """Return an isomorphic automaton with states renamed through ``mapping``."""
-        m = dict(mapping)
-        return BinaryTVA(
-            states=[m[q] for q in self.states],
-            variables=self.variables,
-            initial=[(l, v, m[q]) for (l, v, q) in self.initial],
-            delta=[(l, m[q1], m[q2], m[q]) for (l, q1, q2, q) in self.delta],
-            final=[m[q] for q in self.final],
-            name=self.name,
-        )

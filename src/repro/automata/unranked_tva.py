@@ -18,7 +18,7 @@ assignments may bind variables to internal nodes as well as to leaves.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from repro.errors import InvalidAutomatonError
 from repro.trees.unranked import UnrankedNode, UnrankedTree
@@ -73,10 +73,6 @@ class UnrankedTVA:
         """Return ``|Q| + |ι| + |δ|``."""
         return len(self.states) + len(self.initial) + len(self.delta)
 
-    def labels(self) -> FrozenSet[object]:
-        """Return the set of labels mentioned in the initial relation."""
-        return frozenset(t[0] for t in self.initial)
-
     def validate(self) -> None:
         """Check that transitions only mention declared states and variables."""
         if not self.states:
@@ -98,22 +94,6 @@ class UnrankedTVA:
     def initial_states(self, label: object, annotation: FrozenSet[object]) -> FrozenSet[object]:
         """Return ``ι(label, annotation)`` as a frozenset of states."""
         return frozenset(self.initial_map.get((label, frozenset(annotation)), set()))
-
-    def step(self, states: Iterable[object], child_state: object) -> FrozenSet[object]:
-        """Return ``δ(states, child_state)``: one reading step over a child."""
-        result: Set[object] = set()
-        for q in states:
-            result |= self.delta_map.get((q, child_state), set())
-        return frozenset(result)
-
-    def read_children(self, start: Iterable[object], child_states: Sequence[object]) -> FrozenSet[object]:
-        """Return ``δ*(start, child_states)``: read all children left to right."""
-        current = frozenset(start)
-        for child_state in child_states:
-            if not current:
-                break
-            current = self.step(current, child_state)
-        return current
 
     def reachable_states(
         self, tree: UnrankedTree, valuation: Mapping[int, Iterable[object]]
@@ -155,23 +135,3 @@ class UnrankedTVA:
         reachable = self.reachable_states(tree, valuation)
         return bool(reachable[tree.root.node_id] & self.final)
 
-    # ---------------------------------------------------------------- helpers
-    def accepts_boolean(self, tree: UnrankedTree) -> bool:
-        """Acceptance under the empty valuation (Boolean query evaluation)."""
-        return self.accepts(tree, {})
-
-    def with_final(self, final: Iterable[object]) -> "UnrankedTVA":
-        """Return a copy with a different set of final states."""
-        return UnrankedTVA(self.states, self.variables, self.initial, self.delta, final, self.name)
-
-    def relabel_states(self, mapping: Mapping[object, object]) -> "UnrankedTVA":
-        """Return an isomorphic automaton with states renamed through ``mapping``."""
-        m = dict(mapping)
-        return UnrankedTVA(
-            states=[m[q] for q in self.states],
-            variables=self.variables,
-            initial=[(l, v, m[q]) for (l, v, q) in self.initial],
-            delta=[(m[q], m[qc], m[qn]) for (q, qc, qn) in self.delta],
-            final=[m[q] for q in self.final],
-            name=self.name,
-        )

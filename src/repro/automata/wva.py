@@ -119,15 +119,3 @@ class WVA:
         for q in self.final:
             result |= table.get(q, set())
         return result
-
-    # ---------------------------------------------------------------- helpers
-    def relabel_states(self, mapping: Mapping[object, object]) -> "WVA":
-        m = dict(mapping)
-        return WVA(
-            [m[q] for q in self.states],
-            self.variables,
-            [(m[q], a, vs, m[qn]) for q, a, vs, qn in self.transitions],
-            [m[q] for q in self.initial],
-            [m[q] for q in self.final],
-            name=self.name,
-        )

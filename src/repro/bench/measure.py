@@ -5,7 +5,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.enumerator import TreeRuntime
 from repro.trees.edits import EditOperation, Insert, InsertRight
@@ -28,15 +28,6 @@ class Summary:
     median: float
     p95: float
     maximum: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "median": self.median,
-            "p95": self.p95,
-            "max": self.maximum,
-        }
 
 
 def summarize(samples: Sequence[float]) -> Summary:

@@ -25,7 +25,7 @@ itself: constant-ish delay *and* logarithmic structural updates.
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Sequence, Set
+from typing import Iterator, List, Optional
 
 from repro.assignments import Assignment
 from repro.automata.brute_force import unranked_satisfying_assignments
@@ -33,7 +33,7 @@ from repro.automata.unranked_tva import UnrankedTVA
 from repro.core.enumerator import TreeRuntime
 from repro.core.results import UpdateStats
 from repro.errors import UnsupportedUpdateError
-from repro.trees.edits import Delete, EditOperation, Insert, InsertRight, Relabel
+from repro.trees.edits import EditOperation, Relabel
 from repro.trees.unranked import UnrankedTree
 
 __all__ = [
@@ -66,9 +66,6 @@ class MaterializingEnumerator:
     def assignments(self) -> Iterator[Assignment]:
         return iter(list(self._answers))
 
-    def count(self) -> int:
-        return len(self._answers)
-
     def apply(self, edit: EditOperation) -> UpdateStats:
         start = time.perf_counter()
         edit.apply_to_tree(self.tree)
@@ -93,17 +90,8 @@ class RecomputeTreeEnumerator:
         """Enumerate answers (same guarantees as the static Theorem 6.5 pipeline)."""
         return self._inner.assignments()
 
-    def __iter__(self) -> Iterator[Assignment]:
-        return self.assignments()
-
-    def count(self, limit: Optional[int] = None) -> int:
-        return self._inner.count(limit=limit)
-
     def delay_probe(self, max_answers: Optional[int] = None) -> List[float]:
         return self._inner.delay_probe(max_answers=max_answers)
-
-    def stats(self):
-        return self._inner.stats()
 
     def apply(self, edit: EditOperation) -> UpdateStats:
         """Apply an edit by rebuilding the whole enumeration structure."""
@@ -115,19 +103,6 @@ class RecomputeTreeEnumerator:
             rebuilt_subterm_size=self.tree.size(),
             seconds=time.perf_counter() - start,
         )
-
-    # Convenience mirrors of the TreeRuntime API.
-    def relabel(self, node_id: int, label: object) -> UpdateStats:
-        return self.apply(Relabel(node_id, label))
-
-    def insert_first_child(self, parent_id: int, label: object) -> UpdateStats:
-        return self.apply(Insert(parent_id, label))
-
-    def insert_right_sibling(self, anchor_id: int, label: object) -> UpdateStats:
-        return self.apply(InsertRight(anchor_id, label))
-
-    def delete_leaf(self, node_id: int) -> UpdateStats:
-        return self.apply(Delete(node_id))
 
 
 class RelabelOnlyTreeEnumerator:
@@ -150,17 +125,8 @@ class RelabelOnlyTreeEnumerator:
     def assignments(self) -> Iterator[Assignment]:
         return self._inner.assignments()
 
-    def __iter__(self) -> Iterator[Assignment]:
-        return self.assignments()
-
-    def count(self, limit: Optional[int] = None) -> int:
-        return self._inner.count(limit=limit)
-
     def delay_probe(self, max_answers: Optional[int] = None) -> List[float]:
         return self._inner.delay_probe(max_answers=max_answers)
-
-    def stats(self):
-        return self._inner.stats()
 
     def apply(self, edit: EditOperation) -> UpdateStats:
         if isinstance(edit, Relabel):
@@ -180,15 +146,6 @@ class RelabelOnlyTreeEnumerator:
             rebuilt_subterm_size=self.tree.size(),
             seconds=time.perf_counter() - start,
         )
-
-    def relabel(self, node_id: int, label: object) -> UpdateStats:
-        return self.apply(Relabel(node_id, label))
-
-    def insert_first_child(self, parent_id: int, label: object) -> UpdateStats:
-        return self.apply(Insert(parent_id, label))
-
-    def delete_leaf(self, node_id: int) -> UpdateStats:
-        return self.apply(Delete(node_id))
 
 
 def make_enumerator(strategy: str, tree: UnrankedTree, query: UnrankedTVA, **kwargs):

@@ -47,7 +47,7 @@ ever built when a caller asks for them through
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.assignments import Assignment, valuation_from_assignment
 from repro.automata.homogenize import homogenize
@@ -183,6 +183,8 @@ class _Runtime:
         )
         self._preprocessing_seconds = time.perf_counter() - start
         self._version = 0
+        #: what a stale iterator raises instead of StaleIteratorError, if set
+        self._stale_error: Optional[Callable[[], Exception]] = None
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> EnumeratorStats:
@@ -215,6 +217,8 @@ class _Runtime:
         def iterate() -> Iterator[Assignment]:
             for assignment in enumerator.assignments():
                 if self._version != version:
+                    if self._stale_error is not None:
+                        raise self._stale_error()
                     raise StaleIteratorError("the document was updated; restart the enumeration")
                 yield assignment
 
@@ -223,14 +227,17 @@ class _Runtime:
     def __iter__(self) -> Iterator[Assignment]:
         return self.assignments()
 
-    def invalidate_iterators(self) -> None:
+    def invalidate_iterators(self, error: Optional[Callable[[], Exception]] = None) -> None:
         """Make every live :meth:`assignments` iterator raise on its next answer.
 
         Updates do this implicitly; the serving layer calls it when a
         document is removed, so a stream over a dropped document fails the
-        same way in local and sharded mode.
+        same way in local and sharded mode.  With ``error``, the iterators
+        raise a fresh ``error()`` instead of
+        :class:`~repro.errors.StaleIteratorError` (the engine was closed).
         """
         self._version += 1
+        self._stale_error = error
 
     def count(self, limit: Optional[int] = None) -> int:
         """Count the answers by enumerating them (early stop at ``limit``)."""

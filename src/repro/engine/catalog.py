@@ -101,9 +101,6 @@ class CatalogLease:
         self._digests.add(digest)
         self._write()
 
-    def digests(self) -> List[str]:
-        return sorted(self._digests)
-
     def release(self) -> None:
         """Drop the claim (idempotent): the lease file is removed."""
         if self.released:
@@ -205,19 +202,15 @@ class QueryCatalog:
             self.manifest_path, json.dumps(manifest, sort_keys=True, indent=0)
         )
 
-    def _update_manifest(self, digest: str, meta: Optional[Dict]) -> None:
-        """Record (``meta`` is a dict) or drop (``meta is None``) one entry.
+    def _update_manifest(self, digest: str, meta: Dict) -> None:
+        """Record one entry's metadata.
 
         Concurrent writers race benignly: entry files are the source of
         truth, written atomically, and a lost manifest update only loses
         advisory metadata (:meth:`gc` works off the file listing).
         """
         manifest = self.read_manifest() or {"entries": {}}
-        entries = manifest.setdefault("entries", {})
-        if meta is None:
-            entries.pop(digest, None)
-        else:
-            entries[digest] = meta
+        manifest.setdefault("entries", {})[digest] = meta
         self._write_manifest(manifest)
 
     def entry_meta(self, query_or_digest) -> Optional[Dict]:
@@ -406,21 +399,6 @@ class QueryCatalog:
         entry = CompiledQuery(kind=kind, digest=digest, automaton=automaton)
         self._loaded[digest] = entry
         return entry
-
-    def remove(self, query_or_digest) -> None:
-        """Delete a persisted entry (no error if it does not exist)."""
-        digest = (
-            query_or_digest
-            if isinstance(query_or_digest, str)
-            else self.digest_of(query_or_digest)
-        )
-        self._loaded.pop(digest, None)
-        try:
-            os.unlink(self.path_of(digest))
-        except FileNotFoundError:
-            pass
-        if os.path.exists(self.manifest_path):
-            self._update_manifest(digest, None)
 
     # ------------------------------------------------------------------ read
     def _load_if_present(self, digest: str) -> Optional[CompiledQuery]:

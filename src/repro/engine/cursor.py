@@ -169,12 +169,6 @@ class Cursor:
             return []
         return self._enum.referenced_boxes()
 
-    def dependency_masks(self):
-        """Per-box remaining-read slot masks (``{serial: (box, mask)}``)."""
-        if self._enum is None:
-            return {}
-        return self._enum.dependency_masks()
-
     def is_active(self) -> bool:
         return self.status == ACTIVE
 

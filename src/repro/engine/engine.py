@@ -50,7 +50,7 @@ from repro.automata.serialize import query_digest
 from repro.engine.catalog import QueryCatalog
 from repro.engine.codec import CompiledQuery
 from repro.engine.document import Document, ResultPage
-from repro.engine.local import BatchUpdateReport, LocalStore, LocalTransport
+from repro.engine.local import BatchUpdateReport, LocalStore, LocalTransport, engine_closed
 from repro.engine.query import Query, normalize_query_source
 from repro.engine.sharding import FleetTransport, ShardPool
 from repro.errors import EngineError, ServingError, StaleIteratorError
@@ -294,7 +294,7 @@ class Engine:
                 "create a new Engine"
             )
         if closed:
-            raise EngineError("this engine is closed")
+            raise engine_closed()
 
     # ---------------------------------------------------------------- queries
     def compile(self, source, alphabet=None) -> Query:
@@ -482,6 +482,7 @@ class Engine:
 
     def document(self, doc_id) -> Document:
         """The handle of a served document."""
+        self._check_open()
         try:
             return self._documents[doc_id]
         except KeyError:
@@ -490,7 +491,6 @@ class Engine:
     def remove(self, doc_id) -> None:
         """Drop a document (its cursors are closed)."""
         self.document(doc_id)  # raises on unknown ids
-        self._check_open()
         self._transport.remove(doc_id)
         del self._documents[doc_id]
         self._epochs.pop(doc_id, None)
@@ -523,7 +523,6 @@ class Engine:
         lockstep, and the batch is logged so a future restore replays it.
         """
         self.document(doc_id)
-        self._check_open()
         edits = list(edits)
         with self._tracer.span("apply_edits", doc_id=repr(doc_id), edits=len(edits)):
             try:
@@ -560,12 +559,11 @@ class Engine:
         iterator; a pushed stream checks, before each answer, that no edit
         reached the document since the stream was created (the base epoch is
         captured eagerly, like the runtime iterator's)."""
-        self.document(doc_id)
-        self._check_open()
         start_epoch = self._doc_epoch(doc_id)  # resyncs a lost mirror
 
         def check():
             if self._epochs.get(doc_id) != start_epoch:
+                self._check_open()  # closing the engine drops every epoch
                 raise StaleIteratorError(
                     f"document {doc_id!r} was edited (or removed) while stream() "
                     "was running; restart the stream, or use page() for "
@@ -576,7 +574,6 @@ class Engine:
 
     def _page(self, doc_id, cursor, page_size: Optional[int]) -> ResultPage:
         self.document(doc_id)
-        self._check_open()
         if isinstance(cursor, ResultPage):
             if cursor.document_id != doc_id:
                 raise EngineError(

@@ -154,10 +154,6 @@ class LocalDocument:
     def count(self, limit: Optional[int] = None) -> int:
         return self.enumerator.count(limit=limit)
 
-    def open_cursors(self) -> List[Cursor]:
-        """The currently resumable (active) cursors."""
-        return [c for c in self._cursors if c.is_active()]
-
     def trunk_boxes(self, node_or_position_id: int) -> List:
         """The boxes a (non-rebalancing) edit at the given node would rebuild.
 
@@ -449,41 +445,6 @@ class LocalStore:
 
     add_tree = add_word = add_document
 
-    def add_documents(
-        self, contents, query=None, *, queries=None, doc_ids=None
-    ) -> List[LocalDocument]:
-        """Add many documents under standing queries (see :meth:`add_document`).
-
-        The single-process face of :meth:`repro.Engine.add_documents`:
-        ``contents`` holds trees and/or words, ``query`` (shared) or
-        ``queries`` (one per item) names the standing queries, ``doc_ids``
-        optionally fixes ids.  Documents are added in order; the first
-        failure propagates (earlier documents stay registered).
-        """
-        contents = list(contents)
-        if queries is not None:
-            queries = list(queries)
-            if len(queries) != len(contents):
-                raise ServingError(
-                    f"queries ({len(queries)}) and contents ({len(contents)}) differ in length"
-                )
-        if doc_ids is not None:
-            doc_ids = list(doc_ids)
-            if len(doc_ids) != len(contents):
-                raise ServingError(
-                    f"doc_ids ({len(doc_ids)}) and contents ({len(contents)}) differ in length"
-                )
-        documents = []
-        for index, content in enumerate(contents):
-            item_query = queries[index] if queries is not None else query
-            if item_query is None:
-                raise ServingError(
-                    "add_documents needs a query: pass query= (shared) or queries= (per item)"
-                )
-            doc_id = doc_ids[index] if doc_ids is not None else None
-            documents.append(self.add_document(content, item_query, doc_id=doc_id))
-        return documents
-
     def _register(self, enumerator, kind: str, digest: str, doc_id) -> LocalDocument:
         if doc_id is None:
             doc_id = next(self._doc_ids)
@@ -516,21 +477,6 @@ class LocalStore:
         # epoch mirror is dropped with the document).
         document.enumerator.invalidate_iterators()
         del self._documents[doc_id]
-
-    def doc_ids(self) -> List[object]:
-        return list(self._documents)
-
-    def __len__(self) -> int:
-        return len(self._documents)
-
-    # ------------------------------------------------------------------ traffic
-    def apply_edits(self, doc_id, edits: Iterable) -> BatchUpdateReport:
-        """Apply a batch of edits to one document (one epoch step)."""
-        return self.document(doc_id).apply_edits(edits)
-
-    def open_cursor(self, doc_id, page_size: int = 50) -> Cursor:
-        """Open a paginated cursor on one document."""
-        return self.document(doc_id).open_cursor(page_size)
 
     def would_invalidate(self, doc_id, cursor: Cursor, node_or_position_id: int) -> bool:
         """Predict whether an edit at a node *could* hit a cursor.
@@ -706,6 +652,11 @@ class Transport:
         """Block until re-replication settles (nothing replicates here)."""
 
 
+def engine_closed() -> EngineError:
+    """The error every operation on a closed engine raises, streams included."""
+    return EngineError("this engine is closed")
+
+
 class LocalTransport(StoreOps, Transport):
     """The in-process transport: the facade calls the op set directly."""
 
@@ -736,4 +687,8 @@ class LocalTransport(StoreOps, Transport):
         }
 
     def close(self) -> None:
+        # A live stream is the runtime's own iterator: it learns of the
+        # closed engine at its next answer, through the runtime.
+        for document in self._store._documents.values():
+            document.enumerator.invalidate_iterators(engine_closed)
         self._store = None

@@ -97,7 +97,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.document import STREAM_PAGE_SIZE
-from repro.engine.local import BatchUpdateReport, Transport, release_old_cursor_ids
+from repro.engine.local import BatchUpdateReport, Transport, engine_closed, release_old_cursor_ids
 from repro.errors import (
     EngineError,
     ProtocolError,
@@ -1120,9 +1120,13 @@ class ShardPool:
 
     # ---------------------------------------------------------------- close
     def close(self, timeout: float = 5.0) -> None:
-        """Shut every worker down (graceful close, then terminate stragglers)."""
+        """Shut every worker down (graceful close, then terminate stragglers).
+
+        Every open stream raises ``EngineError("this engine is closed")``
+        once its buffered chunks are read."""
         self._closed = True
         for state in self._shards:
+            state.die(engine_closed)
             if state.dead:
                 continue
             try:

@@ -153,33 +153,6 @@ class CircuitEnumerator:
                 on_delay(time.perf_counter() - start)
                 yield assignment
 
-    def assignments_of_gate(self, gate: UnionGate) -> Iterator[Assignment]:
-        """Enumerate ``S(gate)`` for an arbitrary ∪-gate of the circuit."""
-        if self._use_mask_path():
-            for assignment, _mask in enumerate_boxed_masks([gate]):
-                yield assignment
-            return
-        for assignment, _provenance in enumerate_boxed_set([gate], self._box_enum()):
-            yield assignment
-
-    def count(self, limit: Optional[int] = None) -> int:
-        """Count answers by enumeration (stops early at ``limit`` if given)."""
-        total = 0
-        for _ in self.assignments():
-            total += 1
-            if limit is not None and total >= limit:
-                break
-        return total
-
-    def first(self, k: int) -> List[Assignment]:
-        """Return the first ``k`` answers (useful for top-k style probing)."""
-        result: List[Assignment] = []
-        for assignment in self.assignments():
-            result.append(assignment)
-            if len(result) >= k:
-                break
-        return result
-
     # -------------------------------------------------------------- measurement
     def delay_probe(self, max_answers: Optional[int] = None) -> List[float]:
         """Return the wall-clock delay (seconds) before each produced answer.

@@ -37,10 +37,6 @@ class TreeHollowing:
         """Number of nodes of the trunk (the recomputation cost of Lemma 7.3)."""
         return len(self.trunk_nodes)
 
-    def reused_count(self) -> int:
-        """Number of reused subtrees (□ leaves of the trunk)."""
-        return len(self.reused_roots)
-
     def is_antichain(self) -> bool:
         """Check that the reused subtree roots are pairwise incomparable."""
         reused: Set[int] = {id(node) for node in self.reused_roots}

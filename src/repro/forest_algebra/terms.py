@@ -173,14 +173,6 @@ class TermNode:
             node = node.parent
         return node
 
-    def depth(self) -> int:
-        d = 0
-        node = self
-        while node.parent is not None:
-            node = node.parent
-            d += 1
-        return d
-
     def __repr__(self) -> str:  # pragma: no cover
         if self.is_leaf():
             return f"TermNode({self.kind}, {self.label!r}, node={self.tree_node_id})"

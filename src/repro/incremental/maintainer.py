@@ -310,7 +310,6 @@ class IncrementalCircuitMaintainer:
             validate_backend(relation_backend)  # fail fast, before the build
         self.relation_backend = relation_backend
         self.build_cache = build_cache
-        self.version = 0
         #: the boxes replaced by the most recent apply_report call (the old
         #: trunk): old-box serial → :class:`BoxDelta` with the per-slot
         #: changed mask, computed inline during the bottom-up rebuild
@@ -376,7 +375,6 @@ class IncrementalCircuitMaintainer:
                 )
             rebuilt += 1
         self.last_replaced_deltas = deltas
-        self.version += 1
         if on_update is not None:
             on_update(perf_counter() - start)
         return rebuilt

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.automata.serialize import query_payload
 from repro.engine.document import STREAM_PAGE_SIZE
 from repro.engine.engine import Engine
-from repro.engine.local import Transport
+from repro.engine.local import Transport, engine_closed
 from repro.engine.sharding import (
     STREAM_CREDIT,
     AdaptiveCredit,
@@ -124,6 +124,7 @@ class SocketTransport(Channel, Transport):
         :class:`ProtocolError` naming ``reason``."""
         if not self._closed:
             self._close_reason = reason
+            self.die(self._closed_error)
             self.close()
         return ProtocolError(reason)
 
@@ -256,13 +257,14 @@ class SocketTransport(Channel, Transport):
             self.abandon(stream)
 
     def close(self) -> None:
-        """Close the connection (idempotent); every open stream raises why,
-        once its buffered chunks are read.  Server-side state is dropped by
-        the server's disconnect handling."""
+        """Close the connection (idempotent); every open stream raises
+        ``EngineError("this engine is closed")`` once its buffered chunks are
+        read.  Server-side state is dropped by the server's disconnect
+        handling."""
         if self._closed:
             return
         self._closed = True
-        self.die(self._closed_error)
+        self.die(engine_closed)
         try:
             self._sock.close()
         except OSError:  # pragma: no cover

@@ -226,7 +226,6 @@ def _decode_other(tag: object, data: object, depth: int, decode) -> object:
         tree = UnrankedTree.__new__(UnrankedTree)
         tree._next_id = next_id
         tree._nodes = {}
-        tree.version = 0
         root_row = rows[0]
         _expect(isinstance(root_row, list) and len(root_row) == 3 and root_row[2] is None,
                 "'tree' tag whose first row is not a parentless root")

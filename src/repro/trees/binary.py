@@ -118,13 +118,6 @@ class BinaryTree:
         return rec(self.root)
 
     # ----------------------------------------------------------------- access
-    def node(self, node_id: int) -> BinaryNode:
-        """Return the node with the given id."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise InvalidTreeError(f"no node with id {node_id}") from None
-
     def nodes(self) -> Iterator[BinaryNode]:
         """Yield all nodes in preorder."""
         return self.root.subtree_nodes()

@@ -14,7 +14,7 @@ reused.  Query answers produced by the enumerators refer to these ids.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidEditError, InvalidTreeError
 
@@ -103,8 +103,6 @@ class UnrankedTree:
         self._next_id = 0
         self._nodes: Dict[int, UnrankedNode] = {}
         self.root = self._make_node(root_label, None)
-        #: incremented on every mutation; used by enumerators to detect staleness
-        self.version = 0
 
     # ----------------------------------------------------------- construction
     def _make_node(self, label: object, parent: Optional[UnrankedNode]) -> UnrankedNode:
@@ -138,7 +136,6 @@ class UnrankedTree:
                 node = tree._make_node(label_of(kid), parent)
                 parent.children.append(node)
                 stack.append((node, children_of(kid)))
-        tree.version += 1
         return tree
 
     def to_nested(self):
@@ -156,7 +153,6 @@ class UnrankedTree:
         clone = UnrankedTree.__new__(UnrankedTree)
         clone._next_id = self._next_id
         clone._nodes = {}
-        clone.version = self.version
 
         clone.root = UnrankedNode(self.root.node_id, self.root.label, None)
         clone._nodes[clone.root.node_id] = clone.root
@@ -212,10 +208,6 @@ class UnrankedTree:
                 stack.append((c, d + 1))
         return best
 
-    def labels(self) -> set:
-        """Return the set of labels occurring in the tree."""
-        return {n.label for n in self.nodes()}
-
     # ------------------------------------------------------------------ edits
     # These are the reference semantics of Definition 7.1.  The incremental
     # machinery (forest algebra maintenance) applies the same operations to
@@ -225,7 +217,6 @@ class UnrankedTree:
         """``relabel(n, l)``: change the label of ``n`` to ``l``."""
         node = self.node(node_id)
         node.label = label
-        self.version += 1
         return node
 
     def insert_first_child(self, node_id: int, label: object) -> UnrankedNode:
@@ -233,7 +224,6 @@ class UnrankedTree:
         parent = self.node(node_id)
         node = self._make_node(label, parent)
         parent.children.insert(0, node)
-        self.version += 1
         return node
 
     def insert_right_sibling(self, node_id: int, label: object) -> UnrankedNode:
@@ -244,7 +234,6 @@ class UnrankedTree:
         node = self._make_node(label, anchor.parent)
         idx = anchor.parent.children.index(anchor)
         anchor.parent.children.insert(idx + 1, node)
-        self.version += 1
         return node
 
     def delete_leaf(self, node_id: int) -> None:
@@ -257,7 +246,6 @@ class UnrankedTree:
         node.parent.children.remove(node)
         del self._nodes[node.node_id]
         node.parent = None
-        self.version += 1
 
     # ------------------------------------------------------------- validation
     def validate(self) -> None:
@@ -279,31 +267,9 @@ class UnrankedTree:
             raise InvalidTreeError("id map contains nodes that are not reachable from the root")
 
     # ------------------------------------------------------------ conveniences
-    def find_first(self, predicate: Callable[[UnrankedNode], bool]) -> Optional[UnrankedNode]:
-        """Return the first node (document order) satisfying ``predicate``."""
-        for node in self.nodes():
-            if predicate(node):
-                return node
-        return None
-
     def nodes_with_label(self, label: object) -> List[UnrankedNode]:
         """Return all nodes carrying ``label``, in document order."""
         return [n for n in self.nodes() if n.label == label]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"UnrankedTree(size={self.size()}, height={self.height()})"
-
-    def pretty(self, max_nodes: int = 200) -> str:
-        """Return an indented textual rendering (truncated for huge trees)."""
-        lines: List[str] = []
-        count = 0
-        stack: List[Tuple[UnrankedNode, int]] = [(self.root, 0)]
-        while stack and count < max_nodes:
-            node, depth = stack.pop()
-            lines.append("  " * depth + f"{node.label} (#{node.node_id})")
-            count += 1
-            for c in reversed(node.children):
-                stack.append((c, depth + 1))
-        if stack:
-            lines.append("  ...")
-        return "\n".join(lines)

@@ -1,5 +1,6 @@
 """Tests for binary TVAs: runs, acceptance, state classification and
-homogenization (Section 2, Lemma 2.1)."""
+homogenization (Section 2, Lemma 2.1), and the agreement of the brute-force
+oracles, binary and unranked."""
 
 from __future__ import annotations
 
@@ -9,22 +10,28 @@ from hypothesis import strategies as st
 
 from helpers import (
     ALL_BINARY_TVAS,
+    LABELS,
     boolean_has_a_leaf,
     nondet_witness,
     random_binary_tva,
     random_binary_tree,
+    random_unranked_tva,
     select_a_leaf,
     select_pair_ab,
     subset_of_a_leaves,
 )
+from repro.automata import queries
 from repro.automata.binary_tva import BinaryTVA
 from repro.automata.brute_force import (
     binary_satisfying_assignments,
     binary_satisfying_assignments_by_valuations,
+    unranked_satisfying_assignments,
+    unranked_satisfying_assignments_by_valuations,
 )
 from repro.automata.homogenize import homogenize
 from repro.errors import InvalidAutomatonError
 from repro.trees.binary import BinaryTree
+from repro.trees.generators import random_tree
 
 
 class TestBinaryTVABasics:
@@ -76,14 +83,6 @@ class TestBinaryTVABasics:
         bad_run[tree.root.node_id] = "q0"
         assert not automaton.check_run(tree, {a_leaf.node_id: {"x"}}, bad_run)
         assert not automaton.check_run(tree, {a_leaf.node_id: {"x"}}, {})
-
-    def test_relabel_states_preserves_semantics(self):
-        automaton = select_a_leaf()
-        renamed = automaton.relabel_states({"q0": 0, "q1": 1})
-        tree = random_binary_tree(5, 4)
-        assert binary_satisfying_assignments(automaton, tree) == binary_satisfying_assignments(
-            renamed, tree
-        )
 
     def test_with_final(self):
         automaton = select_a_leaf().with_final(["q0"])
@@ -185,4 +184,39 @@ class TestBruteForceOraclesAgree:
         tree = random_binary_tree(tree_seed, 2)
         assert binary_satisfying_assignments(automaton, tree) == (
             binary_satisfying_assignments_by_valuations(automaton, tree)
+        )
+
+    # The unranked DP oracle is the arbiter of every unranked-tree test.
+    @pytest.mark.parametrize(
+        "query",
+        [
+            queries.select_labeled("a"),
+            queries.select_leaves(),
+            queries.select_with_marked_ancestor("b"),
+            queries.select_special_with_marked_ancestor("b", "a"),
+            queries.select_label_pairs("a", "b"),
+            queries.select_descendant_pairs(),
+            queries.select_label_set("a"),
+            queries.boolean_contains_label("a"),
+        ],
+        ids=lambda query: query.name,
+    )
+    @pytest.mark.parametrize("size", [1, 4, 6])
+    def test_unranked_oracles_agree_on_library_queries(self, query, size):
+        tree = random_tree(size, LABELS, seed=size)
+        assert unranked_satisfying_assignments(query, tree) == (
+            unranked_satisfying_assignments_by_valuations(query, tree)
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=1_000),
+        st.integers(min_value=0, max_value=1_000),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_unranked_oracles_agree_random(self, automaton_seed, tree_seed, size):
+        automaton = random_unranked_tva(automaton_seed, n_states=3, variables=("x",))
+        tree = random_tree(size, LABELS, seed=tree_seed)
+        assert unranked_satisfying_assignments(automaton, tree) == (
+            unranked_satisfying_assignments_by_valuations(automaton, tree)
         )

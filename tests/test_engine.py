@@ -524,23 +524,6 @@ class TestPipelinedIngest:
             with pytest.raises(EngineError, match="differ in length"):
                 engine.add_documents(["ab"], queries=[word_query(), word_query()])
 
-    def test_local_store_batch_facade(self):
-        """LocalStore.add_documents: the same batch entry point a worker has."""
-        from repro.engine.local import LocalStore
-
-        store = LocalStore()
-        docs = store.add_documents(
-            [random_tree(20, LABELS, 1), "abaab"],
-            queries=[tree_query(), word_query()],
-            doc_ids=["t", "w"],
-        )
-        assert [doc.doc_id for doc in docs] == ["t", "w"]
-        assert [doc.kind for doc in docs] == ["tree", "word"]
-        with pytest.raises(ServingError, match="needs a query"):
-            store.add_documents(["ab"])
-        with pytest.raises(ServingError, match="differ in length"):
-            store.add_documents(["ab"], word_query(), doc_ids=[1, 2])
-
     def test_remove_invalidates_live_streams_in_both_modes(self):
         tree = random_tree(80, LABELS, 3)
         for workers in (0, 1):

@@ -355,14 +355,6 @@ class TestCircuitEnumerator:
         assert list(yes.assignments()) == [frozenset()]
         assert list(no.assignments()) == []
 
-    def test_first_and_count_helpers(self):
-        automaton, tree, circuit = build_circuit(select_a_leaf, 9, tree_size=10)
-        enumerator = CircuitEnumerator(circuit)
-        total = len(binary_satisfying_assignments(automaton, tree))
-        assert enumerator.count() == total
-        assert len(enumerator.first(2)) == min(2, total)
-        assert enumerator.count(limit=1) == min(1, total)
-
     def test_delay_probe_counts_answers(self):
         automaton, tree, circuit = build_circuit(select_a_leaf, 11, tree_size=12)
         enumerator = CircuitEnumerator(circuit)

@@ -4,9 +4,10 @@ The same misuse of :class:`repro.Engine` raises the same exception type
 with the same message in-process (``Engine()``), on shard workers
 (``Engine(workers=2)``) and over TCP (``RemoteEngine`` in front of
 ``Engine()``); a stream read after an edit goes stale on every transport;
-and :class:`~repro.net.RemoteEngine` keeps its client-side shape: the
-server's ``stats()`` plus a ``net`` section, its transport counters, the
-HELLO reply, and auto ids that the server assigns.
+after ``close()`` every document op and open stream raises the same
+``EngineError``; and :class:`~repro.net.RemoteEngine` keeps its
+client-side shape: the server's ``stats()`` plus a ``net`` section, its
+transport counters, the HELLO reply, and auto ids that the server assigns.
 
 Because ``RemoteEngine`` is an ``Engine`` over a socket transport, it has
 every public ``Engine`` method, and a behaviour fix lands on all three
@@ -187,6 +188,57 @@ class TestStaleStream:
             doc.apply_edits([Relabel(1, "b")])
             with pytest.raises(StaleIteratorError):
                 next(iterator)
+
+
+#: the per-document operations, each tried on a document of a closed engine
+CLOSED_OPS = {
+    "page": lambda doc: doc.page(),
+    "count": lambda doc: doc.count(),
+    "epoch": lambda doc: doc.epoch,
+    "apply_edits": lambda doc: doc.apply_edits([Relabel(1, "b")]),
+    "remove": lambda doc: doc.remove(),
+}
+
+
+@pytest.fixture(scope="module", params=TRANSPORTS)
+def closed(request):
+    """A 2,000-leaf star of an engine closed since, and two of its streams
+    opened before the close: one read for one answer, one for a whole chunk
+    (its next answer needs a chunk the closed transport never delivers)."""
+    from repro.engine.document import STREAM_PAGE_SIZE
+
+    with contextlib.ExitStack() as stack:
+        engine = _open(stack, request.param)
+        doc = engine.add_tree(UnrankedTree.from_nested(("b", ["a"] * 2000)), _query())
+        streams = [iter(doc.stream()), iter(doc.stream())]
+        next(streams[0])
+        for _ in range(STREAM_PAGE_SIZE):
+            next(streams[1])
+        engine.close()
+        yield doc, streams
+
+
+class TestClosedEngine:
+    """After ``close()`` the cause is the closed engine, on every transport:
+    each op checks it before it looks the document up, and an open stream
+    ends at its next read."""
+
+    @pytest.mark.parametrize("op", sorted(CLOSED_OPS))
+    def test_document_ops_raise_closed(self, closed, op):
+        doc, _streams = closed
+        with pytest.raises(EngineError) as info:
+            CLOSED_OPS[op](doc)
+        assert type(info.value) is EngineError
+        assert str(info.value) == "this engine is closed"
+
+    def test_open_streams_end_at_the_next_read(self, closed):
+        _doc, streams = closed
+        for stream in streams:
+            with pytest.raises(EngineError) as info:
+                next(stream)
+            assert type(info.value) is EngineError
+            assert str(info.value) == "this engine is closed"
+            assert next(stream, None) is None  # and no answer after it
 
 
 class TestRemoteShape:

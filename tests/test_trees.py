@@ -1,5 +1,6 @@
 """Tests for the tree data structures: unranked trees, binary trees, edits,
-generators and serialization."""
+generators and serialization, and the assignments that name answers on
+them."""
 
 from __future__ import annotations
 
@@ -9,6 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import (
+    assignment_from_valuation,
+    assignment_of,
+    format_assignment,
+    valuation_from_assignment,
+)
 from repro.errors import InvalidEditError, InvalidTreeError
 from repro.trees.binary import BinaryTree
 from repro.trees.edits import Delete, Insert, InsertRight, Relabel, random_edit_sequence
@@ -109,12 +116,6 @@ class TestUnrankedTree:
         tree.relabel(tree.root.node_id, "z")
         assert tree.root.label == "z"
 
-    def test_version_changes_on_edits(self):
-        tree = UnrankedTree("a")
-        v0 = tree.version
-        tree.insert_first_child(tree.root.node_id, "b")
-        assert tree.version > v0
-
     def test_copy_preserves_ids_and_structure(self):
         tree = random_tree(30, seed=1)
         clone = tree.copy()
@@ -145,6 +146,22 @@ class TestUnrankedTree:
         star = star_tree(10, seed=0)
         assert star.height() == 1
         assert sum(1 for _ in star.leaves()) == 9
+
+
+# --------------------------------------------------------------------------- assignments
+class TestAssignments:
+    """The public assignment helpers of ``repro.__all__``."""
+
+    def test_valuation_round_trip(self):
+        assignment = assignment_of(("x", 3), ("y", 3), ("x", 5))
+        valuation = valuation_from_assignment(assignment)
+        assert valuation == {3: frozenset({"x", "y"}), 5: frozenset({"x"})}
+        assert assignment_from_valuation(valuation) == assignment
+        assert assignment_of() == assignment_from_valuation({}) == frozenset()
+
+    def test_format_is_sorted_text(self):
+        assert format_assignment(assignment_of(("y", 2), ("x", 10), ("x", 2))) == "{x:2, x:10, y:2}"
+        assert format_assignment(assignment_of()) == "{}"
 
 
 # --------------------------------------------------------------------------- edits

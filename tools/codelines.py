@@ -19,6 +19,7 @@ import io
 import os
 import sys
 import tokenize
+from typing import Set
 
 #: tokens that never make a line a code line on their own
 _LAYOUT = {
@@ -32,8 +33,8 @@ _LAYOUT = {
 }
 
 
-def code_lines(source: str) -> int:
-    """The number of code lines in one module's source."""
+def code_line_numbers(source: str) -> Set[int]:
+    """The numbers (from 1) of the code lines in one module's source."""
     lines = set()
     statement = []  # the code tokens of the current logical line
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -44,7 +45,12 @@ def code_lines(source: str) -> int:
             statement = []
         elif token.type not in _LAYOUT:
             statement.append(token)
-    return len(lines)
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in one module's source."""
+    return len(code_line_numbers(source))
 
 
 def main(argv) -> int:
