@@ -31,7 +31,9 @@ test-net-dev:
 
 # The order-sensitive tests under two fixed hash seeds: answer order, plan
 # exports, transcripts and wire frames must not follow the interpreter's
-# string-hash (hence set iteration) order.  Not part of `make check`.
+# string-hash (hence set iteration) order.  tests/test_plan_oracle.py also
+# starts a worker-like process under a third seed, whose plan exports must
+# equal its parent's.  Not part of `make check`.
 HASHSEED_TESTS := tests/test_compact_index.py tests/test_plan_oracle.py tests/test_circuits.py \
 	tests/test_fuzz_differential.py tests/test_facade.py tests/test_wire_oracle.py
 

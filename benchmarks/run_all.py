@@ -66,15 +66,15 @@ def _fresh_enumerator(size: int, query_name: str, backend: str) -> TreeRuntime:
 
 
 def _clear_query_caches() -> None:
-    """Drop the content-keyed compiled-query cache so the next build is cold.
+    """Forget the process's compiled automata so the next build is cold.
 
     Without this every sample after the very first would reuse the compiled
     automaton and its box plans, and the recorded numbers would conflate
     cache warming with genuine preprocessing speed.
     """
-    from repro.core import enumerator as enumerator_module
+    from repro.core.enumerator import clear_automata
 
-    enumerator_module._COMPILED_QUERIES.clear()
+    clear_automata()
 
 
 def bench_preprocessing(sizes, reps: int):
@@ -422,7 +422,7 @@ def bench_serving(
     import tempfile
 
     from repro import Engine
-    from repro.core.enumerator import compiled_automaton_for
+    from repro.core.enumerator import compiled_automaton_for, register_automaton
     from repro.engine import QueryCatalog
 
     catalog_dir = tempfile.mkdtemp(prefix="repro-serving-bench-")
@@ -462,7 +462,7 @@ def bench_serving(
             load_s[query_name] = statistics.median(load_times)
             _clear_query_caches()
             fresh_query = query_for_name(query_name)
-            loaded.attach(fresh_query)
+            register_automaton(loaded.digest, loaded.automaton)
             with _gc_paused():
                 start = time.perf_counter()
                 TreeRuntime(warmup_tree, fresh_query)

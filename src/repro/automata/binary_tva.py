@@ -18,9 +18,8 @@ the combined-complexity benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.assignments import Assignment
 from repro.errors import InvalidAutomatonError
 from repro.trees.binary import BinaryNode, BinaryTree
 

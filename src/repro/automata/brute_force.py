@@ -18,7 +18,7 @@ instances is the backbone of the correctness argument for this reproduction.
 from __future__ import annotations
 
 from itertools import chain, combinations, product
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.assignments import Assignment
 from repro.automata.binary_tva import BinaryTVA

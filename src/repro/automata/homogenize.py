@@ -17,7 +17,7 @@ satisfying assignments (in fact it preserves runs one-to-one).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.automata.binary_tva import BinaryTVA
 

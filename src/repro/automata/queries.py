@@ -22,7 +22,7 @@ combinations can be formed with :mod:`repro.automata.boolean_ops`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.automata.unranked_tva import UnrankedTVA
 

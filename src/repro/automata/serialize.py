@@ -504,10 +504,9 @@ def query_from_payload(payload: Dict) -> object:
 def query_digest(query: object) -> str:
     """A hex content digest of a query (stable across processes and machines).
 
-    Memoized on the query instance (queries are immutable once built, like
-    the ``_binary_automaton_cache`` the enumerators attach), so hot paths —
-    one digest lookup per served document — canonicalize each query object
-    once.
+    Memoized on the query instance (queries are immutable once built), so
+    hot paths — one digest lookup per served document, which also finds the
+    process's compiled automaton — canonicalize each query object once.
     """
     cached = getattr(query, "_content_digest_cache", None)
     if cached is not None:

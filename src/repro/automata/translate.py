@@ -31,7 +31,7 @@ result is trimmed to its useful states, which in practice shrinks it a lot.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.automata.binary_tva import BinaryTVA
 from repro.automata.unranked_tva import UnrankedTVA

@@ -7,8 +7,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.enumerator import TreeRuntime
-from repro.trees.edits import EditOperation, Insert, InsertRight
+from repro.trees.edits import EditOperation
 
 __all__ = [
     "Summary",

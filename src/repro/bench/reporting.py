@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = ["format_table", "record_experiment"]
 

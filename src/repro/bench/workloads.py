@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.automata.queries import (
     DEFAULT_LABELS,

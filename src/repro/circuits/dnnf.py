@@ -23,7 +23,6 @@ used to check the width bound of Lemma 3.7 (width ≤ |Q|, ×-gates ≤ width²)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
 
 from repro.circuits.gates import (
     BOTTOM,

@@ -24,6 +24,14 @@ word is a forest of one-node trees, so it runs on the same
 runtime body as a tree: the two classes differ only in construction, views
 and how their edit verbs map onto the term.
 
+A process holds one compiled automaton per query: a table keyed by the
+query's content digest (:func:`repro.automata.serialize.query_digest`) that
+:func:`compiled_automaton_for` fills on compile and
+:class:`repro.engine.catalog.QueryCatalog` on a disk load.  Compilation
+emits δ and ι in the catalog payload's canonical row order, so the automaton
+(and every box plan built from it) is the same in every process, whatever
+the hash seed.
+
 The runtimes are the building blocks of the public :class:`repro.Engine`
 (one maintained document each).  ``relation_backend=`` selects the relation
 representation (:mod:`repro.enumeration.relations`): ``None`` or
@@ -46,17 +54,22 @@ ever built when a caller asks for them through
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
+from collections import deque
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.assignments import Assignment, valuation_from_assignment
+from repro.automata.binary_tva import BinaryTVA
 from repro.automata.homogenize import homogenize
+from repro.automata.serialize import binary_tva_from_payload, binary_tva_to_payload, query_digest
 from repro.automata.translate import translate_unranked_tva, translate_wva
 from repro.automata.unranked_tva import UnrankedTVA
 from repro.automata.wva import WVA
 from repro.core.results import EnumeratorStats, UpdateStats, assignment_to_tuple
 from repro.circuits.dnnf import circuit_stats
-from repro.errors import InvalidEditError, StaleIteratorError
+from repro.errors import InvalidAutomatonError, InvalidEditError, StaleIteratorError
 from repro.forest_algebra.maintenance import MaintainedTerm, UpdateReport
 from repro.forest_algebra.terms import DecodedNode, term_leaves
 from repro.incremental.maintainer import IncrementalCircuitMaintainer
@@ -66,100 +79,100 @@ from repro.trees.unranked import UnrankedTree
 __all__ = [
     "TreeRuntime",
     "WordRuntime",
-    "query_content_key",
+    "COMPILED_AUTOMATA_LIMIT",
     "compiled_automaton_for",
-    "seed_compiled_query",
+    "lookup_automaton",
+    "register_automaton",
+    "clear_automata",
 ]
 
 
-#: content-keyed cache of compiled (translated + homogenized) queries,
-#: bounded so a server compiling many distinct ad-hoc queries cannot grow
-#: memory without limit (each entry also carries the automaton's box plans).
-_COMPILED_QUERIES: Dict[Tuple, object] = {}
-_COMPILED_QUERIES_LIMIT = 128
+#: how many compiled automata a process keeps alive when nothing else holds
+#: them: the latest ones registered.  A runtime, a catalog entry or a
+#: :class:`repro.engine.query.Query` holding one keeps it in the table, so
+#: only unused automata (each with its box plans) count against the bound.
+COMPILED_AUTOMATA_LIMIT = 128
+
+#: query digest → the one compiled automaton this process holds for it
+_automata: "weakref.WeakValueDictionary[str, BinaryTVA]" = weakref.WeakValueDictionary()
+#: strong references to the latest registered automata, oldest dropped first
+_latest: "deque[BinaryTVA]" = deque(maxlen=COMPILED_AUTOMATA_LIMIT)
+#: registration is check-then-act; a server's executor thread compiles too
+_register_lock = threading.Lock()
 
 
-def query_content_key(query) -> Optional[Tuple]:
-    """The in-process content key of a query (``None`` for unknown types).
+def lookup_automaton(digest: str) -> Optional[BinaryTVA]:
+    """The compiled automaton this process holds under a query digest, if any."""
+    return _automata.get(digest)
 
-    Two queries with equal content share one compiled automaton through this
-    key; :mod:`repro.engine.catalog` uses the stable cross-process digest of
-    :func:`repro.automata.serialize.query_digest` for the same purpose on
-    disk.
+
+def register_automaton(digest: str, automaton: BinaryTVA) -> BinaryTVA:
+    """Hold ``automaton`` under ``digest`` unless the process holds one already.
+
+    Returns the held automaton, so every caller ends up with the same object
+    (and the same box plans) for a digest.
     """
-    if isinstance(query, UnrankedTVA):
-        return ("tva", query.states, query.variables, query.initial, query.delta, query.final)
-    if isinstance(query, WVA):
-        return ("wva", query.states, query.variables, query.transitions, query.initial, query.final)
-    return None
+    with _register_lock:
+        held = _automata.get(digest)
+        if held is None:
+            held = _automata[digest] = automaton
+            _latest.append(automaton)
+    return held
 
 
-def _binary_automaton_for(query, translate):
-    """Translate + homogenize a query, memoized on the query's *content*.
+def clear_automata() -> None:
+    """Forget every registered automaton: the next use of a query compiles
+    it cold (benchmarks time compilation after this)."""
+    _automata.clear()
+    _latest.clear()
 
-    Translation is a pure function of the query, so building several
-    enumerators for equal queries — one query over many documents is the
-    common serving scenario — compiles once and shares the resulting binary
-    automaton, including the box plans the circuit construction attaches to
-    it.  An instance-level attribute short-circuits the content hash for
-    repeated use of the same query object.
+
+def _compile(query, translate) -> BinaryTVA:
+    """Translate + homogenize, with δ and ι in the catalog payload's row order.
+
+    The translator builds δ and ι from sets, whose order follows the
+    interpreter's hash seed, and a plan's input order and ×-gate numbering
+    follow δ.  The payload round trip sorts both canonically, so a parent,
+    its shard workers and another host hold the same automaton for a query.
+    An automaton the value codec cannot encode keeps the translator's order.
     """
-    cached = getattr(query, "_binary_automaton_cache", None)
-    if cached is not None:
-        return cached
-    key = query_content_key(query)
-    cached = _COMPILED_QUERIES.get(key) if key is not None else None
-    if cached is None:
-        cached = homogenize(translate(query))
-        if key is not None:
-            if len(_COMPILED_QUERIES) >= _COMPILED_QUERIES_LIMIT:
-                # FIFO eviction is enough here: the cache exists for the
-                # one-query-many-documents pattern, not as a tuned LRU.
-                _COMPILED_QUERIES.pop(next(iter(_COMPILED_QUERIES)))
-            _COMPILED_QUERIES[key] = cached
+    automaton = homogenize(translate(query))
     try:
-        query._binary_automaton_cache = cached
-    except AttributeError:  # query classes with __slots__: just skip caching
-        pass
-    return cached
+        return binary_tva_from_payload(binary_tva_to_payload(automaton))
+    except InvalidAutomatonError:
+        return automaton
 
 
-def compiled_automaton_for(query):
+def compiled_automaton_for(query) -> BinaryTVA:
     """The compiled (translated + homogenized) binary automaton of a query.
 
     Dispatches on the query type — :class:`UnrankedTVA` (Lemma 7.4) or
-    :class:`WVA` (Theorem 8.5) — and shares the in-process content-keyed
-    cache the enumerators use, so serving code and enumerators built for the
-    same query content get the *same* automaton object (and hence share its
-    box plans).
+    :class:`WVA` (Theorem 8.5) — and looks the query's digest
+    (:func:`repro.automata.serialize.query_digest`) up in the process's
+    table, which the catalog fills too: a query of known content is never
+    compiled again while anything holds its automaton.  A query without a
+    digest (values the codec cannot encode) is compiled for the caller alone.
     """
     if isinstance(query, UnrankedTVA):
-        return _binary_automaton_for(query, translate_unranked_tva)
-    if isinstance(query, WVA):
-        return _binary_automaton_for(query, translate_wva)
-    raise TypeError(
-        f"cannot compile {type(query).__name__}; expected an UnrankedTVA or a WVA"
-    )
-
-
-def seed_compiled_query(query, automaton) -> None:
-    """Install an externally obtained compiled automaton for a query.
-
-    Used by :class:`repro.engine.catalog.QueryCatalog` after loading a
-    persisted compiled query: the automaton is attached to the query object
-    and entered into the content-keyed cache, so every later
-    :class:`TreeRuntime`/:class:`WordRuntime` for this query content skips
-    translate + homogenize + plan compilation entirely.
-    """
-    key = query_content_key(query)
-    if key is not None:
-        if key not in _COMPILED_QUERIES and len(_COMPILED_QUERIES) >= _COMPILED_QUERIES_LIMIT:
-            _COMPILED_QUERIES.pop(next(iter(_COMPILED_QUERIES)))
-        _COMPILED_QUERIES[key] = automaton
+        translate = translate_unranked_tva
+    elif isinstance(query, WVA):
+        translate = translate_wva
+    else:
+        raise TypeError(
+            f"cannot compile {type(query).__name__}; expected an UnrankedTVA or a WVA"
+        )
     try:
-        query._binary_automaton_cache = automaton
-    except AttributeError:
-        pass
+        digest = query_digest(query)
+    except InvalidAutomatonError:
+        return _compile(query, translate)
+    held = _automata.get(digest)
+    if held is None:
+        held = register_automaton(digest, _compile(query, translate))
+    return held
+
+
+def _document_updated() -> StaleIteratorError:
+    return StaleIteratorError("the document was updated; restart the enumeration")
 
 
 class _Runtime:
@@ -183,8 +196,9 @@ class _Runtime:
         )
         self._preprocessing_seconds = time.perf_counter() - start
         self._version = 0
-        #: what a stale iterator raises instead of StaleIteratorError, if set
-        self._stale_error: Optional[Callable[[], Exception]] = None
+        #: builds what a stale iterator raises; the serving layer sets one
+        #: that names the document, so every transport raises one message
+        self.stale_error: Callable[[], Exception] = _document_updated
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> EnumeratorStats:
@@ -217,9 +231,7 @@ class _Runtime:
         def iterate() -> Iterator[Assignment]:
             for assignment in enumerator.assignments():
                 if self._version != version:
-                    if self._stale_error is not None:
-                        raise self._stale_error()
-                    raise StaleIteratorError("the document was updated; restart the enumeration")
+                    raise self.stale_error()
                 yield assignment
 
         return iterate()
@@ -227,17 +239,15 @@ class _Runtime:
     def __iter__(self) -> Iterator[Assignment]:
         return self.assignments()
 
-    def invalidate_iterators(self, error: Optional[Callable[[], Exception]] = None) -> None:
-        """Make every live :meth:`assignments` iterator raise on its next answer.
+    def invalidate_iterators(self) -> None:
+        """Make every live :meth:`assignments` iterator raise
+        :attr:`stale_error`'s error on its next answer.
 
         Updates do this implicitly; the serving layer calls it when a
         document is removed, so a stream over a dropped document fails the
-        same way in local and sharded mode.  With ``error``, the iterators
-        raise a fresh ``error()`` instead of
-        :class:`~repro.errors.StaleIteratorError` (the engine was closed).
+        same way in local and sharded mode, and when the engine is closed.
         """
         self._version += 1
-        self._stale_error = error
 
     def count(self, limit: Optional[int] = None) -> int:
         """Count the answers by enumerating them (early stop at ``limit``)."""

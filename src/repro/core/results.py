@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.assignments import Assignment, valuation_from_assignment
+from repro.assignments import Assignment
 
 __all__ = ["EnumeratorStats", "UpdateStats", "assignment_to_tuple"]
 

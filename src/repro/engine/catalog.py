@@ -16,6 +16,12 @@ The serving workflow it enables:
   only the per-document ``O(|T| · poly|Q'|)`` build of Lemma 7.3 when
   documents arrive.
 
+Entries load into the process's one table of compiled automata
+(:func:`repro.core.enumerator.register_automaton`), where the compiler puts
+its own: :meth:`QueryCatalog.get` hands out the automaton the process
+already holds for a digest, reads an unknown digest from disk, or compiles
+it.  The catalog keeps no automaton of its own.
+
 Files are written atomically (temp file + ``os.replace``), so a catalog
 directory shared between processes never exposes half-written entries — this
 is what lets the sharding workers of ``Engine(workers=N)`` share one catalog
@@ -43,7 +49,7 @@ from typing import Dict, Iterable, List, Optional, Set
 from repro.automata.serialize import query_digest
 from repro.automata.unranked_tva import UnrankedTVA
 from repro.automata.wva import WVA
-from repro.core.enumerator import compiled_automaton_for
+from repro.core.enumerator import compiled_automaton_for, lookup_automaton, register_automaton
 from repro.errors import CatalogError, CatalogVersionError, InvalidAutomatonError
 from repro.engine.codec import CompiledQuery, compiled_query_from_json, compiled_query_to_json
 
@@ -144,9 +150,6 @@ class QueryCatalog:
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
-        #: in-process cache of loaded entries (digest → CompiledQuery), so a
-        #: store serving many documents of one query hits the disk once.
-        self._loaded: Dict[str, CompiledQuery] = {}
         # Fail fast on a catalog written by an incompatible library version
         # (a missing manifest is a pre-manifest catalog and stays readable).
         self.read_manifest()
@@ -307,7 +310,6 @@ class QueryCatalog:
             }
         removed = [digest for digest in self.digests() if digest not in kept]
         for digest in removed:
-            self._loaded.pop(digest, None)
             try:
                 os.unlink(self.path_of(digest))
             except FileNotFoundError:
@@ -372,8 +374,9 @@ class QueryCatalog:
         """Compile (or accept) and persist the compiled form of ``query``.
 
         ``automaton`` may pass a pre-compiled homogenized binary automaton
-        (e.g. one whose plan cache was warmed by building documents); when
-        omitted the query is compiled through the shared in-process cache.
+        (e.g. one whose plan cache was warmed by building documents), which
+        the process then holds for the digest unless it holds one already;
+        when omitted the query is compiled through the process's table.
         The write is atomic and idempotent: saving equal content twice
         rewrites the same file.
         """
@@ -396,9 +399,8 @@ class QueryCatalog:
                 "file_bytes": len(text.encode("utf8")),
             },
         )
-        entry = CompiledQuery(kind=kind, digest=digest, automaton=automaton)
-        self._loaded[digest] = entry
-        return entry
+        register_automaton(digest, automaton)
+        return CompiledQuery(kind=kind, digest=digest, automaton=automaton)
 
     # ------------------------------------------------------------------ read
     def _load_if_present(self, digest: str) -> Optional[CompiledQuery]:
@@ -433,11 +435,16 @@ class QueryCatalog:
                 f"(digest {digest!r}): {exc}"
             ) from exc
         entry.load_seconds = time.perf_counter() - start
-        self._loaded[digest] = entry
         return entry
 
     def load(self, digest: str, use_cache: bool = True) -> CompiledQuery:
         """Load a persisted compiled query by digest.
+
+        The entry file is read on every call, so a missing or corrupt entry
+        always raises.  With ``use_cache`` the result carries the process's
+        one automaton for the digest: the one it already holds, or else the
+        loaded one, which it holds from now on.  ``use_cache=False`` returns
+        the loaded automaton without registering it.
 
         ``load_seconds`` on the result records the wall-clock cost of the
         disk read + payload reconstruction (the quantity the serving
@@ -446,25 +453,24 @@ class QueryCatalog:
         have been saved — or may just have been garbage-collected by
         another process sharing the directory).
         """
-        if use_cache:
-            cached = self._loaded.get(digest)
-            if cached is not None:
-                return cached
         entry = self._load_if_present(digest)
         if entry is None:
             raise CatalogError(
                 f"no compiled query with digest {digest!r} in {self.root} "
                 f"(never saved, or removed by a concurrent gc())"
             )
+        if use_cache:
+            entry.automaton = register_automaton(digest, entry.automaton)
         return entry
 
     def get(self, query) -> CompiledQuery:
-        """The compiled form of ``query``: from disk if persisted, else compiled.
+        """The compiled form of ``query``, one automaton per digest per process.
 
-        Either way the result is attached to the query object
-        (:meth:`CompiledQuery.attach`), so later enumerators for this query
-        content skip compilation.  A cache miss does *not* implicitly write
-        to disk — persisting is an explicit :meth:`save`.
+        The automaton the process already holds for the query's digest
+        comes without a disk read; an unknown digest loads from disk if
+        persisted, else compiles, and the process holds the result from
+        then on.  A miss does *not* implicitly write to disk — persisting is
+        an explicit :meth:`save`.
 
         Safe against a concurrent :meth:`gc` in another process sharing the
         directory (e.g. the parent of a shard pool collecting a digest while
@@ -474,14 +480,11 @@ class QueryCatalog:
         recompiling could mask a catalog that keeps serving damaged files.
         """
         digest = self.digest_of(query)
-        cached = self._loaded.get(digest)
-        if cached is not None:
-            return cached.attach(query)
-        entry = self._load_if_present(digest)
-        if entry is not None:
-            return entry.attach(query)
-        entry = CompiledQuery(
-            kind=_kind_of(query), digest=digest, automaton=compiled_automaton_for(query)
-        )
-        self._loaded[digest] = entry
-        return entry.attach(query)
+        held = lookup_automaton(digest)
+        if held is None:
+            entry = self._load_if_present(digest)
+            if entry is not None:
+                entry.automaton = register_automaton(digest, entry.automaton)
+                return entry
+            held = compiled_automaton_for(query)
+        return CompiledQuery(kind=_kind_of(query), digest=digest, automaton=held)

@@ -13,7 +13,11 @@ that depends only on the query, not on any document:
 A fresh process that loads such a file skips translation, homogenization and
 plan compilation entirely; building an enumeration structure for a document
 then consists of gate instantiation plus index entries only (the per-document
-half of Lemma 7.3's preprocessing).
+half of Lemma 7.3's preprocessing).  The catalog registers what it loads in
+the process's table of compiled automata
+(:func:`repro.core.enumerator.register_automaton`), where every runtime of
+the query finds it.  Since compilation emits δ and ι in this payload's row
+order, the loaded automaton equals the compiling process's.
 
 The file is a single JSON document::
 
@@ -75,18 +79,6 @@ class CompiledQuery:
     plans_installed: int = 0
     load_seconds: Optional[float] = None
     from_disk: bool = False
-
-    def attach(self, query) -> "CompiledQuery":
-        """Make ``query`` use this compiled automaton in this process.
-
-        After this, ``TreeRuntime(tree, query)`` /
-        ``WordRuntime(word, query)`` skip compilation for any query of
-        equal content.
-        """
-        from repro.core.enumerator import seed_compiled_query
-
-        seed_compiled_query(query, self.automaton)
-        return self
 
 
 def compiled_query_to_json(query, automaton: BinaryTVA, kind: str, extra_meta: Optional[Dict] = None) -> str:

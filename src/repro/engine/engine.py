@@ -50,10 +50,10 @@ from repro.automata.serialize import query_digest
 from repro.engine.catalog import QueryCatalog
 from repro.engine.codec import CompiledQuery
 from repro.engine.document import Document, ResultPage
-from repro.engine.local import BatchUpdateReport, LocalStore, LocalTransport, engine_closed
+from repro.engine.local import BatchUpdateReport, LocalStore, LocalTransport, engine_closed, stale_stream
 from repro.engine.query import Query, normalize_query_source
 from repro.engine.sharding import FleetTransport, ShardPool
-from repro.errors import EngineError, ServingError, StaleIteratorError
+from repro.errors import EngineError, ServingError
 from repro.obs import EventLog, MetricsRegistry, Tracer, render_prometheus
 from repro.obs.tracing import trace_path_from_env
 from repro.trees.unranked import UnrankedTree
@@ -304,9 +304,9 @@ class Engine:
         (tree query), a :class:`~repro.automata.wva.WVA` (word query), a
         :class:`~repro.spanners.Spanner`, a spanner regex string (pass
         ``alphabet=``), or an already-compiled :class:`Query` (returned
-        as-is).  Equal query *content* yields one shared compiled automaton —
-        in-process through the content-keyed cache, cross-process through the
-        catalog digest.
+        as-is).  Equal query *content* yields one digest and, in every
+        process, one compiled automaton: the process's table hands it out,
+        and a process new to the digest loads it from the catalog.
         """
         self._check_open()
         if isinstance(source, Query):
@@ -337,9 +337,7 @@ class Engine:
             return entry
         from repro.core.enumerator import compiled_automaton_for
 
-        entry = CompiledQuery(kind=kind, digest=digest, automaton=compiled_automaton_for(source))
-        entry.attach(source)
-        return entry
+        return CompiledQuery(kind=kind, digest=digest, automaton=compiled_automaton_for(source))
 
     # -------------------------------------------------------------- documents
     def add(self, content, query, doc_id=None, alphabet=None) -> Document:
@@ -564,11 +562,7 @@ class Engine:
         def check():
             if self._epochs.get(doc_id) != start_epoch:
                 self._check_open()  # closing the engine drops every epoch
-                raise StaleIteratorError(
-                    f"document {doc_id!r} was edited (or removed) while stream() "
-                    "was running; restart the stream, or use page() for "
-                    "edit-stable pagination"
-                )
+                raise stale_stream(doc_id)
 
         return self._transport.stream(doc_id, check)
 

@@ -17,9 +17,9 @@ served over many **evolving documents**.  Each local document packages:
   rebuilt box + changed-slot mask, chained across the batch), driving the
   cursors' fine-grained resume-or-invalidate decision.
 
-All documents added for content-equal queries share one compiled automaton —
-and therefore one box-plan cache — whether it came from the catalog or from
-an in-process compile.
+All documents added for content-equal queries share the process's one
+compiled automaton for the query's digest — and therefore one box-plan
+cache — whether it came from the catalog or from an in-process compile.
 
 Word edits are specified as tuples named after the
 :class:`~repro.core.enumerator.WordRuntime` verbs:
@@ -37,17 +37,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.automata.serialize import query_digest
 from repro.automata.unranked_tva import UnrankedTVA
 from repro.circuits.build import DEFAULT_BUILD_CACHE_SIZE, BuildCache
-from repro.core.enumerator import TreeRuntime, WordRuntime, compiled_automaton_for
+from repro.core.enumerator import TreeRuntime, WordRuntime
 from repro.core.results import UpdateStats
-from repro.errors import EngineError, ServingError
+from repro.errors import EngineError, ServingError, StaleIteratorError
 from repro.engine.catalog import QueryCatalog
 from repro.incremental.maintainer import BoxDelta
-from repro.engine.codec import CompiledQuery
 from repro.enumeration.assignment_iter import root_boxed_set
 from repro.engine.cursor import Cursor, CursorPage
 from repro.obs import DelayMonitor, EventLog, MetricsRegistry
@@ -357,9 +358,9 @@ class LocalStore:
     """Many served documents sharing persistently compiled standing queries.
 
     ``catalog`` (optional) is a :class:`~repro.engine.catalog.QueryCatalog`;
-    when given, queries are resolved through it (disk hit → no compilation),
-    otherwise through the in-process compiled-query cache.  All documents of
-    content-equal queries share one compiled automaton either way.
+    when given, a query whose digest the process does not hold yet loads
+    from it (disk hit → no compilation).  All documents of content-equal
+    queries share the process's one compiled automaton either way.
     """
 
     def __init__(
@@ -404,27 +405,6 @@ class LocalStore:
         self.build_cache.on_hit_seconds = self.metrics.timer("build_cache_hit_seconds")
         self._documents: Dict[object, LocalDocument] = {}
         self._doc_ids = itertools.count()
-        #: digest → CompiledQuery resolved so far (catalog or in-process)
-        self._compiled: Dict[str, CompiledQuery] = {}
-
-    # ----------------------------------------------------------------- queries
-    def _resolve_query(self, query) -> CompiledQuery:
-        if self.catalog is not None:
-            entry = self.catalog.get(query)
-        else:
-            from repro.automata.serialize import query_digest
-
-            digest = query_digest(query)  # rejects anything but a TVA or a WVA
-            entry = self._compiled.get(digest)
-            if entry is None:
-                entry = CompiledQuery(
-                    kind="tree" if isinstance(query, UnrankedTVA) else "word",
-                    digest=digest,
-                    automaton=compiled_automaton_for(query),
-                )
-            entry.attach(query)
-        self._compiled[entry.digest] = entry
-        return entry
 
     # --------------------------------------------------------------- documents
     def add_document(self, content, query, doc_id=None) -> LocalDocument:
@@ -434,14 +414,17 @@ class LocalStore:
         kind (an :class:`UnrankedTree` for a tree query, a sequence of
         letters for a word query).
         """
-        entry = self._resolve_query(query)
+        digest = query_digest(query)  # rejects anything but a TVA or a WVA
+        if self.catalog is not None:
+            self.catalog.get(query)  # a digest new to the process loads, not compiles
+        query_kind = "tree" if isinstance(query, UnrankedTVA) else "word"
         kind = "tree" if isinstance(content, UnrankedTree) else "word"
-        if kind != entry.kind:
-            raise ServingError(f"cannot serve a {kind} document under a {entry.kind} query")
+        if kind != query_kind:
+            raise ServingError(f"cannot serve a {kind} document under a {query_kind} query")
         start = perf_counter()
         enumerator = _RUNTIMES[kind](content, query, build_cache=self.build_cache)
         self.metrics.observe("ingest_build_seconds", perf_counter() - start)
-        return self._register(enumerator, kind, entry.digest, doc_id)
+        return self._register(enumerator, kind, digest, doc_id)
 
     add_tree = add_word = add_document
 
@@ -451,6 +434,7 @@ class LocalStore:
         if doc_id in self._documents:
             raise ServingError(f"document id {doc_id!r} already in use")
         document = LocalDocument(self, doc_id, kind, enumerator, digest)
+        enumerator.stale_error = partial(stale_stream, doc_id)
         # Observability hooks ride on the maintainer: per-update trunk
         # rebuild latency always, per-answer delay only under an SLO monitor
         # (keeping the default enumeration hot path hook-free).
@@ -500,7 +484,7 @@ class LocalStore:
         documents = self._documents.values()
         return {
             "documents": len(self._documents),
-            "compiled_queries": len(self._compiled),
+            "compiled_queries": len({d.digest for d in documents}),
             "cursors_open": sum(
                 sum(1 for c in d._cursors if c.is_active()) for d in documents
             ),
@@ -657,6 +641,15 @@ def engine_closed() -> EngineError:
     return EngineError("this engine is closed")
 
 
+def stale_stream(doc_id) -> StaleIteratorError:
+    """The error a stream raises once its document was edited or removed,
+    on every transport."""
+    return StaleIteratorError(
+        f"document {doc_id!r} was edited (or removed) while stream() was running; "
+        "restart the stream, or use page() for edit-stable pagination"
+    )
+
+
 class LocalTransport(StoreOps, Transport):
     """The in-process transport: the facade calls the op set directly."""
 
@@ -671,7 +664,7 @@ class LocalTransport(StoreOps, Transport):
 
     def stream(self, doc_id, check):
         # Zero-overhead: the runtime's own per-answer iterator (Theorem 6.5
-        # delay), which raises StaleIteratorError on edits by itself.
+        # delay), which raises the facade's stale_stream error by itself.
         return self._store.document(doc_id).enumerator.assignments()
 
     def runtime(self, doc_id):
@@ -690,5 +683,6 @@ class LocalTransport(StoreOps, Transport):
         # A live stream is the runtime's own iterator: it learns of the
         # closed engine at its next answer, through the runtime.
         for document in self._store._documents.values():
-            document.enumerator.invalidate_iterators(engine_closed)
+            document.enumerator.stale_error = engine_closed
+            document.enumerator.invalidate_iterators()
         self._store = None

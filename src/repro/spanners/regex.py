@@ -28,7 +28,7 @@ a capture carry the capturing variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.errors import RegexSyntaxError

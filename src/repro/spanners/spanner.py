@@ -17,9 +17,9 @@ positions are contiguous.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.assignments import Assignment, valuation_from_assignment
+from repro.assignments import Assignment
 from repro.automata.wva import WVA
 from repro.core.enumerator import WordRuntime
 from repro.spanners.compile import regex_to_wva

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.errors import InvalidEditError
 from repro.trees.unranked import UnrankedNode, UnrankedTree
 
 __all__ = [

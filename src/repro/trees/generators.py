@@ -10,7 +10,7 @@ workloads are reproducible.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.trees.binary import BinaryTree
 from repro.trees.unranked import UnrankedTree

@@ -48,7 +48,7 @@ from repro import (
     StaleIteratorError,
 )
 from repro.automata.queries import select_descendant_pairs, select_labeled
-from repro.core.enumerator import TreeRuntime, WordRuntime
+from repro.core.enumerator import TreeRuntime, WordRuntime, clear_automata
 from repro.engine import Document, LocalStore, Query, QueryCatalog, ResultPage
 from repro.net import EngineServer, RemoteEngine
 from repro.spanners.compile import regex_to_wva
@@ -1217,6 +1217,7 @@ class TestCatalogGcRace:
         query = tree_query()
         catalog.save(query)
         digest = catalog.digest_of(query)
+        clear_automata()  # as in a process that holds no automaton for it yet
         with open(catalog.path_of(digest), "w", encoding="utf8") as handle:
             handle.write('{"format": 1, "kind": "tre')  # a torn write
         fresh = QueryCatalog(os.fspath(tmp_path))
@@ -1230,6 +1231,7 @@ class TestCatalogGcRace:
         query = tree_query()
         catalog.save(query)
         digest = catalog.digest_of(query)
+        clear_automata()  # as in a process that holds no automaton for it yet
         fresh = QueryCatalog(os.fspath(tmp_path))
         os.unlink(fresh.path_of(digest))  # another process gc'd it just now
         entry = fresh.get(query)  # no exists-probe race left: compiles

@@ -3,7 +3,8 @@
 The same misuse of :class:`repro.Engine` raises the same exception type
 with the same message in-process (``Engine()``), on shard workers
 (``Engine(workers=2)``) and over TCP (``RemoteEngine`` in front of
-``Engine()``); a stream read after an edit goes stale on every transport;
+``Engine()``); a stream read after an edit or a removal of its document
+raises one ``StaleIteratorError`` on every transport;
 after ``close()`` every document op and open stream raises the same
 ``EngineError``; and :class:`~repro.net.RemoteEngine` keeps its
 client-side shape: the server's ``stats()`` plus a ``net`` section, its
@@ -35,6 +36,7 @@ from repro import (
 from repro.automata.queries import select_labeled
 from repro.automata.serialize import MAX_VALUE_DEPTH
 from repro.automata.unranked_tva import UnrankedTVA
+from repro.core.enumerator import TreeRuntime
 from repro.engine import ResultPage
 from repro.net import EngineServer, RemoteEngine
 from repro.obs import parse_prometheus_text
@@ -176,18 +178,45 @@ class TestMisuseTable:
 
 
 class TestStaleStream:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_stream_read_after_an_edit_is_stale(self, transport):
-        """Only the message differs: the in-process stream is the runtime's
-        own iterator, the pushed ones check the facade's epoch mirror."""
+    """A stream read after an edit or a removal of its document raises one
+    error on every transport: the in-process stream is the runtime's own
+    iterator, which the store gives the facade's error; the pushed ones
+    check the facade's epoch mirror."""
+
+    @staticmethod
+    def _stale_after(transport, cause):
         with contextlib.ExitStack() as stack:
             engine = _open(stack, transport)
-            doc = engine.add_tree(UnrankedTree.from_nested(("b", ["a"] * 6)), _query())
+            doc = engine.add_tree(
+                UnrankedTree.from_nested(("b", ["a"] * 300)), _query(), doc_id="star"
+            )
             iterator = iter(doc.stream())
             next(iterator)
-            doc.apply_edits([Relabel(1, "b")])
-            with pytest.raises(StaleIteratorError):
+            cause(doc)
+            with pytest.raises(StaleIteratorError) as info:
                 next(iterator)
+            assert type(info.value) is StaleIteratorError
+            assert str(info.value) == (
+                "document 'star' was edited (or removed) while stream() was running; "
+                "restart the stream, or use page() for edit-stable pagination"
+            )
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_stream_read_after_an_edit_is_stale(self, transport):
+        self._stale_after(transport, lambda doc: doc.apply_edits([Relabel(1, "b")]))
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_stream_read_after_a_removal_is_stale(self, transport):
+        self._stale_after(transport, lambda doc: doc.remove())
+
+    def test_a_plain_runtime_keeps_its_own_message(self):
+        runtime = TreeRuntime(UnrankedTree.from_nested(("b", ["a"] * 6)), _query())
+        iterator = runtime.assignments()
+        next(iterator)
+        runtime.relabel(1, "b")
+        with pytest.raises(StaleIteratorError) as info:
+            next(iterator)
+        assert str(info.value) == "the document was updated; restart the enumeration"
 
 
 #: the per-document operations, each tried on a document of a closed engine

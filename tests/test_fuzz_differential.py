@@ -401,7 +401,9 @@ def _replay_ops(engine, trees, queries, doc_query, ops, keep=None):
     cursor-resume/invalidate counts, page contents/offsets/exhaustion,
     cursor invalidation reports, stream segments in production order with
     their end status, and the final answers (count and digest) + epoch of
-    every document.
+    every document.  A failed edit batch and a stale stream are recorded as
+    (type name, message), so a message that differs between transports
+    fails every leg.
     """
     from repro import CursorInvalidatedError, ReproError, StaleIteratorError
 
@@ -441,7 +443,7 @@ def _replay_ops(engine, trees, queries, doc_query, ops, keep=None):
                 # (both engines replay the same schedule), so record it
                 # as a transcript event instead of aborting the replay.
                 transcript.append(
-                    ("edits-error", doc_index, type(exc).__name__, doc.epoch)
+                    ("edits-error", doc_index, type(exc).__name__, str(exc), doc.epoch)
                 )
                 continue
             transcript.append(
@@ -491,8 +493,8 @@ def _replay_ops(engine, trees, queries, doc_query, ops, keep=None):
             except StopIteration:
                 status = "end"
                 streams[doc_index] = None
-            except StaleIteratorError:
-                status = "stale"
+            except StaleIteratorError as exc:
+                status = ("stale", type(exc).__name__, str(exc))
                 streams[doc_index] = None
             transcript.append(
                 ("stream", doc_index, _ordered_answers(collected), status)

@@ -7,16 +7,27 @@
   the signature converted to that form — on every key that a build and an
   edit script reach, and on random signatures.  Each automaton starts from
   an empty plan cache, so every plan checked was built by this run.
-* Answer order does not depend on the iteration order of δ.  A shard worker
-  loads a compiled query from its canonical payload, whose δ is sorted, and
-  must still enumerate in the order of the process it mirrors.  The plans
-  themselves do differ between δ orders (input order, ×-gate numbering);
-  the answer sequence does not.
+* Answer order does not depend on the iteration order of δ.  Compilation
+  emits δ in the catalog payload's canonical order, so a shard worker that
+  loads the payload holds the δ of the process it mirrors; with δ reversed
+  the plans differ (input order, ×-gate numbering), the answer sequence
+  does not.
+* One automaton, whatever the hash seed.  The plan exports of four
+  compiled queries after an edit script are pinned, and a subprocess under
+  another ``PYTHONHASHSEED`` that loads the catalog entry as a shard worker
+  does exports the same bytes.  ``make test-hashseeds`` runs this module
+  under two more seeds.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -27,13 +38,17 @@ from repro.automata.queries import DEFAULT_LABELS
 from repro.automata.serialize import (
     binary_tva_from_payload,
     binary_tva_to_payload,
+    canonical_json,
     canonical_key,
     encode_value,
+    query_digest,
 )
 from repro.bench.workloads import query_for_name, tree_for_experiment
-from repro.circuits.build import _LeafPlan, build_internal_box
+from repro.circuits.build import _LeafPlan, build_internal_box, export_box_plans
 from repro.circuits.gates import BOTTOM, TOP, Box
-from repro.core.enumerator import TreeRuntime, WordRuntime, compiled_automaton_for
+from repro.core import enumerator as enumerator_module
+from repro.core.enumerator import TreeRuntime, WordRuntime, compiled_automaton_for, register_automaton
+from repro.engine.catalog import QueryCatalog
 from repro.errors import CircuitStructureError, InvalidAutomatonError
 from repro.spanners.compile import regex_to_wva
 from repro.trees.edits import random_edit_sequence
@@ -254,8 +269,12 @@ def _check_cached_plans(automaton):
 
 
 # --------------------------------------------------------------------------- drivers
+def _query(name):
+    return regex_to_wva(_SPANNER, ["a", "b", "c"]) if name == "spanner" else query_for_name(name)
+
+
 def _fresh_automaton(monkeypatch, name):
-    query = regex_to_wva(_SPANNER, ["a", "b", "c"]) if name == "spanner" else query_for_name(name)
+    query = _query(name)
     automaton = compiled_automaton_for(query)
     monkeypatch.setattr(automaton, "_box_plan_cache", None, raising=False)  # fresh plans
     return automaton, query
@@ -273,7 +292,12 @@ def _drive(name, query):
         return
     rng = random.Random(41)
     runtime = WordRuntime([rng.choice("abc") for _ in range(300)], query)
-    for _step in range(200):
+    _word_edits(runtime, rng, 200)
+
+
+def _word_edits(runtime, rng, steps):
+    """``steps`` random replaces, inserts and deletes on a word runtime."""
+    for _step in range(steps):
         ids = runtime.position_ids()
         op = rng.choice(("replace", "insert_after", "delete"))
         if op == "replace":
@@ -337,12 +361,14 @@ def test_plans_of_random_signatures_match_the_reference(monkeypatch, name):
 
 
 # --------------------------------------------------------------------------- δ order
-def _answer_sequences(automaton, name):
+def _answer_sequences(monkeypatch, automaton, name):
     """Answers before and after a 30-edit script, served by ``automaton``."""
     tree = tree_for_experiment(300, "random", seed=13)
     edits = random_edit_sequence(tree, DEFAULT_LABELS, 30, seed=29)
     query = query_for_name(name)
-    query._binary_automaton_cache = automaton  # serve this very automaton
+    # serve this very automaton, from a table of its own for this test
+    monkeypatch.setattr(enumerator_module, "_automata", weakref.WeakValueDictionary())
+    register_automaton(query_digest(query), automaton)
     runtime = TreeRuntime(tree, query)
     assert runtime.binary_automaton is automaton
     before = [tuple(sorted(answer)) for answer in runtime.assignments()]
@@ -364,8 +390,10 @@ def test_answer_order_ignores_delta_order(monkeypatch, name):
         tuple(reversed(compiled.delta)),
         compiled.final,
     )
-    assert reloaded.delta != compiled.delta and reversed_delta.delta != compiled.delta
-    sequences = [_answer_sequences(a, name) for a in (compiled, reloaded, reversed_delta)]
+    assert reversed_delta.delta != compiled.delta
+    sequences = [
+        _answer_sequences(monkeypatch, a, name) for a in (compiled, reloaded, reversed_delta)
+    ]
     assert sequences[0][0] and sequences[0][1]
     assert sequences[1] == sequences[0]
     assert sequences[2] == sequences[0]
@@ -382,3 +410,103 @@ def test_answer_order_ignores_delta_order(monkeypatch, name):
         != (other[key].entries, other[key].prod_pairs)
     ]
     assert differing
+
+
+# --------------------------------------------------------------------------- one automaton
+#: sha256 of each compiled query's plan export (canonical JSON) after the
+#: 30-edit script, the plan cache empty before the build
+PINNED_PLAN_EXPORTS = {
+    "select-a": "e7bd886bfb71133559ffecf2138ba9e9fbbec38940a1ea9dd0a90058fd66a572",
+    "descendant": "1f640c34af0170ca0e839738c782b648a1ca9c5ba11f36924ef28c6772b67999",
+    "nondet-6": "e55a9b5a8104b3cecaad972f9b37eb5af8a8abc514e52f343dd26fc6620111ed",
+    "spanner": "7121274fb3471c61d7a47af09dfbd1682fcc992bc68d483b5a0cc5bb2332b3f6",
+}
+
+#: a shard worker's way to a compiled query: the catalog entry, loaded by a
+#: store; it then replays the script and prints its plan exports
+_WORKER = """
+import json, sys
+from repro.core import enumerator
+from repro.engine.catalog import QueryCatalog
+from repro.engine.local import LocalStore
+from test_plan_oracle import AUTOMATA, _content, _export_digest, _query, _run_script
+
+
+def refuse(*args):
+    raise AssertionError("a worker loads its compiled queries; it never compiles")
+
+
+enumerator._compile = refuse
+store = LocalStore(catalog=QueryCatalog(sys.argv[1]))
+exports = {}
+for name in AUTOMATA:
+    runtime = store.add_document(_content(name), _query(name)).enumerator
+    _run_script(runtime, name)
+    exports[name] = _export_digest(runtime.binary_automaton)
+print(json.dumps(exports))
+"""
+
+
+def _content(name):
+    """The 300-node seed-13 tree, or for the spanner a 300-letter word."""
+    if name == "spanner":
+        rng = random.Random(41)
+        return [rng.choice("abc") for _ in range(300)]
+    return tree_for_experiment(300, "random", seed=13)
+
+
+def _run_script(runtime, name):
+    """The 30-edit script: random tree edits, or random word edits."""
+    if name == "spanner":
+        _word_edits(runtime, random.Random(43), 30)
+        return
+    for edit in random_edit_sequence(runtime.tree, DEFAULT_LABELS, 30, seed=29):
+        runtime.apply(edit)
+
+
+def _export_digest(automaton):
+    return hashlib.sha256(canonical_json(export_box_plans(automaton)).encode()).hexdigest()
+
+
+def _scripted_export(monkeypatch, name):
+    automaton, query = _fresh_automaton(monkeypatch, name)
+    runtime = (WordRuntime if name == "spanner" else TreeRuntime)(_content(name), query)
+    assert runtime.binary_automaton is automaton
+    _run_script(runtime, name)
+    return _export_digest(automaton)
+
+
+@pytest.mark.parametrize("name", AUTOMATA)
+def test_compiled_automaton_equals_its_payload_reload(name):
+    compiled = compiled_automaton_for(_query(name))
+    reloaded = binary_tva_from_payload(binary_tva_to_payload(compiled))
+    assert compiled.delta == reloaded.delta
+    assert compiled.initial == reloaded.initial
+
+
+@pytest.mark.parametrize("name", AUTOMATA)
+def test_plan_exports_are_pinned(monkeypatch, name):
+    assert _scripted_export(monkeypatch, name) == PINNED_PLAN_EXPORTS[name]
+
+
+def test_a_worker_under_another_hash_seed_exports_the_same_plans(monkeypatch, tmp_path):
+    catalog = QueryCatalog(str(tmp_path))
+    expected = {}
+    for name in AUTOMATA:
+        catalog.save(_query(name), automaton=_fresh_automaton(monkeypatch, name)[0])  # no plans
+        expected[name] = _scripted_export(monkeypatch, name)
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") == "0" else "0",
+        PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(tests_dir), "src"), tests_dir]),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _WORKER, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert json.loads(result.stdout) == expected

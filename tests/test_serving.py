@@ -7,6 +7,9 @@ The acceptance-critical properties pinned here:
   an in-process compile;
 * answers from a freshly loaded compiled query equal a from-scratch compile
   on **both relation backends** (differential);
+* a process holds **one compiled automaton per query digest**, whichever
+  path reached it (a runtime, ``Engine.compile``, the catalog), and a
+  query object pickles without it;
 * cursor semantics: pagination is duplicate-free across pages, a cursor
   **resumes** after edits whose trunk is disjoint from the cursor's, and an
   edit hitting the cursor's trunk **deterministically** invalidates it with
@@ -15,8 +18,10 @@ The acceptance-critical properties pinned here:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -24,7 +29,16 @@ import pytest
 
 from repro.automata.queries import select_descendant_pairs, select_labeled
 from repro.automata.serialize import query_digest
-from repro.core.enumerator import TreeRuntime, WordRuntime, _COMPILED_QUERIES
+from repro import Engine
+from repro.core.enumerator import (
+    COMPILED_AUTOMATA_LIMIT,
+    TreeRuntime,
+    WordRuntime,
+    clear_automata,
+    compiled_automaton_for,
+    lookup_automaton,
+    register_automaton,
+)
 from repro.errors import CatalogError, CursorInvalidatedError, ServingError
 from repro.engine.catalog import QueryCatalog
 from repro.engine.codec import compiled_query_from_json
@@ -47,7 +61,7 @@ def canonical_answers(assignments):
 
 def fresh_compile_answers(tree, query):
     """Answers from a from-scratch compile (bypassing every cache)."""
-    _COMPILED_QUERIES.clear()
+    clear_automata()
     plain = query.__class__(
         query.states, query.variables, query.initial, query.delta, query.final
     )
@@ -165,7 +179,8 @@ class TestQueryCatalog:
         catalog.save(query)
         loaded = catalog.load(catalog.digest_of(query), use_cache=False)
         fresh_query = select_descendant_pairs(LABELS)
-        loaded.attach(fresh_query)
+        clear_automata()  # the process holds the loaded automaton, not its own compile
+        register_automaton(loaded.digest, loaded.automaton)
         enumerator = TreeRuntime(tree, fresh_query, relation_backend=backend)
         assert enumerator.binary_automaton is loaded.automaton  # no recompile
         assert canonical_answers(enumerator.assignments()) == expected
@@ -218,6 +233,49 @@ print(json.dumps({
         assert payload["answers"] == expected
         assert payload["plans_installed"] > 0
         assert payload["load_seconds"] is not None and payload["load_seconds"] > 0
+
+
+# =========================================================================== one automaton
+class TestOneAutomaton:
+    def test_every_path_hands_out_the_held_automaton(self, tmp_path):
+        tree = tree_of_shape("random", 40, LABELS, 2)
+        older = TreeRuntime(tree, select_descendant_pairs(LABELS))
+        automaton = older.binary_automaton
+        # content-equal query objects
+        assert compiled_automaton_for(select_descendant_pairs(LABELS)) is automaton
+        # Engine.compile, with and without a catalog
+        with Engine() as engine:
+            assert engine.compile(select_descendant_pairs(LABELS)).automaton is automaton
+        with Engine(catalog=str(tmp_path / "engine")) as engine:
+            assert engine.compile(select_descendant_pairs(LABELS)).automaton is automaton
+        # the catalog, for a digest that is on disk and that the process holds
+        QueryCatalog(str(tmp_path / "disk")).save(select_descendant_pairs(LABELS))
+        entry = QueryCatalog(str(tmp_path / "disk")).get(select_descendant_pairs(LABELS))
+        assert entry.automaton is automaton
+        # a runtime built after more registrations than the table keeps,
+        # while the older runtime still holds the automaton
+        for index in range(COMPILED_AUTOMATA_LIMIT + 1):
+            compiled_automaton_for(select_labeled("a", ("a", f"other-{index}")))
+        newer = TreeRuntime(tree, select_descendant_pairs(LABELS))
+        assert newer.binary_automaton is automaton
+
+    def test_unused_automata_stay_bounded(self):
+        digest = query_digest(select_labeled("a", ("a", "unused")))
+        compiled_automaton_for(select_labeled("a", ("a", "unused")))
+        assert lookup_automaton(digest) is not None
+        for index in range(COMPILED_AUTOMATA_LIMIT):
+            compiled_automaton_for(select_labeled("a", ("a", f"later-{index}")))
+        gc.collect()
+        assert lookup_automaton(digest) is None
+
+    def test_query_pickles_with_its_digest_only(self):
+        source = select_descendant_pairs(LABELS)
+        fresh = select_descendant_pairs(LABELS)
+        fresh_size = len(pickle.dumps(fresh))
+        with Engine() as engine:
+            engine.add_tree(tree_of_shape("random", 60, LABELS, 4), engine.compile(source))
+        query_digest(fresh)  # memoized on the object, as compile does
+        assert len(pickle.dumps(source)) == len(pickle.dumps(fresh)) < fresh_size + 100
 
 
 # =========================================================================== store
