@@ -21,13 +21,14 @@ PYTEST_TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q $(PYTEST_TIMEOUT_FLAGS)
 
-# The socket tests under `python -X dev`, with a leaked socket or an
-# exception raised in a finalizer turned into a failure: tests/test_net.py,
-# and tests/test_facade.py, whose TCP legs drive RemoteEngine streams that
-# are closed in generator finalizers.  The -W flags must follow
-# `-m pytest`: given to the interpreter, pytest would override them.
+# The socket tests under `python -X dev`, with a leaked socket, an
+# exception raised in a finalizer or one that ends a helper thread turned
+# into a failure: tests/test_net.py, and tests/test_facade.py, whose TCP legs
+# drive RemoteEngine streams that are closed in generator finalizers.  The
+# -W flags must follow `-m pytest`: given to the interpreter, pytest would
+# override them.
 test-net-dev:
-	$(PYPATH) $(PYTHON) -X dev -m pytest tests/test_net.py tests/test_facade.py -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
+	$(PYPATH) $(PYTHON) -X dev -m pytest tests/test_net.py tests/test_facade.py -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning -W error::pytest.PytestUnhandledThreadExceptionWarning
 
 # The order-sensitive tests under two fixed hash seeds: answer order, plan
 # exports, transcripts and wire frames must not follow the interpreter's

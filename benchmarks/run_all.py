@@ -651,9 +651,9 @@ def bench_serving(
         #    TCP — an EngineServer wrapping the sharded engine, driven by a
         #    RemoteEngine on a loopback socket.  The wire tier must be
         #    observationally invisible (byte-identical answers, gated by the
-        #    smoke), and on a long small-chunk stream the adaptive credit
-        #    window must batch chunk pushes into fewer round trips than
-        #    chunks (also gated).
+        #    smoke), and on a long small-chunk stream the credit window
+        #    must batch chunk pushes into fewer round trips than chunks
+        #    (also gated).
         from repro.net import EngineServer, RemoteEngine
 
         _clear_query_caches()
@@ -665,8 +665,8 @@ def bench_serving(
                         remote, trees, queries, doc_edits, rounds, page_size,
                         pages_per_round, edits_per_batch, batched_ingest=True,
                     )
-                    # a long TCP stream with small chunks: the fast consumer
-                    # stalls, the window grows, and credit grants amortize
+                    # a long TCP stream with small chunks: one credit grant
+                    # per 16 chunks consumed
                     net_chunk_size = 32
                     remote.stream_chunk_size = net_chunk_size
                     stream_doc = remote.document(1 % n_docs)  # the descendant query
@@ -689,8 +689,6 @@ def bench_serving(
                         "chunks": after["chunks"] - before["chunks"],
                         "round_trips": after["round_trips"] - before["round_trips"],
                         "credit": after["credit"],
-                        "credit_grown": after["credit_grown"],
-                        "credit_shrunk": after["credit_shrunk"],
                     }
             finally:
                 server.stop()
@@ -972,7 +970,7 @@ def _speedup_lines(payload):
                 f"  network stream: {stream['answers']} answers in "
                 f"{stream['seconds']*1e3:.1f}ms ({stream['chunks']} chunks / "
                 f"{stream['round_trips']} credit round trips, window "
-                f"{stream['credit']}, grown {stream['credit_grown']})"
+                f"{stream['credit']})"
             )
         cache = payload.get("build_cache")
         if cache:
@@ -1169,7 +1167,7 @@ def main(argv=None) -> int:
                 # Network smoke (PR 9): the TCP serving tier must hand back
                 # byte-identical answers through the same traffic, and a
                 # long remote stream must pay fewer credit round trips than
-                # it receives chunks (the adaptive window batches grants).
+                # it receives chunks (the credit window batches grants).
                 network = payload["network"]
                 if not network["answers_match_single_process"]:
                     print("  network answers DIVERGED from single-process answers")
@@ -1185,8 +1183,8 @@ def main(argv=None) -> int:
                 elif net_stream["round_trips"] >= net_stream["chunks"]:
                     print(
                         f"  network stream paid {net_stream['round_trips']} round "
-                        f"trips for {net_stream['chunks']} chunks (adaptive "
-                        f"credit not working)"
+                        f"trips for {net_stream['chunks']} chunks (credit "
+                        f"window not working)"
                     )
                     ok = False
                 # Build-cache smoke (PR 7): on the duplicated-structure

@@ -13,8 +13,8 @@ This example walks the network serving tier end to end:
 3. every answer sequence is **asserted byte-identical** to an in-process
    oracle engine replaying the same workload — the wire tier must be
    observationally invisible;
-4. a second concurrent client shares the same server, and the adaptive
-   credit window + round-trip counters are printed from both sides.
+4. a second concurrent client shares the same server, and the credit
+   window + round-trip counters are printed from both sides.
 
 Run with:  PYTHONPATH=src python examples/network_serving_demo.py
 """
@@ -99,9 +99,7 @@ def main() -> None:
 
                 net = remote.net_stats()
                 print(
-                    f"client transport: window={net['credit']} "
-                    f"(started {net['credit_start']}, grown {net['credit_grown']}, "
-                    f"shrunk {net['credit_shrunk']}), chunks={net['chunks']}, "
+                    f"client transport: window={net['credit']}, chunks={net['chunks']}, "
                     f"round_trips={net['round_trips']}"
                 )
                 streaming = engine.stats().get("streaming")

@@ -373,10 +373,13 @@ class QueryCatalog:
     def save(self, query, automaton=None) -> CompiledQuery:
         """Compile (or accept) and persist the compiled form of ``query``.
 
-        ``automaton`` may pass a pre-compiled homogenized binary automaton
-        (e.g. one whose plan cache was warmed by building documents), which
-        the process then holds for the digest unless it holds one already;
-        when omitted the query is compiled through the process's table.
+        ``automaton`` may pass a pre-compiled homogenized binary automaton,
+        which the process then holds for the digest unless it holds one
+        already; when omitted the query is compiled through the process's
+        table.  The entry's plans are the box plans the automaton holds now:
+        none for one that has built no document yet (what
+        :meth:`repro.Engine.compile` saves), the plans its builds compiled
+        for one that has.
         The write is atomic and idempotent: saving equal content twice
         rewrites the same file.
         """

@@ -6,14 +6,20 @@ that depends only on the query, not on any document:
 * the binary TVA of Lemma 7.4 (tree queries) or Theorem 8.5 (word queries),
   homogenized per Lemma 2.1 — serialized canonically by
   :mod:`repro.automata.serialize`;
-* the memoized box plans of the circuit construction (Lemma 3.7) the
-  compiling process accumulated — exported by
+* the memoized box plans of the circuit construction (Lemma 3.7) that the
+  saving process had built by the time it saved — exported by
   :func:`repro.circuits.build.export_box_plans`.
 
-A fresh process that loads such a file skips translation, homogenization and
-plan compilation entirely; building an enumeration structure for a document
-then consists of gate instantiation plus index entries only (the per-document
-half of Lemma 7.3's preprocessing).  The catalog registers what it loads in
+A fresh process that loads such a file skips translation and homogenization,
+and installs the plans the file holds; it compiles any other plan the first
+time a document build needs it.  What an entry holds depends on when it was
+saved.  :meth:`repro.Engine.compile` saves right after compiling, before any
+document is built, so its entries hold no plans, and every process that
+loads one (each shard worker included) compiles its plans as it builds.  An
+entry saved from an automaton that has already built documents
+(:meth:`~repro.engine.catalog.QueryCatalog.save` with ``automaton=``, as the
+serving benchmark's catalog-start leg does) holds the plans those builds
+compiled.  The catalog registers what it loads in
 the process's table of compiled automata
 (:func:`repro.core.enumerator.register_automaton`), where every runtime of
 the query finds it.  Since compilation emits δ and ι in this payload's row
@@ -67,7 +73,9 @@ class CompiledQuery:
     """A compiled query: the homogenized binary automaton plus provenance.
 
     ``automaton`` carries its box-plan cache (installed from the persisted
-    snapshot on load); ``kind`` is ``"tree"`` or ``"word"``; ``digest`` keys
+    snapshot on load, and empty when the entry was saved before any build;
+    ``plans_installed`` counts what was installed); ``kind`` is ``"tree"``
+    or ``"word"``; ``digest`` keys
     the entry by source-query *content*.  ``load_seconds`` is filled by
     :class:`repro.engine.catalog.QueryCatalog` so callers (and the serving
     benchmark) can compare load time against compile time.

@@ -26,7 +26,9 @@ worker** at once:
   ``(request_id, "chunk", answers, exhausted)`` without waiting for the
   parent, and ``("stream_credit", n)`` replenishes the window as the parent
   consumes — bounded in-flight data, and a round trip per *credit grant*
-  instead of one per page.  :class:`PushStream` is the producer half,
+  instead of one per page.  The window is one constant,
+  :data:`STREAM_CREDIT` chunks, shared by the streams one consumer has
+  open (:func:`opening_credit`).  :class:`PushStream` is the producer half,
   shared with the network server, and :func:`take_chunk` the consumer half,
   shared with the network client.
 * **demultiplexing.**  A worker handles messages strictly in arrival order,
@@ -107,7 +109,6 @@ from repro.errors import (
 )
 
 __all__ = [
-    "AdaptiveCredit",
     "Channel",
     "FleetTransport",
     "PushStream",
@@ -115,100 +116,23 @@ __all__ = [
     "ShardStream",
     "STREAM_CREDIT",
     "fresh_answers",
+    "opening_credit",
     "take_chunk",
 ]
 
-#: starting credit window: chunks a producer may push ahead of consumption
-#: (per stream).  The *live* window adapts around this value — see
-#: :class:`AdaptiveCredit`.
-STREAM_CREDIT = 4
+#: the credit window: chunks a producer may push ahead of consumption,
+#: shared by the streams one consumer has open
+STREAM_CREDIT = 32
 
 #: message statuses a consumer accepts; anything else is a protocol violation
 _VALID_STATUSES = ("ok", "err", "chunk")
 
 
-class AdaptiveCredit:
-    """Adaptive sizing of the stream credit window for one consumer.
-
-    A window fixed at :data:`STREAM_CREDIT` would be the wrong size in both
-    directions: a *fast* consumer drains the
-    buffer and stalls on the pipe (each stall is a wasted round trip the
-    recorded ``stream_stall_seconds`` histogram measures), while a *slow*
-    consumer — or many streams fanned out at once — keeps the full window
-    buffered, holding answers in memory nobody is reading yet.
-
-    One instance is shared by every stream of one consumer (a
-    :class:`ShardPool`, or a :class:`repro.net.client.RemoteEngine`) and
-    driven by the same signals the ``streaming`` stats already record:
-
-    * :meth:`note_stall` — the consumer genuinely waited on the transport
-      for the next chunk.  Two stalls in a row double the window (up to
-      :data:`MAX_WINDOW`): the producer was allowed too little runway.
-    * :meth:`note_buffered` — a chunk was already waiting, ``depth`` deep,
-      in a stream whose outstanding credit is ``capacity``.  Two
-      full-buffer observations in a row halve the window (down to
-      :data:`MIN_WINDOW`): the producer is running ahead of a consumer
-      that cannot keep up.
-    * :meth:`initial_credit` — the opening grant of a new stream divides
-      the window across the streams already open, so fan-out shrinks the
-      per-stream runway instead of multiplying the buffered volume.
-
-    The two-in-a-row hysteresis keeps one slow chunk (a worker busy
-    building) or one burst from thrashing the window.  Growth and shrink
-    totals — and the live window — surface as the
-    ``stream_credit_window`` / ``stream_credit_grown_total`` /
-    ``stream_credit_shrunk_total`` counters of ``Engine.metrics()`` and in
-    the ``streaming`` block of ``Engine.stats()``.
-    """
-
-    MIN_WINDOW = 2
-    MAX_WINDOW = 32
-
-    def __init__(self, start: int = STREAM_CREDIT, metrics=None):
-        if start < 1:
-            raise EngineError(f"the starting credit window must be >= 1, got {start}")
-        self.window = max(self.MIN_WINDOW, min(self.MAX_WINDOW, start))
-        self.metrics = metrics
-        self.grown_total = 0
-        self.shrunk_total = 0
-        self._stall_streak = 0
-        self._full_streak = 0
-        self._publish()
-
-    def _publish(self) -> None:
-        if self.metrics is not None:
-            self.metrics.counters["stream_credit_window"] = self.window
-
-    def initial_credit(self, open_streams: int = 0) -> int:
-        """The opening grant of a new stream, given the streams already open."""
-        return max(self.MIN_WINDOW, self.window // max(1, open_streams + 1))
-
-    def note_stall(self) -> None:
-        """The consumer blocked on the transport waiting for a chunk."""
-        self._full_streak = 0
-        self._stall_streak += 1
-        if self._stall_streak >= 2 and self.window < self.MAX_WINDOW:
-            self.window = min(self.MAX_WINDOW, self.window * 2)
-            self.grown_total += 1
-            self._stall_streak = 0
-            if self.metrics is not None:
-                self.metrics.inc("stream_credit_grown_total")
-            self._publish()
-
-    def note_buffered(self, depth: int, capacity: int) -> None:
-        """A chunk was already buffered (``depth`` of ``capacity`` tokens)."""
-        self._stall_streak = 0
-        if depth < max(1, capacity):
-            self._full_streak = 0
-            return
-        self._full_streak += 1
-        if self._full_streak >= 2 and self.window > self.MIN_WINDOW:
-            self.window = max(self.MIN_WINDOW, self.window // 2)
-            self.shrunk_total += 1
-            self._full_streak = 0
-            if self.metrics is not None:
-                self.metrics.inc("stream_credit_shrunk_total")
-            self._publish()
+def opening_credit(open_streams: int) -> int:
+    """The credit a new stream opens with beside ``open_streams`` others of
+    its consumer: its share of :data:`STREAM_CREDIT`, at least two chunks.
+    The stream keeps that credit to its end."""
+    return max(2, STREAM_CREDIT // (open_streams + 1))
 
 
 class ShardStream:
@@ -228,10 +152,10 @@ class ShardStream:
         "done",
         "closed",
         "to_grant",
-        "window",
+        "credit",
     )
 
-    def __init__(self, shard: Optional[int], request_id: int):
+    def __init__(self, shard: Optional[int], request_id: int, credit: int):
         self.shard = shard
         self.request_id = request_id
         self.chunks: List[tuple] = []  #: received, not yet consumed (answers, exhausted)
@@ -239,13 +163,12 @@ class ShardStream:
         self.done = False  #: the producer sent the exhausted chunk or an error
         self.closed = False  #: the consumer abandoned the stream
         self.to_grant = 0  #: consumed chunks not yet returned as credit
-        #: this stream's outstanding credit tokens: producer-held credit plus
-        #: chunks in flight or buffered plus ``to_grant``.  Grants keep the
-        #: invariant while steering toward the adaptive target window.
-        self.window = STREAM_CREDIT
+        #: the credit the stream opened with.  Producer-held credit, chunks in
+        #: flight or buffered, and ``to_grant`` always sum to it.
+        self.credit = credit
 
 
-def take_chunk(stream: ShardStream, credit: AdaptiveCredit, receive, grant):
+def take_chunk(stream: ShardStream, receive, grant):
     """The next ``(answers, exhausted)`` chunk of a push stream.
 
     Returns ``(chunk, stalled)``: ``chunk`` is None once the stream ended,
@@ -254,16 +177,11 @@ def take_chunk(stream: ShardStream, credit: AdaptiveCredit, receive, grant):
     message, blocking; the stream's error is raised (once, with its original
     type) when the producer reported one.
 
-    Each call votes on the adaptive window: a full buffer (buffered chunks
-    plus unreturned grants covering the whole outstanding window — the
-    producer is purely waiting on this consumer) votes to shrink it, a wait
-    votes to grow it.  Consumed chunks go back as credit in half-window
-    grants, ``grant(n)``, that top the stream's outstanding tokens up to the
-    *current* target window, so a grown window takes effect mid-stream and
-    a shrunk one simply withholds credit (a shrink costs no round trip).
+    Consumed chunks go back as credit, ``grant(n)``, each time half the
+    stream's credit is consumed, and never once the producer is done.  So a
+    stream of n chunks opened alone, with the whole window, pays
+    ``1 + (n - 1) // 16`` round trips: its open and its grants.
     """
-    if stream.chunks:
-        credit.note_buffered(len(stream.chunks) + stream.to_grant, stream.window)
     stalled_at = None
     while not stream.chunks:
         if stream.error is not None:
@@ -275,26 +193,12 @@ def take_chunk(stream: ShardStream, credit: AdaptiveCredit, receive, grant):
         if stalled_at is None:
             stalled_at = time.perf_counter()
         receive()
-    stalled = None
-    if stalled_at is not None:
-        stalled = time.perf_counter() - stalled_at
-        credit.note_stall()
     chunk = stream.chunks.pop(0)
     stream.to_grant += 1
-    target = credit.window
-    if (
-        not chunk[1]
-        and not stream.done
-        and stream.to_grant >= max(1, min(stream.window, target) // 2)
-    ):
-        # Token conservation: grant exactly what tops the stream up to the
-        # target window.
-        tokens = max(0, target - (stream.window - stream.to_grant))
-        stream.window = stream.window - stream.to_grant + tokens
+    if not stream.done and stream.to_grant >= stream.credit // 2:
+        grant(stream.to_grant)
         stream.to_grant = 0
-        if tokens > 0:
-            grant(tokens)
-    return chunk, stalled
+    return chunk, None if stalled_at is None else time.perf_counter() - stalled_at
 
 
 def _shape(message) -> str:
@@ -415,11 +319,10 @@ class Channel:
             raise payload
         return payload
 
-    def open_stream(self, shard: Optional[int], request_id: int, window: int) -> ShardStream:
-        """Register a stream whose ``stream_open`` with ``window`` credit
-        tokens was just sent."""
-        stream = self.streams[request_id] = ShardStream(shard, request_id)
-        stream.window = window
+    def open_stream(self, shard: Optional[int], request_id: int, credit: int) -> ShardStream:
+        """Register a stream whose ``stream_open`` with ``credit`` was just
+        sent."""
+        stream = self.streams[request_id] = ShardStream(shard, request_id, credit)
         self.stream_round_trips += 1
         return stream
 
@@ -710,8 +613,6 @@ class ShardPool:
         self.deadline = deadline
         self.deaths_total = 0
         self.timeouts_total = 0
-        #: adaptive credit-window controller shared by every stream
-        self.credit = AdaptiveCredit(STREAM_CREDIT, metrics=metrics)
         self._shards: List[_ShardState] = []
         self._request_ids = itertools.count()
         try:
@@ -1056,13 +957,13 @@ class ShardPool:
     def stream_open(self, shard: int, doc_id, chunk_size: int, trace_ctx=None) -> ShardStream:
         """Open a push stream over a document's answers on its shard.
 
-        The opening credit is the adaptive controller's grant — the current
-        window divided across the streams already open, so a fan-out of
+        Its credit is its share of the window beside the streams already
+        open on every shard (:func:`opening_credit`), so a fan-out of
         concurrent streams shares the buffered volume instead of
         multiplying it.
         """
         state = self._check_shard(shard)
-        credit = self.credit.initial_credit(sum(len(entry.streams) for entry in self._shards))
+        credit = opening_credit(sum(len(entry.streams) for entry in self._shards))
         if trace_ctx is not None:
             self._send(shard, (-1, "trace_push", trace_ctx), "opening a stream")
         request_id = next(self._request_ids)
@@ -1074,9 +975,9 @@ class ShardPool:
 
         Returns ``None`` when the stream ended; raises the stream's error
         (with its original type) when the worker reported one.  Consuming
-        replenishes the worker's credit under the adaptive window
-        (:func:`take_chunk`); the wait for each chunk is bounded by the pool
-        deadline, and a wait is recorded in ``stream_stall_seconds``.
+        replenishes the worker's credit (:func:`take_chunk`); the wait for
+        each chunk is bounded by the pool deadline, and a wait is recorded
+        in ``stream_stall_seconds``.
         """
         shard = stream.shard
         deadline_at = time.monotonic() + self.deadline if self.deadline is not None else None
@@ -1088,7 +989,7 @@ class ShardPool:
             self._send(shard, (stream.request_id, "stream_credit", tokens), "granting stream credit")
             self._shards[shard].stream_round_trips += 1
 
-        chunk, stalled = take_chunk(stream, self.credit, receive, grant)
+        chunk, stalled = take_chunk(stream, receive, grant)
         if stalled is not None and self.metrics is not None:
             # Time the consumer spent blocked on the credit window / worker.
             self.metrics.observe("stream_stall_seconds", stalled)
@@ -1769,11 +1670,7 @@ class FleetTransport(Transport):
             "chunks": sum(s["stream_chunks"] for s in shard_counters),
             "round_trips": sum(s["stream_round_trips"] for s in shard_counters),
             "chunk_size": STREAM_PAGE_SIZE,
-            # the *live* adaptive window (starts at STREAM_CREDIT)
-            "credit": self.pool.credit.window,
-            "credit_start": STREAM_CREDIT,
-            "credit_grown": self.pool.credit.grown_total,
-            "credit_shrunk": self.pool.credit.shrunk_total,
+            "credit": STREAM_CREDIT,
         }
         merged["deaths_total"] = self.pool.deaths_total
         merged["timeouts_total"] = self.pool.timeouts_total

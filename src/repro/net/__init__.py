@@ -8,7 +8,7 @@ or a fleet of shard workers — same ``Query`` / ``Document`` /
 ``ResultPage`` objects, same argument checks and typed errors,
 byte-identical answers.  The wire speaks length-prefixed frames of the
 canonical codec — never pickle — with a versioned HELLO, credit-window
-push streaming made adaptive, and per-connection limits.  See
+push streaming and per-connection limits.  See
 ``docs/protocol.md`` for the frame format.
 """
 

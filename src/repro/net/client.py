@@ -19,8 +19,8 @@ fresh ids, and the record's one rule files every reply frame under the
 request it answers and every stream chunk in its stream's buffer, so a
 stream being consumed never blocks an interleaved ``page()`` on the same
 connection.  Streams use the pool's credit-window consumer
-(:func:`~repro.engine.sharding.take_chunk`) under the client's own
-:class:`~repro.engine.sharding.AdaptiveCredit` controller.  What stays
+(:func:`~repro.engine.sharding.take_chunk`) and the pool's one window,
+shared by the streams this connection has open.  What stays
 here is how a frame is read, and the penalty for a bad one: a failure that
 leaves the byte stream unreadable, gone or untrustworthy — a framing error,
 a well-framed but malformed reply, an end of file, a socket error, a
@@ -52,10 +52,10 @@ from repro.engine.engine import Engine
 from repro.engine.local import Transport, engine_closed
 from repro.engine.sharding import (
     STREAM_CREDIT,
-    AdaptiveCredit,
     Channel,
     ShardStream,
     fresh_answers,
+    opening_credit,
     take_chunk,
 )
 from repro.errors import EngineError, ProtocolError
@@ -78,7 +78,7 @@ class SocketTransport(Channel, Transport):
 
     Connecting sends the versioned HELLO; :attr:`server_info` holds the
     reply.  ``metrics`` is the client-side registry (``net_*`` histograms
-    and counters, and the adaptive credit window).
+    and counters).
     """
 
     def __init__(self, address, unix_path, max_frame_bytes: int, timeout: Optional[float]):
@@ -95,7 +95,6 @@ class SocketTransport(Channel, Transport):
         self._close_reason = "closed by the client"
         self._request_ids = itertools.count(1)
         self.metrics = MetricsRegistry()
-        self.credit = AdaptiveCredit(STREAM_CREDIT, metrics=self.metrics)
         self.stream_stalls_total = 0
         try:
             if address is None:
@@ -229,12 +228,12 @@ class SocketTransport(Channel, Transport):
         )
 
     def stream(self, doc_id, check):
-        """A credit-window push stream, opened now (adaptive, demuxed)."""
+        """A credit-window push stream, opened now (demuxed)."""
         request_id = next(self._request_ids)
-        window = self.credit.initial_credit(len(self.streams))
-        self._send([request_id, "stream_open", doc_id, self.chunk_size, window])
+        credit = opening_credit(len(self.streams))
+        self._send([request_id, "stream_open", doc_id, self.chunk_size, credit])
         self.metrics.inc("net_stream_round_trips_total")
-        return fresh_answers(self._chunks(self.open_stream(None, request_id, window)), check)
+        return fresh_answers(self._chunks(self.open_stream(None, request_id, credit)), check)
 
     def _chunks(self, stream: ShardStream):
         def grant(tokens: int) -> None:
@@ -244,7 +243,7 @@ class SocketTransport(Channel, Transport):
 
         try:
             while True:
-                chunk, stalled = take_chunk(stream, self.credit, self._recv_one, grant)
+                chunk, stalled = take_chunk(stream, self._recv_one, grant)
                 if stalled is not None:
                     self.metrics.observe("net_stream_stall_seconds", stalled)
                     self.stream_stalls_total += 1
@@ -321,7 +320,6 @@ class RemoteEngine(Engine):
             Tracer(enabled=trace_path_from_env() is not None, process="client"),
         )
         self._transport = transport
-        self.credit = transport.credit
         self._streams = transport.streams
         if stream_chunk_size is not None:
             self.stream_chunk_size = stream_chunk_size
@@ -357,13 +355,10 @@ class RemoteEngine(Engine):
 
     # ------------------------------------------------------------- monitoring
     def net_stats(self) -> Dict[str, object]:
-        """Client-side transport counters (the adaptive window included)."""
+        """Client-side transport counters (the credit window included)."""
         transport = self._transport
         return {
-            "credit": self.credit.window,
-            "credit_start": STREAM_CREDIT,
-            "credit_grown": self.credit.grown_total,
-            "credit_shrunk": self.credit.shrunk_total,
+            "credit": STREAM_CREDIT,
             "chunks": transport.stream_chunks,
             "round_trips": transport.stream_round_trips,
             "stalls": transport.stream_stalls_total,
@@ -379,8 +374,7 @@ class RemoteEngine(Engine):
 
     def metrics(self) -> Dict[str, object]:
         """The server engine's metrics, overlaid with this client's
-        ``net_*`` histograms/counters (client-side names win on collision:
-        ``stream_credit_window`` is the *client's* window)."""
+        ``net_*`` histograms and counters."""
         payload = self._call("metrics")
         payload.update(self._transport.metrics.snapshot())
         return payload

@@ -25,9 +25,10 @@ socket instead of a pipe and a safe codec instead of pickle:
   credit lasts, and ``stream_credit`` frames replenish the window.  The
   server-side producer is the engine's own ``stream()`` — so on a sharded
   engine the client's credit gates the server loop, which in turn consumes
-  the shard pool's (adaptively sized) credit window from the workers, and
-  a mid-stream shard death fails over inside the engine without the client
-  seeing anything.
+  the shard pool's credit window from the workers, and a mid-stream shard
+  death fails over inside the engine without the client seeing anything.
+  A grant whose ``n`` is not an int of at least 1 ends its stream with a
+  typed error frame; a grant for a stream that is not open is ignored.
 
 Per-connection limits (``max_frame_bytes``, ``max_streams``,
 ``idle_timeout``) protect the server from misbehaving peers: a malformed
@@ -352,10 +353,17 @@ class EngineServer:
                         request_id, args, streams, reader, writer, write_lock, peer
                     )
                 elif op == "stream_credit":
+                    # A grant for a stream that is not open (it ended while
+                    # the grant was on its way) is ignored.
                     stream = streams.get(request_id)
-                    if stream is not None and args and isinstance(args[0], int):
-                        stream.credit += args[0]
+                    n = args[0] if len(args) == 1 else None
+                    if stream is not None and type(n) is int and n >= 1:  # a bool is no count
+                        stream.credit += n
                         stream.refill.set()
+                    elif stream is not None:
+                        self._stream_drop(streams, request_id)
+                        error = ProtocolError("stream_credit takes [n], an int n >= 1")
+                        await self._send(writer, write_lock, [request_id, "err", error])
                 elif op == "stream_close":
                     self._stream_drop(streams, request_id)
                 else:

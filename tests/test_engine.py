@@ -958,14 +958,14 @@ class TestFailover:
     def test_stream_fails_over_mid_flight_without_loss(self):
         """A replica dying mid-stream is invisible: the stream reopens on a
         survivor and replays past the answers already yielded.  The answer
-        set deliberately exceeds the push-stream credit window (4 x 256), so
+        set deliberately exceeds the push-stream credit window (32 x 256), so
         the kill lands while chunks are still owed."""
-        tree = tree_of_shape("random", 100, LABELS, 7)
+        tree = tree_of_shape("random", 600, LABELS, 7)
         query = select_descendant_pairs(LABELS)
         with Engine(workers=2, replicas=2) as engine:
             doc = engine.add_tree(tree, query)
             expected = canonical(doc.stream())
-            assert doc.count() > 4 * 256  # must outrun the buffered window
+            assert doc.count() > 32 * 256  # must outrun the buffered window
             stream = doc.stream()
             first = [next(stream) for _ in range(3)]
             victim = engine._pick_read_replica(doc.doc_id)

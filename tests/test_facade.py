@@ -290,9 +290,6 @@ class TestRemoteShape:
                 with RemoteEngine(server.address) as remote:
                     assert set(remote.net_stats()) == {
                         "credit",
-                        "credit_start",
-                        "credit_grown",
-                        "credit_shrunk",
                         "chunks",
                         "round_trips",
                         "stalls",
@@ -409,6 +406,53 @@ class TestChunkBoundaries:
                         lambda: remote.net_stats()["open_streams"],
                         pushed,
                     )
+            finally:
+                server.stop()
+
+
+class TestCreditRoundTrips:
+    """What one stream pays in round trips on each hop: its open, and a
+    credit grant each time half its credit is consumed while the producer
+    is not done.  A stream opened alone holds the whole window of 32 chunks,
+    so one of n chunks pays ``1 + (n - 1) // 16``, from the first stream of
+    a fresh engine on.  The consumer's counters are read:
+    ``stats()["streaming"]`` on the pipe, ``net_stats()`` on the wire."""
+
+    @staticmethod
+    def _star(answers: int) -> UnrankedTree:
+        return UnrankedTree.from_nested(("b", ["a"] * answers))
+
+    def _first_stream(self, engine, counters):
+        """The first stream of a fresh engine: 700 answers in 3 chunks of 256."""
+        assert len(list(engine.add_tree(self._star(700), _query()).stream())) == 700
+        assert (counters()["chunks"], counters()["round_trips"]) == (3, 1)
+
+    def _check(self, engine, chunk_size, counters, chunk_counts):
+        for chunks in chunk_counts:
+            answers = (chunks - 1) * chunk_size + 1
+            doc = engine.add_tree(self._star(answers), _query())
+            before = counters()
+            assert sum(1 for _ in doc.stream()) == answers
+            after = counters()
+            assert after["chunks"] - before["chunks"] == chunks
+            assert after["round_trips"] - before["round_trips"] == 1 + (chunks - 1) // 16
+
+    def test_pipe(self):
+        from repro.engine.document import STREAM_PAGE_SIZE
+
+        with Engine(workers=1) as engine:
+            counters = lambda: engine.stats()["streaming"]
+            self._first_stream(engine, counters)
+            self._check(engine, STREAM_PAGE_SIZE, counters, (16, 17, 33))
+
+    def test_wire(self):
+        with Engine() as engine:
+            server = EngineServer(engine).start()
+            try:
+                with RemoteEngine(server.address) as remote:
+                    self._first_stream(remote, remote.net_stats)
+                    remote.stream_chunk_size = 4
+                    self._check(remote, 4, remote.net_stats, (1, 16, 17, 32, 33, 96))
             finally:
                 server.stop()
 

@@ -2,8 +2,8 @@
 
 Covers the wire codec (round trips, hardening, byte-corruption fuzz), the
 canonical-payload codec hardening in :mod:`repro.automata.serialize`, the
-:class:`~repro.engine.sharding.AdaptiveCredit` controller and the stream
-consumer it steers (:func:`~repro.engine.sharding.take_chunk`), the server's
+stream consumer and its credit grants
+(:func:`~repro.engine.sharding.take_chunk`), the server's
 per-connection limits and HELLO versioning, typed error propagation over
 real TCP, catalog leases + concurrent ``gc()``, and the incremental
 (completion-order) ingest path.  The transcript-exactness of the network
@@ -38,7 +38,13 @@ from repro.automata.serialize import (
 )
 from repro.engine.catalog import QueryCatalog
 from repro.engine.document import STREAM_PAGE_SIZE
-from repro.engine.sharding import STREAM_CREDIT, AdaptiveCredit, Channel, ShardStream, take_chunk
+from repro.engine.sharding import (
+    STREAM_CREDIT,
+    Channel,
+    ShardStream,
+    opening_credit,
+    take_chunk,
+)
 from repro.core.results import UpdateStats
 from repro.engine.local import BatchUpdateReport
 from repro.errors import (
@@ -66,7 +72,6 @@ from repro.net.framing import (
     recv_frame,
     send_frame,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.engine.cursor import CursorInvalidation
 from repro.trees.edits import Delete, Insert, InsertRight, Relabel
 from repro.trees.generators import star_tree
@@ -351,111 +356,54 @@ class TestSerializeHardening:
         assert query_digest(rebuilt) == query_digest(query)
 
 
-# ===================================================== adaptive credit unit
-class TestAdaptiveCredit:
-    def test_two_stalls_grow_the_window(self):
-        credit = AdaptiveCredit(4)
-        credit.note_stall()
-        assert credit.window == 4
-        credit.note_stall()
-        assert credit.window == 8
-        assert credit.grown_total == 1
-
-    def test_growth_caps_at_max_window(self):
-        credit = AdaptiveCredit(4)
-        for _ in range(40):
-            credit.note_stall()
-        assert credit.window == AdaptiveCredit.MAX_WINDOW
-
-    def test_two_full_buffers_shrink_the_window(self):
-        credit = AdaptiveCredit(8)
-        credit.note_buffered(8, 8)
-        assert credit.window == 8
-        credit.note_buffered(8, 8)
-        assert credit.window == 4
-        assert credit.shrunk_total == 1
-
-    def test_shrink_floors_at_min_window(self):
-        credit = AdaptiveCredit(4)
-        for _ in range(40):
-            credit.note_buffered(99, 4)
-        assert credit.window == AdaptiveCredit.MIN_WINDOW
-
-    def test_alternating_signals_cancel(self):
-        credit = AdaptiveCredit(8)
-        for _ in range(10):
-            credit.note_stall()
-            credit.note_buffered(8, 8)
-        assert credit.window == 8
-        assert credit.grown_total == 0 and credit.shrunk_total == 0
-
-    def test_partial_buffer_resets_the_shrink_streak(self):
-        credit = AdaptiveCredit(8)
-        credit.note_buffered(8, 8)
-        credit.note_buffered(3, 8)  # buffer drained below capacity
-        credit.note_buffered(8, 8)
-        assert credit.window == 8
-
-    def test_initial_credit_divides_across_open_streams(self):
-        credit = AdaptiveCredit(16)
-        assert credit.initial_credit(0) == 16
-        assert credit.initial_credit(1) == 8
-        assert credit.initial_credit(7) == 2
-        assert credit.initial_credit(100) == AdaptiveCredit.MIN_WINDOW
-
-    def test_window_published_as_metric(self):
-        metrics = MetricsRegistry()
-        credit = AdaptiveCredit(4, metrics=metrics)
-        credit.note_stall()
-        credit.note_stall()
-        snapshot = metrics.snapshot()
-        assert snapshot["stream_credit_window"]["value"] == 8
-        assert snapshot["stream_credit_grown_total"]["value"] == 1
-
-
+# ===================================================== credit window unit
 class TestTakeChunk:
     """The one credit-window consumer, shared by the shard pool and the
-    network client: its window votes and its token-conserving grants."""
+    network client: a stream opens with its share of the one window and
+    grants consumed chunks back every half of that credit."""
 
     @staticmethod
-    def _stream(window):
-        stream = ShardStream(None, 1)
-        stream.window = window
-        return stream
+    def _feed(channel, request_id, chunks):
+        """A ``receive()`` that files the next of ``chunks`` (exhausted last)."""
+        pending = [(request_id, "chunk", (n,), n == chunks - 1) for n in range(chunks)]
+        return lambda: channel.file(pending.pop(0))
 
-    def test_waits_grow_the_window_and_grants_top_up_to_it(self):
-        credit = AdaptiveCredit(4)
-        stream = self._stream(4)
-        grants = []
+    def test_a_stream_opens_with_its_share_of_the_window(self):
+        assert STREAM_CREDIT == 32
+        assert [opening_credit(open_streams) for open_streams in (0, 1, 3, 15, 100)] == [
+            32, 16, 8, 2, 2
+        ]
 
-        def receive():
-            stream.chunks.append(((len(grants),), False))
+    @pytest.mark.parametrize("credit, grants", [(32, [16, 16]), (8, [4] * 9), (3, [1] * 39)])
+    def test_consumed_chunks_are_granted_back_every_half_credit(self, credit, grants):
+        channel = Channel()
+        stream = channel.open_stream(None, 3, credit)
+        receive, granted = self._feed(channel, 3, 40), []
+        for n in range(40):
+            chunk, stalled = take_chunk(stream, receive, granted.append)
+            assert chunk == ((n,), n == 39) and stalled is not None
+        assert granted == grants
+        assert take_chunk(stream, receive, granted.append) == (None, None)
 
-        for _ in range(2):
-            chunk, stalled = take_chunk(stream, credit, receive, grants.append)
-            assert chunk is not None and stalled is not None
-        assert credit.window == 8  # two waits in a row
-        # the second chunk returned half the window: topped up to 8 tokens
-        assert grants == [6] and stream.window == 8 and stream.to_grant == 0
-
-    def test_full_buffers_shrink_the_window_and_withhold_credit(self):
-        credit = AdaptiveCredit(4)
-        stream = self._stream(4)
-        stream.chunks = [((n,), False) for n in range(4)]
-        grants = []
-        for _ in range(2):
-            chunk, stalled = take_chunk(stream, credit, None, grants.append)
-            assert chunk is not None and stalled is None
-        assert credit.window == AdaptiveCredit.MIN_WINDOW
-        assert grants == []  # 4 tokens out against a target of 2: nothing to grant
+    def test_no_grant_once_the_last_chunk_arrived(self):
+        """Consumed chunks still owed credit are not granted once the
+        exhausted chunk is in: the producer needs no more."""
+        channel = Channel()
+        stream = channel.open_stream(None, 3, 4)
+        receive, granted = self._feed(channel, 3, 3), []
+        for _ in range(3):
+            receive()  # all three buffered: the producer is done
+        for _ in range(3):
+            chunk, stalled = take_chunk(stream, None, granted.append)
+            assert stalled is None
+        assert chunk == ((2,), True) and granted == []
 
     def test_an_error_is_raised_once_then_the_stream_ends(self):
-        credit = AdaptiveCredit(4)
-        stream = self._stream(4)
+        stream = ShardStream(None, 1, STREAM_CREDIT)
         stream.error = StaleIteratorError("edited")
         with pytest.raises(StaleIteratorError):
-            take_chunk(stream, credit, None, None)
-        assert take_chunk(stream, credit, None, None) == (None, None)
+            take_chunk(stream, None, None)
+        assert take_chunk(stream, None, None) == (None, None)
 
 
 class TestChannel:
@@ -474,7 +422,7 @@ class TestChannel:
     @staticmethod
     def _read(stream):
         """The next chunk of a stream that needs no more messages."""
-        return take_chunk(stream, AdaptiveCredit(4), None, None)[0]
+        return take_chunk(stream, None, None)[0]
 
     def test_a_reply_to_an_inflight_request_is_filed(self):
         channel = self._channel()
@@ -714,6 +662,50 @@ class TestServerProtocol:
             finally:
                 server.stop()
 
+    @staticmethod
+    def _raw_stream(engine, server):
+        """A raw connection past its HELLO, with stream 1 open over six
+        answers at chunk size 1 and credit 1, and its one pushed chunk read."""
+        doc = engine.add_tree(star_tree(6, labels=("a",)), queries.select_labeled("a"))
+        sock = _raw_connect(server)
+        send_frame(sock, [0, "hello", {"protocol": PROTOCOL_VERSION}], MAX_FRAME_BYTES)
+        assert recv_frame(sock, MAX_FRAME_BYTES)[1] == "ok"
+        send_frame(sock, [1, "stream_open", doc.doc_id, 1, 1], MAX_FRAME_BYTES)
+        assert recv_frame(sock, MAX_FRAME_BYTES)[:2] == [1, "chunk"]
+        return sock
+
+    @pytest.mark.parametrize("args", [[-3], [0], [True], [1.5], ["2"], [], [2, 2]], ids=repr)
+    def test_a_malformed_credit_grant_ends_its_stream(self, served_engine, args):
+        engine, server = served_engine
+        sock = self._raw_stream(engine, server)
+        try:
+            send_frame(sock, [1, "stream_credit", 1], MAX_FRAME_BYTES)
+            assert recv_frame(sock, MAX_FRAME_BYTES)[:2] == [1, "chunk"]
+            send_frame(sock, [1, "stream_credit", *args], MAX_FRAME_BYTES)
+            reply = recv_frame(sock, MAX_FRAME_BYTES)
+            assert reply[:2] == [1, "err"] and isinstance(reply[2], ProtocolError)
+            assert "stream_credit takes" in str(reply[2])
+            # The stream is gone, so a later grant pushes nothing, and the
+            # connection stays usable: the next frame answers the ping.
+            send_frame(sock, [1, "stream_credit", 2], MAX_FRAME_BYTES)
+            send_frame(sock, [2, "ping"], MAX_FRAME_BYTES)
+            assert recv_frame(sock, MAX_FRAME_BYTES) == [2, "ok", "pong"]
+        finally:
+            sock.close()
+
+    def test_a_credit_grant_for_no_open_stream_is_ignored(self, served_engine):
+        engine, server = served_engine
+        sock = self._raw_stream(engine, server)
+        try:
+            send_frame(sock, [9, "stream_credit", 2], MAX_FRAME_BYTES)  # never opened
+            send_frame(sock, [9, "stream_credit", -3], MAX_FRAME_BYTES)
+            send_frame(sock, [1, "stream_close"], MAX_FRAME_BYTES)
+            send_frame(sock, [1, "stream_credit", -3], MAX_FRAME_BYTES)  # closed
+            send_frame(sock, [2, "ping"], MAX_FRAME_BYTES)
+            assert recv_frame(sock, MAX_FRAME_BYTES) == [2, "ok", "pong"]
+        finally:
+            sock.close()
+
     @pytest.mark.parametrize("read", ["page", "stream"])
     def test_oversized_reply_is_a_typed_error_and_connection_survives(self, read):
         """A 250-answer page or chunk is ~6 kB, over the server's 4 kB limit."""
@@ -835,7 +827,9 @@ class TestClientClosesAnUnusableConnection:
     @contextlib.contextmanager
     def _fake_server(serve):
         """A one-connection server thread: the HELLO exchange, then
-        ``serve(conn)``; the connection stays open until the test ends."""
+        ``serve(conn)``; the connection stays open until the test ends.  A
+        ``serve`` that writes after the client hung up ends quietly: some
+        tests provoke that hang-up on purpose."""
         release = threading.Event()
         with socket.create_server(("127.0.0.1", 0)) as listener:
 
@@ -846,7 +840,10 @@ class TestClientClosesAnUnusableConnection:
                     info = {"protocol": PROTOCOL_VERSION, "page_size": 3, "chunk_size": 4,
                             "max_frame_bytes": MAX_FRAME_BYTES, "max_streams": 2}
                     send_frame(conn, [0, "ok", info])
-                    serve(conn)
+                    try:
+                        serve(conn)
+                    except (BrokenPipeError, ConnectionResetError):
+                        pass
                     release.wait(10)
 
             thread = threading.Thread(target=run)
@@ -857,6 +854,26 @@ class TestClientClosesAnUnusableConnection:
                 release.set()
                 thread.join(10)
             assert not thread.is_alive()
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_fake_server_writing_after_the_client_hung_up_ends_quietly(self):
+        """The race the malformed-reply test runs into at random, provoked
+        every time: ``serve`` writes only once the client has closed."""
+        hung_up = []
+
+        def serve(conn):
+            assert recv_frame(conn) is None  # the client closed the connection
+            try:
+                for _ in range(100):
+                    send_frame(conn, [1, "ok", "late"])
+                    time.sleep(0.01)
+            except OSError as exc:
+                hung_up.append(exc)
+                raise
+
+        with self._fake_server(serve) as address:
+            RemoteEngine(address, timeout=5).close()
+        assert isinstance(hung_up[0], (BrokenPipeError, ConnectionResetError))
 
     def test_refused_incoming_frame(self):
         with Engine() as engine:
