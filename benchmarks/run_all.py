@@ -424,6 +424,7 @@ def bench_serving(
     from repro import Engine
     from repro.core.enumerator import compiled_automaton_for, register_automaton
     from repro.engine import QueryCatalog
+    from repro.engine.sharding import STREAM_CREDIT
 
     catalog_dir = tempfile.mkdtemp(prefix="repro-serving-bench-")
     try:
@@ -510,7 +511,7 @@ def bench_serving(
             after = engine.stats()["streaming"]
             streaming = {
                 "chunk_size": after["chunk_size"],
-                "credit": after["credit"],
+                "credit": STREAM_CREDIT,
                 "chunks": after["chunks"] - before["chunks"],
                 "round_trips": after["round_trips"] - before["round_trips"],
             }
@@ -688,7 +689,7 @@ def bench_serving(
                         "chunk_size": net_chunk_size,
                         "chunks": after["chunks"] - before["chunks"],
                         "round_trips": after["round_trips"] - before["round_trips"],
-                        "credit": after["credit"],
+                        "credit": STREAM_CREDIT,
                     }
             finally:
                 server.stop()

@@ -26,6 +26,7 @@ import multiprocessing
 
 from repro import Engine, EngineServer, RemoteEngine
 from repro.automata.queries import select_labeled
+from repro.engine.sharding import STREAM_CREDIT
 from repro.trees.edits import Relabel
 from repro.trees.generators import random_tree
 
@@ -99,7 +100,7 @@ def main() -> None:
 
                 net = remote.net_stats()
                 print(
-                    f"client transport: window={net['credit']}, chunks={net['chunks']}, "
+                    f"client transport: window={STREAM_CREDIT}, chunks={net['chunks']}, "
                     f"round_trips={net['round_trips']}"
                 )
                 streaming = engine.stats().get("streaming")
@@ -107,7 +108,7 @@ def main() -> None:
                     print(
                         f"server shard streaming: chunks={streaming['chunks']}, "
                         f"round_trips={streaming['round_trips']}, "
-                        f"credit={streaming['credit']}"
+                        f"window={STREAM_CREDIT}"
                     )
         finally:
             server.stop()

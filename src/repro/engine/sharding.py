@@ -26,9 +26,8 @@ worker** at once:
   ``(request_id, "chunk", answers, exhausted)`` without waiting for the
   parent, and ``("stream_credit", n)`` replenishes the window as the parent
   consumes — bounded in-flight data, and a round trip per *credit grant*
-  instead of one per page.  The window is one constant,
-  :data:`STREAM_CREDIT` chunks, shared by the streams one consumer has
-  open (:func:`opening_credit`).  :class:`PushStream` is the producer half,
+  instead of one per page.  Every stream opens with the same credit,
+  :data:`STREAM_CREDIT` chunks.  :class:`PushStream` is the producer half,
   shared with the network server, and :func:`take_chunk` the consumer half,
   shared with the network client.
 * **demultiplexing.**  A worker handles messages strictly in arrival order,
@@ -116,23 +115,15 @@ __all__ = [
     "ShardStream",
     "STREAM_CREDIT",
     "fresh_answers",
-    "opening_credit",
     "take_chunk",
 ]
 
-#: the credit window: chunks a producer may push ahead of consumption,
-#: shared by the streams one consumer has open
+#: the credit window: chunks a producer may push ahead of consumption, the
+#: credit every stream opens with
 STREAM_CREDIT = 32
 
 #: message statuses a consumer accepts; anything else is a protocol violation
 _VALID_STATUSES = ("ok", "err", "chunk")
-
-
-def opening_credit(open_streams: int) -> int:
-    """The credit a new stream opens with beside ``open_streams`` others of
-    its consumer: its share of :data:`STREAM_CREDIT`, at least two chunks.
-    The stream keeps that credit to its end."""
-    return max(2, STREAM_CREDIT // (open_streams + 1))
 
 
 class ShardStream:
@@ -152,20 +143,19 @@ class ShardStream:
         "done",
         "closed",
         "to_grant",
-        "credit",
     )
 
-    def __init__(self, shard: Optional[int], request_id: int, credit: int):
+    def __init__(self, shard: Optional[int], request_id: int):
         self.shard = shard
         self.request_id = request_id
         self.chunks: List[tuple] = []  #: received, not yet consumed (answers, exhausted)
         self.error: Optional[BaseException] = None
         self.done = False  #: the producer sent the exhausted chunk or an error
         self.closed = False  #: the consumer abandoned the stream
-        self.to_grant = 0  #: consumed chunks not yet returned as credit
-        #: the credit the stream opened with.  Producer-held credit, chunks in
-        #: flight or buffered, and ``to_grant`` always sum to it.
-        self.credit = credit
+        #: consumed chunks not yet returned as credit.  Producer-held credit,
+        #: chunks in flight or buffered, and ``to_grant`` always sum to
+        #: :data:`STREAM_CREDIT`.
+        self.to_grant = 0
 
 
 def take_chunk(stream: ShardStream, receive, grant):
@@ -177,10 +167,11 @@ def take_chunk(stream: ShardStream, receive, grant):
     message, blocking; the stream's error is raised (once, with its original
     type) when the producer reported one.
 
-    Consumed chunks go back as credit, ``grant(n)``, each time half the
-    stream's credit is consumed, and never once the producer is done.  So a
-    stream of n chunks opened alone, with the whole window, pays
-    ``1 + (n - 1) // 16`` round trips: its open and its grants.
+    Consumed chunks go back as credit, ``grant(n)``, each time half of
+    :data:`STREAM_CREDIT` is consumed, and never once the producer is done.
+    So a stream of n chunks pays at most ``1 + (n - 1) // 16`` round trips,
+    its open and its grants, however many other streams are open; exactly
+    that when it is read alone.
     """
     stalled_at = None
     while not stream.chunks:
@@ -195,7 +186,7 @@ def take_chunk(stream: ShardStream, receive, grant):
         receive()
     chunk = stream.chunks.pop(0)
     stream.to_grant += 1
-    if not stream.done and stream.to_grant >= stream.credit // 2:
+    if not stream.done and stream.to_grant >= STREAM_CREDIT // 2:
         grant(stream.to_grant)
         stream.to_grant = 0
     return chunk, None if stalled_at is None else time.perf_counter() - stalled_at
@@ -319,10 +310,9 @@ class Channel:
             raise payload
         return payload
 
-    def open_stream(self, shard: Optional[int], request_id: int, credit: int) -> ShardStream:
-        """Register a stream whose ``stream_open`` with ``credit`` was just
-        sent."""
-        stream = self.streams[request_id] = ShardStream(shard, request_id, credit)
+    def open_stream(self, shard: Optional[int], request_id: int) -> ShardStream:
+        """Register a stream whose ``stream_open`` was just sent."""
+        stream = self.streams[request_id] = ShardStream(shard, request_id)
         self.stream_round_trips += 1
         return stream
 
@@ -955,20 +945,14 @@ class ShardPool:
 
     # -------------------------------------------------------------- streams
     def stream_open(self, shard: int, doc_id, chunk_size: int, trace_ctx=None) -> ShardStream:
-        """Open a push stream over a document's answers on its shard.
-
-        Its credit is its share of the window beside the streams already
-        open on every shard (:func:`opening_credit`), so a fan-out of
-        concurrent streams shares the buffered volume instead of
-        multiplying it.
-        """
+        """Open a push stream over a document's answers on its shard, with
+        :data:`STREAM_CREDIT` chunks of credit."""
         state = self._check_shard(shard)
-        credit = opening_credit(sum(len(entry.streams) for entry in self._shards))
         if trace_ctx is not None:
             self._send(shard, (-1, "trace_push", trace_ctx), "opening a stream")
         request_id = next(self._request_ids)
-        self._send(shard, (request_id, "stream_open", doc_id, chunk_size, credit), "opening a stream")
-        return state.open_stream(shard, request_id, credit)
+        self._send(shard, (request_id, "stream_open", doc_id, chunk_size, STREAM_CREDIT), "opening a stream")
+        return state.open_stream(shard, request_id)
 
     def stream_next_chunk(self, stream: ShardStream):
         """The next ``(answers, exhausted)`` chunk of a stream (blocking).
@@ -1670,7 +1654,6 @@ class FleetTransport(Transport):
             "chunks": sum(s["stream_chunks"] for s in shard_counters),
             "round_trips": sum(s["stream_round_trips"] for s in shard_counters),
             "chunk_size": STREAM_PAGE_SIZE,
-            "credit": STREAM_CREDIT,
         }
         merged["deaths_total"] = self.pool.deaths_total
         merged["timeouts_total"] = self.pool.timeouts_total

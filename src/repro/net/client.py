@@ -20,7 +20,7 @@ request it answers and every stream chunk in its stream's buffer, so a
 stream being consumed never blocks an interleaved ``page()`` on the same
 connection.  Streams use the pool's credit-window consumer
 (:func:`~repro.engine.sharding.take_chunk`) and the pool's one window,
-shared by the streams this connection has open.  What stays
+:data:`~repro.engine.sharding.STREAM_CREDIT` chunks per stream.  What stays
 here is how a frame is read, and the penalty for a bad one: a failure that
 leaves the byte stream unreadable, gone or untrustworthy — a framing error,
 a well-framed but malformed reply, an end of file, a socket error, a
@@ -55,7 +55,6 @@ from repro.engine.sharding import (
     Channel,
     ShardStream,
     fresh_answers,
-    opening_credit,
     take_chunk,
 )
 from repro.errors import EngineError, ProtocolError
@@ -230,10 +229,9 @@ class SocketTransport(Channel, Transport):
     def stream(self, doc_id, check):
         """A credit-window push stream, opened now (demuxed)."""
         request_id = next(self._request_ids)
-        credit = opening_credit(len(self.streams))
-        self._send([request_id, "stream_open", doc_id, self.chunk_size, credit])
+        self._send([request_id, "stream_open", doc_id, self.chunk_size, STREAM_CREDIT])
         self.metrics.inc("net_stream_round_trips_total")
-        return fresh_answers(self._chunks(self.open_stream(None, request_id, credit)), check)
+        return fresh_answers(self._chunks(self.open_stream(None, request_id)), check)
 
     def _chunks(self, stream: ShardStream):
         def grant(tokens: int) -> None:
@@ -355,10 +353,9 @@ class RemoteEngine(Engine):
 
     # ------------------------------------------------------------- monitoring
     def net_stats(self) -> Dict[str, object]:
-        """Client-side transport counters (the credit window included)."""
+        """Client-side transport counters."""
         transport = self._transport
         return {
-            "credit": STREAM_CREDIT,
             "chunks": transport.stream_chunks,
             "round_trips": transport.stream_round_trips,
             "stalls": transport.stream_stalls_total,

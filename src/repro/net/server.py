@@ -27,8 +27,10 @@ socket instead of a pipe and a safe codec instead of pickle:
   engine the client's credit gates the server loop, which in turn consumes
   the shard pool's credit window from the workers, and a mid-stream shard
   death fails over inside the engine without the client seeing anything.
-  A grant whose ``n`` is not an int of at least 1 ends its stream with a
-  typed error frame; a grant for a stream that is not open is ignored.
+  A ``stream_open`` whose chunk size or credit is not an int of at least 1
+  (a bool is none) is refused with a typed error frame, and a grant whose
+  ``n`` is not one ends its stream with one; a grant for a stream that is
+  not open is ignored.
 
 Per-connection limits (``max_frame_bytes``, ``max_streams``,
 ``idle_timeout``) protect the server from misbehaving peers: a malformed
@@ -66,6 +68,11 @@ __all__ = ["EngineServer"]
 
 #: concurrently open streams one connection may hold (default)
 DEFAULT_MAX_STREAMS = 32
+
+
+def _is_count(value) -> bool:
+    """A chunk size or credit: an int of at least 1 (a bool is no count)."""
+    return type(value) is int and value >= 1
 
 
 class _ServerStream(PushStream):
@@ -356,9 +363,8 @@ class EngineServer:
                     # A grant for a stream that is not open (it ended while
                     # the grant was on its way) is ignored.
                     stream = streams.get(request_id)
-                    n = args[0] if len(args) == 1 else None
-                    if stream is not None and type(n) is int and n >= 1:  # a bool is no count
-                        stream.credit += n
+                    if stream is not None and len(args) == 1 and _is_count(args[0]):
+                        stream.credit += args[0]
                         stream.refill.set()
                     elif stream is not None:
                         self._stream_drop(streams, request_id)
@@ -494,13 +500,7 @@ class EngineServer:
             self.engine._events.emit("net_protocol_error", peer=peer, error=str(error))
             await self._send(writer, write_lock, [request_id, "err", error])
             return
-        if not (
-            len(args) == 3
-            and isinstance(args[1], int)
-            and args[1] >= 1
-            and isinstance(args[2], int)
-            and args[2] >= 1
-        ):
+        if not (len(args) == 3 and all(_is_count(n) for n in args[1:])):
             await self._send(
                 writer,
                 write_lock,

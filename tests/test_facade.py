@@ -20,6 +20,7 @@ refused by the facade with one ``EngineError`` before anything ships.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import select
 
 import pytest
@@ -289,7 +290,6 @@ class TestRemoteShape:
             try:
                 with RemoteEngine(server.address) as remote:
                     assert set(remote.net_stats()) == {
-                        "credit",
                         "chunks",
                         "round_trips",
                         "stalls",
@@ -413,10 +413,11 @@ class TestChunkBoundaries:
 class TestCreditRoundTrips:
     """What one stream pays in round trips on each hop: its open, and a
     credit grant each time half its credit is consumed while the producer
-    is not done.  A stream opened alone holds the whole window of 32 chunks,
-    so one of n chunks pays ``1 + (n - 1) // 16``, from the first stream of
-    a fresh engine on.  The consumer's counters are read:
-    ``stats()["streaming"]`` on the pipe, ``net_stats()`` on the wire."""
+    is not done.  Every stream holds the whole window of 32 chunks, so one
+    of n chunks pays ``1 + (n - 1) // 16``, from the first stream of a fresh
+    engine on, and beside other open streams as alone.  The consumer's
+    counters are read: ``stats()["streaming"]`` on the pipe,
+    ``net_stats()`` on the wire."""
 
     @staticmethod
     def _star(answers: int) -> UnrankedTree:
@@ -437,6 +438,23 @@ class TestCreditRoundTrips:
             assert after["chunks"] - before["chunks"] == chunks
             assert after["round_trips"] - before["round_trips"] == 1 + (chunks - 1) // 16
 
+    def _side_by_side(self, engine, chunk_size, counters, streams=4, chunks=17):
+        """``streams`` streams of ``chunks`` chunks open at once and read in
+        turns: none pays more than it pays alone.  (One may pay less: reading
+        for one stream files the chunks of the others, so a stream can hold
+        its last chunk before it has consumed half its credit.)  17 chunks
+        fit in the whole window, so no stream needs a grant; a stream that
+        opened with a share of the window would."""
+        answers = (chunks - 1) * chunk_size + 1
+        docs = [engine.add_tree(self._star(answers), _query()) for _ in range(streams)]
+        before = counters()
+        rows = itertools.zip_longest(*(doc.stream() for doc in docs))
+        assert sum(1 for row in rows if None not in row) == answers
+        after = counters()
+        assert after["chunks"] - before["chunks"] == streams * chunks
+        paid = after["round_trips"] - before["round_trips"]
+        assert streams <= paid <= streams * (1 + (chunks - 1) // 16)
+
     def test_pipe(self):
         from repro.engine.document import STREAM_PAGE_SIZE
 
@@ -444,6 +462,7 @@ class TestCreditRoundTrips:
             counters = lambda: engine.stats()["streaming"]
             self._first_stream(engine, counters)
             self._check(engine, STREAM_PAGE_SIZE, counters, (16, 17, 33))
+            self._side_by_side(engine, STREAM_PAGE_SIZE, counters)
 
     def test_wire(self):
         with Engine() as engine:
@@ -453,6 +472,7 @@ class TestCreditRoundTrips:
                     self._first_stream(remote, remote.net_stats)
                     remote.stream_chunk_size = 4
                     self._check(remote, 4, remote.net_stats, (1, 16, 17, 32, 33, 96))
+                    self._side_by_side(remote, 4, remote.net_stats, streams=8)
             finally:
                 server.stop()
 

@@ -783,6 +783,7 @@ class TestNetworkDifferential:
         more than its stream's credit: buffered chunks plus consumed ones
         not yet granted back (served answers unaffected)."""
         from repro import Engine, queries as Q
+        from repro.engine.sharding import STREAM_CREDIT
         from repro.net import EngineServer, RemoteEngine
         from repro.trees.unranked import UnrankedTree
 
@@ -809,11 +810,11 @@ class TestNetworkDifferential:
                         remote.ping()
                         while (
                             not stream.done
-                            and len(stream.chunks) + stream.to_grant < stream.credit
+                            and len(stream.chunks) + stream.to_grant < STREAM_CREDIT
                             and time.monotonic() < deadline
                         ):
                             remote.ping()
-                        assert len(stream.chunks) + stream.to_grant <= stream.credit
+                        assert len(stream.chunks) + stream.to_grant <= STREAM_CREDIT
                         collected.append(next(iterator))
                     assert _ordered_answers(collected) == _ordered_answers(oracle)
             finally:

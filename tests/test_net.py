@@ -38,13 +38,7 @@ from repro.automata.serialize import (
 )
 from repro.engine.catalog import QueryCatalog
 from repro.engine.document import STREAM_PAGE_SIZE
-from repro.engine.sharding import (
-    STREAM_CREDIT,
-    Channel,
-    ShardStream,
-    opening_credit,
-    take_chunk,
-)
+from repro.engine.sharding import STREAM_CREDIT, Channel, ShardStream, take_chunk
 from repro.core.results import UpdateStats
 from repro.engine.local import BatchUpdateReport
 from repro.errors import (
@@ -359,8 +353,8 @@ class TestSerializeHardening:
 # ===================================================== credit window unit
 class TestTakeChunk:
     """The one credit-window consumer, shared by the shard pool and the
-    network client: a stream opens with its share of the one window and
-    grants consumed chunks back every half of that credit."""
+    network client: every stream holds the whole window and grants
+    consumed chunks back every half of it."""
 
     @staticmethod
     def _feed(channel, request_id, chunks):
@@ -368,28 +362,36 @@ class TestTakeChunk:
         pending = [(request_id, "chunk", (n,), n == chunks - 1) for n in range(chunks)]
         return lambda: channel.file(pending.pop(0))
 
-    def test_a_stream_opens_with_its_share_of_the_window(self):
+    def test_consumed_chunks_are_granted_back_every_half_credit(self):
         assert STREAM_CREDIT == 32
-        assert [opening_credit(open_streams) for open_streams in (0, 1, 3, 15, 100)] == [
-            32, 16, 8, 2, 2
-        ]
-
-    @pytest.mark.parametrize("credit, grants", [(32, [16, 16]), (8, [4] * 9), (3, [1] * 39)])
-    def test_consumed_chunks_are_granted_back_every_half_credit(self, credit, grants):
         channel = Channel()
-        stream = channel.open_stream(None, 3, credit)
+        stream = channel.open_stream(None, 3)
         receive, granted = self._feed(channel, 3, 40), []
         for n in range(40):
             chunk, stalled = take_chunk(stream, receive, granted.append)
             assert chunk == ((n,), n == 39) and stalled is not None
-        assert granted == grants
+        assert granted == [16, 16]
         assert take_chunk(stream, receive, granted.append) == (None, None)
+
+    def test_streams_open_side_by_side_grant_as_one_alone(self):
+        """Grants do not depend on how many streams the consumer has open:
+        each of three interleaved 40-chunk streams grants 16 and 16."""
+        channel = Channel()
+        ids = (3, 5, 7)
+        streams = [channel.open_stream(None, request_id) for request_id in ids]
+        feeds = [self._feed(channel, request_id, 40) for request_id in ids]
+        granted = {request_id: [] for request_id in ids}
+        for n in range(40):
+            for stream, receive in zip(streams, feeds):
+                chunk, _ = take_chunk(stream, receive, granted[stream.request_id].append)
+                assert chunk == ((n,), n == 39)
+        assert granted == {request_id: [16, 16] for request_id in ids}
 
     def test_no_grant_once_the_last_chunk_arrived(self):
         """Consumed chunks still owed credit are not granted once the
         exhausted chunk is in: the producer needs no more."""
         channel = Channel()
-        stream = channel.open_stream(None, 3, 4)
+        stream = channel.open_stream(None, 3)
         receive, granted = self._feed(channel, 3, 3), []
         for _ in range(3):
             receive()  # all three buffered: the producer is done
@@ -399,7 +401,7 @@ class TestTakeChunk:
         assert chunk == ((2,), True) and granted == []
 
     def test_an_error_is_raised_once_then_the_stream_ends(self):
-        stream = ShardStream(None, 1, STREAM_CREDIT)
+        stream = ShardStream(None, 1)
         stream.error = StaleIteratorError("edited")
         with pytest.raises(StaleIteratorError):
             take_chunk(stream, None, None)
@@ -444,7 +446,7 @@ class TestChannel:
 
     def test_chunks_go_to_their_stream_and_an_exhausted_one_ends_it(self):
         channel = Channel()
-        stream = channel.open_stream(None, 3, 4)
+        stream = channel.open_stream(None, 3)
         assert channel.stream_round_trips == 1
         channel.file((3, "chunk", ("a",), False))
         assert stream.chunks == [(("a",), False)] and channel.streams == {3: stream}
@@ -455,7 +457,7 @@ class TestChannel:
 
     def test_a_chunk_of_an_abandoned_stream_is_dropped_and_counted(self):
         channel = Channel()
-        stream = channel.open_stream(None, 3, 4)
+        stream = channel.open_stream(None, 3)
         channel.abandon(stream)
         assert channel.file((3, "chunk", ("a",), False)) is None
         assert stream.chunks == [] and channel.stream_chunks == 1
@@ -469,7 +471,7 @@ class TestChannel:
     )
     def test_a_reply_addressed_to_a_stream_ends_it(self, status, payload, error, match):
         channel = Channel()
-        stream = channel.open_stream(None, 3, 4)
+        stream = channel.open_stream(None, 3)
         channel.file((3, "chunk", ("a",), False))
         assert channel.file((3, status, payload)) is None
         assert channel.streams == {} and channel.pending == {}
@@ -493,7 +495,7 @@ class TestChannel:
     )
     def test_a_malformed_message_is_refused_and_nothing_is_filed(self, message):
         channel = self._channel()
-        stream = channel.open_stream(None, 3, 4)
+        stream = channel.open_stream(None, 3)
         with pytest.raises(ProtocolError, match=r"^malformed message \(.+\); expected \("):
             channel.file(message)
         assert channel.pending == {} and channel.inflight == {7: ("ping", 0.0)}
@@ -502,8 +504,8 @@ class TestChannel:
 
     def test_abandoning_a_stream_defers_a_close_only_while_chunks_are_owed(self):
         channel = Channel()
-        owed = channel.open_stream(None, 3, 4)
-        ended = channel.open_stream(None, 5, 4)
+        owed = channel.open_stream(None, 3)
+        ended = channel.open_stream(None, 5)
         channel.file((5, "chunk", (), True))
         for stream in (owed, ended, owed):
             channel.abandon(stream)
@@ -515,10 +517,10 @@ class TestChannel:
         channel = self._channel()
         channel.file((7, "ok", "pong"))
         channel.inflight[8] = ("count", 0.0)
-        buffered = channel.open_stream(None, 3, 4)
+        buffered = channel.open_stream(None, 3)
         channel.file((3, "chunk", ("a",), False))
-        idle = channel.open_stream(None, 5, 4)
-        channel.abandon(channel.open_stream(None, 9, 4))
+        idle = channel.open_stream(None, 5)
+        channel.abandon(channel.open_stream(None, 9))
         channel.die(lambda: ShardDiedError("gone"))
         assert channel.streams == {} and channel.inflight == {} and channel.deferred_closes == []
         assert buffered.error is not idle.error  # each stream raises its own
@@ -663,16 +665,44 @@ class TestServerProtocol:
                 server.stop()
 
     @staticmethod
-    def _raw_stream(engine, server):
-        """A raw connection past its HELLO, with stream 1 open over six
-        answers at chunk size 1 and credit 1, and its one pushed chunk read."""
+    def _raw_session(engine, server):
+        """A document of six answers, and a raw connection past its HELLO."""
         doc = engine.add_tree(star_tree(6, labels=("a",)), queries.select_labeled("a"))
         sock = _raw_connect(server)
         send_frame(sock, [0, "hello", {"protocol": PROTOCOL_VERSION}], MAX_FRAME_BYTES)
         assert recv_frame(sock, MAX_FRAME_BYTES)[1] == "ok"
+        return doc, sock
+
+    def _raw_stream(self, engine, server):
+        """A raw connection past its HELLO, with stream 1 open over six
+        answers at chunk size 1 and credit 1, and its one pushed chunk read."""
+        doc, sock = self._raw_session(engine, server)
         send_frame(sock, [1, "stream_open", doc.doc_id, 1, 1], MAX_FRAME_BYTES)
         assert recv_frame(sock, MAX_FRAME_BYTES)[:2] == [1, "chunk"]
         return sock
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[0, 1], [1, 0], [True, 1], [1, True], [True, True], [1.5, 1], [1, "2"], [1], [1, 1, 1]],
+        ids=repr,
+    )
+    def test_a_malformed_stream_open_is_refused(self, served_engine, counts):
+        """A chunk size or credit must be an int of at least 1, by the check
+        a credit grant's n passes: a bool is neither."""
+        engine, server = served_engine
+        doc, sock = self._raw_session(engine, server)
+        try:
+            send_frame(sock, [1, "stream_open", doc.doc_id, *counts], MAX_FRAME_BYTES)
+            reply = recv_frame(sock, MAX_FRAME_BYTES)
+            assert reply[:2] == [1, "err"] and isinstance(reply[2], ProtocolError)
+            assert "stream_open takes" in str(reply[2])
+            # No stream was opened, so a grant pushes nothing, and the
+            # connection stays usable: the next frame answers the ping.
+            send_frame(sock, [1, "stream_credit", 2], MAX_FRAME_BYTES)
+            send_frame(sock, [2, "ping"], MAX_FRAME_BYTES)
+            assert recv_frame(sock, MAX_FRAME_BYTES) == [2, "ok", "pong"]
+        finally:
+            sock.close()
 
     @pytest.mark.parametrize("args", [[-3], [0], [True], [1.5], ["2"], [], [2, 2]], ids=repr)
     def test_a_malformed_credit_grant_ends_its_stream(self, served_engine, args):
