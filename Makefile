@@ -1,8 +1,8 @@
 # Developer entry points.  `make check` is the gate every change must pass
 # (CI runs it on every Python version, and `make test-hashseeds` besides on
 # 3.12): the tier-1 test suite, the socket tests in dev mode,
-# the benchmark's own tests, the network serving smoke and a <30 s perf
-# smoke that (a) compares the bitset
+# the benchmark's own tests, every example (the network serving smoke among
+# them) and a <30 s perf smoke that (a) compares the bitset
 # relation backend (the runtime) against the reference pairs backend on a
 # small workload and (b) fails if the bitset delay median regresses beyond 2x
 # the committed benchmarks/results/BENCH_delay_constant.json trajectory.
@@ -16,7 +16,7 @@ PYPATH := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # @pytest.mark.timeout markers via SIGALRM.
 PYTEST_TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo "--timeout=300 --timeout-method=thread")
 
-.PHONY: check test test-net-dev test-hashseeds test-perfbench lint net-smoke bench-smoke bench codelines census
+.PHONY: check test test-net-dev test-hashseeds test-perfbench lint examples net-smoke bench-smoke bench codelines census
 
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q $(PYTEST_TIMEOUT_FLAGS)
@@ -59,8 +59,17 @@ lint:
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
 
+# Run every script in examples/ to completion; the first that fails stops
+# the run.
+examples:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		$(PYPATH) $(PYTHON) $$script || exit 1; \
+	done
+
 # Boot a real EngineServer on a loopback port, drive it with RemoteEngine
-# over TCP, and assert byte-identical answers against an in-process oracle.
+# over TCP, and assert byte-identical answers against an in-process oracle
+# (examples/network_serving_demo.py, which `make examples` runs too).
 net-smoke:
 	$(PYPATH) $(PYTHON) examples/network_serving_demo.py
 
@@ -87,5 +96,5 @@ census:
 	$(PYTHON) tools/census.py run --out $(CENSUS_OUT)
 	$(PYTHON) tools/census.py report --out $(CENSUS_OUT)
 
-check: test test-net-dev test-perfbench net-smoke bench-smoke
-	@echo "check OK: tier-1 tests + dev-mode socket tests + benchmark tests + net smoke + perf smoke passed"
+check: test test-net-dev test-perfbench examples bench-smoke
+	@echo "check OK: tier-1 tests + dev-mode socket tests + benchmark tests + examples + perf smoke passed"

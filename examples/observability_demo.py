@@ -11,7 +11,7 @@ so the engine ships the instruments to watch them in production:
   Prometheus text exposition format, ready to scrape.
 * ``Engine(delay_budget=...)`` — a live SLO on per-answer delay: every
   sample is recorded and every breach is logged as a structured event
-  (nothing raises unless you ask with ``delay_strict=True``).
+  (a breach never raises).
 * ``Engine.events()`` — the operational event ring: shard deaths, timeouts,
   slow protocol round trips, fault-plan firings, delay violations.
 * ``Engine(trace=True)`` + ``Engine.dump_trace(path)`` — request tracing

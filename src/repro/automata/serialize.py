@@ -2,9 +2,9 @@
 
 The query catalog (:mod:`repro.engine.catalog`) persists *compiled* queries — the
 homogenized :class:`~repro.automata.binary_tva.BinaryTVA` of Lemma 7.4 +
-Lemma 2.1 together with its memoized box plans — so that a fresh process can
-skip translation, homogenization and plan compilation entirely.  This module
-provides the automaton half of that: JSON-compatible payloads that are
+Lemma 2.1 — so that a fresh process can skip translation and
+homogenization.  This module provides their payloads: JSON-compatible
+payloads that are
 
 * **canonical** — the same automaton content always renders to the same
   payload (frozensets are sorted by a canonical key, relations are sorted),
@@ -31,9 +31,9 @@ parsed by :func:`loads_payload` alike.
 Payloads **intern** values: each distinct state/label/variable/variable-set
 is encoded once into a canonically sorted ``values`` table, and the relation
 rows reference table indexes.  Homogenized translated automata have hundreds
-of tuple states appearing in thousands of transitions (and the box plans
-reference them again per signature), so interning shrinks the files and the
-load time by an order of magnitude while keeping the bytes canonical.
+of tuple states appearing in thousands of transitions, so interning shrinks
+the files and the load time by an order of magnitude while keeping the bytes
+canonical.
 """
 
 from __future__ import annotations

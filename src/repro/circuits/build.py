@@ -99,7 +99,6 @@ __all__ = [
     "build_internal_box",
     "build_assignment_circuit",
     "export_box_plans",
-    "install_box_plans",
     "BuildCache",
     "DEFAULT_BUILD_CACHE_SIZE",
     "automaton_digest",
@@ -610,18 +609,16 @@ def _internal_plan(
     )
 
 
-# --------------------------------------------------------------------------- plan persistence
+# --------------------------------------------------------------------------- plan export
 # Box plans are pure content: entries, masks and signatures fully determine
 # the gates a box build instantiates, and nothing in a plan references a
 # concrete box or relation instance (the lazily filled ``wire_rels`` cache is
-# dropped on export and refilled on demand).  That makes the whole per-
-# automaton plan cache exportable as a JSON-compatible payload keyed by
-# content — the circuits half of the persistent compiled queries of
-# :mod:`repro.engine.catalog` (the automata half is
-# :mod:`repro.automata.serialize`).  A fresh process that installs a plan
-# payload builds its first document entirely from cache hits, skipping the
-# δ-product and classification work of every (label, signature) pair the
-# exporting process had already seen.
+# dropped on export).  That makes the whole per-automaton plan cache
+# exportable as a canonical JSON-compatible payload: two processes hold the
+# same plans exactly when their exports are equal bytes, which is how the
+# tests compare a parent with its shard workers and one hash seed with
+# another.  Plans are not persisted; every process compiles its own as its
+# builds need them.
 
 def _encode_plan_value(value: object) -> object:
     """Encode one ``entries`` value: ⊤/⊥ sentinel or an input tuple."""
@@ -630,17 +627,6 @@ def _encode_plan_value(value: object) -> object:
     if value is BOTTOM:
         return "B"
     return ["u", [list(item) if isinstance(item, tuple) else item for item in value]]
-
-
-def _decode_plan_value(payload: object, pair_inputs: bool) -> object:
-    if payload == "T":
-        return TOP
-    if payload == "B":
-        return BOTTOM
-    data = payload[1]
-    if pair_inputs:
-        return tuple((source, slot) for source, slot in data)
-    return tuple(data)
 
 
 def export_box_plans(automaton: BinaryTVA) -> Dict:
@@ -705,102 +691,6 @@ def export_box_plans(automaton: BinaryTVA) -> Dict:
         )
     internal_payload.sort(key=lambda item: item[0])
     return {"values": table.encoded, "leaf": leaf_payload, "internal": internal_payload}
-
-
-def install_box_plans(automaton: BinaryTVA, payload: Dict) -> int:
-    """Install an exported plan payload into the automaton's plan cache.
-
-    Existing entries (from plans already compiled in this process) are kept;
-    installed plans fill the remaining keys, internal ones only up to
-    :data:`_INTERNAL_PLAN_LIMIT`.  Returns the number of plans installed.
-    Safe to call on a freshly deserialized automaton — the plan cache is
-    created on demand.  The payload's state references are read as
-    canonical indices, which the export guarantees; a payload whose state
-    table is not this automaton's canonical states, whose plan entries are
-    not one per state in that order, or whose signatures name a state
-    outside it is refused with :class:`InvalidAutomatonError`.
-    """
-    from repro.automata.serialize import decode_values
-
-    if not payload:
-        return 0
-    values = decode_values(payload.get("values", []))
-    cache = _plan_cache(automaton)
-    states = cache["states"]
-    if values[: len(states)] != list(states):
-        raise InvalidAutomatonError(
-            "the plan payload's state table is not this automaton's canonical states"
-        )
-    n_states = len(states)
-    top_entries = cache["top"]
-    bottom_entries = cache["bottom"]
-
-    def decode_sig(sig):
-        present = 0
-        top = 0
-        for i, is_top in sig:
-            if not 0 <= i < n_states:
-                raise InvalidAutomatonError(
-                    f"a plan signature in the payload names state {i!r}; "
-                    f"the automaton has {n_states} states"
-                )
-            present |= 1 << i
-            if is_top:
-                top |= 1 << i
-        return present, top
-
-    def decode_entries(entries, pair_inputs):
-        decoded = []
-        if len(entries) == n_states:
-            for i, (ref, value) in enumerate(entries):
-                if ref != i:
-                    break
-                value = _decode_plan_value(value, pair_inputs)
-                if value is TOP:
-                    decoded.append(top_entries[i])
-                elif value is BOTTOM:
-                    decoded.append(bottom_entries[i])
-                else:
-                    decoded.append((states[i], value))
-        if len(decoded) != n_states:
-            raise InvalidAutomatonError(
-                "a plan's entries in the payload are not one per state in canonical order"
-            )
-        return tuple(decoded)
-
-    installed = 0
-    internal = cache["internal"]
-    for label_index, data in payload.get("leaf", ()):
-        label = values[label_index]
-        if label in cache["leaf"]:
-            continue
-        cache["leaf"][label] = _LeafPlan(
-            decode_entries(data["entries"], pair_inputs=False),
-            tuple(values[i] for i in data["var_sets"]),
-            data["local_mask"],
-            decode_sig(data["signature"]),
-            tuple(data["slot_var_masks"]),
-        )
-        installed += 1
-    for key_payload, data in payload.get("internal", ()):
-        if len(internal) >= _INTERNAL_PLAN_LIMIT:
-            break  # full: keep the plans this process already uses
-        label_index, left_sig, right_sig = key_payload
-        key = (values[label_index], decode_sig(left_sig), decode_sig(right_sig))
-        if key in internal:
-            continue
-        internal[key] = _InternalPlan(
-            decode_entries(data["entries"], pair_inputs=True),
-            tuple(tuple(pair) for pair in data["prod_pairs"]),
-            (tuple(data["wire_masks"][0]), tuple(data["wire_masks"][1])),
-            tuple(data["left_input_masks"]),
-            tuple(data["right_input_masks"]),
-            data["local_mask"],
-            decode_sig(data["signature"]),
-            tuple(data["slot_prod_masks"]),
-        )
-        installed += 1
-    return installed
 
 
 # --------------------------------------------------------------------------- cross-document build cache

@@ -1,20 +1,18 @@
 """`QueryCatalog`: persistent storage of compiled standing queries.
 
 The catalog packages the query-only half of the paper's preprocessing
-pipeline — translate (Lemma 7.4 / Theorem 8.5), homogenize (Lemma 2.1) and
-the memoized box plans of the circuit construction (Lemma 3.7) — behind a
-content-addressed directory of JSON files, one per distinct query content
-(:func:`repro.automata.serialize.query_digest`).
+pipeline — translate (Lemma 7.4 / Theorem 8.5) and homogenize (Lemma 2.1) —
+behind a content-addressed directory of JSON files, one per distinct query
+content (:func:`repro.automata.serialize.query_digest`).
 
 The serving workflow it enables:
 
 * an **offline/compile process** builds the standing queries once and
-  ``save()``\\ s them (ideally after building at least one document, so the
-  plan cache is warm);
+  ``save()``\\ s them;
 * each **serving process** ``get()``\\ s the compiled queries at startup —
-  a JSON load, orders of magnitude cheaper than compilation — and then pays
-  only the per-document ``O(|T| · poly|Q'|)`` build of Lemma 7.3 when
-  documents arrive.
+  a JSON load, cheaper than compilation — and then pays only the
+  per-document ``O(|T| · poly|Q'|)`` build of Lemma 7.3 when documents
+  arrive.
 
 Entries load into the process's one table of compiled automata
 (:func:`repro.core.enumerator.register_automaton`), where the compiler puts
@@ -370,23 +368,16 @@ class QueryCatalog:
         return len(self.digests())
 
     # ----------------------------------------------------------------- write
-    def save(self, query, automaton=None) -> CompiledQuery:
-        """Compile (or accept) and persist the compiled form of ``query``.
+    def save(self, query) -> CompiledQuery:
+        """Persist the compiled form of ``query``.
 
-        ``automaton`` may pass a pre-compiled homogenized binary automaton,
-        which the process then holds for the digest unless it holds one
-        already; when omitted the query is compiled through the process's
-        table.  The entry's plans are the box plans the automaton holds now:
-        none for one that has built no document yet (what
-        :meth:`repro.Engine.compile` saves), the plans its builds compiled
-        for one that has.
-        The write is atomic and idempotent: saving equal content twice
-        rewrites the same file.
+        The entry holds the automaton the process holds for the query's
+        digest, compiled now if it holds none.  The write is atomic and
+        idempotent: saving equal content twice rewrites the same file.
         """
         kind = _kind_of(query)
-        if automaton is None:
-            automaton = compiled_automaton_for(query)
         digest = self.digest_of(query)
+        automaton = compiled_automaton_for(query)
         saved_unix = time.time()
         text = compiled_query_to_json(
             query, automaton, kind, extra_meta={"saved_unix": saved_unix}
@@ -402,7 +393,6 @@ class QueryCatalog:
                 "file_bytes": len(text.encode("utf8")),
             },
         )
-        register_automaton(digest, automaton)
         return CompiledQuery(kind=kind, digest=digest, automaton=automaton)
 
     # ------------------------------------------------------------------ read
@@ -415,11 +405,11 @@ class QueryCatalog:
         * **the entry vanished** (e.g. another process ran :meth:`gc` after
           this one listed or probed it) — returns ``None``, letting callers
           decide between compiling and raising a precise missing-entry error;
-        * **the entry is unreadable** (truncated file, invalid JSON, a
-          payload that does not decode, box plans that do not fit the
-          automaton) — raises :class:`CatalogError` naming the path and
-          digest, never a bare ``json`` / ``KeyError`` / codec crash.  Entry writes are atomic, so this means real corruption,
-          not a concurrent writer.
+        * **the entry is unreadable** (truncated file, invalid JSON, an
+          automaton payload that does not decode) — raises
+          :class:`CatalogError` naming the path and digest, never a bare
+          ``json`` / ``KeyError`` / codec crash.  Entry writes are atomic,
+          so this means real corruption, not a concurrent writer.
         """
         path = self.path_of(digest)
         start = time.perf_counter()

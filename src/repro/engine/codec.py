@@ -1,26 +1,15 @@
 """On-disk format of persisted compiled queries.
 
-A *compiled query* is everything the preprocessing of Theorem 8.1 computes
-that depends only on the query, not on any document:
+A *compiled query* is what the preprocessing of Theorem 8.1 computes from
+the query alone, before any document: the binary TVA of Lemma 7.4 (tree
+queries) or Theorem 8.5 (word queries), homogenized per Lemma 2.1 and
+serialized canonically by :mod:`repro.automata.serialize`.
 
-* the binary TVA of Lemma 7.4 (tree queries) or Theorem 8.5 (word queries),
-  homogenized per Lemma 2.1 — serialized canonically by
-  :mod:`repro.automata.serialize`;
-* the memoized box plans of the circuit construction (Lemma 3.7) that the
-  saving process had built by the time it saved — exported by
-  :func:`repro.circuits.build.export_box_plans`.
-
-A fresh process that loads such a file skips translation and homogenization,
-and installs the plans the file holds; it compiles any other plan the first
-time a document build needs it.  What an entry holds depends on when it was
-saved.  :meth:`repro.Engine.compile` saves right after compiling, before any
-document is built, so its entries hold no plans, and every process that
-loads one (each shard worker included) compiles its plans as it builds.  An
-entry saved from an automaton that has already built documents
-(:meth:`~repro.engine.catalog.QueryCatalog.save` with ``automaton=``, as the
-serving benchmark's catalog-start leg does) holds the plans those builds
-compiled.  The catalog registers what it loads in
-the process's table of compiled automata
+A fresh process that loads such a file skips translation and
+homogenization.  It compiles the box plans of the circuit construction
+(Lemma 3.7) as its document builds need them, as the compiling process did:
+plans are per-document work and are not persisted.  The catalog registers
+what it loads in the process's table of compiled automata
 (:func:`repro.core.enumerator.register_automaton`), where every runtime of
 the query finds it.  Since compilation emits δ and ι in this payload's row
 order, the loaded automaton equals the compiling process's.
@@ -33,16 +22,12 @@ The file is a single JSON document::
       "digest": "<sha256 of the canonical source-query payload>",
       "query": {...},        # canonical source-query payload (audit/repair)
       "automaton": {...},    # canonical homogenized BinaryTVA payload
-      "plans": {...},        # exported box plans (cache warm-up; optional)
       "meta": {...}          # sizes, library version, save timestamp
     }
 
 The ``automaton`` and ``query`` sections are canonical (stable bytes for
-stable content across processes and machines).  The ``plans`` section is a
-cache snapshot: it reflects which (label, signature) pairs the compiling
-process had seen, so its *presence* varies with compile history — loading a
-file with fewer plans than ideal is only a warm-up difference, never a
-correctness one.
+stable content across processes and machines).  Older writers added a
+``plans`` section of exported box plans; a reader ignores it.
 """
 
 from __future__ import annotations
@@ -60,7 +45,6 @@ from repro.automata.serialize import (
     query_digest,
     query_payload,
 )
-from repro.circuits.build import export_box_plans, install_box_plans
 from repro.errors import CatalogError, CatalogVersionError, CodecError
 
 __all__ = ["FORMAT_VERSION", "CompiledQuery", "compiled_query_to_json", "compiled_query_from_json"]
@@ -72,11 +56,8 @@ FORMAT_VERSION = 1
 class CompiledQuery:
     """A compiled query: the homogenized binary automaton plus provenance.
 
-    ``automaton`` carries its box-plan cache (installed from the persisted
-    snapshot on load, and empty when the entry was saved before any build;
-    ``plans_installed`` counts what was installed); ``kind`` is ``"tree"``
-    or ``"word"``; ``digest`` keys
-    the entry by source-query *content*.  ``load_seconds`` is filled by
+    ``kind`` is ``"tree"`` or ``"word"``; ``digest`` keys the entry by
+    source-query *content*.  ``load_seconds`` is filled by
     :class:`repro.engine.catalog.QueryCatalog` so callers (and the serving
     benchmark) can compare load time against compile time.
     """
@@ -84,7 +65,6 @@ class CompiledQuery:
     kind: str
     digest: str
     automaton: BinaryTVA
-    plans_installed: int = 0
     load_seconds: Optional[float] = None
     from_disk: bool = False
 
@@ -97,7 +77,6 @@ def compiled_query_to_json(query, automaton: BinaryTVA, kind: str, extra_meta: O
         "digest": query_digest(query),
         "query": query_payload(query),
         "automaton": binary_tva_to_payload(automaton),
-        "plans": export_box_plans(automaton),
         "meta": {
             "library_version": __version__,
             "automaton_states": len(automaton.states),
@@ -138,12 +117,9 @@ def compiled_query_from_json(text, expected_digest: Optional[str] = None) -> Com
             f"compiled-query digest mismatch: file says {digest!r}, "
             f"expected {expected_digest!r}"
         )
-    automaton = binary_tva_from_payload(payload["automaton"])
-    installed = install_box_plans(automaton, payload.get("plans", {}))
     return CompiledQuery(
         kind=payload["kind"],
         digest=digest,
-        automaton=automaton,
-        plans_installed=installed,
+        automaton=binary_tva_from_payload(payload["automaton"]),
         from_disk=True,
     )

@@ -127,16 +127,13 @@ class Engine:
         :class:`~repro.obs.DelayMonitor` in every store/worker: each
         produced answer's delay is recorded into the
         ``answer_delay_seconds`` histogram (see :meth:`metrics`) and every
-        budget breach logs a ``delay_violation`` event (never raises unless
-        ``delay_strict``).  ``None`` (default) keeps the enumeration hot
-        path entirely hook-free.
-    delay_strict:
-        With a ``delay_budget``, raise :class:`~repro.errors.EngineError`
-        on the first breach instead of just recording it (in-process
-        engines only; sharded workers always record).
-    slow_op_seconds:
-        Threshold above which a shard protocol round trip is logged as a
-        ``slow_op`` event (default 1.0; ``None`` disables).
+        budget breach logs a ``delay_violation`` event; a breach never
+        raises.  ``None`` (default) keeps the enumeration hot path entirely
+        hook-free.
+
+    A shard protocol round trip slower than
+    :data:`~repro.engine.sharding.SLOW_OP_SECONDS` is logged as a
+    ``slow_op`` event.
     """
 
     def __init__(
@@ -152,17 +149,11 @@ class Engine:
         build_cache_size: Optional[int] = None,
         trace=False,
         delay_budget: Optional[float] = None,
-        delay_strict: bool = False,
-        slow_op_seconds: Optional[float] = 1.0,
     ):
         if page_size < 1:
             raise EngineError("page_size must be >= 1")
         if delay_budget is not None and delay_budget <= 0:
             raise EngineError(f"the delay budget must be positive, got {delay_budget}")
-        if slow_op_seconds is not None and slow_op_seconds <= 0:
-            raise EngineError(
-                f"slow_op_seconds must be positive (None disables), got {slow_op_seconds}"
-            )
         if workers < 0:
             raise EngineError(f"workers must be >= 0, got {workers}")
         if replicas < 1:
@@ -222,7 +213,6 @@ class Engine:
                     build_cache_size=build_cache_size,
                     metrics=self._metrics,
                     on_event=self._events.emit,
-                    slow_op_seconds=slow_op_seconds,
                     trace=self._tracer.enabled,
                     delay_budget=delay_budget,
                 )
@@ -236,7 +226,6 @@ class Engine:
                     metrics=self._metrics,
                     events=self._events,
                     delay_budget=delay_budget,
-                    delay_strict=delay_strict,
                 )
                 self._transport = LocalTransport(self._store)
         except BaseException:
@@ -333,7 +322,7 @@ class Engine:
                 # One content-addressed path for all kinds: compile once,
                 # persist, and every other process (shard workers included)
                 # loads instead of compiling.
-                self.catalog.save(source, automaton=entry.automaton)
+                self.catalog.save(source)
             return entry
         from repro.core.enumerator import compiled_automaton_for
 

@@ -371,7 +371,6 @@ class LocalStore:
         metrics: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
         delay_budget: Optional[float] = None,
-        delay_strict: bool = False,
     ):
         self.catalog = catalog
         #: store-side observability: latency histograms/counters and the
@@ -384,9 +383,7 @@ class LocalStore:
         self.delay_monitor: Optional[DelayMonitor] = (
             None
             if delay_budget is None
-            else DelayMonitor(
-                delay_budget, self.metrics, events=self.events, strict=delay_strict
-            )
+            else DelayMonitor(delay_budget, self.metrics, events=self.events)
         )
         #: cross-document build cache: subtrees with equal content (per
         #: compiled query) are built once and shared by every document in

@@ -113,6 +113,7 @@ __all__ = [
     "PushStream",
     "ShardPool",
     "ShardStream",
+    "SLOW_OP_SECONDS",
     "STREAM_CREDIT",
     "fresh_answers",
     "take_chunk",
@@ -121,6 +122,10 @@ __all__ = [
 #: the credit window: chunks a producer may push ahead of consumption, the
 #: credit every stream opens with
 STREAM_CREDIT = 32
+
+#: a protocol round trip slower than this many seconds is logged as a
+#: ``slow_op`` event
+SLOW_OP_SECONDS = 1.0
 
 #: message statuses a consumer accepts; anything else is a protocol violation
 _VALID_STATUSES = ("ok", "err", "chunk")
@@ -577,7 +582,6 @@ class ShardPool:
         build_cache_size: Optional[int] = None,
         metrics=None,
         on_event=None,
-        slow_op_seconds: Optional[float] = None,
         trace: bool = False,
         delay_budget: Optional[float] = None,
     ):
@@ -590,14 +594,12 @@ class ShardPool:
         self._catalog_root = catalog_root
         self._fault_plan = fault_plan
         self._build_cache_size = build_cache_size
-        #: parent-side observability (all optional, see :mod:`repro.obs`):
+        #: parent-side observability (both optional, see :mod:`repro.obs`):
         #: a MetricsRegistry for protocol round-trip / credit-stall
-        #: histograms, an ``on_event(kind, **fields)`` callback for deaths /
-        #: timeouts / protocol violations / slow ops, and a slow-op
-        #: threshold in seconds (None disables slow-op events).
+        #: histograms, and an ``on_event(kind, **fields)`` callback for
+        #: deaths / timeouts / protocol violations / slow ops.
         self.metrics = metrics
         self._on_event = on_event
-        self.slow_op_seconds = slow_op_seconds
         self._trace = trace
         self._delay_budget = delay_budget
         self.deadline = deadline
@@ -795,7 +797,7 @@ class ShardPool:
             elapsed = time.monotonic() - entry[1]
             if self.metrics is not None:
                 self.metrics.observe("protocol_round_trip_seconds", elapsed)
-            if self.slow_op_seconds is not None and elapsed > self.slow_op_seconds:
+            if elapsed > SLOW_OP_SECONDS:
                 self._emit("slow_op", shard=shard, op=entry[0], seconds=elapsed)
 
     # ------------------------------------------------------------- requests

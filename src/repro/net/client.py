@@ -62,6 +62,7 @@ from repro.net.framing import (
     MAX_FRAME_BYTES,
     MIN_FRAME_BYTES,
     PROTOCOL_VERSION,
+    is_count,
     recv_frame,
     send_frame,
 )
@@ -268,6 +269,13 @@ class SocketTransport(Channel, Transport):
             pass
 
 
+def _check_chunk_size(size) -> None:
+    """Refuse, where it is set, a chunk size the server would refuse at every
+    ``stream_open``."""
+    if not is_count(size):
+        raise EngineError(f"stream_chunk_size must be an int >= 1, got {size!r}")
+
+
 class RemoteEngine(Engine):
     """An :class:`~repro.Engine` served by one :class:`~repro.net.server.EngineServer`.
 
@@ -281,7 +289,8 @@ class RemoteEngine(Engine):
     page_size:
         Default ``page()`` size; ``None`` inherits the server engine's.
     stream_chunk_size:
-        Answers per pushed stream chunk; ``None`` inherits the server's.
+        Answers per pushed stream chunk, an int of at least 1 (the rule the
+        server applies at ``stream_open``); ``None`` inherits the server's.
     max_frame_bytes:
         Per-frame byte ceiling in both directions, at least
         :data:`~repro.net.framing.MIN_FRAME_BYTES`.
@@ -309,6 +318,8 @@ class RemoteEngine(Engine):
             raise EngineError(
                 f"max_frame_bytes must be >= {MIN_FRAME_BYTES}, got {max_frame_bytes}"
             )
+        if stream_chunk_size is not None:
+            _check_chunk_size(stream_chunk_size)
         # Engine's constructor builds an in-process or fleet transport; a
         # remote engine starts from the same facade state over a socket.
         transport = SocketTransport(address, unix_path, max_frame_bytes, timeout)
@@ -329,7 +340,8 @@ class RemoteEngine(Engine):
 
     @stream_chunk_size.setter
     def stream_chunk_size(self, size: int) -> None:
-        self._transport.chunk_size = int(size)
+        _check_chunk_size(size)
+        self._transport.chunk_size = size
 
     def _call(self, op: str, *args):
         self._check_open()

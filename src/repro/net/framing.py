@@ -99,6 +99,11 @@ MAX_WIRE_DEPTH = 48
 _LEN = struct.Struct(">I")
 
 
+def is_count(value) -> bool:
+    """A stream's chunk size or credit: an int of at least 1 (a bool is no count)."""
+    return type(value) is int and value >= 1
+
+
 # ------------------------------------------------------------- value codec
 def _encode_other(value: object, depth: int, encode) -> object:
     """Encode what the catalog's tags do not cover: lists, dicts, domain objects."""

@@ -61,6 +61,7 @@ from repro.net.framing import (
     MIN_FRAME_BYTES,
     PROTOCOL_VERSION,
     encode_frame,
+    is_count,
     recv_frame_async,
 )
 
@@ -68,11 +69,6 @@ __all__ = ["EngineServer"]
 
 #: concurrently open streams one connection may hold (default)
 DEFAULT_MAX_STREAMS = 32
-
-
-def _is_count(value) -> bool:
-    """A chunk size or credit: an int of at least 1 (a bool is no count)."""
-    return type(value) is int and value >= 1
 
 
 class _ServerStream(PushStream):
@@ -363,7 +359,7 @@ class EngineServer:
                     # A grant for a stream that is not open (it ended while
                     # the grant was on its way) is ignored.
                     stream = streams.get(request_id)
-                    if stream is not None and len(args) == 1 and _is_count(args[0]):
+                    if stream is not None and len(args) == 1 and is_count(args[0]):
                         stream.credit += args[0]
                         stream.refill.set()
                     elif stream is not None:
@@ -500,7 +496,7 @@ class EngineServer:
             self.engine._events.emit("net_protocol_error", peer=peer, error=str(error))
             await self._send(writer, write_lock, [request_id, "err", error])
             return
-        if not (len(args) == 3 and all(_is_count(n) for n in args[1:])):
+        if not (len(args) == 3 and all(is_count(n) for n in args[1:])):
             await self._send(
                 writer,
                 write_lock,

@@ -5,9 +5,9 @@ The paper proves enumeration delay is independent of the document size
 offline benchmark.  :class:`DelayMonitor` samples per-answer delay in-flight
 — at the mask-stack iterator, under the materialization boundary — records
 every sample into a shared histogram, and logs a structured event per
-violation of the configured budget.  It never raises by default (an SLO
-breach is a signal, not an error); ``strict=True`` turns breaches into
-:class:`~repro.errors.EngineError` for tests that want hard gates.
+violation of the configured budget.  It never raises: an SLO breach is a
+signal, not an error, so a stream under a budget ends as it would without
+one, on every transport.
 
 :class:`EventLog` is the bounded ring buffer behind ``Engine.events()``:
 shard deaths, timeouts, protocol violations, slow operations, fault-plan
@@ -59,26 +59,18 @@ class DelayMonitor:
 
     __slots__ = (
         "budget",
-        "strict",
         "violations",
         "_metrics",
         "_observe_histogram",
         "_events",
     )
 
-    def __init__(
-        self,
-        budget: float,
-        metrics,
-        events: Optional[EventLog] = None,
-        strict: bool = False,
-    ):
+    def __init__(self, budget: float, metrics, events: Optional[EventLog] = None):
         if budget <= 0:
             from repro.errors import EngineError
 
             raise EngineError(f"the delay budget must be positive, got {budget}")
         self.budget = budget
-        self.strict = strict
         self.violations = 0
         self._metrics = metrics
         self._observe_histogram: Callable[[float], None] = metrics.timer(
@@ -87,7 +79,7 @@ class DelayMonitor:
         self._events = events
 
     def observe(self, seconds: float) -> None:
-        """Record one per-answer delay sample; log (or raise) on breach."""
+        """Record one per-answer delay sample; log a breach."""
         self._observe_histogram(seconds)
         if seconds <= self.budget:
             return
@@ -96,12 +88,4 @@ class DelayMonitor:
         if self._events is not None:
             self._events.emit(
                 "delay_violation", seconds=seconds, budget=self.budget
-            )
-        if self.strict:
-            from repro.errors import EngineError
-
-            raise EngineError(
-                f"enumeration delay SLO violated: one answer took "
-                f"{seconds * 1e6:.1f} µs against a budget of "
-                f"{self.budget * 1e6:.1f} µs"
             )

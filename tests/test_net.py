@@ -1026,6 +1026,21 @@ class TestRemoteEngineSurface:
             with pytest.raises(ServingError):
                 remote.document(doc.doc_id)
 
+    @pytest.mark.parametrize("size", [0, -3, True, 2.5])
+    def test_an_invalid_stream_chunk_size_is_refused_where_it_is_set(self, served_engine, size):
+        _engine, server = served_engine
+        with pytest.raises(EngineError, match="stream_chunk_size must be an int >= 1"):
+            RemoteEngine(server.address, stream_chunk_size=size)
+        with RemoteEngine(server.address, stream_chunk_size=2) as remote:
+            with pytest.raises(EngineError, match="stream_chunk_size must be an int >= 1"):
+                remote.stream_chunk_size = size
+            assert remote.stream_chunk_size == 2
+            doc = remote.add_tree(
+                UnrankedTree.from_nested(("b", ["a"] * 5)), queries.select_labeled("a")
+            )
+            assert len(list(doc.stream())) == 5
+            assert remote.net_stats()["chunks"] == 3
+
     def test_page_validation_mirrors_engine(self, served_engine):
         _engine, server = served_engine
         with RemoteEngine(server.address) as remote:

@@ -13,7 +13,7 @@ What is pinned here:
   from both shard process rows and the failover retry, linked by
   ``trace_id`` / ``parent_id``.
 * **SLO monitoring** — ``delay_budget`` records every per-answer delay and
-  every breach (event + counter) without raising; ``delay_strict`` raises.
+  every breach (event + counter) without raising.
 * **Precise lifecycle errors** — monitoring calls on a closed engine, or on
   one whose constructor raised, get an :class:`~repro.errors.EngineError`
   naming the situation, never an ``AttributeError``; ``close()`` is
@@ -32,6 +32,7 @@ import pytest
 
 from repro import Engine, EngineError, ShardTimeoutError
 from repro.automata.queries import select_labeled
+from repro.engine.sharding import SLOW_OP_SECONDS
 from repro.obs import (
     DelayMonitor,
     EventLog,
@@ -219,17 +220,9 @@ class TestEngineMetrics:
         assert violation and violation[0]["budget"] == 1e-12
         assert violation[0]["seconds"] > 1e-12
 
-    def test_delay_strict_raises_on_first_breach(self):
-        with Engine(delay_budget=1e-12, delay_strict=True) as engine:
-            doc = engine.add_tree(small_tree(), tree_query())
-            with pytest.raises(EngineError, match="delay SLO violated"):
-                list(doc.stream())
-
     def test_budget_validation(self):
         with pytest.raises(EngineError, match="delay budget must be positive"):
             Engine(delay_budget=0.0)
-        with pytest.raises(EngineError, match="slow_op_seconds must be positive"):
-            Engine(slow_op_seconds=-1.0)
         with pytest.raises(EngineError, match="must be positive"):
             DelayMonitor(-1.0, MetricsRegistry())
 
@@ -264,6 +257,16 @@ class TestEvents:
             {"kind": "fault_injected", "ts": fired[0]["ts"],
              "shard": 0, "op": "count", "action": "slow"}
         ]
+
+    def test_a_round_trip_past_the_slow_op_threshold_is_an_event(self):
+        with Engine(workers=1, fault_plan="0:count:0:slow:1.1") as engine:
+            doc = engine.add_tree(small_tree(), tree_query())
+            doc.count()
+            events = engine.events()
+        slow = [e for e in events if e["kind"] == "slow_op"]
+        assert len(slow) == 1
+        assert slow[0]["shard"] == 0 and slow[0]["op"] == "count"
+        assert slow[0]["seconds"] > SLOW_OP_SECONDS
 
     def test_timeout_message_carries_stats_snapshot(self):
         """Satellite: ShardTimeoutError names the hung shard's live load."""

@@ -493,7 +493,7 @@ def test_a_worker_under_another_hash_seed_exports_the_same_plans(monkeypatch, tm
     catalog = QueryCatalog(str(tmp_path))
     expected = {}
     for name in AUTOMATA:
-        catalog.save(_query(name), automaton=_fresh_automaton(monkeypatch, name)[0])  # no plans
+        catalog.save(_query(name))
         expected[name] = _scripted_export(monkeypatch, name)
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     env = dict(

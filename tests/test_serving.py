@@ -40,6 +40,7 @@ from repro.core.enumerator import (
     register_automaton,
 )
 from repro.errors import CatalogError, CursorInvalidatedError, ServingError
+from repro.circuits.build import export_box_plans
 from repro.engine.catalog import QueryCatalog
 from repro.engine.codec import compiled_query_from_json
 from repro.engine.local import LocalStore
@@ -68,22 +69,29 @@ def fresh_compile_answers(tree, query):
     return canonical_answers(TreeRuntime(tree, plain).assignments())
 
 
+def _delta_names_an_unknown_value(automaton):
+    automaton["delta"][0][1] = len(automaton["values"])
+
+
+def _final_state_outside_states(automaton):
+    states = set(automaton["states"])
+    automaton["final"].append(next(i for i in range(len(automaton["values"])) if i not in states))
+
+
 # =========================================================================== catalog
 class TestQueryCatalog:
     def test_save_load_roundtrip_equal_answers(self, tmp_path):
         query = select_descendant_pairs(LABELS)
         tree = tree_of_shape("random", 160, LABELS, 11)
         catalog = QueryCatalog(str(tmp_path))
-        # warm the plan cache with one document build, then persist
         warm = TreeRuntime(tree, query)
         expected = canonical_answers(warm.assignments())
-        catalog.save(query, automaton=warm.binary_automaton)
+        catalog.save(query)
         assert query in catalog
         assert catalog.digests() == [catalog.digest_of(query)]
 
         loaded = catalog.load(catalog.digest_of(query), use_cache=False)
         assert loaded.from_disk
-        assert loaded.plans_installed > 0
         assert loaded.load_seconds is not None
         # build a fresh enumeration structure against the *loaded* automaton only
         from repro.forest_algebra.maintenance import MaintainedTerm
@@ -134,22 +142,52 @@ class TestQueryCatalog:
             QueryCatalog(str(tmp_path)).load(digest)
         assert path in str(info.value) and digest in str(info.value)
 
-    def test_plans_out_of_canonical_order_raise_catalog_error(self, tmp_path):
+    @pytest.mark.parametrize("swap_state_table", [False, True], ids=["intact", "swapped"])
+    def test_an_older_entrys_plans_section_is_ignored(self, tmp_path, swap_state_table):
+        """Older writers added the box plans of a warm automaton; a reader
+        serves from the automaton section alone, even if the plans are miswired."""
         query = select_descendant_pairs(LABELS)
-        TreeRuntime(tree_of_shape("random", 40, LABELS, 3), query)  # fills the plan cache
+        warm = TreeRuntime(tree_of_shape("random", 80, LABELS, 3), query)
+        expected = canonical_answers(warm.assignments())
         catalog = QueryCatalog(str(tmp_path))
-        catalog.save(query)
-        digest = catalog.digest_of(query)
+        digest = catalog.save(query).digest
         path = catalog.path_of(digest)
         with open(path, encoding="utf8") as handle:
             payload = json.load(handle)
-        values = payload["plans"]["values"]
-        assert payload["plans"]["internal"] and values[0] != values[1]
-        values[0], values[1] = values[1], values[0]
+        plans = payload["plans"] = export_box_plans(warm.binary_automaton)
+        values = plans["values"]
+        assert plans["internal"] and values[0] != values[1]
+        if swap_state_table:
+            values[0], values[1] = values[1], values[0]
         with open(path, "w", encoding="utf8") as handle:
             json.dump(payload, handle)
-        with pytest.raises(CatalogError, match="corrupt.*state table"):
+        clear_automata()
+        with Engine(catalog=str(tmp_path)) as engine:
+            compiled = engine.compile(select_descendant_pairs(LABELS))
+            assert compiled.automaton is not warm.binary_automaton  # loaded from disk
+            assert getattr(compiled.automaton, "_box_plan_cache", None) is None
+            doc = engine.add_tree(tree_of_shape("random", 80, LABELS, 3), compiled)
+            assert canonical_answers(doc.stream()) == expected
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [(_delta_names_an_unknown_value, "index out of range"),
+         (_final_state_outside_states, "final states must be a subset")],
+    )
+    def test_a_malformed_automaton_section_raises_catalog_error_naming_it(
+        self, tmp_path, tamper, message
+    ):
+        catalog = QueryCatalog(str(tmp_path))
+        digest = catalog.save(select_descendant_pairs(LABELS)).digest
+        path = catalog.path_of(digest)
+        with open(path, encoding="utf8") as handle:
+            payload = json.load(handle)
+        tamper(payload["automaton"])
+        with open(path, "w", encoding="utf8") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(CatalogError, match=f"corrupt.*{message}") as info:
             QueryCatalog(str(tmp_path)).load(digest)
+        assert path in str(info.value) and digest in str(info.value)
 
     def test_get_compiles_without_persisting(self, tmp_path):
         query = select_labeled("a", LABELS)
@@ -193,7 +231,7 @@ class TestQueryCatalog:
         expected = canonical_answers(warm.assignments())
 
         catalog = QueryCatalog(str(tmp_path))
-        catalog.save(query, automaton=warm.binary_automaton)
+        catalog.save(query)
         digest = catalog.digest_of(query)
 
         child_source = """
@@ -218,7 +256,6 @@ rows = sorted(
 print(json.dumps({
     "answers": json.dumps(rows, sort_keys=True, separators=(",", ":")),
     "load_seconds": loaded.load_seconds,
-    "plans_installed": loaded.plans_installed,
 }))
 """
         result = subprocess.run(
@@ -231,7 +268,6 @@ print(json.dumps({
         payload = json.loads(result.stdout)
         # Byte-identical answers in a process that never ran the compiler.
         assert payload["answers"] == expected
-        assert payload["plans_installed"] > 0
         assert payload["load_seconds"] is not None and payload["load_seconds"] > 0
 
 

@@ -888,3 +888,17 @@ def test_catalog_payloads_are_pinned():
         ):
             digests[key] = hashlib.sha256(canonical_json(payload).encode("utf8")).hexdigest()
     assert digests == PINNED_CATALOG
+
+
+def test_an_engine_writes_catalog_entries_of_the_pinned_sections_only(tmp_path):
+    with Engine(catalog=str(tmp_path)) as engine:
+        for name, query in _pinned_catalog_queries().items():
+            with open(engine.catalog.path_of(engine.compile(query).digest), encoding="utf8") as handle:
+                entry = json.load(handle)
+            assert sorted(entry) == ["automaton", "digest", "format", "kind", "meta", "query"]
+            for section in ("query", "automaton"):
+                text = canonical_json(entry[section])
+                assert (
+                    hashlib.sha256(text.encode("utf8")).hexdigest()
+                    == PINNED_CATALOG[f"{section}:{name}"]
+                ), section
